@@ -9,7 +9,9 @@ checked against the radial oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .errors import ConfigError, InconsistentParams, ModelProfileMismatch
 from .geometry import DomainSpec, RegionParams
@@ -23,12 +25,13 @@ CCPB = "ccpb"
 @dataclass(frozen=True)
 class ExpansionQuery:
     """Where and what to evaluate: model, boundary index, mean curvature at
-    the boundary point, stretched depth t, eps, expansion order, dimension."""
+    the boundary point, stretched depth t (a number or an array of depths),
+    eps, expansion order, dimension."""
 
     model: str
     k: int
     h: float  # mean curvature H(p)
-    t: float
+    t: float | np.ndarray
     eps: float
     order: int = 2
     d: int = 2
@@ -40,7 +43,7 @@ class ExpansionQuery:
             raise ConfigError("order must be 1 or 2")
         if not self.eps > 0:
             raise ConfigError("eps must be positive")
-        if self.t < 0:
+        if np.any(np.asarray(self.t) < 0):
             raise ConfigError("t must be >= 0")
 
 
@@ -51,67 +54,98 @@ def _require(profiles: dict, q: ExpansionQuery):
         raise ModelProfileMismatch("conserved-charge queries need the 'w' profile")
 
 
-def potential(q: ExpansionQuery, profiles: dict) -> float:
-    """u(t) [+ sqrt(eps)((d-1) H v(t) (+ w(t) for conserved charge))]."""
+@dataclass(frozen=True)
+class _Layer:
+    """Profile values and t-derivatives at the query depths; v and w are
+    None where the query's order and model do not use them."""
+
+    u: float | np.ndarray
+    du: float | np.ndarray
+    v: float | np.ndarray | None = None
+    dv: float | np.ndarray | None = None
+    w: float | np.ndarray | None = None
+    dw: float | np.ndarray | None = None
+
+
+def _sample(q: ExpansionQuery, profiles: dict) -> _Layer:
     _require(profiles, q)
-    u, _ = profile_eval(profiles["u"], q.t)
+    u, du = profile_eval(profiles["u"], q.t)
     if q.order == 1:
-        return float(u)
-    v, _ = profile_eval(profiles["v"], q.t)
-    corr = (q.d - 1) * q.h * v
-    if q.model == CCPB:
-        w, _ = profile_eval(profiles["w"], q.t)
-        corr += w
-    return float(u + math.sqrt(q.eps) * corr)
+        return _Layer(u, du)
+    v, dv = profile_eval(profiles["v"], q.t)
+    if q.model != CCPB:
+        return _Layer(u, du, v, dv)
+    w, dw = profile_eval(profiles["w"], q.t)
+    return _Layer(u, du, v, dv, w, dw)
 
 
-def field_normal_component(q: ExpansionQuery, profiles: dict) -> float:
-    """Coefficient of -nu_p in the gradient: u'/sqrt(eps) [+ (d-1)H v' + w']."""
-    _require(profiles, q)
-    _, du = profile_eval(profiles["u"], q.t)
+def _result(value):
+    """A float for a scalar query, an array for an array query."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _potential(q: ExpansionQuery, s: _Layer):
     if q.order == 1:
-        return float(du / math.sqrt(q.eps))
-    _, dv = profile_eval(profiles["v"], q.t)
-    corr = (q.d - 1) * q.h * dv
+        return s.u
+    corr = (q.d - 1) * q.h * s.v
     if q.model == CCPB:
-        _, dw = profile_eval(profiles["w"], q.t)
-        corr += dw
-    return float(du / math.sqrt(q.eps) + corr)
+        corr = corr + s.w
+    return s.u + math.sqrt(q.eps) * corr
 
 
-def charge_density(q: ExpansionQuery, profiles: dict, f: Nonlinearity,
-                   f1: Nonlinearity | None = None) -> float:
-    """f(u) [+ sqrt(eps)((d-1)H f'(u) v  (+ f'(u) w + f1(u) for conserved
-    charge))]."""
-    _require(profiles, q)
-    u, _ = profile_eval(profiles["u"], q.t)
-    base = float(f.f(u))
+def _field(q: ExpansionQuery, s: _Layer):
+    if q.order == 1:
+        return s.du / math.sqrt(q.eps)
+    corr = (q.d - 1) * q.h * s.dv
+    if q.model == CCPB:
+        corr = corr + s.dw
+    return s.du / math.sqrt(q.eps) + corr
+
+
+def _charge_density(q: ExpansionQuery, s: _Layer, f: Nonlinearity, f1: Nonlinearity | None):
+    base = f.f(s.u)
     if q.order == 1:
         return base
-    v, _ = profile_eval(profiles["v"], q.t)
-    corr = (q.d - 1) * q.h * float(f.df(u)) * v
+    dfu = f.df(s.u)
+    corr = (q.d - 1) * q.h * dfu * s.v
     if q.model == CCPB:
         if f1 is None:
             raise ModelProfileMismatch("conserved-charge density needs f1")
-        w, _ = profile_eval(profiles["w"], q.t)
-        corr += float(f.df(u)) * w + float(f1.f(u))
+        corr = corr + (dfu * s.w + f1.f(s.u))
     return base + math.sqrt(q.eps) * corr
 
 
-def maxwell_traction(q: ExpansionQuery, profiles: dict, f: Nonlinearity) -> float:
-    """Normal-normal component of the electrostatic stress acting on nu_p:
-    -F(u) [+ sqrt(eps) u' ((d-1)H v' (+ w'))]."""
-    _require(profiles, q)
-    u, du = profile_eval(profiles["u"], q.t)
-    base = -float(f.F(u))
+def _traction(q: ExpansionQuery, s: _Layer, f: Nonlinearity):
+    base = -f.F(s.u)
     if q.order == 1:
         return base
-    _, dv = profile_eval(profiles["v"], q.t)
-    corr = (q.d - 1) * q.h * du * dv
+    corr = (q.d - 1) * q.h * s.du * s.dv
     if q.model == CCPB:
-        _, dw = profile_eval(profiles["w"], q.t)
-        corr += du * dw
+        corr = corr + s.du * s.dw
     return base + math.sqrt(q.eps) * corr
+
+
+def potential(q: ExpansionQuery, profiles: dict) -> float | np.ndarray:
+    """u(t) [+ sqrt(eps)((d-1) H v(t) (+ w(t) for conserved charge))]."""
+    return _result(_potential(q, _sample(q, profiles)))
+
+
+def field_normal_component(q: ExpansionQuery, profiles: dict) -> float | np.ndarray:
+    """Coefficient of -nu_p in the gradient: u'/sqrt(eps) [+ (d-1)H v' + w']."""
+    return _result(_field(q, _sample(q, profiles)))
+
+
+def charge_density(q: ExpansionQuery, profiles: dict, f: Nonlinearity,
+                   f1: Nonlinearity | None = None) -> float | np.ndarray:
+    """f(u) [+ sqrt(eps)((d-1)H f'(u) v  (+ f'(u) w + f1(u) for conserved
+    charge))]."""
+    return _result(_charge_density(q, _sample(q, profiles), f, f1))
+
+
+def maxwell_traction(q: ExpansionQuery, profiles: dict, f: Nonlinearity) -> float | np.ndarray:
+    """Normal-normal component of the electrostatic stress acting on nu_p:
+    -F(u) [+ sqrt(eps) u' ((d-1)H v' (+ w'))]."""
+    return _result(_traction(q, _sample(q, profiles), f))
 
 
 @dataclass(frozen=True)
@@ -222,13 +256,22 @@ def decay_envelope(kind: str, m_prime: float, m_rate: float, *, t: float | None 
 
 def grid_rows(q_template: ExpansionQuery, profiles: dict, f: Nonlinearity,
               ts, f1: Nonlinearity | None = None):
-    """CSV-ready (t, eps, value) rows for the four pointwise evaluators."""
-    rows = {"potential": [], "field": [], "charge_density": [], "traction": []}
-    for t in ts:
-        q = ExpansionQuery(q_template.model, q_template.k, q_template.h,
-                           float(t), q_template.eps, q_template.order, q_template.d)
-        rows["potential"].append((float(t), q.eps, potential(q, profiles)))
-        rows["field"].append((float(t), q.eps, field_normal_component(q, profiles)))
-        rows["charge_density"].append((float(t), q.eps, charge_density(q, profiles, f, f1)))
-        rows["traction"].append((float(t), q.eps, maxwell_traction(q, profiles, f)))
-    return rows
+    """CSV-ready (t, eps, value) rows for the four pointwise evaluators.
+
+    Each profile is evaluated once over the whole grid ts, and each density
+    once over the sampled u; q_template supplies everything but t.
+    """
+    ts = np.asarray(ts, dtype=float)
+    q = replace(q_template, t=ts)
+    s = _sample(q, profiles)
+    values = {
+        "potential": _potential(q, s),
+        "field": _field(q, s),
+        "charge_density": _charge_density(q, s, f, f1),
+        "traction": _traction(q, s, f),
+    }
+    t_list = ts.tolist()
+    return {
+        name: [(t, q.eps, v) for t, v in zip(t_list, vals.tolist())]
+        for name, vals in values.items()
+    }

@@ -43,11 +43,10 @@ from .numerics import gauss_panels
 from .profiles import (
     Profile,
     RobinData,
+    _solve_v_and_w,
     boundary_potential,
     solve_theta,
     solve_u,
-    solve_v,
-    solve_w,
 )
 
 PHI0_TOL = 1e-14
@@ -235,23 +234,24 @@ def ccpb_constants(
     phi0, u0s = solve_phi0(domain, species)
     f0 = make_f0(species, domain.volume, phi0)
     kwargs = {} if n_nodes is None else {"n_nodes": n_nodes}
-    bundles = []
     u_list = []
     for comp, u0_expected in zip(domain.components, u0s):
         u = solve_u(f0, comp.robin, **kwargs)
         if abs(u.meta["u0"] - u0_expected) > 1e-9 * max(1.0, abs(u0_expected)):
             raise ConfigError("profile boundary value disagrees with the scan")
-        v = solve_v(u, f0, RobinData(comp.robin.gamma, 0.0))
-        theta = solve_theta(u, f0, RobinData(comp.robin.gamma, 0.0))
-        bundles.append({"u": u, "v": v, "theta": theta})
         u_list.append(u)
 
+    # mhat, q and f1 read only the u-profiles, so each boundary's v, theta
+    # and w can then be solved together from one layer quadrature
     mhat = compute_mhat(domain, species, u_list, phi0)
     fhat1 = make_fhat1(species, domain.volume, phi0, mhat)
     q = compute_q(domain, f0, fhat1, u_list)
     f1 = make_f1(f0, fhat1, q)
-    for comp, bundle in zip(domain.components, bundles):
-        bundle["w"] = solve_w(bundle["u"], f0, f1, q, RobinData(comp.robin.gamma, 0.0))
+    bundles = []
+    for comp, u in zip(domain.components, u_list):
+        robin0 = RobinData(comp.robin.gamma, 0.0)
+        v, w = _solve_v_and_w(u, f0, f1, q, robin0)
+        bundles.append({"u": u, "v": v, "theta": solve_theta(u, f0, robin0), "w": w})
 
     # diagnostics: compatibility residuals, flux balance, neutrality of the
     # corrections, and the independent balance identity for q

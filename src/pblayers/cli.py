@@ -201,28 +201,35 @@ def cmd_constants(cfg, out: Path) -> int:
 
 
 def cmd_expand(cfg, out: Path) -> int:
-    domain, species, f, bundles, constants = _build_model(cfg)
     opts = cfg.get("expand", {})
     _reject_unknown(opts, {"t_max", "n_t", "order"}, "expand")
     t_max = float(opts.get("t_max", 5.0))
     n_t = int(opts.get("n_t", 201))
     order = int(opts.get("order", 2))
     ts = np.linspace(0.0, t_max, n_t)
-    f1 = constants.f1 if constants is not None else None
+    # every query and band is validated before the model solve, so a bad
+    # (T, beta, eps) writes nothing
+    domain = _domain(cfg)
+    plan = []
     for eps in _eps_list(cfg):
-        tag = _eps_tag(eps)
-        for k, (comp, bundle) in enumerate(zip(domain.components, bundles)):
-            q = asymptotics.ExpansionQuery(
-                cfg["model"], k, comp.mean_curvature, 0.0, eps, order,
-                domain.dimension,
+        queries = [
+            asymptotics.ExpansionQuery(
+                cfg["model"], k, comp.mean_curvature, ts, eps, order, domain.dimension,
             )
+            for k, comp in enumerate(domain.components)
+        ]
+        plan.append((eps, queries, _region_params(cfg, eps)))
+    _, _, f, bundles, constants = _build_model(cfg)
+    f1 = constants.f1 if constants is not None else None
+    for eps, queries, params in plan:
+        tag = _eps_tag(eps)
+        for k, (q, bundle) in enumerate(zip(queries, bundles)):
             rows = asymptotics.grid_rows(q, bundle, f, ts, f1)
             for name, data in sorted(rows.items()):
                 _write_csv(
                     out / f"expansion_{name}_k{k}_eps{tag}.csv",
                     "t,eps,value", data,
                 )
-            params = _region_params(cfg, eps)
             if params is not None:
                 report = asymptotics.region_charge(
                     domain, k, params, bundle, model=cfg["model"]

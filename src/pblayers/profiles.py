@@ -313,32 +313,23 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
 class _LayerQuadrature:
     """Samples of u at the grid nodes and interior Gauss points, with the
     backward energy integral I(t) = integral of u'^2 from t to infinity
-    evaluated in potential space."""
+    evaluated in potential space.  v and w of one boundary share it."""
 
     def __init__(self, u: Profile, f: Nonlinearity):
         t = u.t
         self.t = t
         self.phi_star = u.meta["phi_star"]
-        self.sgn_du = math.copysign(1.0, u.meta["u0_prime"])
         n = len(t)
         xg, wg = gauss_panels(t[:-1], t[1:])
         self.wg = wg
-        m = (n - 1) * 6 + 1
-        ts = np.empty(m)
-        ts[::6] = t
-        pos = np.arange(n - 1) * 6
-        ts[(pos[:, None] + np.arange(1, 6)).ravel()] = xg.ravel()
+        # positions of the Gauss points in the merged node+Gauss sequence
+        self.gauss = (np.arange(n - 1)[:, None] * 6 + np.arange(1, 6)).ravel()
         delta_nodes = np.asarray(u.meta.get("delta", u.values - self.phi_star), dtype=float)
-        d_all = np.empty(m)
+        d_all = np.empty((n - 1) * 6 + 1)
         d_all[::6] = delta_nodes
-        dg, _ = hermite_eval(xg.ravel(), t, delta_nodes, u.derivs)
-        d_all[(pos[:, None] + np.arange(1, 6)).ravel()] = dg
-        self.ts = ts
+        d_all[self.gauss] = hermite_eval(xg.ravel(), t, delta_nodes, u.derivs)[0]
         self.delta_all = d_all
-        self.u_all = self.phi_star + d_all
         speed = _speed_from_delta(f, self.phi_star)
-        self.du_all = self.sgn_du * speed(d_all)
-        self.du_all[0] = u.meta["u0_prime"]
         self.minus_2F = np.maximum(-2.0 * _from_delta(f.F, self.phi_star, d_all), 0.0)
         # I(t) = |integral of speed from offset 0 to delta(t)|, accumulated
         # from the reference end
@@ -350,10 +341,7 @@ class _LayerQuadrature:
     def cumulative(self, integrand_all: np.ndarray) -> np.ndarray:
         """Cumulative integral over the node grid of a quantity sampled on
         the merged node+Gauss sequence."""
-        shaped = integrand_all[
-            (np.arange(len(self.t) - 1)[:, None] * 6 + np.arange(1, 6)).ravel()
-        ].reshape(-1, 5)
-        inc = np.sum(shaped * self.wg, axis=1)
+        inc = np.sum(integrand_all[self.gauss].reshape(-1, 5) * self.wg, axis=1)
         out = np.empty(len(self.t))
         out[0] = 0.0
         np.cumsum(inc, out=out[1:])
@@ -362,6 +350,13 @@ class _LayerQuadrature:
     @property
     def nodes(self) -> slice:
         return slice(None, None, 6)
+
+
+def _quadrature(u: Profile, f: Nonlinearity) -> _LayerQuadrature | None:
+    """The layer quadrature of u, or None when u is constant (no layer)."""
+    if u.meta.get("degenerate") or u.meta["u0_prime"] == 0.0:
+        return None
+    return _LayerQuadrature(u, f)
 
 
 def _fit_tail(t, values, limit, window=(0.55, 0.92), fallback_rate=1.0):
@@ -392,12 +387,16 @@ def _denominator(u: Profile, f: Nonlinearity, gamma: float) -> float:
 
 def solve_v(u: Profile, f: Nonlinearity, robin: RobinData) -> Profile:
     """Curvature-correction profile from its variation-of-parameters form."""
-    if u.meta.get("degenerate") or u.meta["u0_prime"] == 0.0:
+    return _solve_v(u, f, robin, _quadrature(u, f))
+
+
+def _solve_v(u: Profile, f: Nonlinearity, robin: RobinData,
+             lq: _LayerQuadrature | None) -> Profile:
+    if lq is None:
         return _constant_profile(
             "v", 0.0, u.t_max, len(u.t), robin, u.meta.get("mu", 1.0),
             {"v0": 0.0, "v_prime0": 0.0, "t_star": math.nan},
         )
-    lq = _LayerQuadrature(u, f)
     u0p = u.meta["u0_prime"]
     den = _denominator(u, f, robin.gamma)
     v0 = -robin.gamma / den * lq.int_usq
@@ -462,17 +461,39 @@ def solve_w(
     The forcing enters through the antiderivative of f1 anchored at the bulk
     potential: Q f0(u) - Fhat1(u) = -F1(u).
     """
+    _check_f1(f1, q)
+    return _solve_w(u, f0, f1, q, robin, _quadrature(u, f0))
+
+
+def _solve_v_and_w(
+    u: Profile,
+    f0: Nonlinearity,
+    f1: Nonlinearity,
+    q: float,
+    robin: RobinData,
+) -> tuple[Profile, Profile]:
+    """solve_v(u, f0, robin) and solve_w(u, f0, f1, q, robin) from one
+    shared layer quadrature, released on return."""
+    _check_f1(f1, q)
+    lq = _quadrature(u, f0)
+    return _solve_v(u, f0, robin, lq), _solve_w(u, f0, f1, q, robin, lq)
+
+
+def _check_f1(f1: Nonlinearity, q: float):
     if f1.provenance != "f1":
         raise MismatchedReference("solve_w needs the combined first-order density")
     if abs(f1.meta.get("q", math.nan) - q) > 1e-12 * max(1.0, abs(q)):
         raise MismatchedReference("f1 was built with a different drift constant")
-    limit = -float(f1.f(u.meta["phi_star"])) / float(f0.df(u.meta["phi_star"]))
-    if u.meta.get("degenerate") or u.meta["u0_prime"] == 0.0:
+
+
+def _solve_w(u: Profile, f0: Nonlinearity, f1: Nonlinearity, q: float,
+             robin: RobinData, lq: _LayerQuadrature | None) -> Profile:
+    if lq is None:
         return _constant_profile(
             "w", q, u.t_max, len(u.t), robin, u.meta.get("mu", 1.0),
             {"w0": q, "w_prime0": 0.0, "q": q},
         )
-    lq = _LayerQuadrature(u, f0)
+    limit = -float(f1.f(u.meta["phi_star"])) / float(f0.df(u.meta["phi_star"]))
     u0p = u.meta["u0_prime"]
     den = _denominator(u, f0, robin.gamma)
     neg_F1_all = -_from_delta(f1.F, lq.phi_star, lq.delta_all)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from pblayers.asymptotics import (
     charge_density,
     decay_envelope,
     field_normal_component,
+    grid_rows,
     maxwell_traction,
     potential,
     region_charge,
@@ -209,3 +211,77 @@ class TestQueryValidation:
             ExpansionQuery("pb", 0, 1.0, 0.0, -1e-4)
         with pytest.raises(ConfigError):
             ExpansionQuery("pb", 0, 1.0, -1.0, 1e-4)
+
+
+class TestArrayEvaluators:
+    """One call over an array of t against one scalar call per point.
+
+    Potential and field are the same arithmetic either way, so they must be
+    equal; charge density and traction evaluate the densities on an array
+    rather than through their scalar path, so they may differ by rounding.
+    """
+
+    @pytest.fixture(params=["pb", "ccpb"])
+    def case(self, request, std_bundle, salt, annulus_constants):
+        if request.param == "pb":
+            return "pb", std_bundle, salt, None
+        cc = annulus_constants
+        return "ccpb", cc.profiles[0], cc.f0, cc.f1
+
+    @staticmethod
+    def depths(bundle):
+        # t = 0, interior points, t_max itself and the tail branch beyond it
+        t_max = bundle["u"].t_max
+        return np.concatenate(([0.0], np.linspace(0.013, 9.0, 41), [t_max, 1.2 * t_max, t_max + 30.0]))
+
+    @staticmethod
+    def evaluators(f, f1):
+        return (
+            ("potential", potential, (), True),
+            ("field", field_normal_component, (), True),
+            ("charge_density", charge_density, (f, f1), False),
+            ("traction", maxwell_traction, (f,), False),
+        )
+
+    @staticmethod
+    def assert_match(got, want, exact):
+        if exact:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_array_matches_scalar(self, case, order):
+        model, bundle, f, f1 = case
+        ts = self.depths(bundle)
+        q = ExpansionQuery(model, 0, 0.5, ts, 1e-4, order, 2)
+        for _, fn, extra, exact in self.evaluators(f, f1):
+            got = fn(q, bundle, *extra)
+            want = np.array([fn(replace(q, t=float(t)), bundle, *extra) for t in ts])
+            assert isinstance(got, np.ndarray) and got.shape == ts.shape
+            self.assert_match(got, want, exact)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_grid_rows_matches_scalar(self, case, order):
+        model, bundle, f, f1 = case
+        ts = self.depths(bundle)
+        q = ExpansionQuery(model, 0, 0.5, 0.0, 1e-3, order, 3)
+        rows = grid_rows(q, bundle, f, ts, f1)
+        for name, fn, extra, exact in self.evaluators(f, f1):
+            assert [r[:2] for r in rows[name]] == [(float(t), 1e-3) for t in ts]
+            want = np.array([fn(replace(q, t=float(t)), bundle, *extra) for t in ts])
+            self.assert_match(np.array([r[2] for r in rows[name]]), want, exact)
+
+    def test_scalar_query_returns_float(self, case):
+        model, bundle, f, f1 = case
+        q = ExpansionQuery(model, 0, 0.5, 0.7, 1e-4, 2, 2)
+        for _, fn, extra, _ in self.evaluators(f, f1):
+            assert type(fn(q, bundle, *extra)) is float
+
+    def test_negative_t_rejected(self, case):
+        model, bundle, f, f1 = case
+        ts = np.array([0.0, 1.0, -1e-12])
+        with pytest.raises(ConfigError):
+            ExpansionQuery(model, 0, 0.5, ts, 1e-4, 2, 2)
+        with pytest.raises(ConfigError):
+            grid_rows(ExpansionQuery(model, 0, 0.5, 0.0, 1e-4, 2, 2), bundle, f, ts, f1)

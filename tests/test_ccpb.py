@@ -14,7 +14,8 @@ from pblayers.ccpb import (
 from pblayers.errors import AllBoundaryPotentialsEqual, NeutralityViolated
 from pblayers.geometry import BoundaryComponent, DomainSpec, make_annulus
 from pblayers.nonlinearity import IonSpecies
-from pblayers.profiles import RobinData, profile_eval
+from pblayers import profiles
+from pblayers.profiles import RobinData, profile_eval, solve_v, solve_w
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +155,49 @@ class TestBulkExpansion:
                 assert entry.conc_at(eps) == pytest.approx(
                     c_oracle, rel=0.03 * math.sqrt(eps) / entry.conc0 + 1e-3
                 )
+
+
+class TestSharedLayerQuadrature:
+    """v and w of each boundary come from one layer quadrature; the sharing
+    must change no number."""
+
+    # the fixture's diagnostics as computed by solve_v and solve_w building
+    # one quadrature each
+    DIAGNOSTICS = {
+        "compatibility_residual": 2.498001805406602e-16,
+        "drift_balance": 2.4868995751603507e-14,
+        "drift_balance_rel": 2.2376389852450596e-15,
+        "flux_residual": 3.241851231905457e-14,
+        "flux_residual_rel": 4.194027950797511e-15,
+        "mhat_charge": 3.26405569239796e-14,
+        "mhat_charge_rel": 1.8137192983488402e-14,
+    }
+
+    def test_profiles_equal_standalone_solves(self, annulus_constants, annulus_domain):
+        cc = annulus_constants
+        for comp, bundle in zip(annulus_domain.components, cc.profiles):
+            robin0 = RobinData(comp.robin.gamma, 0.0)
+            alone = {
+                "v": solve_v(bundle["u"], cc.f0, robin0),
+                "w": solve_w(bundle["u"], cc.f0, cc.f1, cc.q, robin0),
+            }
+            for kind, want in alone.items():
+                got = bundle[kind]
+                assert np.array_equal(got.values, want.values)
+                assert np.array_equal(got.derivs, want.derivs)
+                assert got.tail == want.tail and got.meta == want.meta
+
+    def test_diagnostics_unchanged(self, annulus_constants):
+        assert annulus_constants.diagnostics == self.DIAGNOSTICS
+
+    def test_one_quadrature_per_layer(self, annulus_domain, msalt, monkeypatch):
+        built = []
+
+        class Counting(profiles._LayerQuadrature):
+            def __init__(self, u, f):
+                built.append(u)
+                super().__init__(u, f)
+
+        monkeypatch.setattr(profiles, "_LayerQuadrature", Counting)
+        ccpb_constants(annulus_domain, msalt, n_nodes=2001)
+        assert len(built) == 2 and built[0] is not built[1]

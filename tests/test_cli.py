@@ -1,5 +1,6 @@
 import filecmp
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,18 @@ class TestExpandCommand:
         report = json.loads((out / "region_charge_k0_eps1e-04.json").read_text())
         assert report["region3"]["is_bound"] is True
 
+    def test_invalid_region_writes_nothing(self, tmp_path):
+        # T sqrt(eps) = 0.5 exceeds eps**beta = 0.316 at eps = 1e-2 only, the
+        # last eps listed: the error comes before any solve or file
+        cfg = write_cfg(
+            tmp_path,
+            dict(CCPB_BASE, grid={"n_nodes": 2001}, eps=[1e-4, 1e-3, 1e-2],
+                 region={"T": 5.0, "beta": 0.25}),
+        )
+        out = tmp_path / "out"
+        assert run("expand", cfg, out) == 2
+        assert not any(p.name.startswith(("expansion_", "region_charge_")) for p in out.iterdir())
+
 
 class TestOracleCommand:
     def test_writes_solution_and_diagnostics(self, tmp_path):
@@ -194,3 +207,12 @@ class TestErrorPaths:
         out = tmp_path / "deep" / "nested" / "dir"
         assert run("profiles", fast_pb, out) == 0
         assert out.exists()
+
+
+def test_readme_example_config_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    cfg = write_cfg(tmp_path, json.loads(blocks[0]))
+    for command in ("constants", "expand", "verify"):
+        assert run(command, cfg, tmp_path / command) == 0, command
