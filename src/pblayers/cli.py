@@ -24,11 +24,11 @@ from .ccpb import ccpb_constants
 from .errors import ConfigError, PBLayersError, SolverError
 from .geometry import DomainSpec, RegionParams, make_annulus, make_ball, make_disk
 from .nonlinearity import IonSpecies, make_classical_pb
+from .numerics import write_csv
 from .profiles import RobinData, solve_u, solve_v
 from .radial_oracle import (
     RadialSolveResult,
     compare_expansion,
-    graded_radial_grid,
     solve_radial_ccpb,
     solve_radial_robin_pb,
 )
@@ -43,6 +43,17 @@ def _reject_unknown(section: dict, allowed: set, where: str):
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
+
+
+def _number(section: dict, key: str, where: str) -> float:
+    try:
+        value = section[key]
+    except KeyError:
+        raise ConfigError(f"{where} missing key {key!r}") from None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}.{key} must be a number, got {value!r}") from None
 
 
 def load_config(path) -> dict:
@@ -66,12 +77,10 @@ def load_config(path) -> dict:
 def _species(cfg) -> list[IonSpecies]:
     out = []
     for i, row in enumerate(cfg["species"]):
-        _reject_unknown(row, {"z", "amount", "role"}, f"species[{i}]")
+        where = f"species[{i}]"
+        _reject_unknown(row, {"z", "amount", "role"}, where)
         role = row.get("role", "mass" if cfg["model"] == "ccpb" else "bulk")
-        try:
-            out.append(IonSpecies(float(row["z"]), float(row["amount"]), role))
-        except KeyError as exc:
-            raise ConfigError(f"species[{i}] missing key {exc}") from exc
+        out.append(IonSpecies(_number(row, "z", where), _number(row, "amount", where), role))
     return out
 
 
@@ -81,8 +90,9 @@ def _robin_list(cfg, n_components) -> list[RobinData]:
         raise ConfigError(f"robin must list exactly {n_components} boundary entries")
     out = []
     for i, row in enumerate(rows):
-        _reject_unknown(row, {"gamma", "phi_bd"}, f"robin[{i}]")
-        out.append(RobinData(float(row["gamma"]), float(row["phi_bd"])))
+        where = f"robin[{i}]"
+        _reject_unknown(row, {"gamma", "phi_bd"}, where)
+        out.append(RobinData(_number(row, "gamma", where), _number(row, "phi_bd", where)))
     return out
 
 
@@ -97,14 +107,14 @@ def _domain(cfg) -> DomainSpec:
     d = int(dom.get("d", 2))
     if kind == "disk":
         robin = _robin_list(cfg, 1)
-        return make_disk(float(dom["radius"]), robin[0])
+        return make_disk(_number(dom, "radius", "domain"), robin[0])
     if kind == "ball":
         robin = _robin_list(cfg, 1)
-        return make_ball(d, float(dom["radius"]), robin[0])
+        return make_ball(d, _number(dom, "radius", "domain"), robin[0])
     if kind == "annulus":
         robin = _robin_list(cfg, 2)
         return make_annulus(
-            d, float(dom["inner_radius"]), float(dom["outer_radius"]),
+            d, _number(dom, "inner_radius", "domain"), _number(dom, "outer_radius", "domain"),
             robin[0], robin[1],
         )
     raise ConfigError("domain.type must be disk, ball or annulus")
@@ -121,7 +131,9 @@ def _region_params(cfg, eps) -> RegionParams | None:
     if reg is None:
         return None
     _reject_unknown(reg, {"T", "beta"}, "region")
-    return RegionParams(eps=eps, beta=float(reg["beta"]), T=float(reg["T"]))
+    return RegionParams(
+        eps=eps, beta=_number(reg, "beta", "region"), T=_number(reg, "T", "region")
+    )
 
 
 def _eps_list(cfg) -> list[float]:
@@ -139,13 +151,6 @@ def _write_json(path: Path, payload: dict):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-
-
-def _write_csv(path: Path, header: str, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
 def _pb_bundles(domain, f, cfg):
@@ -226,7 +231,7 @@ def cmd_expand(cfg, out: Path) -> int:
         for k, (q, bundle) in enumerate(zip(queries, bundles)):
             rows = asymptotics.grid_rows(q, bundle, f, ts, f1)
             for name, data in sorted(rows.items()):
-                _write_csv(
+                write_csv(
                     out / f"expansion_{name}_k{k}_eps{tag}.csv",
                     "t,eps,value", data,
                 )
@@ -241,13 +246,12 @@ def cmd_expand(cfg, out: Path) -> int:
     return 0
 
 
-def _solve_oracle(cfg, domain, species, f, eps, **extra) -> RadialSolveResult:
-    opts = dict(cfg.get("oracle", {}))
+def _solve_oracle(cfg, domain, species, f, eps, initial=None) -> RadialSolveResult:
+    opts = cfg.get("oracle", {})
     _reject_unknown(opts, {"points_per_layer", "layer_widths"}, "oracle")
-    opts.update(extra)
     if cfg["model"] == "pb":
-        return solve_radial_robin_pb(domain, f, eps, **opts)
-    return solve_radial_ccpb(domain, species, eps, **opts)
+        return solve_radial_robin_pb(domain, f, eps, initial=initial, **opts)
+    return solve_radial_ccpb(domain, species, eps, initial=initial, **opts)
 
 
 def cmd_oracle(cfg, out: Path) -> int:
@@ -284,22 +288,10 @@ def cmd_verify(cfg, out: Path) -> int:
     eps_list = sorted(_eps_list(cfg), reverse=True)
     sweep = []
     neutrality_scale = sum(abs(s.amount * s.z) for s in species)
-    prev = None
+    res = None
     for eps in eps_list:
-        extra = {}
-        if prev is not None:
-            # continuation: warm-start from the previous (larger) eps solve,
-            # interpolated onto the new grid
-            r_new = graded_radial_grid(
-                domain.dimension,
-                domain.components[0].radius,
-                domain.components[1].radius if len(domain.components) > 1 else None,
-                eps,
-                **dict(cfg.get("oracle", {})),
-            )
-            extra["initial"] = prev.phi_at(r_new)
-        res = _solve_oracle(cfg, domain, species, f, eps, **extra)
-        prev = res
+        # continuation: warm-start from the previous (larger) eps solve
+        res = _solve_oracle(cfg, domain, species, f, eps, initial=res)
         rep = compare_expansion(
             res, domain, bundles, cfg["model"], T=T,
             beta=float(beta) if beta is not None else None,

@@ -55,7 +55,6 @@ class DomainSpec:
     dimension: int
     volume: float
     components: tuple[BoundaryComponent, ...]
-    well_separated: bool = True
 
     def __post_init__(self):
         if self.dimension < 2:
@@ -64,10 +63,6 @@ class DomainSpec:
             raise ConfigError("volume must be positive")
         if not self.components:
             raise ConfigError("need at least one boundary component")
-
-    @property
-    def holes(self) -> int:
-        return len(self.components) - 1
 
     def require_ccpb_admissible(self):
         """Conserved-charge runs need a hole and not-all-equal potentials."""

@@ -165,15 +165,6 @@ class _AnchoredExpSum(_ExpSum):
             out[~near] = super().__call__(self.anchor + d[~near])
         return out
 
-    def _scalar(self, phi: float) -> float:
-        d = phi - self.anchor
-        if abs(d) <= self._switch:
-            acc = self._taylor[_TAYLOR_TERMS]
-            for n in range(_TAYLOR_TERMS - 1, -1, -1):
-                acc = acc * d + self._taylor[n]
-            return acc
-        return super()._scalar(phi)
-
 
 class _ExpSumAntiderivative:
     """F(phi) = integral of an _ExpSum from `anchor`, cancellation-safe.
@@ -360,10 +351,8 @@ def make_f1(f0: Nonlinearity, fhat1: Nonlinearity, q: float) -> Nonlinearity:
     )
 
 
-def make_custom(f, df, F, phi_star=None, monotone=True) -> Nonlinearity:
-    """Wrap user-supplied evaluators (monotone custom densities only)."""
-    if not monotone:
-        raise UnsupportedProvenance("custom nonlinearities must be monotone")
+def make_custom(f, df, F, phi_star=None) -> Nonlinearity:
+    """Wrap user-supplied evaluators of a strictly decreasing density."""
     return Nonlinearity(f=f, df=df, F=F, phi_star=phi_star, provenance="custom")
 
 

@@ -1,5 +1,5 @@
 """Small shared numerical kernels: panel quadrature, Hermite evaluation,
-finite differences on nonuniform grids."""
+finite differences on nonuniform grids, and the CSV writer of every artifact."""
 
 from __future__ import annotations
 
@@ -120,12 +120,6 @@ def stencil_derivative(t, y, order=1, width=5):
     return coef[:, order] * fact
 
 
-def chebyshev_nodes(n: int, t_max: float):
-    """n Chebyshev-extrema nodes on [0, t_max], clustered at both ends."""
-    j = np.arange(n, dtype=float)
-    return 0.5 * t_max * (1.0 - np.cos(np.pi * j / (n - 1)))
-
-
 def boundary_clustered_nodes(n: int, t_max: float, blend: float = 0.9):
     """n cosine-graded nodes on [0, t_max], clustered at t = 0 only.
 
@@ -136,3 +130,13 @@ def boundary_clustered_nodes(n: int, t_max: float, blend: float = 0.9):
     """
     xi = np.linspace(0.0, 1.0, n)
     return t_max * ((1.0 - blend) * xi + blend * (1.0 - np.cos(0.5 * np.pi * xi)))
+
+
+def write_csv(path, header: str, rows):
+    """Write tuples of Python floats under a header line, one value per
+    header field, each as its shortest round-trip repr, so that files are
+    deterministic and reload exactly."""
+    line = ",".join(["%r"] * (header.count(",") + 1)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(line % row for row in rows)

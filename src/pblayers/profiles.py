@@ -45,6 +45,7 @@ from .numerics import (
     gauss_panels,
     hermite_eval,
     second_difference,
+    write_csv,
 )
 
 DEFAULT_NODES = 20001
@@ -97,10 +98,10 @@ class Profile:
         return profile_eval(self, t)
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,value,derivative\n")
-            for ti, vi, di in zip(self.t, self.values, self.derivs):
-                fh.write(f"{float(ti)!r},{float(vi)!r},{float(di)!r}\n")
+        write_csv(
+            path, "t,value,derivative",
+            zip(self.t.tolist(), self.values.tolist(), self.derivs.tolist()),
+        )
 
     def to_json_dict(self, include_samples: bool = False) -> dict:
         out = {

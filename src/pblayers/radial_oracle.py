@@ -1,15 +1,22 @@
 """Brute-force radial ground truth.
 
 Finite-volume discretization of -eps (r^{d-1} phi')' = r^{d-1} f(phi) on a
-boundary-graded grid, solved by damped Newton with an exact tridiagonal-ish
-Jacobian.  Cell-centered conservative fluxes make the discrete divergence
-identity hold to solver tolerance.  The nonlocal conserved-charge problem is
-an outer fixed point on the normalizer vector (the domain integrals of
-exp(-z_i phi)) with Anderson mixing as a fallback, each sweep solving a local
-Robin problem with the normalizers frozen.
+boundary-graded grid, solved by damped Newton with an exact banded Jacobian.
+Cell-centered conservative fluxes make the discrete divergence identity hold
+to solver tolerance.  Every boundary row is a Robin row (gamma = 0 is the
+Dirichlet limit), and the center of a ball is a symmetric flux row; the
+Dirichlet solver is the Robin solver on a ball with gamma = 0.
+
+Each solve builds its grid and assembled system once.  The nonlocal
+conserved-charge problem is an outer fixed point on the normalizer vector
+(the domain integrals of exp(-z_i phi)) with Anderson mixing as a fallback;
+each sweep reruns Newton on the same system with the sweep's frozen
+normalizers.  A solve may warm-start from an earlier result, which is
+sampled on the new grid (continuation in eps).
 
 Nothing here consults the asymptotic machinery: initial guesses are
-constants, and all comparisons happen in compare_expansion.
+constants or earlier oracle results, and all comparisons happen in
+compare_expansion.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .errors import (
     NewtonDivergence,
     RegionEmpty,
 )
-from .geometry import DomainSpec, RegionParams, unit_sphere_area
+from .geometry import DomainSpec, RegionParams, make_ball, unit_sphere_area
 from .nonlinearity import (
     IonSpecies,
     Nonlinearity,
@@ -36,11 +43,16 @@ from .nonlinearity import (
     check_neutrality,
     find_reference_potential,
 )
-from .profiles import profile_eval
+from .numerics import write_csv
+from .profiles import RobinData, profile_eval
 
 NEWTON_TOL = 1e-10
 MAX_NEWTON = 80
 MAX_DAMPING = 8
+MAX_OUTER = 200  # normalizer sweeps of a conserved-charge solve
+A_TOL = 1e-12  # relative normalizer change that ends the sweeps
+GRID_GROWTH = 1.08  # ratio of neighbouring spacings beyond the layers
+INTERIOR_CAP = 1.0 / 256.0  # largest spacing, as a fraction of R
 
 
 # ---------------------------------------------------------------------------
@@ -55,17 +67,16 @@ def graded_radial_grid(
     eps: float,
     points_per_layer: int = 800,
     layer_widths: float = 10.0,
-    growth: float = 1.08,
-    interior_cap: float = 1.0 / 256.0,
 ) -> np.ndarray:
     """Nodes on [0, R] (ball) or [a, R] (annulus), fine near each boundary.
 
     Spacing is sqrt(eps)/points_per_layer across layer_widths*sqrt(eps) from
-    each boundary, then grows geometrically to at most R*interior_cap.
+    each boundary, then grows by GRID_GROWTH per cell to at most
+    R*INTERIOR_CAP.
     """
     sq = math.sqrt(eps)
     h_fine = sq / points_per_layer
-    h_max = r_outer * interior_cap
+    h_max = r_outer * INTERIOR_CAP
     lo = 0.0 if r_inner is None else r_inner
     half = 0.5 * (r_outer - lo)
 
@@ -80,7 +91,7 @@ def graded_radial_grid(
             pos += h_fine
             offs.append(pos)
         while True:
-            h = min(h * growth, h_max)
+            h = min(h * GRID_GROWTH, h_max)
             if pos + h > limit:
                 break
             pos += h
@@ -148,10 +159,7 @@ class RadialSolveResult:
         return self._spline(r, 1)
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("r,phi\n")
-            for ri, pi in zip(self.r, self.phi):
-                fh.write(f"{float(ri)!r},{float(pi)!r}\n")
+        write_csv(path, "r,phi", zip(self.r.tolist(), self.phi.tolist()))
 
     def to_json_dict(self) -> dict:
         out = {
@@ -188,15 +196,22 @@ def _one_sided_coeffs(h1, h2):
 
 
 class _RadialSystem:
-    """Residual/Jacobian assembly for one radial problem."""
+    """Residual/Jacobian assembly for one radial problem.
 
-    def __init__(self, r, d, eps, f: Nonlinearity, bc_inner, bc_outer):
+    `outer` is the Robin data at r = R; `inner` is the Robin data at r = a,
+    or None at the center of a ball, where the row is the symmetric flux
+    balance.  A Robin row with gamma = 0 is the Dirichlet row.  `f` may be
+    replaced between solves on the same grid.
+    """
+
+    def __init__(self, r, d, eps, f: Nonlinearity | None, inner: RobinData | None,
+                 outer: RobinData):
         self.r = r
         self.d = d
         self.eps = eps
         self.f = f
-        self.bc_inner = bc_inner  # ("center",) | ("robin", gamma, phi_bd)
-        self.bc_outer = bc_outer  # ("robin", gamma, phi_bd) | ("dirichlet", phi_bd)
+        self.inner = inner
+        self.outer = outer
         n = len(r)
         h = np.diff(r)
         rf = 0.5 * (r[:-1] + r[1:])  # faces between nodes
@@ -214,20 +229,15 @@ class _RadialSystem:
         fvals = np.asarray(self.f.f(phi), dtype=float)
         res = np.empty(self.n)
         res[1:-1] = eps * (flux[1:] - flux[:-1]) / self.vol[1:-1] + fvals[1:-1]
-        if self.bc_inner[0] == "center":
+        if self.inner is None:
             res[0] = eps * flux[0] / self.vol[0] + fvals[0]
         else:
-            _, gamma, phi_bd = self.bc_inner
             c0, c1, c2 = _one_sided_coeffs(self.h[0], self.h[1])
             dphi = -(c0 * phi[0] + c1 * phi[1] + c2 * phi[2])  # phi'(a), inward stencil
-            res[0] = phi[0] + gamma * self.sq_eps * (-dphi) - phi_bd
-        if self.bc_outer[0] == "dirichlet":
-            res[-1] = phi[-1] - self.bc_outer[1]
-        else:
-            _, gamma, phi_bd = self.bc_outer
-            c0, c1, c2 = _one_sided_coeffs(self.h[-1], self.h[-2])
-            dphi = c0 * phi[-1] + c1 * phi[-2] + c2 * phi[-3]
-            res[-1] = phi[-1] + gamma * self.sq_eps * dphi - phi_bd
+            res[0] = phi[0] + self.inner.gamma * self.sq_eps * (-dphi) - self.inner.phi_bd
+        c0, c1, c2 = _one_sided_coeffs(self.h[-1], self.h[-2])
+        dphi = c0 * phi[-1] + c1 * phi[-2] + c2 * phi[-3]
+        res[-1] = phi[-1] + self.outer.gamma * self.sq_eps * dphi - self.outer.phi_bd
         return res
 
     def banded_jacobian(self, phi):
@@ -242,24 +252,21 @@ class _RadialSystem:
         ab[1, 2:] = a_up
         ab[3, :-2] = a_dn
         ab[2, 1:-1] = -(a_up + a_dn) + dfv[1:-1]
-        if self.bc_inner[0] == "center":
+        if self.inner is None:
             c = eps * self.face_coef[0] / self.vol[0]
             ab[2, 0] = -c + dfv[0]
             ab[1, 1] = c
         else:
-            _, gamma, _ = self.bc_inner
+            g = self.inner.gamma * self.sq_eps
             c0, c1, c2 = _one_sided_coeffs(self.h[0], self.h[1])
-            ab[2, 0] = 1.0 + gamma * self.sq_eps * c0
-            ab[1, 1] = gamma * self.sq_eps * c1
-            ab[0, 2] = gamma * self.sq_eps * c2
-        if self.bc_outer[0] == "dirichlet":
-            ab[2, -1] = 1.0
-        else:
-            _, gamma, _ = self.bc_outer
-            c0, c1, c2 = _one_sided_coeffs(self.h[-1], self.h[-2])
-            ab[2, -1] = 1.0 + gamma * self.sq_eps * c0
-            ab[3, -2] = gamma * self.sq_eps * c1
-            ab[4, -3] = gamma * self.sq_eps * c2
+            ab[2, 0] = 1.0 + g * c0
+            ab[1, 1] = g * c1
+            ab[0, 2] = g * c2
+        g = self.outer.gamma * self.sq_eps
+        c0, c1, c2 = _one_sided_coeffs(self.h[-1], self.h[-2])
+        ab[2, -1] = 1.0 + g * c0
+        ab[3, -2] = g * c1
+        ab[4, -3] = g * c2
         return ab
 
     def rounding_floor(self, phi):
@@ -268,7 +275,7 @@ class _RadialSystem:
         noise = 2.0**-50 * max(1.0, float(np.max(np.abs(phi))))
         fl = self.eps * (self.face_coef[:-1] + self.face_coef[1:]) / self.vol[1:-1]
         floor = float(np.max(fl)) * noise if len(fl) else 0.0
-        if self.bc_inner[0] == "center":
+        if self.inner is None:
             floor = max(floor, self.eps * self.face_coef[0] / self.vol[0] * noise)
         return floor
 
@@ -278,9 +285,9 @@ class _RadialSystem:
         eps = self.eps
         flux = self.face_coef * np.diff(phi)
         fvals = np.asarray(self.f.f(phi), dtype=float)
-        lo = 0 if self.bc_inner[0] == "center" else 1
+        lo = 0 if self.inner is None else 1
         total = eps * flux[-1] + float(np.sum(self.vol[lo:-1] * fvals[lo:-1]))
-        if self.bc_inner[0] != "center":
+        if self.inner is not None:
             total -= eps * flux[0]
         return abs(total) * unit_sphere_area(self.d)
 
@@ -329,6 +336,42 @@ def _damped_newton(system: _RadialSystem, phi0, tol_scale=1.0):
 # ---------------------------------------------------------------------------
 
 
+def _radial_system(domain: DomainSpec, f: Nonlinearity | None, eps: float,
+                   grid_opts) -> _RadialSystem:
+    """The graded grid and assembled system of a ball or one annulus."""
+    outer = domain.components[0]
+    if outer.radius is None:
+        raise ConfigError("the oracle needs spherical boundary components")
+    inner = None
+    if len(domain.components) > 1:
+        inner = domain.components[1]
+        if len(domain.components) != 2 or inner.radius is None:
+            raise ConfigError("the radial oracle supports a ball or one annulus")
+    r = graded_radial_grid(
+        domain.dimension, outer.radius, None if inner is None else inner.radius,
+        eps, **grid_opts,
+    )
+    return _RadialSystem(
+        r, domain.dimension, eps, f, None if inner is None else inner.robin, outer.robin
+    )
+
+
+def _initial_on(initial, r):
+    """An initial guess on grid r: an array given on r, or an earlier result
+    sampled at r."""
+    if isinstance(initial, RadialSolveResult):
+        return initial.phi_at(r)
+    return np.asarray(initial, dtype=float)
+
+
+def _boundary_data(domain: DomainSpec):
+    """(robin, radii) of a result: (gamma, phi_bd) pairs and radii, outer first."""
+    return (
+        tuple((c.robin.gamma, c.robin.phi_bd) for c in domain.components),
+        tuple(c.radius for c in domain.components),
+    )
+
+
 def solve_radial_dirichlet(
     f: Nonlinearity,
     radius: float,
@@ -338,33 +381,10 @@ def solve_radial_dirichlet(
     initial=None,
     **grid_opts,
 ) -> RadialSolveResult:
-    """Dirichlet problem on the ball: fixed boundary value, symmetric center."""
-    if not f.monotone:
-        raise ConfigError("the oracle requires a monotone charge density")
-    r = graded_radial_grid(d, radius, None, eps, **grid_opts)
-    phi_star = f.phi_star if f.phi_star is not None else find_reference_potential(f)
-    system = _RadialSystem(r, d, eps, f, ("center",), ("dirichlet", phi_bd))
-    phi0 = np.full(len(r), float(phi_star)) if initial is None else np.asarray(initial)
-    phi0[-1] = phi_bd
-    phi, iters, norm = _damped_newton(system, phi0)
-    return RadialSolveResult(
-        model="pb", d=d, eps=eps, r=r, phi=phi, newton_iters=iters,
-        residual_norm=norm,
-        conservation_residual=system.conservation_residual(phi),
-        robin=((0.0, phi_bd),), radii=(radius,),
-        meta={"phi_star": phi_star},
+    """Dirichlet problem on the ball: the Robin problem with gamma = 0."""
+    return solve_radial_robin_pb(
+        make_ball(d, radius, RobinData(0.0, phi_bd)), f, eps, initial=initial, **grid_opts
     )
-
-
-def _radial_shape(domain: DomainSpec):
-    outer = domain.components[0]
-    if outer.radius is None:
-        raise ConfigError("the oracle needs spherical boundary components")
-    if len(domain.components) == 1:
-        return outer.radius, None
-    if len(domain.components) != 2 or domain.components[1].radius is None:
-        raise ConfigError("the radial oracle supports a ball or one annulus")
-    return outer.radius, domain.components[1].radius
 
 
 def solve_radial_robin_pb(
@@ -374,33 +394,24 @@ def solve_radial_robin_pb(
     initial=None,
     **grid_opts,
 ) -> RadialSolveResult:
-    """Robin problem on a ball or annulus with the local charge density f."""
+    """Robin problem on a ball or annulus with the local charge density f.
+
+    `initial` is None (start from phi*), an array on the solver's grid, or an
+    earlier RadialSolveResult, which is sampled on this solve's grid.
+    """
     if not f.monotone:
         raise ConfigError("the oracle requires a monotone charge density")
-    r_outer, r_inner = _radial_shape(domain)
-    r = graded_radial_grid(domain.dimension, r_outer, r_inner, eps, **grid_opts)
+    system = _radial_system(domain, f, eps, grid_opts)
+    r = system.r
     phi_star = f.phi_star if f.phi_star is not None else find_reference_potential(f)
-    rob_out = domain.components[0].robin
-    bc_outer = (
-        ("dirichlet", rob_out.phi_bd)
-        if rob_out.gamma == 0.0
-        else ("robin", rob_out.gamma, rob_out.phi_bd)
-    )
-    if r_inner is None:
-        bc_inner = ("center",)
-        robin = ((rob_out.gamma, rob_out.phi_bd),)
-    else:
-        rob_in = domain.components[1].robin
-        bc_inner = ("robin", rob_in.gamma, rob_in.phi_bd)
-        robin = ((rob_out.gamma, rob_out.phi_bd), (rob_in.gamma, rob_in.phi_bd))
-    system = _RadialSystem(r, domain.dimension, eps, f, bc_inner, bc_outer)
-    phi0 = np.full(len(r), float(phi_star)) if initial is None else np.asarray(initial, dtype=float)
+    phi0 = np.full(len(r), float(phi_star)) if initial is None else _initial_on(initial, r)
     phi, iters, norm = _damped_newton(system, phi0)
+    robin, radii = _boundary_data(domain)
     return RadialSolveResult(
         model="pb", d=domain.dimension, eps=eps, r=r, phi=phi, newton_iters=iters,
         residual_norm=norm,
         conservation_residual=system.conservation_residual(phi),
-        robin=robin, radii=(r_outer,) if r_inner is None else (r_outer, r_inner),
+        robin=robin, radii=radii,
         meta={"phi_star": phi_star},
     )
 
@@ -416,47 +427,37 @@ def solve_radial_ccpb(
     species: list[IonSpecies],
     eps: float,
     initial=None,
-    max_outer: int = 200,
-    a_tol: float = 1e-12,
     **grid_opts,
 ) -> RadialSolveResult:
     """Nonlocal conserved-charge solve on an annulus.
 
     Outer fixed point on the normalizer vector A_i = integral of
-    exp(-z_i phi); each sweep solves the local Robin problem with A frozen.
-    Anderson mixing (memory 3) takes over if plain iteration stalls.
+    exp(-z_i phi); each sweep reruns Newton on one grid and system with A
+    frozen.  Anderson mixing (memory 3) takes over if plain iteration stalls.
+    `initial` is as for solve_radial_robin_pb; None starts from phi = 0.
     """
     check_neutrality(species)
     domain.require_ccpb_admissible()
-    r_outer, r_inner = _radial_shape(domain)
-    if r_inner is None:
+    if len(domain.components) != 2:
         raise ConfigError("the conserved-charge oracle needs an annulus")
-    d = domain.dimension
-    r = graded_radial_grid(d, r_outer, r_inner, eps, **grid_opts)
-    omega = unit_sphere_area(d)
-    weight = omega * r ** (d - 1)
+    system = _radial_system(domain, None, eps, grid_opts)
+    r, d = system.r, system.d
+    weight = unit_sphere_area(d) * r ** (d - 1)
     norms = np.full(len(species), domain.volume)
-    phi = (
-        np.zeros(len(r))
-        if initial is None
-        else np.asarray(initial, dtype=float)
-    )
+    phi = np.zeros(len(r)) if initial is None else _initial_on(initial, r)
     history_x = []
     history_g = []
     total_newton = 0
-    final = None
-    for outer_it in range(1, max_outer + 1):
-        f_eps = _density_from_normalizers(species, norms)
-        sub = solve_radial_robin_pb(domain, f_eps, eps, initial=phi, **grid_opts)
-        phi = sub.phi
-        total_newton += sub.newton_iters
+    for outer_it in range(1, MAX_OUTER + 1):
+        system.f = _density_from_normalizers(species, norms)
+        phi, iters, residual_norm = _damped_newton(system, phi)
+        total_newton += iters
         new_norms = np.array(
             [np.trapezoid(np.exp(-s.z * phi) * weight, r) for s in species]
         )
         change = float(np.max(np.abs(new_norms / norms - 1.0)))
-        if change <= a_tol:
+        if change <= A_TOL:
             norms = new_norms
-            final = sub
             break
         # Anderson mixing on log-normalizers once plain iteration slows down
         x = np.log(norms)
@@ -479,20 +480,23 @@ def solve_radial_ccpb(
             norms = new_norms
     else:
         raise FixedPointStall(
-            f"normalizer iteration did not converge in {max_outer} sweeps "
+            f"normalizer iteration did not converge in {MAX_OUTER} sweeps "
             f"(last relative change {change:.3e})"
         )
+    # residuals of the last sweep, whose density system.f still holds
+    conservation = system.conservation_residual(phi)
     f_eps = _density_from_normalizers(species, norms)
     phi_eps_star = find_reference_potential(f_eps)
     neutrality = float(
         np.trapezoid(np.asarray(f_eps.f(phi), dtype=float) * weight, r)
     )
+    robin, radii = _boundary_data(domain)
     return RadialSolveResult(
         model="ccpb", d=d, eps=eps, r=r, phi=phi,
         newton_iters=total_newton,
-        residual_norm=final.residual_norm,
-        conservation_residual=final.conservation_residual,
-        robin=final.robin, radii=(r_outer, r_inner),
+        residual_norm=residual_norm,
+        conservation_residual=conservation,
+        robin=robin, radii=radii,
         normalizers=tuple(float(a) for a in norms),
         phi_eps_star=phi_eps_star,
         outer_iters=outer_it,

@@ -216,3 +216,36 @@ def test_readme_example_config_runs(tmp_path):
     cfg = write_cfg(tmp_path, json.loads(blocks[0]))
     for command in ("constants", "expand", "verify"):
         assert run(command, cfg, tmp_path / command) == 0, command
+
+
+@pytest.mark.parametrize(
+    "command, base, section, value, key",
+    [
+        pytest.param("expand", PB_BASE, "region", {"T": 3.0}, "beta", id="region-beta"),
+        pytest.param("expand", PB_BASE, "region", {"beta": 0.2}, "T", id="region-T"),
+        pytest.param("profiles", PB_BASE, "domain", {"type": "disk"}, "radius",
+                     id="disk-radius"),
+        pytest.param("profiles", PB_BASE, "domain", {"type": "ball", "d": 3}, "radius",
+                     id="ball-radius"),
+        pytest.param("profiles", CCPB_BASE, "domain",
+                     {"type": "annulus", "d": 2, "outer_radius": 2.0}, "inner_radius",
+                     id="annulus-inner_radius"),
+        pytest.param("profiles", CCPB_BASE, "domain",
+                     {"type": "annulus", "d": 2, "inner_radius": 1.0}, "outer_radius",
+                     id="annulus-outer_radius"),
+        pytest.param("profiles", PB_BASE, "robin", [{"phi_bd": 1.0}], "gamma",
+                     id="robin-gamma"),
+        pytest.param("profiles", PB_BASE, "robin", [{"gamma": 0.1}], "phi_bd",
+                     id="robin-phi_bd"),
+        pytest.param("profiles", PB_BASE, "robin", [{"gamma": "x", "phi_bd": 1.0}], "gamma",
+                     id="robin-gamma-not-a-number"),
+    ],
+)
+def test_missing_or_bad_key_is_config_error(tmp_path, capsys, command, base, section, value, key):
+    cfg = write_cfg(tmp_path, dict(base, eps=[1e-2], **{section: value}))
+    out = tmp_path / "out"
+    assert run(command, cfg, out) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert key in err["message"]
+    assert list(out.iterdir()) == []

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -245,3 +246,57 @@ class TestBandCharges:
             for reg, formula in (("I", rep.region1), ("II", rep.region2)):
                 val = band_charge_integral(oracle, annulus_domain, k, f_eps, params, reg)
                 assert abs(val - formula) <= 0.1 * 1e-4
+
+
+class TestOneSolvePath:
+    """Every solve builds one grid and one system; the conserved-charge
+    sweeps rerun Newton on that system and must change no number."""
+
+    # the ccpb_sweep fixture as computed when each normalizer sweep was a
+    # separate Robin solve on a freshly built grid
+    SWEEP = {
+        1e-2: ((7.932280882048301, 13.226964089064726), 0.2556584293929572, 13, 17),
+        1e-3: ((7.227398385816468, 13.010645274200304), 0.29394437709566723, 14, 19),
+        1e-4: ((6.993928443143215, 12.931165162153441), 0.30729894719746, 14, 19),
+    }
+
+    def test_ccpb_sweep_unchanged(self, ccpb_sweep):
+        got = {
+            eps: (res.normalizers, res.phi_eps_star, res.outer_iters, res.newton_iters)
+            for eps, res in ccpb_sweep.items()
+        }
+        assert got == self.SWEEP
+
+    def test_ccpb_builds_one_grid(self, annulus_domain, msalt, monkeypatch):
+        from pblayers import radial_oracle
+
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return graded_radial_grid(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sweeps must not re-enter the public solver")
+
+        monkeypatch.setattr(radial_oracle, "graded_radial_grid", counting)
+        monkeypatch.setattr(radial_oracle, "solve_radial_robin_pb", forbidden)
+        res = solve_radial_ccpb(annulus_domain, msalt, 1e-2)
+        assert len(built) == 1
+        assert res.outer_iters == self.SWEEP[1e-2][2]
+
+    @pytest.mark.parametrize("model", ["pb", "ccpb"])
+    def test_warm_start_from_result(self, model, salt, msalt, pb_disk_sweep, pb_disk_domain,
+                                    ccpb_sweep, annulus_domain):
+        if model == "pb":
+            prev, radii = pb_disk_sweep[1e-2], (1.0, None)
+            solve = functools.partial(solve_radial_robin_pb, pb_disk_domain, salt, 1e-3)
+        else:
+            prev, radii = ccpb_sweep[1e-2], (2.0, 1.0)
+            solve = functools.partial(solve_radial_ccpb, annulus_domain, msalt, 1e-3)
+        r = graded_radial_grid(2, *radii, 1e-3)
+        from_result = solve(initial=prev)
+        from_array = solve(initial=prev.phi_at(r))
+        assert np.array_equal(from_result.r, r)
+        assert np.array_equal(from_result.phi, from_array.phi)
+        assert from_result.newton_iters == from_array.newton_iters
