@@ -17,7 +17,6 @@ of v_k'(0) balances the area-weighted sum of w_k'(0).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -39,17 +38,22 @@ from .nonlinearity import (
     make_f1,
     make_fhat1,
 )
-from .numerics import gauss_panels
+from .numerics import bisect_root, gauss_panels
 from .profiles import (
     Profile,
     RobinData,
+    _denominator,
+    _is_flat,
     _solve_v_and_w,
+    _speed_from_delta,
     boundary_potential,
+    boundary_slope,
     solve_theta,
     solve_u,
 )
 
 PHI0_TOL = 1e-14
+EXCESS_PANELS = 2000  # potential-space panels of layer_excess_integrals
 
 
 @dataclass(frozen=True)
@@ -94,11 +98,6 @@ class CcpbConstants:
             "diagnostics": {k: v for k, v in sorted(self.diagnostics.items())},
         }
 
-    def to_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def _flux_sum(domain: DomainSpec, species, s: float):
     """sum_k |bd_k| u_k'(0; s) with u_k(0; s) from the compatibility equation.
@@ -112,9 +111,7 @@ def _flux_sum(domain: DomainSpec, species, s: float):
     for comp in domain.components:
         u0 = boundary_potential(f0, comp.robin)
         u0s.append(u0)
-        sgn = math.copysign(1.0, s - comp.robin.phi_bd) if comp.robin.phi_bd != s else 0.0
-        du0 = sgn * math.sqrt(max(-2.0 * float(f0.F(u0)), 0.0))
-        total += comp.surface_area * du0
+        total += comp.surface_area * boundary_slope(f0, s, comp.robin.phi_bd, u0)
     return total, u0s
 
 
@@ -137,23 +134,13 @@ def solve_phi0(domain: DomainSpec, species: Sequence[IonSpecies]):
         raise BracketFailure(
             f"flux sum does not change sign on ({lo}, {hi}): R({a})={ra:.3e}, R({b})={rb:.3e}"
         )
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if b - a <= PHI0_TOL * max(1.0, abs(mid)):
-            break
-        rm, _ = _flux_sum(domain, species, mid)
-        if rm < 0:
-            a = mid
-        else:
-            b = mid
-    phi0 = 0.5 * (a + b)
+    phi0 = bisect_root(lambda s: _flux_sum(domain, species, s)[0] < 0, a, b, PHI0_TOL)
     _, u0s = _flux_sum(domain, species, phi0)
     return phi0, u0s
 
 
 def layer_excess_integrals(
     u: Profile, f0: Nonlinearity, zs: Sequence[float], phi0_star: float,
-    n_panels: int = 2000,
 ):
     """Half-line integrals of 1 - exp(-z (u(s) - phi0*)) per valence z.
 
@@ -161,13 +148,11 @@ def layer_excess_integrals(
     the integrand is bounded and the interval finite, so there is no tail
     truncation.
     """
-    if u.meta.get("degenerate") or u.meta["u0_prime"] == 0.0:
+    if _is_flat(u):
         return [0.0 for _ in zs]
     delta0 = u.meta["u0"] - phi0_star
-    x = np.linspace(min(0.0, delta0), max(0.0, delta0), n_panels + 1)
+    x = np.linspace(min(0.0, delta0), max(0.0, delta0), EXCESS_PANELS + 1)
     xg, wg = gauss_panels(x[:-1], x[1:])
-    from .profiles import _speed_from_delta  # shared with the profile solvers
-
     speed = _speed_from_delta(f0, phi0_star)(xg.ravel()).reshape(xg.shape)
     out = []
     for z in zs:
@@ -207,8 +192,7 @@ def compute_q(
     d = domain.dimension
     for comp, u in zip(domain.components, u_profiles):
         u0 = u.meta["u0"]
-        u0p = u.meta["u0_prime"]
-        dk = u0p + comp.robin.gamma * float(f0.f(u0))
+        dk = _denominator(u, f0, comp.robin.gamma)
         num += (
             comp.surface_area * float(fhat1.F(u0))
             + (d - 1) * comp.curvature_integral * u.meta["int_usq"]
@@ -262,14 +246,10 @@ def ccpb_constants(
     d = domain.dimension
     for comp, bundle, u0 in zip(domain.components, bundles, u0s):
         u = bundle["u"]
-        sgn = math.copysign(1.0, comp.robin.phi_bd - phi0) if comp.robin.phi_bd != phi0 else 0.0
+        phi_bd = comp.robin.phi_bd
         res_compat = max(
             res_compat,
-            abs(
-                comp.robin.phi_bd
-                - u0
-                - sgn * comp.robin.gamma * math.sqrt(max(-2.0 * float(f0.F(u0)), 0.0))
-            ),
+            abs(phi_bd - u0 + comp.robin.gamma * boundary_slope(f0, phi0, phi_bd, u0)),
         )
         flux += comp.surface_area * u.meta["u0_prime"]
         balance_v += (d - 1) * comp.curvature_integral * bundle["v"].meta["v_prime0"]

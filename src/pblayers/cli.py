@@ -39,21 +39,52 @@ _TOP_KEYS = {
 }
 
 
-def _reject_unknown(section: dict, allowed: set, where: str):
-    unknown = sorted(set(section) - allowed)
+def _object(value, allowed: set, where: str) -> dict:
+    """A config section: a JSON object with no key outside `allowed`."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(value) - allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
+    return value
 
 
-def _number(section: dict, key: str, where: str) -> float:
-    try:
-        value = section[key]
-    except KeyError:
-        raise ConfigError(f"{where} missing key {key!r}") from None
+def _section(cfg: dict, key: str, allowed: set) -> dict:
+    """The optional section `key` of the config; {} when absent or null."""
+    value = cfg.get(key)
+    return {} if value is None else _object(value, allowed, key)
+
+
+def _rows(cfg: dict, key: str, allowed: set) -> list[dict]:
+    """The section `key` of the config: a nonempty list of JSON objects."""
+    rows = cfg.get(key)
+    if not isinstance(rows, list) or not rows:
+        raise ConfigError(f"{key} must be a nonempty list of JSON objects")
+    return [_object(row, allowed, f"{key}[{i}]") for i, row in enumerate(rows)]
+
+
+def _float(value, where: str) -> float:
     try:
         return float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}") from None
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+
+
+def _number(section: dict, key: str, where: str, default=None) -> float:
+    """section[key] as a number; `default` when the key is absent, and a
+    config error then if there is no default."""
+    if key not in section:
+        if default is None:
+            raise ConfigError(f"{where} missing key {key!r}")
+        return default
+    return _float(section[key], f"{where}.{key}")
+
+
+def _integer(section: dict, key: str, where: str, default=None) -> int:
+    value = _number(section, key, where, default)
+    if not float(value).is_integer():
+        raise ConfigError(f"{where}.{key} must be an integer, got {section[key]!r}")
+    return int(value)
 
 
 def load_config(path) -> dict:
@@ -64,47 +95,38 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    _reject_unknown(cfg, _TOP_KEYS, "config")
+    _object(cfg, _TOP_KEYS, "config")
     if cfg.get("model") not in ("pb", "ccpb"):
         raise ConfigError("model must be 'pb' or 'ccpb'")
-    if not cfg.get("species"):
-        raise ConfigError("species list is required and nonempty")
     return cfg
 
 
 def _species(cfg) -> list[IonSpecies]:
     out = []
-    for i, row in enumerate(cfg["species"]):
+    for i, row in enumerate(_rows(cfg, "species", {"z", "amount", "role"})):
         where = f"species[{i}]"
-        _reject_unknown(row, {"z", "amount", "role"}, where)
         role = row.get("role", "mass" if cfg["model"] == "ccpb" else "bulk")
         out.append(IonSpecies(_number(row, "z", where), _number(row, "amount", where), role))
     return out
 
 
 def _robin_list(cfg, n_components) -> list[RobinData]:
-    rows = cfg.get("robin")
-    if not rows or len(rows) != n_components:
+    rows = _rows(cfg, "robin", {"gamma", "phi_bd"})
+    if len(rows) != n_components:
         raise ConfigError(f"robin must list exactly {n_components} boundary entries")
     out = []
     for i, row in enumerate(rows):
         where = f"robin[{i}]"
-        _reject_unknown(row, {"gamma", "phi_bd"}, where)
         out.append(RobinData(_number(row, "gamma", where), _number(row, "phi_bd", where)))
     return out
 
 
 def _domain(cfg) -> DomainSpec:
-    dom = cfg.get("domain")
-    if not isinstance(dom, dict):
-        raise ConfigError("domain section is required")
-    _reject_unknown(
-        dom, {"type", "d", "radius", "inner_radius", "outer_radius"}, "domain"
+    dom = _object(
+        cfg.get("domain"), {"type", "d", "radius", "inner_radius", "outer_radius"}, "domain"
     )
     kind = dom.get("type")
-    d = int(dom.get("d", 2))
+    d = _integer(dom, "d", "domain", 2)
     if kind == "disk":
         robin = _robin_list(cfg, 1)
         return make_disk(_number(dom, "radius", "domain"), robin[0])
@@ -121,16 +143,14 @@ def _domain(cfg) -> DomainSpec:
 
 
 def _grid_kwargs(cfg) -> dict:
-    grid = cfg.get("grid", {})
-    _reject_unknown(grid, {"n_nodes"}, "grid")
-    return {"n_nodes": int(grid["n_nodes"])} if "n_nodes" in grid else {}
+    grid = _section(cfg, "grid", {"n_nodes"})
+    return {"n_nodes": _integer(grid, "n_nodes", "grid")} if "n_nodes" in grid else {}
 
 
 def _region_params(cfg, eps) -> RegionParams | None:
-    reg = cfg.get("region")
-    if reg is None:
+    if cfg.get("region") is None:
         return None
-    _reject_unknown(reg, {"T", "beta"}, "region")
+    reg = _section(cfg, "region", {"T", "beta"})
     return RegionParams(
         eps=eps, beta=_number(reg, "beta", "region"), T=_number(reg, "T", "region")
     )
@@ -138,9 +158,9 @@ def _region_params(cfg, eps) -> RegionParams | None:
 
 def _eps_list(cfg) -> list[float]:
     eps = cfg.get("eps")
-    if not eps:
-        raise ConfigError("eps list is required for this command")
-    return [float(e) for e in eps]
+    if not isinstance(eps, list) or not eps:
+        raise ConfigError("eps must be a nonempty list of numbers for this command")
+    return [_float(e, f"eps[{i}]") for i, e in enumerate(eps)]
 
 
 def _eps_tag(eps: float) -> str:
@@ -206,11 +226,10 @@ def cmd_constants(cfg, out: Path) -> int:
 
 
 def cmd_expand(cfg, out: Path) -> int:
-    opts = cfg.get("expand", {})
-    _reject_unknown(opts, {"t_max", "n_t", "order"}, "expand")
-    t_max = float(opts.get("t_max", 5.0))
-    n_t = int(opts.get("n_t", 201))
-    order = int(opts.get("order", 2))
+    opts = _section(cfg, "expand", {"t_max", "n_t", "order"})
+    t_max = _number(opts, "t_max", "expand", 5.0)
+    n_t = _integer(opts, "n_t", "expand", 201)
+    order = _integer(opts, "order", "expand", 2)
     ts = np.linspace(0.0, t_max, n_t)
     # every query and band is validated before the model solve, so a bad
     # (T, beta, eps) writes nothing
@@ -247,8 +266,8 @@ def cmd_expand(cfg, out: Path) -> int:
 
 
 def _solve_oracle(cfg, domain, species, f, eps, initial=None) -> RadialSolveResult:
-    opts = cfg.get("oracle", {})
-    _reject_unknown(opts, {"points_per_layer", "layer_widths"}, "oracle")
+    opts = _section(cfg, "oracle", {"points_per_layer", "layer_widths"})
+    opts = {key: _number(opts, key, "oracle") for key in opts}
     if cfg["model"] == "pb":
         return solve_radial_robin_pb(domain, f, eps, initial=initial, **opts)
     return solve_radial_ccpb(domain, species, eps, initial=initial, **opts)
@@ -267,11 +286,11 @@ def cmd_oracle(cfg, out: Path) -> int:
 
 
 def cmd_verify(cfg, out: Path) -> int:
-    opts = cfg.get("verify", {})
-    _reject_unknown(opts, {"e2_halving", "flip_curvature", "T"}, "verify")
-    halving = float(opts.get("e2_halving", 0.5))
-    T = float(opts.get("T", cfg.get("region", {}).get("T", 5.0)))
-    beta = cfg.get("region", {}).get("beta")
+    opts = _section(cfg, "verify", {"e2_halving", "flip_curvature", "T"})
+    region = _section(cfg, "region", {"T", "beta"})
+    halving = _number(opts, "e2_halving", "verify", 0.5)
+    T = _number(opts, "T", "verify", _number(region, "T", "region", 5.0))
+    beta = _number(region, "beta", "region") if "beta" in region else None
     domain, species, f, bundles, constants = _build_model(cfg)
     if opts.get("flip_curvature"):
         # negative control: corrupt the curvature sign in the expansion side
@@ -293,8 +312,7 @@ def cmd_verify(cfg, out: Path) -> int:
         # continuation: warm-start from the previous (larger) eps solve
         res = _solve_oracle(cfg, domain, species, f, eps, initial=res)
         rep = compare_expansion(
-            res, domain, bundles, cfg["model"], T=T,
-            beta=float(beta) if beta is not None else None,
+            res, domain, bundles, cfg["model"], T=T, beta=beta,
         )
         entry = {"eps": eps, "report": rep.to_json_dict()}
         if cfg["model"] == "ccpb":
@@ -353,12 +371,11 @@ _FIGURE_PRESETS = ("figure-U", "figure-V", "both")
 
 
 def cmd_figures(cfg, out: Path) -> int:
-    opts = cfg.get("figures", {})
-    _reject_unknown(opts, {"preset", "gamma"}, "figures")
+    opts = _section(cfg, "figures", {"preset", "gamma"})
     preset = opts.get("preset", "both")
     if preset not in _FIGURE_PRESETS:
         raise ConfigError(f"figures.preset must be one of {_FIGURE_PRESETS}")
-    gamma = float(opts.get("gamma", 0.1))
+    gamma = _number(opts, "gamma", "figures", 0.1)
     species = _species(cfg)
     f = make_classical_pb(species)
     meta = {"config": cfg, "curves": [], "verdicts": {}}
@@ -417,10 +434,6 @@ def main(argv=None) -> int:
         if args.verbose:
             print(f"{args.command}: exit {rc}", file=sys.stderr)
         return rc
-    except ConfigError as exc:
-        json.dump({"error": "config", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
     except SolverError as exc:
         json.dump({"error": "solver", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

@@ -21,6 +21,7 @@ from .profiles import RobinData
 REGION_I = "I"
 REGION_II = "II"
 REGION_III = "III"
+CURVE_SAMPLES = 4096  # periodic samples of make_curve_component
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,12 @@ class BoundaryComponent:
             raise ConfigError("surface area must be positive")
         if self.orientation not in ("outer", "hole"):
             raise ConfigError("orientation must be 'outer' or 'hole'")
+
+    @property
+    def depth_sign(self) -> float:
+        """d(depth into the domain)/dr at a spherical component: -1 on the
+        outer shell, +1 on a hole; depth s lies at radius + depth_sign * s."""
+        return -1.0 if self.orientation == "outer" else 1.0
 
     def curvature_at(self, s=0.0) -> float:
         if self.mean_curvature is not None:
@@ -179,7 +186,6 @@ def make_curve_component(
     curve: Callable,
     robin: RobinData,
     orientation: str = "outer",
-    n_samples: int = 4096,
 ) -> BoundaryComponent:
     """Planar boundary component from a closed parametrization theta -> (x, y).
 
@@ -187,7 +193,7 @@ def make_curve_component(
     periodic sample; curvature is signed with respect to the enclosed domain
     (holes flip the sign).  d = 2 only.
     """
-    theta = np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * math.pi, CURVE_SAMPLES, endpoint=False)
     pts = np.asarray([curve(th) for th in theta], dtype=float)
     h = theta[1] - theta[0]
     dp = (np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)) / (2 * h)
@@ -200,7 +206,7 @@ def make_curve_component(
     kint = float(np.sum(kappa * speed) * h)
 
     def curvature_fn(s):
-        j = int(round(s / h)) % n_samples
+        j = int(round(s / h)) % CURVE_SAMPLES
         return kappa[j]
 
     return BoundaryComponent(

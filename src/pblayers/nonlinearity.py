@@ -31,8 +31,11 @@ from .errors import (
     NoSignChange,
     UnsupportedProvenance,
 )
+from .numerics import bisect_root
 
 NEUTRALITY_TOL = 1e-12
+REFERENCE_RTOL = 1e-13  # bisection width of the reference potential
+DECAY_SAMPLES = 2048  # grid that brackets the maximum of f' in decay_rate
 _EXP_GUARD = 700.0  # exponents beyond this go through the stabilized path
 _TAYLOR_TERMS = 12
 
@@ -58,11 +61,11 @@ class IonSpecies:
             raise ConfigError(f"unknown species role {self.role!r}")
 
 
-def check_neutrality(species: Sequence[IonSpecies], tol: float = NEUTRALITY_TOL):
-    """Raise NeutralityViolated unless sum(m_i z_i) = 0 within tol (relative)."""
+def check_neutrality(species: Sequence[IonSpecies]):
+    """Raise NeutralityViolated unless |sum m_i z_i| <= NEUTRALITY_TOL sum |m_i z_i|."""
     total = sum(s.amount * s.z for s in species)
     scale = sum(abs(s.amount * s.z) for s in species)
-    if scale == 0 or abs(total) > tol * scale:
+    if scale == 0 or abs(total) > NEUTRALITY_TOL * scale:
         raise NeutralityViolated(
             f"sum(m_i z_i) = {total:.3e} (scale {scale:.3e}); species must be neutral"
         )
@@ -94,9 +97,7 @@ class _ExpSum:
         out = np.exp(t - m[..., None]) @ self.a
         safe = np.where(big, 0.0, m)
         out = out * np.exp(safe)
-        if big.any():
-            out = np.where(big, np.where(out > 0, np.inf, np.where(out < 0, -np.inf, 0.0)), out)
-        return out
+        return np.where(big, np.where(out > 0, np.inf, np.where(out < 0, -np.inf, 0.0)), out)
 
     def _scalar(self, phi: float) -> float:
         d = phi - self.ref
@@ -118,6 +119,14 @@ class _ExpSum:
 
     def with_anchor(self, anchor: float) -> "_AnchoredExpSum":
         return _AnchoredExpSum(self.a, self.b, self.ref, anchor)
+
+
+def _call_from_delta(self, phi):
+    """Evaluate at phi through self.from_delta(phi - self.anchor)."""
+    scalar = np.isscalar(phi) or getattr(phi, "ndim", 0) == 0
+    d = np.atleast_1d(np.asarray(phi, dtype=float)) - self.anchor
+    out = self.from_delta(d)
+    return float(out[0]) if scalar else out.reshape(np.shape(phi))
 
 
 class _AnchoredExpSum(_ExpSum):
@@ -143,11 +152,7 @@ class _AnchoredExpSum(_ExpSum):
         self._taylor = coeffs
         self._switch = 0.05 / max(1.0, float(np.max(np.abs(self.b))))
 
-    def __call__(self, phi):
-        scalar = np.isscalar(phi) or getattr(phi, "ndim", 0) == 0
-        p = np.atleast_1d(np.asarray(phi, dtype=float))
-        out = self.from_delta(p - self.anchor)
-        return float(out[0]) if scalar else out.reshape(np.shape(phi))
+    __call__ = _call_from_delta
 
     def from_delta(self, delta):
         """Evaluate at anchor + delta with delta supplied exactly; preserves
@@ -162,7 +167,7 @@ class _AnchoredExpSum(_ExpSum):
                 acc = acc * dn + self._taylor[n]
             out[near] = acc
         if (~near).any():
-            out[~near] = super().__call__(self.anchor + d[~near])
+            out[~near] = _ExpSum.__call__(self, self.anchor + d[~near])
         return out
 
 
@@ -191,11 +196,7 @@ class _ExpSumAntiderivative:
         bmax = float(np.max(np.abs(esum.b)))
         self._switch = 0.05 / max(1.0, bmax)
 
-    def __call__(self, phi):
-        scalar = np.isscalar(phi) or getattr(phi, "ndim", 0) == 0
-        d = np.atleast_1d(np.asarray(phi, dtype=float)) - self.anchor
-        out = self.from_delta(d)
-        return float(out[0]) if scalar else out.reshape(np.shape(phi))
+    __call__ = _call_from_delta
 
     def from_delta(self, delta):
         """Evaluate at anchor + delta with delta supplied exactly."""
@@ -243,7 +244,7 @@ def _exp_terms_nonlinearity(a, b, ref, provenance, species=(), phi_star=None, me
     esum = _ExpSum(a, b, ref)
     desum = esum.derivative()
     if phi_star is None:
-        phi_star = _find_zero_expsum(esum)
+        phi_star = _decreasing_zero(esum, desum)
     anti = _ExpSumAntiderivative(esum, phi_star)
     return Nonlinearity(
         f=esum.with_anchor(phi_star),  # terms cancel at phi*; Taylor there
@@ -296,6 +297,7 @@ def make_fhat1(
         raise ConfigError("mhat must have one entry per species")
     a = np.array([mh * s.z / volume for mh, s in zip(mhat, species)])
     b = np.array([-s.z for s in species])
+    meta = {"volume": float(volume), "mhat": tuple(float(m) for m in mhat)}
     if not np.any(a):
         def zero(phi):
             return 0.0 if np.isscalar(phi) else np.zeros_like(np.asarray(phi, dtype=float))
@@ -303,18 +305,10 @@ def make_fhat1(
         zero.from_delta = lambda d: np.zeros_like(np.atleast_1d(np.asarray(d, dtype=float)))
         return Nonlinearity(
             f=zero, df=zero, F=zero, phi_star=float(phi0_star),
-            provenance="fhat1", species=tuple(species),
-            meta={"volume": float(volume), "mhat": tuple(float(m) for m in mhat)},
+            provenance="fhat1", species=tuple(species), meta=meta,
         )
-    esum = _ExpSum(a, b, phi0_star)
-    return Nonlinearity(
-        f=esum.with_anchor(phi0_star),
-        df=esum.derivative(),
-        F=_ExpSumAntiderivative(esum, phi0_star),
-        phi_star=float(phi0_star),
-        provenance="fhat1",
-        species=tuple(species),
-        meta={"volume": float(volume), "mhat": tuple(float(m) for m in mhat)},
+    return _exp_terms_nonlinearity(
+        a, b, phi0_star, "fhat1", species, phi_star=float(phi0_star), meta=meta,
     )
 
 
@@ -356,24 +350,21 @@ def make_custom(f, df, F, phi_star=None) -> Nonlinearity:
     return Nonlinearity(f=f, df=df, F=F, phi_star=phi_star, provenance="custom")
 
 
-def _find_zero_expsum(esum: _ExpSum) -> float:
-    return find_reference_potential(
-        Nonlinearity(f=esum, df=esum.derivative(), F=lambda p: 0.0,
-                     phi_star=None, provenance="custom")
-    )
-
-
-def find_reference_potential(nl: Nonlinearity, rtol: float = 1e-13) -> float:
+def find_reference_potential(nl: Nonlinearity) -> float:
     """Unique zero of a strictly decreasing f, by bracket expansion + bisection.
 
     The bracket grows geometrically from [-1, 1] around 0; after bisection to
-    width `rtol`, up to three Newton steps polish the root.
+    relative width REFERENCE_RTOL, up to three Newton steps polish the root.
     """
     if nl.provenance in ("fhat1", "f1"):
         raise UnsupportedProvenance(
             f"provenance {nl.provenance!r} has no reference-potential contract"
         )
-    f = nl.f
+    return _decreasing_zero(nl.f, nl.df)
+
+
+def _decreasing_zero(f, df) -> float:
+    """Zero of a strictly decreasing f, as in find_reference_potential."""
     lo, hi = -1.0, 1.0
     for _ in range(64):
         flo, fhi = f(lo), f(hi)
@@ -391,17 +382,9 @@ def find_reference_potential(nl: Nonlinearity, rtol: float = 1e-13) -> float:
             hi *= 2.0
     else:
         raise NoSignChange("could not bracket the reference potential")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= rtol * max(1.0, abs(mid)):
-            break
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
+    root = bisect_root(lambda x: f(x) > 0.0, lo, hi, REFERENCE_RTOL)
     for _ in range(3):
-        slope = nl.df(root)
+        slope = df(root)
         if not np.isfinite(slope) or slope == 0.0:
             break
         step = f(root) / slope
@@ -414,7 +397,7 @@ def find_reference_potential(nl: Nonlinearity, rtol: float = 1e-13) -> float:
     return float(root)
 
 
-def decay_rate(nl: Nonlinearity, interval: tuple[float, float], samples: int = 2048) -> float:
+def decay_rate(nl: Nonlinearity, interval: tuple[float, float]) -> float:
     """m_f = sqrt(-max f') over [lo, hi], by dense sampling plus golden-section
     refinement of the best bracket."""
     lo, hi = float(interval[0]), float(interval[1])
@@ -425,14 +408,14 @@ def decay_rate(nl: Nonlinearity, interval: tuple[float, float], samples: int = 2
         if slope >= 0:
             raise NonDecreasingDetected(f"f'({lo}) = {slope:.3e} >= 0")
         return math.sqrt(-slope)
-    phi = np.linspace(lo, hi, samples)
+    phi = np.linspace(lo, hi, DECAY_SAMPLES)
     dvals = np.asarray(nl.df(phi), dtype=float)
     if np.any(dvals >= 0):
         bad = phi[int(np.argmax(dvals))]
         raise NonDecreasingDetected(f"f'({bad:.6g}) >= 0 inside the interval")
     j = int(np.argmax(dvals))
     a = phi[max(j - 1, 0)]
-    b = phi[min(j + 1, samples - 1)]
+    b = phi[min(j + 1, DECAY_SAMPLES - 1)]
     # golden-section maximization of f' on [a, b]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)

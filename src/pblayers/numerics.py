@@ -1,5 +1,6 @@
 """Small shared numerical kernels: panel quadrature, Hermite evaluation,
-finite differences on nonuniform grids, and the CSV writer of every artifact."""
+finite differences on nonuniform grids, the bisection behind every scalar
+root, and the CSV writer of every artifact."""
 
 from __future__ import annotations
 
@@ -20,6 +21,9 @@ _GL5_W = np.array([
     0.478628670499366468041291514836,
     0.236926885056189087514264040720,
 ])
+
+CLUSTER_BLEND = 0.9  # weight of the cosine map in boundary_clustered_nodes
+BISECT_STEPS = 200
 
 
 def gauss_panels(a: np.ndarray, b: np.ndarray):
@@ -120,16 +124,32 @@ def stencil_derivative(t, y, order=1, width=5):
     return coef[:, order] * fact
 
 
-def boundary_clustered_nodes(n: int, t_max: float, blend: float = 0.9):
+def boundary_clustered_nodes(n: int, t_max: float):
     """n cosine-graded nodes on [0, t_max], clustered at t = 0 only.
 
     The cosine map concentrates resolution where the layer curvature lives;
-    the uniform blend keeps the minimum spacing at (1-blend)*t_max/(n-1), so
-    second differences of sampled values stay above the rounding-noise floor
-    and exponentially close tail samples remain distinct doubles.
+    the uniform blend keeps the minimum spacing at
+    (1-CLUSTER_BLEND)*t_max/(n-1), so second differences of sampled values
+    stay above the rounding-noise floor and exponentially close tail samples
+    remain distinct doubles.
     """
     xi = np.linspace(0.0, 1.0, n)
-    return t_max * ((1.0 - blend) * xi + blend * (1.0 - np.cos(0.5 * np.pi * xi)))
+    return t_max * ((1.0 - CLUSTER_BLEND) * xi + CLUSTER_BLEND * (1.0 - np.cos(0.5 * np.pi * xi)))
+
+
+def bisect_root(left_of_root, lo: float, hi: float, rtol: float) -> float:
+    """Midpoint of the bracket [lo, hi], halved toward the root (above x
+    where left_of_root(x)) until hi - lo <= rtol * max(1, |mid|), at most
+    BISECT_STEPS times."""
+    for _ in range(BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= rtol * max(1.0, abs(mid)):
+            break
+        if left_of_root(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def write_csv(path, header: str, rows):

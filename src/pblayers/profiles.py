@@ -15,10 +15,13 @@ The u-profile conserves u'^2 + 2 F(u) = 0 exactly, which makes u monotone and
 lets us parametrize the trajectory in potential space: the time map
 t(x) = integral of 1/sqrt(-2F) from x to u(0) is computed by panel quadrature
 and inverted per grid node by vectorized Newton steps.  The first integral
-therefore holds by construction at every node.  v and w are evaluated from
-their closed-form variation-of-parameters representations with all nested
-integrals reduced to potential-space quadratures (no tail truncation, no
-cancellation from 1/u'^2 blow-up).
+therefore holds by construction at every node; u(0) solves the Robin
+compatibility equation with the slope boundary_slope.  v and w are evaluated
+from their closed-form variation-of-parameters representations with all
+nested integrals reduced to potential-space quadratures (no tail truncation,
+no cancellation from 1/u'^2 blow-up).  The u and theta tails decay at the
+known rate sqrt(-f'(phi*)); v ~ t exp(-mu t), so the v and w tails fit their
+rate.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .errors import (
 )
 from .nonlinearity import Nonlinearity, decay_rate, find_reference_potential
 from .numerics import (
+    bisect_root,
     boundary_clustered_nodes,
     cumulative_panel_integral,
     gauss_panels,
@@ -51,6 +55,8 @@ from .numerics import (
 DEFAULT_NODES = 20001
 TMAX_CAP_FACTOR = 40.0
 TAIL_REL_THRESHOLD = 1e-12
+BOUNDARY_RTOL = 1e-15  # bisection width of the Robin boundary value
+TAIL_WINDOW = (0.55, 0.92)  # fraction of t_max that _fit_tail fits over
 
 
 @dataclass(frozen=True)
@@ -103,8 +109,8 @@ class Profile:
             zip(self.t.tolist(), self.values.tolist(), self.derivs.tolist()),
         )
 
-    def to_json_dict(self, include_samples: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "kind": self.kind,
             "robin": {"gamma": self.robin.gamma, "phi_bd": self.robin.phi_bd},
             "tail": {
@@ -119,13 +125,6 @@ class Profile:
                 if isinstance(v, (int, float, bool, str))
             },
         }
-        if include_samples:
-            out["samples"] = {
-                "t": self.t.tolist(),
-                "value": self.values.tolist(),
-                "derivative": self.derivs.tolist(),
-            }
-        return out
 
 
 def profile_eval(p: Profile, t):
@@ -159,20 +158,27 @@ def profile_eval(p: Profile, t):
 # ---------------------------------------------------------------------------
 
 
+def boundary_slope(f: Nonlinearity, phi_star: float, phi_bd: float, x: float) -> float:
+    """u'(0) of the layer from phi_bd to phi* when u(0) = x: sqrt(-2 F(x)),
+    signed toward phi*, and 0 when phi_bd = phi*."""
+    if phi_bd == phi_star:
+        return 0.0
+    return math.copysign(math.sqrt(max(-2.0 * float(f.F(x)), 0.0)), phi_star - phi_bd)
+
+
 def boundary_potential(f: Nonlinearity, robin: RobinData) -> float:
     """Boundary value u(0) from the Robin compatibility equation.
 
-    Solves phi_bd - U0 = sgn(phi_bd - phi*) * gamma * sqrt(-2 F(U0)) for U0
-    strictly between phi* and phi_bd (U0 = phi_bd in the Dirichlet limit).
+    Solves phi_bd - U0 + gamma * boundary_slope(U0) = 0 for U0 strictly
+    between phi* and phi_bd (U0 = phi_bd in the Dirichlet limit).
     """
     phi_star = f.phi_star if f.phi_star is not None else find_reference_potential(f)
     phi_bd = robin.phi_bd
     if phi_bd == phi_star or robin.gamma == 0.0:
         return float(phi_bd)
-    sgn = 1.0 if phi_bd > phi_star else -1.0
 
     def g(x):
-        return phi_bd - x - sgn * robin.gamma * math.sqrt(max(-2.0 * float(f.F(x)), 0.0))
+        return phi_bd - x + robin.gamma * boundary_slope(f, phi_star, phi_bd, x)
 
     lo, hi = (phi_star, phi_bd) if phi_bd > phi_star else (phi_bd, phi_star)
     glo, ghi = g(lo), g(hi)
@@ -185,15 +191,7 @@ def boundary_potential(f: Nonlinearity, robin: RobinData) -> float:
             f"no sign change for the boundary value on [{lo}, {hi}]"
         )
     # g is strictly decreasing between phi* and phi_bd
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-15 * max(1.0, abs(mid)):
-            break
-        if (g(mid) > 0) == (glo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect_root(lambda x: (g(x) > 0) == (glo > 0), lo, hi, BOUNDARY_RTOL)
 
 
 def _from_delta(fn, phi_star, delta):
@@ -292,15 +290,7 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
 
     int_usq = float(np.abs(cumulative_panel_integral(speed, np.concatenate(([0.0], table_d[::-1]))))[-1])
 
-    # tail amplitude: least squares on log offsets over the last 10% of nodes
-    k = max(n_nodes // 10, 10)
-    resid = np.abs(delta[-k:])
-    good = resid > 0
-    if good.any():
-        amp = math.exp(float(np.mean(np.log(resid[good]) + mu * t[-k:][good])))
-    else:
-        amp = 0.0
-    tail = Tail(limit=phi_star, amplitude=math.copysign(amp, delta0), rate=mu)
+    tail = Tail(limit=phi_star, amplitude=_tail_amplitude(t, delta, mu), rate=mu)
     delta.setflags(write=False)
     meta = dict(base_meta, u0_prime=u0_prime, int_usq=int_usq, delta=delta)
     return Profile(kind="u", t=t, values=phi_star + delta, derivs=du, tail=tail, robin=robin, meta=meta)
@@ -325,7 +315,7 @@ class _LayerQuadrature:
         self.wg = wg
         # positions of the Gauss points in the merged node+Gauss sequence
         self.gauss = (np.arange(n - 1)[:, None] * 6 + np.arange(1, 6)).ravel()
-        delta_nodes = np.asarray(u.meta.get("delta", u.values - self.phi_star), dtype=float)
+        delta_nodes = u.meta["delta"]
         d_all = np.empty((n - 1) * 6 + 1)
         d_all[::6] = delta_nodes
         d_all[self.gauss] = hermite_eval(xg.ravel(), t, delta_nodes, u.derivs)[0]
@@ -353,18 +343,37 @@ class _LayerQuadrature:
         return slice(None, None, 6)
 
 
+def _is_flat(u: Profile) -> bool:
+    """Whether u is constant (u(0) = phi*, so there is no layer)."""
+    return u.meta["u0_prime"] == 0.0
+
+
 def _quadrature(u: Profile, f: Nonlinearity) -> _LayerQuadrature | None:
     """The layer quadrature of u, or None when u is constant (no layer)."""
-    if u.meta.get("degenerate") or u.meta["u0_prime"] == 0.0:
-        return None
-    return _LayerQuadrature(u, f)
+    return None if _is_flat(u) else _LayerQuadrature(u, f)
 
 
-def _fit_tail(t, values, limit, window=(0.55, 0.92), fallback_rate=1.0):
-    """Fit value ~ limit + c exp(-mu t) on a mid-tail window by least squares
-    in log space; falls back to the supplied rate when the window is empty."""
+def _tail_amplitude(t, resid, rate) -> float:
+    """c in resid ~ c exp(-rate t) for a known rate, by least squares on
+    log|resid| over the last 10 % of nodes (at least 10); u and theta decay
+    as pure exponentials at the rate sqrt(-f'(phi*))."""
+    k = max(len(t) // 10, 10)
+    tail = resid[-k:]
+    good = np.abs(tail) > 0
+    if not good.any():
+        return 0.0
+    amp = math.exp(float(np.mean(np.log(np.abs(tail[good])) + rate * t[-k:][good])))
+    return math.copysign(amp, float(np.median(tail[good])))
+
+
+def _fit_tail(t, values, limit, fallback_rate):
+    """Fit value ~ limit + c exp(-mu t) on the TAIL_WINDOW of t by least
+    squares in log space, rate included; falls back to fallback_rate when the
+    window is empty or the fitted rate is not positive.  v and w need the
+    fitted rate: v ~ t exp(-mu t) is not a pure exponential, so the
+    fixed-rate fit of u and theta does not apply."""
     resid = values - limit
-    t_lo, t_hi = window[0] * t[-1], window[1] * t[-1]
+    t_lo, t_hi = TAIL_WINDOW[0] * t[-1], TAIL_WINDOW[1] * t[-1]
     sel = (t >= t_lo) & (t <= t_hi) & (np.abs(resid) > 1e-280)
     if np.count_nonzero(sel) < 8:
         return Tail(limit=float(limit), amplitude=0.0, rate=fallback_rate)
@@ -395,7 +404,7 @@ def _solve_v(u: Profile, f: Nonlinearity, robin: RobinData,
              lq: _LayerQuadrature | None) -> Profile:
     if lq is None:
         return _constant_profile(
-            "v", 0.0, u.t_max, len(u.t), robin, u.meta.get("mu", 1.0),
+            "v", 0.0, u.t_max, len(u.t), robin, u.meta["mu"],
             {"v0": 0.0, "v_prime0": 0.0, "t_star": math.nan},
         )
     u0p = u.meta["u0_prime"]
@@ -411,7 +420,7 @@ def _solve_v(u: Profile, f: Nonlinearity, robin: RobinData,
     dv = -f_nodes * (v0 / u0p - a) - energy_nodes / du_nodes
     dv[0] = v_prime0
     mu = u.meta["mu"]
-    tail = _fit_tail(u.t, v, 0.0, fallback_rate=mu)
+    tail = _fit_tail(u.t, v, 0.0, mu)
     # extremum location by parabolic refinement of the grid argmax
     j = int(np.argmax(np.abs(v)))
     if 0 < j < len(v) - 1:
@@ -425,28 +434,19 @@ def _solve_v(u: Profile, f: Nonlinearity, robin: RobinData,
 
 def solve_theta(u: Profile, f0: Nonlinearity, robin: RobinData) -> Profile:
     """Auxiliary linear layer theta = 1 - u' / (u'(0) + gamma f0(u(0)))."""
-    if u.meta.get("degenerate") or u.meta["u0_prime"] == 0.0:
+    mu = u.meta["mu"]
+    if _is_flat(u):
         return _constant_profile(
-            "theta", 1.0, u.t_max, len(u.t), robin, u.meta.get("mu", 1.0),
-            {"theta_prime0": 0.0},
+            "theta", 1.0, u.t_max, len(u.t), robin, mu, {"theta_prime0": 0.0},
         )
     den = _denominator(u, f0, robin.gamma)
     theta = 1.0 - u.derivs / den
-    delta = np.asarray(u.meta.get("delta", u.values - u.meta["phi_star"]), dtype=float)
-    dtheta = _from_delta(f0.f, u.meta["phi_star"], delta) / den
-    mu = u.meta["mu"]
-    k = max(len(u.t) // 10, 10)
-    resid = theta[-k:] - 1.0
-    good = np.abs(resid) > 0
-    if good.any():
-        amp = math.exp(float(np.mean(np.log(np.abs(resid[good])) + mu * u.t[-k:][good])))
-        amp = math.copysign(amp, float(np.median(resid[good])))
-    else:
-        amp = 0.0
+    dtheta = _from_delta(f0.f, u.meta["phi_star"], u.meta["delta"]) / den
     meta = {"theta_prime0": float(dtheta[0]), "den": den}
     return Profile(
         kind="theta", t=u.t, values=theta, derivs=dtheta,
-        tail=Tail(limit=1.0, amplitude=amp, rate=mu), robin=robin, meta=meta,
+        tail=Tail(limit=1.0, amplitude=_tail_amplitude(u.t, theta - 1.0, mu), rate=mu),
+        robin=robin, meta=meta,
     )
 
 
@@ -491,7 +491,7 @@ def _solve_w(u: Profile, f0: Nonlinearity, f1: Nonlinearity, q: float,
              robin: RobinData, lq: _LayerQuadrature | None) -> Profile:
     if lq is None:
         return _constant_profile(
-            "w", q, u.t_max, len(u.t), robin, u.meta.get("mu", 1.0),
+            "w", q, u.t_max, len(u.t), robin, u.meta["mu"],
             {"w0": q, "w_prime0": 0.0, "q": q},
         )
     limit = -float(f1.f(u.meta["phi_star"])) / float(f0.df(u.meta["phi_star"]))
@@ -505,7 +505,7 @@ def _solve_w(u: Profile, f0: Nonlinearity, f1: Nonlinearity, q: float,
     f0_nodes = _from_delta(f0.f, lq.phi_star, lq.delta_all[lq.nodes])
     dw = -f0_nodes * (w0 / u0p + a) + neg_F1_all[lq.nodes] / u.derivs
     dw[0] = w_prime0
-    tail = _fit_tail(u.t, w, limit, fallback_rate=u.meta["mu"])
+    tail = _fit_tail(u.t, w, limit, u.meta["mu"])
     meta = {"w0": float(w0), "w_prime0": float(w_prime0), "q": float(q), "limit": limit}
     return Profile(kind="w", t=u.t, values=w, derivs=dw, tail=tail, robin=robin, meta=meta)
 

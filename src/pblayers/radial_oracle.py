@@ -14,6 +14,8 @@ each sweep reruns Newton on the same system with the sweep's frozen
 normalizers.  A solve may warm-start from an earlier result, which is
 sampled on the new grid (continuation in eps).
 
+Every result carries its bulk reference potential as phi_eps_star.
+
 Nothing here consults the asymptotic machinery: initial guesses are
 constants or earlier oracle results, and all comparisons happen in
 compare_expansion.
@@ -22,7 +24,7 @@ compare_expansion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -53,6 +55,7 @@ MAX_OUTER = 200  # normalizer sweeps of a conserved-charge solve
 A_TOL = 1e-12  # relative normalizer change that ends the sweeps
 GRID_GROWTH = 1.08  # ratio of neighbouring spacings beyond the layers
 INTERIOR_CAP = 1.0 / 256.0  # largest spacing, as a fraction of R
+STRETCHED_SAMPLES = 1024  # points on [0, T] where compare_expansion compares
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +146,10 @@ class RadialSolveResult:
     conservation_residual: float
     robin: tuple
     radii: tuple
+    phi_eps_star: float  # bulk reference: phi* of f (pb), zero of the final density (ccpb)
     normalizers: tuple = ()
-    phi_eps_star: float | None = None
     outer_iters: int = 0
     neutrality: float | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self._spline = CubicSpline(self.r, self.phi)
@@ -292,14 +294,14 @@ class _RadialSystem:
         return abs(total) * unit_sphere_area(self.d)
 
 
-def _damped_newton(system: _RadialSystem, phi0, tol_scale=1.0):
+def _damped_newton(system: _RadialSystem, phi0):
     phi = np.array(phi0, dtype=float)
     res = system.residual(phi)
     norm = float(np.max(np.abs(res)))
     history = []
 
     def tol(p):
-        scale = tol_scale * (1.0 + float(np.max(np.abs(system.f.f(p)))))
+        scale = 1.0 + float(np.max(np.abs(system.f.f(p))))
         return NEWTON_TOL * scale + system.rounding_floor(p)
 
     for it in range(MAX_NEWTON):
@@ -411,8 +413,7 @@ def solve_radial_robin_pb(
         model="pb", d=domain.dimension, eps=eps, r=r, phi=phi, newton_iters=iters,
         residual_norm=norm,
         conservation_residual=system.conservation_residual(phi),
-        robin=robin, radii=radii,
-        meta={"phi_star": phi_star},
+        robin=robin, radii=radii, phi_eps_star=float(phi_star),
     )
 
 
@@ -501,7 +502,6 @@ def solve_radial_ccpb(
         phi_eps_star=phi_eps_star,
         outer_iters=outer_it,
         neutrality=neutrality,
-        meta={"volume": domain.volume},
     )
 
 
@@ -555,17 +555,12 @@ class ExpansionErrorReport:
         }
 
 
-def _stretched_samples(oracle: RadialSolveResult, component, T, n=1024):
+def _stretched_samples(oracle: RadialSolveResult, component, T):
     """(t, phi, dphi-along-(-nu)) on the stretched grid of one boundary."""
     sq = math.sqrt(oracle.eps)
-    t = np.linspace(0.0, T, n)
-    if component.orientation == "outer":
-        rs = component.radius - t * sq
-        coef = -oracle.dphi_at(rs)
-    else:
-        rs = component.radius + t * sq
-        coef = oracle.dphi_at(rs)
-    return t, oracle.phi_at(rs), coef
+    t = np.linspace(0.0, T, STRETCHED_SAMPLES)
+    rs = component.radius + component.depth_sign * (t * sq)
+    return t, oracle.phi_at(rs), component.depth_sign * oracle.dphi_at(rs)
 
 
 def compare_expansion(
@@ -575,20 +570,17 @@ def compare_expansion(
     model: str,
     T: float,
     beta: float | None = None,
-    envelope_samples: int = 1024,
 ) -> ExpansionErrorReport:
     """Sup errors of the one- and two-term expansions on the stretched grid,
     plus Region II envelope fits when the band parameters are orderable."""
     eps = oracle.eps
     sq = math.sqrt(eps)
     d = domain.dimension
-    phi_ref = oracle.phi_eps_star if model == "ccpb" else oracle.meta.get("phi_star", 0.0)
-    if phi_ref is None:
-        phi_ref = 0.0
+    phi_ref = oracle.phi_eps_star
     results = []
     bands_ok = beta is not None and T * sq < eps**beta
     for comp, bundle in zip(domain.components, bundles):
-        t, phi_or, coef_or = _stretched_samples(oracle, comp, T, envelope_samples)
+        t, phi_or, coef_or = _stretched_samples(oracle, comp, T)
         u, du = profile_eval(bundle["u"], t)
         v, dv = profile_eval(bundle["v"], t)
         hfac = (d - 1) * comp.mean_curvature
@@ -606,11 +598,7 @@ def compare_expansion(
         r3_ok = None
         if bands_ok:
             t_hi = eps ** (beta - 0.5)
-            if comp.orientation == "outer":
-                dist = comp.radius - oracle.r
-            else:
-                dist = oracle.r - comp.radius
-            t_all = dist / sq
+            t_all = comp.depth_sign * (oracle.r - comp.radius) / sq
             band = (t_all >= T) & (t_all <= t_hi)
             if not band.any():
                 raise RegionEmpty(f"no oracle nodes in Region II of component {comp.index}")
@@ -627,11 +615,7 @@ def compare_expansion(
             r2_max = float(np.max(dev))
             # Region III: distance to the full boundary beyond eps**beta
             dist_all = np.min(
-                [
-                    (c.radius - oracle.r) if c.orientation == "outer" else (oracle.r - c.radius)
-                    for c in domain.components
-                ],
-                axis=0,
+                [c.depth_sign * (oracle.r - c.radius) for c in domain.components], axis=0
             )
             far = dist_all > eps**beta
             if far.any():
@@ -662,20 +646,8 @@ def band_charge_integral(
     integration of f(phi) r^{d-1} over the band."""
     comp = domain.components[k]
     d = domain.dimension
-    sq = math.sqrt(oracle.eps)
-    w_in = params.inner_width
-    w_out = params.outer_width
-    if comp.orientation == "outer":
-        bands = {
-            "I": (comp.radius - w_in, comp.radius),
-            "II": (comp.radius - w_out, comp.radius - w_in),
-        }
-    else:
-        bands = {
-            "I": (comp.radius, comp.radius + w_in),
-            "II": (comp.radius + w_in, comp.radius + w_out),
-        }
-    lo, hi = bands[region]
+    depths = {"I": (0.0, params.inner_width), "II": (params.inner_width, params.outer_width)}
+    lo, hi = sorted(comp.radius + comp.depth_sign * s for s in depths[region])
     dens = CubicSpline(
         oracle.r, np.asarray(f.f(oracle.phi), dtype=float) * oracle.r ** (d - 1)
     )

@@ -239,10 +239,37 @@ def test_readme_example_config_runs(tmp_path):
                      id="robin-phi_bd"),
         pytest.param("profiles", PB_BASE, "robin", [{"gamma": "x", "phi_bd": 1.0}], "gamma",
                      id="robin-gamma-not-a-number"),
+        # sections of the wrong shape
+        pytest.param("expand", PB_BASE, "region", 3, "region", id="region-not-object-expand"),
+        pytest.param("verify", PB_BASE, "region", 3, "region", id="region-not-object-verify"),
+        *(
+            pytest.param(command, CCPB_BASE, "robin", [3, 3], "robin",
+                         id=f"robin-row-{command}")
+            for command in ("profiles", "constants", "expand", "oracle", "verify")
+        ),
+        *(
+            pytest.param(command, CCPB_BASE, "species", [3], "species",
+                         id=f"species-row-{command}")
+            for command in ("profiles", "constants", "expand", "oracle", "verify", "figures")
+        ),
+        pytest.param("oracle", PB_BASE, "oracle", 3, "oracle", id="oracle-not-object"),
+        pytest.param("oracle", PB_BASE, "eps", 5, "eps", id="eps-not-list"),
+        pytest.param("oracle", PB_BASE, "eps", ["x"], "eps", id="eps-not-a-number"),
+        pytest.param("profiles", PB_BASE, "domain", {"type": "ball", "d": "x", "radius": 1.0},
+                     "d", id="domain-d-not-a-number"),
+        pytest.param("profiles", PB_BASE, "domain", {"type": "ball", "d": 2.5, "radius": 1.0},
+                     "integer", id="domain-d-not-integer"),
+        pytest.param("profiles", PB_BASE, "grid", {"n_nodes": "x"}, "n_nodes",
+                     id="grid-n_nodes-not-a-number"),
+        pytest.param("profiles", PB_BASE, "grid", {"n_nodes": 2001.5}, "n_nodes",
+                     id="grid-n_nodes-not-integer"),
+        pytest.param("expand", PB_BASE, "expand", {"n_t": "x"}, "n_t", id="expand-n_t"),
+        pytest.param("expand", PB_BASE, "expand", {"order": 1.5}, "order", id="expand-order"),
+        pytest.param("verify", PB_BASE, "verify", {"T": "x"}, "T", id="verify-T"),
     ],
 )
 def test_missing_or_bad_key_is_config_error(tmp_path, capsys, command, base, section, value, key):
-    cfg = write_cfg(tmp_path, dict(base, eps=[1e-2], **{section: value}))
+    cfg = write_cfg(tmp_path, dict(base, **{"eps": [1e-2], section: value}))
     out = tmp_path / "out"
     assert run(command, cfg, out) == 2
     err = json.loads(capsys.readouterr().err)

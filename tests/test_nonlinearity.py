@@ -53,6 +53,13 @@ class TestClassical:
         oracle = bisect_zero(lambda p: 2 * math.exp(-p) - math.exp(p), -2, 2)
         assert f.phi_star == pytest.approx(oracle, abs=1e-12)
 
+    def test_asymmetric_reference_pinned(self):
+        # 2:1 salt: the construction-time zero (raw sum) and the public one
+        # (Taylor-anchored f, so the Newton polish ends one ulp apart)
+        f = make_classical_pb([IonSpecies(2.0, 0.3), IonSpecies(-1.0, 1.7)])
+        assert f.phi_star == -0.34715129160938707
+        assert find_reference_potential(f) == -0.3471512916093871
+
     def test_same_sign_valences_rejected(self):
         with pytest.raises(AllSameSignValences):
             make_classical_pb([IonSpecies(1, 1), IonSpecies(2, 1)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pblayers.errors import ConfigError, MismatchedReference, NegativeTime
-from pblayers.nonlinearity import make_f0, make_f1, make_fhat1
+from pblayers.nonlinearity import IonSpecies, make_classical_pb, make_f0, make_f1, make_fhat1
 from pblayers.numerics import boundary_clustered_nodes, stencil_derivative
 from pblayers.profiles import (
     EquationSpec,
@@ -64,6 +64,12 @@ class TestLayerProfile:
         assert u.meta["u0"] == pytest.approx(0.873, abs=1e-3)
         # Robin condition holds at the boundary node
         assert u.values[0] - 0.1 * u.derivs[0] == pytest.approx(1.0, abs=1e-10)
+
+    def test_boundary_potential_asymmetric_salt_pinned(self):
+        # 2:1 salt with phi* != 0, pinned exactly
+        f = make_classical_pb([IonSpecies(2.0, 0.3), IonSpecies(-1.0, 1.7)])
+        assert boundary_potential(f, RobinData(0.5, 2.0)) == 0.8989584906947274
+        assert boundary_potential(f, RobinData(0.5, -2.0)) == -1.1174632701687042
 
     def test_boundary_potential_matches_inline_bisection(self, salt):
         got = boundary_potential(salt, RobinData(0.1, 1.0))
@@ -287,6 +293,11 @@ class TestEvaluation:
         c, mu = u.tail.amplitude, u.tail.rate
         assert val == pytest.approx(c * math.exp(-mu * t), rel=1e-12)
         assert der == pytest.approx(-mu * c * math.exp(-mu * t), rel=1e-12)
+
+    def test_fixed_rate_tails_pinned(self, std_bundle):
+        # pinned exactly: the fixed-rate tail fit must not move a bit
+        assert std_bundle["u"].tail == Tail(0.0, 0.8590519589433202, 1.4142135623730951)
+        assert std_bundle["theta"].tail == Tail(1.0, -0.8257972615494388, 1.4142135623730951)
 
     def test_negative_time(self, std_bundle):
         with pytest.raises(NegativeTime):

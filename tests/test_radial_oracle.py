@@ -89,6 +89,11 @@ class TestRobin:
         assert gaps[1] <= 10 * math.sqrt(1e-4)
         assert gaps[1] < gaps[0]
 
+    def test_typed_reference_potential(self, salt, pb_disk_sweep):
+        res = pb_disk_sweep[1e-2]
+        assert res.phi_eps_star == salt.phi_star
+        assert "phi_eps_star" not in res.to_json_dict()
+
     def test_ball_3d(self, salt):
         dom = make_ball(3, 1.0, RobinData(0.1, 1.0))
         res = solve_radial_robin_pb(dom, salt, 1e-3)
