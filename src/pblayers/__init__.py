@@ -10,7 +10,6 @@ from .geometry import (
     classify_point,
     make_annulus,
     make_ball,
-    make_curve_component,
     make_disk,
     steiner_factor,
 )

@@ -227,8 +227,7 @@ def region_charge(
     m_prime, m_rate = envelope
     r3 = sq * m_prime * math.exp(-m_rate * params.stretched_outer)
     phi_bd = u.robin.phi_bd
-    phi_star = u.meta["phi_star"]
-    sign = 0 if phi_bd == phi_star else (-1 if phi_bd > phi_star else 1)
+    sign = 0 if phi_bd == u.phi_star else (-1 if phi_bd > u.phi_star else 1)
     return RegionChargeReport(
         model=model, k=k, eps=eps, beta=params.beta, T=T,
         region1=r1, region2=r2, region3_bound=r3, sign=sign, terms=terms,

@@ -40,10 +40,9 @@ from .nonlinearity import (
 )
 from .numerics import bisect_root, gauss_panels
 from .profiles import (
-    Profile,
     RobinData,
+    ULayer,
     _denominator,
-    _is_flat,
     _solve_v_and_w,
     _speed_from_delta,
     boundary_potential,
@@ -87,13 +86,13 @@ class CcpbConstants:
                 {
                     "k": k,
                     "u0": self.u0_per_boundary[k],
-                    "u0_prime": self.profiles[k]["u"].meta["u0_prime"],
-                    "v_prime0": self.profiles[k]["v"].meta["v_prime0"],
-                    "theta_prime0": self.profiles[k]["theta"].meta["theta_prime0"],
-                    "w0": self.profiles[k]["w"].meta["w0"],
-                    "w_prime0": self.profiles[k]["w"].meta["w_prime0"],
+                    "u0_prime": b["u"].u0_prime,
+                    "v_prime0": b["v"].v_prime0,
+                    "theta_prime0": b["theta"].theta_prime0,
+                    "w0": b["w"].w0,
+                    "w_prime0": b["w"].w_prime0,
                 }
-                for k in range(len(self.profiles))
+                for k, b in enumerate(self.profiles)
             ],
             "diagnostics": {k: v for k, v in sorted(self.diagnostics.items())},
         }
@@ -140,7 +139,7 @@ def solve_phi0(domain: DomainSpec, species: Sequence[IonSpecies]):
 
 
 def layer_excess_integrals(
-    u: Profile, f0: Nonlinearity, zs: Sequence[float], phi0_star: float,
+    u: ULayer, f0: Nonlinearity, zs: Sequence[float], phi0_star: float,
 ):
     """Half-line integrals of 1 - exp(-z (u(s) - phi0*)) per valence z.
 
@@ -148,9 +147,9 @@ def layer_excess_integrals(
     the integrand is bounded and the interval finite, so there is no tail
     truncation.
     """
-    if _is_flat(u):
+    if u.flat:
         return [0.0 for _ in zs]
-    delta0 = u.meta["u0"] - phi0_star
+    delta0 = u.u0 - phi0_star
     x = np.linspace(min(0.0, delta0), max(0.0, delta0), EXCESS_PANELS + 1)
     xg, wg = gauss_panels(x[:-1], x[1:])
     speed = _speed_from_delta(f0, phi0_star)(xg.ravel()).reshape(xg.shape)
@@ -164,7 +163,7 @@ def layer_excess_integrals(
 def compute_mhat(
     domain: DomainSpec,
     species: Sequence[IonSpecies],
-    u_profiles: Sequence[Profile],
+    u_profiles: Sequence[ULayer],
     phi0_star: float,
 ):
     """Signed mass corrections mhat_i from the per-boundary layer excess."""
@@ -182,7 +181,7 @@ def compute_q(
     domain: DomainSpec,
     f0: Nonlinearity,
     fhat1: Nonlinearity,
-    u_profiles: Sequence[Profile],
+    u_profiles: Sequence[ULayer],
 ) -> float:
     """Drift constant of the bulk potential: a quotient of boundary sums
     mixing the first-order mass antiderivative, curvature integrals and the
@@ -191,13 +190,12 @@ def compute_q(
     den = 0.0
     d = domain.dimension
     for comp, u in zip(domain.components, u_profiles):
-        u0 = u.meta["u0"]
         dk = _denominator(u, f0, comp.robin.gamma)
         num += (
-            comp.surface_area * float(fhat1.F(u0))
-            + (d - 1) * comp.curvature_integral * u.meta["int_usq"]
+            comp.surface_area * float(fhat1.F(u.u0))
+            + (d - 1) * comp.curvature_integral * u.int_usq
         ) / dk
-        term = comp.surface_area * float(f0.f(u0)) / dk
+        term = comp.surface_area * float(f0.f(u.u0)) / dk
         den += term
     if den <= 0:
         raise DegenerateDenominator(
@@ -221,7 +219,7 @@ def ccpb_constants(
     u_list = []
     for comp, u0_expected in zip(domain.components, u0s):
         u = solve_u(f0, comp.robin, **kwargs)
-        if abs(u.meta["u0"] - u0_expected) > 1e-9 * max(1.0, abs(u0_expected)):
+        if abs(u.u0 - u0_expected) > 1e-9 * max(1.0, abs(u0_expected)):
             raise ConfigError("profile boundary value disagrees with the scan")
         u_list.append(u)
 
@@ -251,13 +249,13 @@ def ccpb_constants(
             res_compat,
             abs(phi_bd - u0 + comp.robin.gamma * boundary_slope(f0, phi0, phi_bd, u0)),
         )
-        flux += comp.surface_area * u.meta["u0_prime"]
-        balance_v += (d - 1) * comp.curvature_integral * bundle["v"].meta["v_prime0"]
-        balance_w += comp.surface_area * bundle["w"].meta["w_prime0"]
+        flux += comp.surface_area * u.u0_prime
+        balance_v += (d - 1) * comp.curvature_integral * bundle["v"].v_prime0
+        balance_w += comp.surface_area * bundle["w"].w_prime0
     mhat_charge = sum(m * s.z for m, s in zip(mhat, species))
     mhat_scale = sum(abs(m * s.z) for m, s in zip(mhat, species)) or 1.0
     balance_scale = abs(balance_v) + abs(balance_w) or 1.0
-    area_scale = sum(c.surface_area * abs(b["u"].meta["u0_prime"]) for c, b in zip(domain.components, bundles)) or 1.0
+    area_scale = sum(c.surface_area * abs(b["u"].u0_prime) for c, b in zip(domain.components, bundles)) or 1.0
     diagnostics = {
         "compatibility_residual": res_compat,
         "flux_residual": abs(flux),

@@ -428,7 +428,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        out = Path(args.output_dir or cfg.get("output_dir", "out"))
+        out = args.output_dir or cfg.get("output_dir", "out")
+        if not isinstance(out, str):
+            raise ConfigError(f"output_dir must be a string, got {out!r}")
+        out = Path(out)
         out.mkdir(parents=True, exist_ok=True)
         rc = _COMMANDS[args.command](cfg, out)
         if args.verbose:

@@ -11,9 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
 
 from .errors import BadRadii, ConfigError, InconsistentParams
 from .profiles import RobinData
@@ -21,7 +18,6 @@ from .profiles import RobinData
 REGION_I = "I"
 REGION_II = "II"
 REGION_III = "III"
-CURVE_SAMPLES = 4096  # periodic samples of make_curve_component
 
 
 @dataclass(frozen=True)
@@ -30,11 +26,10 @@ class BoundaryComponent:
 
     index: int
     surface_area: float
-    mean_curvature: float | None  # constant-curvature components
+    mean_curvature: float  # constant on a sphere
     curvature_integral: float  # integral of H over the component
     robin: RobinData
     orientation: str = "outer"  # "outer" shell or "hole"
-    curvature_fn: Callable | None = None  # curvature vs curve parameter
     radius: float | None = None  # spherical components only
 
     def __post_init__(self):
@@ -48,11 +43,6 @@ class BoundaryComponent:
         """d(depth into the domain)/dr at a spherical component: -1 on the
         outer shell, +1 on a hole; depth s lies at radius + depth_sign * s."""
         return -1.0 if self.orientation == "outer" else 1.0
-
-    def curvature_at(self, s=0.0) -> float:
-        if self.mean_curvature is not None:
-            return self.mean_curvature
-        return float(self.curvature_fn(s))
 
 
 @dataclass(frozen=True)
@@ -178,41 +168,6 @@ def make_annulus(
         dimension=d,
         volume=_ball_volume(d, outer_radius) - _ball_volume(d, inner_radius),
         components=(outer, inner),
-    )
-
-
-def make_curve_component(
-    index: int,
-    curve: Callable,
-    robin: RobinData,
-    orientation: str = "outer",
-) -> BoundaryComponent:
-    """Planar boundary component from a closed parametrization theta -> (x, y).
-
-    Arc length and the curvature integral come from spectral-density FD on a
-    periodic sample; curvature is signed with respect to the enclosed domain
-    (holes flip the sign).  d = 2 only.
-    """
-    theta = np.linspace(0.0, 2.0 * math.pi, CURVE_SAMPLES, endpoint=False)
-    pts = np.asarray([curve(th) for th in theta], dtype=float)
-    h = theta[1] - theta[0]
-    dp = (np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)) / (2 * h)
-    d2p = (np.roll(pts, -1, axis=0) - 2 * pts + np.roll(pts, 1, axis=0)) / h**2
-    speed = np.hypot(dp[:, 0], dp[:, 1])
-    kappa = (dp[:, 0] * d2p[:, 1] - dp[:, 1] * d2p[:, 0]) / speed**3
-    if orientation == "hole":
-        kappa = -kappa
-    arclen = float(np.sum(speed) * h)
-    kint = float(np.sum(kappa * speed) * h)
-
-    def curvature_fn(s):
-        j = int(round(s / h)) % CURVE_SAMPLES
-        return kappa[j]
-
-    return BoundaryComponent(
-        index=index, surface_area=arclen, mean_curvature=None,
-        curvature_integral=kint, robin=robin, orientation=orientation,
-        curvature_fn=curvature_fn,
     )
 
 

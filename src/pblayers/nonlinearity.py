@@ -17,7 +17,7 @@ and are safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -232,7 +232,7 @@ class Nonlinearity:
     phi_star: float | None
     provenance: str
     species: tuple[IonSpecies, ...] = ()
-    meta: dict = field(default_factory=dict)
+    q: float | None = None  # drift constant of an f1 density
 
     @property
     def monotone(self) -> bool:
@@ -240,7 +240,7 @@ class Nonlinearity:
         return self.provenance in ("classical", "f0", "custom")
 
 
-def _exp_terms_nonlinearity(a, b, ref, provenance, species=(), phi_star=None, meta=None):
+def _exp_terms_nonlinearity(a, b, ref, provenance, species=(), phi_star=None):
     esum = _ExpSum(a, b, ref)
     desum = esum.derivative()
     if phi_star is None:
@@ -253,7 +253,6 @@ def _exp_terms_nonlinearity(a, b, ref, provenance, species=(), phi_star=None, me
         phi_star=phi_star,
         provenance=provenance,
         species=tuple(species),
-        meta=meta or {},
     )
 
 
@@ -278,10 +277,7 @@ def make_f0(species: Sequence[IonSpecies], volume: float, phi0_star: float) -> N
     check_neutrality(species)
     a = np.array([s.amount * s.z / volume for s in species])
     b = np.array([-s.z for s in species])
-    return _exp_terms_nonlinearity(
-        a, b, phi0_star, "f0", species, phi_star=float(phi0_star),
-        meta={"volume": float(volume)},
-    )
+    return _exp_terms_nonlinearity(a, b, phi0_star, "f0", species, phi_star=float(phi0_star))
 
 
 def make_fhat1(
@@ -297,7 +293,6 @@ def make_fhat1(
         raise ConfigError("mhat must have one entry per species")
     a = np.array([mh * s.z / volume for mh, s in zip(mhat, species)])
     b = np.array([-s.z for s in species])
-    meta = {"volume": float(volume), "mhat": tuple(float(m) for m in mhat)}
     if not np.any(a):
         def zero(phi):
             return 0.0 if np.isscalar(phi) else np.zeros_like(np.asarray(phi, dtype=float))
@@ -305,11 +300,9 @@ def make_fhat1(
         zero.from_delta = lambda d: np.zeros_like(np.atleast_1d(np.asarray(d, dtype=float)))
         return Nonlinearity(
             f=zero, df=zero, F=zero, phi_star=float(phi0_star),
-            provenance="fhat1", species=tuple(species), meta=meta,
+            provenance="fhat1", species=tuple(species),
         )
-    return _exp_terms_nonlinearity(
-        a, b, phi0_star, "fhat1", species, phi_star=float(phi0_star), meta=meta,
-    )
+    return _exp_terms_nonlinearity(a, b, phi0_star, "fhat1", species, phi_star=float(phi0_star))
 
 
 def make_f1(f0: Nonlinearity, fhat1: Nonlinearity, q: float) -> Nonlinearity:
@@ -341,7 +334,7 @@ def make_f1(f0: Nonlinearity, fhat1: Nonlinearity, q: float) -> Nonlinearity:
 
     return Nonlinearity(
         f=f1, df=df1, F=F1, phi_star=f0.phi_star, provenance="f1",
-        species=f0.species, meta={"q": float(q)},
+        species=f0.species, q=float(q),
     )
 
 

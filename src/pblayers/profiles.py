@@ -27,7 +27,7 @@ rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -82,7 +82,11 @@ class Tail:
 
 @dataclass(frozen=True)
 class Profile:
-    """Sampled profile with derivatives and an exponential tail model."""
+    """Sampled profile with derivatives and an exponential tail model.
+
+    The per-kind subclasses below add the layer's typed scalars; to_json_dict
+    lists those named in json_keys under "meta" (None values are left out).
+    """
 
     kind: str
     t: np.ndarray
@@ -90,7 +94,8 @@ class Profile:
     derivs: np.ndarray
     tail: Tail
     robin: RobinData
-    meta: dict = field(default_factory=dict)
+
+    json_keys = ()
 
     def __post_init__(self):
         for arr in (self.t, self.values, self.derivs):
@@ -99,6 +104,11 @@ class Profile:
     @property
     def t_max(self) -> float:
         return float(self.t[-1])
+
+    @property
+    def flat(self) -> bool:
+        """Whether the profile is constant (u(0) = phi*, so there is no layer)."""
+        return not self.derivs.any()
 
     def __call__(self, t):
         return profile_eval(self, t)
@@ -110,6 +120,9 @@ class Profile:
         )
 
     def to_json_dict(self) -> dict:
+        meta = {k: getattr(self, k) for k in self.json_keys}
+        if self.flat:
+            meta["degenerate"] = True
         return {
             "kind": self.kind,
             "robin": {"gamma": self.robin.gamma, "phi_bd": self.robin.phi_bd},
@@ -120,11 +133,57 @@ class Profile:
             },
             "t_max": self.t_max,
             "n_nodes": int(len(self.t)),
-            "meta": {
-                k: v for k, v in sorted(self.meta.items())
-                if isinstance(v, (int, float, bool, str))
-            },
+            "meta": {k: v for k, v in sorted(meta.items()) if v is not None},
         }
+
+
+@dataclass(frozen=True)
+class ULayer(Profile):
+    """The u-profile; delta holds the offsets u - phi* (None when flat)."""
+
+    u0: float
+    m_f: float  # decay rate of f over the hull of phi* and phi_bd
+    int_usq: float  # integral of u'^2 over [0, inf)
+    delta: np.ndarray | None = None
+
+    json_keys = ("phi_star", "u0", "mu", "m_f", "u0_prime", "int_usq")
+    phi_star = property(lambda self: self.tail.limit)
+    mu = property(lambda self: self.tail.rate)  # sqrt(-f'(phi*))
+    u0_prime = property(lambda self: float(self.derivs[0]))
+
+
+@dataclass(frozen=True)
+class VLayer(Profile):
+    """The v-profile; t_star is where |v| peaks, mu_u the rate of u (None when flat)."""
+
+    v0: float
+    t_star: float
+    mu_u: float | None = None
+
+    json_keys = ("v0", "v_prime0", "t_star", "mu_u")
+    v_prime0 = property(lambda self: float(self.derivs[0]))
+
+
+@dataclass(frozen=True)
+class ThetaLayer(Profile):
+    """The theta-profile; den = u'(0) + gamma f0(u(0)) (None when flat)."""
+
+    den: float | None = None
+
+    json_keys = ("theta_prime0", "den")
+    theta_prime0 = property(lambda self: float(self.derivs[0]))
+
+
+@dataclass(frozen=True)
+class WLayer(Profile):
+    """The w-profile for the drift constant q; limit is w(inf) (None when flat)."""
+
+    w0: float
+    q: float
+
+    json_keys = ("w0", "w_prime0", "q", "limit")
+    w_prime0 = property(lambda self: float(self.derivs[0]))
+    limit = property(lambda self: None if self.flat else self.tail.limit)
 
 
 def profile_eval(p: Profile, t):
@@ -210,21 +269,19 @@ def _speed_from_delta(f: Nonlinearity, phi_star: float):
     return speed
 
 
-def _constant_profile(kind, level, t_max, n_nodes, robin, rate, meta):
-    t = np.linspace(0.0, t_max, n_nodes)
-    z = np.zeros(n_nodes)
-    return Profile(
+def _constant_profile(cls, kind, level, t_max, n_nodes, robin, rate, **fields):
+    return cls(
         kind=kind,
-        t=t,
+        t=np.linspace(0.0, t_max, n_nodes),
         values=np.full(n_nodes, float(level)),
-        derivs=z,
+        derivs=np.zeros(n_nodes),
         tail=Tail(limit=float(level), amplitude=0.0, rate=rate),
         robin=robin,
-        meta=dict(meta, degenerate=True),
+        **fields,
     )
 
 
-def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> Profile:
+def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> ULayer:
     """Solve the leading-order layer profile.
 
     The trajectory satisfies u'(t) = sgn(phi* - phi_bd) sqrt(-2 F(u)) exactly,
@@ -239,16 +296,12 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
     hull = (min(phi_star, robin.phi_bd), max(phi_star, robin.phi_bd))
     mu = math.sqrt(-float(f.df(phi_star)))
     m_f = decay_rate(f, hull) if hull[0] < hull[1] else mu
-    base_meta = {
-        "phi_star": phi_star,
-        "u0": u0,
-        "mu": mu,
-        "m_f": m_f,
-    }
     delta0 = u0 - phi_star
     if delta0 == 0.0 or abs(delta0) <= 1e-14 * max(1.0, abs(phi_star)):
-        meta = dict(base_meta, u0_prime=0.0, int_usq=0.0)
-        return _constant_profile("u", phi_star, TMAX_CAP_FACTOR / m_f, n_nodes, robin, mu, meta)
+        return _constant_profile(
+            ULayer, "u", phi_star, TMAX_CAP_FACTOR / m_f, n_nodes, robin, mu,
+            u0=u0, m_f=m_f, int_usq=0.0,
+        )
 
     sgn_du = 1.0 if phi_star > u0 else -1.0  # sign of u'
     speed = _speed_from_delta(f, phi_star)
@@ -292,8 +345,10 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
 
     tail = Tail(limit=phi_star, amplitude=_tail_amplitude(t, delta, mu), rate=mu)
     delta.setflags(write=False)
-    meta = dict(base_meta, u0_prime=u0_prime, int_usq=int_usq, delta=delta)
-    return Profile(kind="u", t=t, values=phi_star + delta, derivs=du, tail=tail, robin=robin, meta=meta)
+    return ULayer(
+        kind="u", t=t, values=phi_star + delta, derivs=du, tail=tail, robin=robin,
+        u0=u0, m_f=m_f, int_usq=int_usq, delta=delta,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +361,16 @@ class _LayerQuadrature:
     backward energy integral I(t) = integral of u'^2 from t to infinity
     evaluated in potential space.  v and w of one boundary share it."""
 
-    def __init__(self, u: Profile, f: Nonlinearity):
+    def __init__(self, u: ULayer, f: Nonlinearity):
         t = u.t
         self.t = t
-        self.phi_star = u.meta["phi_star"]
+        self.phi_star = u.phi_star
         n = len(t)
         xg, wg = gauss_panels(t[:-1], t[1:])
         self.wg = wg
         # positions of the Gauss points in the merged node+Gauss sequence
         self.gauss = (np.arange(n - 1)[:, None] * 6 + np.arange(1, 6)).ravel()
-        delta_nodes = u.meta["delta"]
+        delta_nodes = u.delta
         d_all = np.empty((n - 1) * 6 + 1)
         d_all[::6] = delta_nodes
         d_all[self.gauss] = hermite_eval(xg.ravel(), t, delta_nodes, u.derivs)[0]
@@ -343,14 +398,9 @@ class _LayerQuadrature:
         return slice(None, None, 6)
 
 
-def _is_flat(u: Profile) -> bool:
-    """Whether u is constant (u(0) = phi*, so there is no layer)."""
-    return u.meta["u0_prime"] == 0.0
-
-
-def _quadrature(u: Profile, f: Nonlinearity) -> _LayerQuadrature | None:
-    """The layer quadrature of u, or None when u is constant (no layer)."""
-    return None if _is_flat(u) else _LayerQuadrature(u, f)
+def _quadrature(u: ULayer, f: Nonlinearity) -> _LayerQuadrature | None:
+    """The layer quadrature of u, or None when u is flat (no layer)."""
+    return None if u.flat else _LayerQuadrature(u, f)
 
 
 def _tail_amplitude(t, resid, rate) -> float:
@@ -388,26 +438,26 @@ def _fit_tail(t, values, limit, fallback_rate):
     return Tail(limit=float(limit), amplitude=sign * math.exp(float(intercept)), rate=rate)
 
 
-def _denominator(u: Profile, f: Nonlinearity, gamma: float) -> float:
-    d = u.meta["u0_prime"] + gamma * float(f.f(u.meta["u0"]))
+def _denominator(u: ULayer, f: Nonlinearity, gamma: float) -> float:
+    d = u.u0_prime + gamma * float(f.f(u.u0))
     if abs(d) <= 1e-300:
         raise DenominatorNearZero("u'(0) + gamma f(u(0)) vanished")
     return d
 
 
-def solve_v(u: Profile, f: Nonlinearity, robin: RobinData) -> Profile:
+def solve_v(u: ULayer, f: Nonlinearity, robin: RobinData) -> VLayer:
     """Curvature-correction profile from its variation-of-parameters form."""
     return _solve_v(u, f, robin, _quadrature(u, f))
 
 
-def _solve_v(u: Profile, f: Nonlinearity, robin: RobinData,
-             lq: _LayerQuadrature | None) -> Profile:
+def _solve_v(u: ULayer, f: Nonlinearity, robin: RobinData,
+             lq: _LayerQuadrature | None) -> VLayer:
     if lq is None:
+        # t_star = 0 is where the argmax rule below puts it for v = 0
         return _constant_profile(
-            "v", 0.0, u.t_max, len(u.t), robin, u.meta["mu"],
-            {"v0": 0.0, "v_prime0": 0.0, "t_star": math.nan},
+            VLayer, "v", 0.0, u.t_max, len(u.t), robin, u.mu, v0=0.0, t_star=0.0,
         )
-    u0p = u.meta["u0_prime"]
+    u0p = u.u0_prime
     den = _denominator(u, f, robin.gamma)
     v0 = -robin.gamma / den * lq.int_usq
     v_prime0 = -lq.int_usq / den
@@ -419,8 +469,7 @@ def _solve_v(u: Profile, f: Nonlinearity, robin: RobinData,
     energy_nodes = lq.energy_all[lq.nodes]
     dv = -f_nodes * (v0 / u0p - a) - energy_nodes / du_nodes
     dv[0] = v_prime0
-    mu = u.meta["mu"]
-    tail = _fit_tail(u.t, v, 0.0, mu)
+    tail = _fit_tail(u.t, v, 0.0, u.mu)
     # extremum location by parabolic refinement of the grid argmax
     j = int(np.argmax(np.abs(v)))
     if 0 < j < len(v) - 1:
@@ -428,35 +477,34 @@ def _solve_v(u: Profile, f: Nonlinearity, robin: RobinData,
         t_star = u.t[j] - c1 / (2.0 * c2) if c2 != 0 else u.t[j]
     else:
         t_star = u.t[j]
-    meta = {"v0": v0, "v_prime0": v_prime0, "t_star": float(t_star), "mu_u": mu}
-    return Profile(kind="v", t=u.t, values=v, derivs=dv, tail=tail, robin=robin, meta=meta)
+    return VLayer(
+        kind="v", t=u.t, values=v, derivs=dv, tail=tail, robin=robin,
+        v0=v0, t_star=float(t_star), mu_u=u.mu,
+    )
 
 
-def solve_theta(u: Profile, f0: Nonlinearity, robin: RobinData) -> Profile:
+def solve_theta(u: ULayer, f0: Nonlinearity, robin: RobinData) -> ThetaLayer:
     """Auxiliary linear layer theta = 1 - u' / (u'(0) + gamma f0(u(0)))."""
-    mu = u.meta["mu"]
-    if _is_flat(u):
-        return _constant_profile(
-            "theta", 1.0, u.t_max, len(u.t), robin, mu, {"theta_prime0": 0.0},
-        )
+    mu = u.mu
+    if u.flat:
+        return _constant_profile(ThetaLayer, "theta", 1.0, u.t_max, len(u.t), robin, mu)
     den = _denominator(u, f0, robin.gamma)
     theta = 1.0 - u.derivs / den
-    dtheta = _from_delta(f0.f, u.meta["phi_star"], u.meta["delta"]) / den
-    meta = {"theta_prime0": float(dtheta[0]), "den": den}
-    return Profile(
+    dtheta = _from_delta(f0.f, u.phi_star, u.delta) / den
+    return ThetaLayer(
         kind="theta", t=u.t, values=theta, derivs=dtheta,
         tail=Tail(limit=1.0, amplitude=_tail_amplitude(u.t, theta - 1.0, mu), rate=mu),
-        robin=robin, meta=meta,
+        robin=robin, den=den,
     )
 
 
 def solve_w(
-    u: Profile,
+    u: ULayer,
     f0: Nonlinearity,
     f1: Nonlinearity,
     q: float,
     robin: RobinData,
-) -> Profile:
+) -> WLayer:
     """Conservation-correction profile from its variation-of-parameters form.
 
     The forcing enters through the antiderivative of f1 anchored at the bulk
@@ -467,12 +515,12 @@ def solve_w(
 
 
 def _solve_v_and_w(
-    u: Profile,
+    u: ULayer,
     f0: Nonlinearity,
     f1: Nonlinearity,
     q: float,
     robin: RobinData,
-) -> tuple[Profile, Profile]:
+) -> tuple[VLayer, WLayer]:
     """solve_v(u, f0, robin) and solve_w(u, f0, f1, q, robin) from one
     shared layer quadrature, released on return."""
     _check_f1(f1, q)
@@ -483,19 +531,16 @@ def _solve_v_and_w(
 def _check_f1(f1: Nonlinearity, q: float):
     if f1.provenance != "f1":
         raise MismatchedReference("solve_w needs the combined first-order density")
-    if abs(f1.meta.get("q", math.nan) - q) > 1e-12 * max(1.0, abs(q)):
-        raise MismatchedReference("f1 was built with a different drift constant")
+    if f1.q is None or abs(f1.q - q) > 1e-12 * max(1.0, abs(q)):
+        raise MismatchedReference("f1 was not built with this drift constant")
 
 
-def _solve_w(u: Profile, f0: Nonlinearity, f1: Nonlinearity, q: float,
-             robin: RobinData, lq: _LayerQuadrature | None) -> Profile:
+def _solve_w(u: ULayer, f0: Nonlinearity, f1: Nonlinearity, q: float,
+             robin: RobinData, lq: _LayerQuadrature | None) -> WLayer:
     if lq is None:
-        return _constant_profile(
-            "w", q, u.t_max, len(u.t), robin, u.meta["mu"],
-            {"w0": q, "w_prime0": 0.0, "q": q},
-        )
-    limit = -float(f1.f(u.meta["phi_star"])) / float(f0.df(u.meta["phi_star"]))
-    u0p = u.meta["u0_prime"]
+        return _constant_profile(WLayer, "w", q, u.t_max, len(u.t), robin, u.mu, w0=q, q=q)
+    limit = -float(f1.f(u.phi_star)) / float(f0.df(u.phi_star))
+    u0p = u.u0_prime
     den = _denominator(u, f0, robin.gamma)
     neg_F1_all = -_from_delta(f1.F, lq.phi_star, lq.delta_all)
     w0 = robin.gamma * neg_F1_all[0] / den
@@ -505,9 +550,10 @@ def _solve_w(u: Profile, f0: Nonlinearity, f1: Nonlinearity, q: float,
     f0_nodes = _from_delta(f0.f, lq.phi_star, lq.delta_all[lq.nodes])
     dw = -f0_nodes * (w0 / u0p + a) + neg_F1_all[lq.nodes] / u.derivs
     dw[0] = w_prime0
-    tail = _fit_tail(u.t, w, limit, u.meta["mu"])
-    meta = {"w0": float(w0), "w_prime0": float(w_prime0), "q": float(q), "limit": limit}
-    return Profile(kind="w", t=u.t, values=w, derivs=dw, tail=tail, robin=robin, meta=meta)
+    tail = _fit_tail(u.t, w, limit, u.mu)
+    return WLayer(
+        kind="w", t=u.t, values=w, derivs=dw, tail=tail, robin=robin, w0=float(w0), q=float(q),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -555,14 +601,14 @@ def ode_residual(p: Profile, eq: EquationSpec) -> float:
     return float(np.max(np.abs(d2 - rhs)))
 
 
-def first_integral_drift(u: Profile, f: Nonlinearity) -> float:
+def first_integral_drift(u: ULayer, f: Nonlinearity) -> float:
     """max_t |u'^2 + 2F(u)|, the conserved-quantity drift."""
     return float(np.max(np.abs(u.derivs**2 + 2.0 * np.asarray(f.F(u.values), dtype=float))))
 
 
-def time_integral_usq(u: Profile) -> float:
+def time_integral_usq(u: ULayer) -> float:
     """Integral of u'^2 over [0, inf) by time-space panel quadrature plus the
-    closed-form tail; cross-checks the potential-space value in meta."""
+    closed-form tail; cross-checks the potential-space value u.int_usq."""
     t = u.t
     xg, wg = gauss_panels(t[:-1], t[1:])
     _, dug = hermite_eval(xg.ravel(), t, u.values, u.derivs)

@@ -66,11 +66,11 @@ def test_criterion_01_gouy_chapman_equivalence(salt):
 def test_criterion_02_first_integral(profile_matrix, salt, annulus_constants):
     with criterion(2, "first integral"):
         for (gamma, phi_bd), (u, _) in profile_matrix.items():
-            assert first_integral_drift(u, salt) <= 1e-10 * (1 + u.meta["u0_prime"] ** 2)
+            assert first_integral_drift(u, salt) <= 1e-10 * (1 + u.u0_prime ** 2)
         for bundle in annulus_constants.profiles:
             u = bundle["u"]
             assert first_integral_drift(u, annulus_constants.f0) <= 1e-10 * (
-                1 + u.meta["u0_prime"] ** 2
+                1 + u.u0_prime ** 2
             )
 
 
@@ -91,7 +91,7 @@ def test_criterion_03_ode_residuals(std_bundle, salt, annulus_constants):
             ) <= 1e-6
 
         # independent linear boundary-value solve for the auxiliary layer
-        t_cut = min(u.t_max, 30.0 / u.meta["mu"])
+        t_cut = min(u.t_max, 30.0 / u.mu)
 
         def rhs(t, y):
             uv, _ = profile_eval(u, t)
@@ -130,10 +130,10 @@ def test_criterion_04_structural_laws(profile_matrix, salt):
             dv_fd = stencil_derivative(v.t, v.values)
             assert np.max(np.abs(dv_fd - v.derivs)) <= 1e-7
             # derivative envelope
-            bound = abs(u.meta["u0_prime"]) * np.exp(-u.meta["m_f"] * u.t)
+            bound = abs(u.u0_prime) * np.exp(-u.m_f * u.t)
             assert np.all(np.abs(u.derivs) <= bound * (1 + 1e-12) + 1e-300)
             # dual-quadrature energy agreement
-            assert time_integral_usq(u) == pytest.approx(u.meta["int_usq"], rel=1e-8)
+            assert time_integral_usq(u) == pytest.approx(u.int_usq, rel=1e-8)
 
 
 def test_criterion_05_ccpb_constants(annulus_domain, msalt):

@@ -77,7 +77,7 @@ class TestPointwiseEvaluators:
 
     def test_charge_density_order1_is_density_of_u(self, std_bundle, salt):
         got = charge_density(q_at(0.0, order=1), std_bundle, salt)
-        u0 = std_bundle["u"].meta["u0"]
+        u0 = std_bundle["u"].u0
         assert got == pytest.approx(float(salt.f(u0)), rel=1e-14)
 
     def test_charge_density_pb_far_field(self, std_bundle, salt):
@@ -113,7 +113,7 @@ class TestMaxwellTraction:
         from pblayers.profiles import first_integral_drift
 
         u = std_bundle["u"]
-        assert first_integral_drift(u, salt) <= 1e-10 * (1 + u.meta["u0_prime"] ** 2)
+        assert first_integral_drift(u, salt) <= 1e-10 * (1 + u.u0_prime ** 2)
         for t in np.linspace(0, 10, 21):
             lead = maxwell_traction(q_at(t, order=1), std_bundle, salt)
             _, du = profile_eval(u, t)

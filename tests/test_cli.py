@@ -59,6 +59,18 @@ class TestProfilesCommand:
         assert (t0, v0) == (0.0, pytest.approx(0.8726373409, abs=1e-9))
         assert d0 == pytest.approx((v0 - 1.0) / 0.1, abs=1e-9)
 
+    def test_flat_layer_writes_full_meta(self, tmp_path):
+        # phi_bd = phi* = 0: no layer, so every profile is constant
+        cfg = write_cfg(tmp_path, dict(
+            PB_BASE, robin=[{"gamma": 0.1, "phi_bd": 0.0}], grid={"n_nodes": 2001}
+        ))
+        out = tmp_path / "out"
+        assert run("profiles", cfg, out) == 0
+        meta = json.loads((out / "profiles_meta.json").read_text())
+        (bundle,) = meta["boundaries"]
+        assert bundle["u"]["meta"]["degenerate"] is True
+        assert bundle["v"]["meta"]["degenerate"] is True
+
     def test_ccpb_profiles_include_all_kinds(self, tmp_path):
         cfg = write_cfg(tmp_path, dict(CCPB_BASE, grid={"n_nodes": 2001}))
         out = tmp_path / "out"
@@ -203,6 +215,14 @@ class TestErrorPaths:
         bad.write_text("{not json")
         assert run("profiles", str(bad), tmp_path / "out") == 2
 
+    def test_output_dir_not_a_string_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, dict(PB_BASE, output_dir=3))
+        assert main(["profiles", "--config", cfg]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "output_dir" in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_output_dir_created(self, tmp_path, fast_pb):
         out = tmp_path / "deep" / "nested" / "dir"
         assert run("profiles", fast_pb, out) == 0
@@ -266,6 +286,8 @@ def test_readme_example_config_runs(tmp_path):
         pytest.param("expand", PB_BASE, "expand", {"n_t": "x"}, "n_t", id="expand-n_t"),
         pytest.param("expand", PB_BASE, "expand", {"order": 1.5}, "order", id="expand-order"),
         pytest.param("verify", PB_BASE, "verify", {"T": "x"}, "T", id="verify-T"),
+        pytest.param("oracle", PB_BASE, "oracle", {"points_per_layer": 0}, "points_per_layer",
+                     id="oracle-points_per_layer-zero"),
     ],
 )
 def test_missing_or_bad_key_is_config_error(tmp_path, capsys, command, base, section, value, key):

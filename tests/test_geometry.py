@@ -11,7 +11,6 @@ from pblayers.geometry import (
     classify_point,
     make_annulus,
     make_ball,
-    make_curve_component,
     make_disk,
     steiner_factor,
 )
@@ -63,25 +62,6 @@ class TestBuilders:
             [steiner_factor(outer.mean_curvature, s / math.sqrt(eps), eps, 2) for s in depths]
         )
         assert np.trapezoid(lengths, depths) == pytest.approx(dom.volume, rel=1e-8)
-
-
-class TestCurveComponent:
-    def test_circle_matches_disk(self):
-        comp = make_curve_component(
-            0, lambda th: (2.0 * math.cos(th), 2.0 * math.sin(th)),
-            RobinData(0.0, 1.0),
-        )
-        assert comp.surface_area == pytest.approx(4 * math.pi, rel=1e-6)
-        assert comp.curvature_integral == pytest.approx(2 * math.pi, rel=1e-6)
-        assert comp.curvature_at(0.0) == pytest.approx(0.5, rel=1e-5)
-
-    def test_hole_flips_sign(self):
-        comp = make_curve_component(
-            1, lambda th: (math.cos(th), math.sin(th)),
-            RobinData(0.0, 1.0), orientation="hole",
-        )
-        assert comp.curvature_integral == pytest.approx(-2 * math.pi, rel=1e-6)
-        assert comp.curvature_at(0.0) == pytest.approx(-1.0, rel=1e-5)
 
 
 class TestRegions:

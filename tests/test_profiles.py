@@ -46,7 +46,7 @@ class TestLayerProfile:
 
     def test_boundary_slope_dirichlet(self, salt):
         u = solve_u(salt, RobinData(0.0, 1.0))
-        assert u.meta["u0_prime"] == pytest.approx(-2 * SQRT2 * math.sinh(0.5), abs=1e-13)
+        assert u.u0_prime == pytest.approx(-2 * SQRT2 * math.sinh(0.5), abs=1e-13)
 
     def test_value_at_one(self, salt):
         u = solve_u(salt, RobinData(0.0, 1.0))
@@ -55,13 +55,13 @@ class TestLayerProfile:
 
     def test_constant_profile_at_reference(self, salt):
         u = solve_u(salt, RobinData(0.3, 0.0))
-        assert u.meta["degenerate"]
+        assert u.flat
         assert np.all(u.values == 0.0) and np.all(u.derivs == 0.0)
 
     def test_robin_boundary_value(self, salt):
         u = solve_u(salt, RobinData(0.1, 1.0))
-        assert u.meta["u0"] == pytest.approx(U0_ROBIN, abs=1e-12)
-        assert u.meta["u0"] == pytest.approx(0.873, abs=1e-3)
+        assert u.u0 == pytest.approx(U0_ROBIN, abs=1e-12)
+        assert u.u0 == pytest.approx(0.873, abs=1e-3)
         # Robin condition holds at the boundary node
         assert u.values[0] - 0.1 * u.derivs[0] == pytest.approx(1.0, abs=1e-10)
 
@@ -91,25 +91,25 @@ class TestLayerProfile:
     def test_first_integral(self, profile_matrix, salt):
         for (gamma, phi_bd), (u, _) in profile_matrix.items():
             drift = first_integral_drift(u, salt)
-            assert drift <= 1e-10 * (1 + u.meta["u0_prime"] ** 2)
+            assert drift <= 1e-10 * (1 + u.u0_prime ** 2)
 
     def test_derivative_envelope(self, profile_matrix):
         for (gamma, phi_bd), (u, _) in profile_matrix.items():
-            m_f = u.meta["m_f"]
-            bound = abs(u.meta["u0_prime"]) * np.exp(-m_f * u.t)
+            m_f = u.m_f
+            bound = abs(u.u0_prime) * np.exp(-m_f * u.t)
             assert np.all(np.abs(u.derivs) <= bound * (1 + 1e-12) + 1e-300)
 
     def test_energy_dual_quadrature(self, profile_matrix):
         for (gamma, phi_bd), (u, _) in profile_matrix.items():
-            pot = u.meta["int_usq"]
+            pot = u.int_usq
             tim = time_integral_usq(u)
             assert tim == pytest.approx(pot, rel=1e-8)
 
     def test_energy_frozen_values(self, salt):
         u0 = solve_u(salt, RobinData(0.0, 1.0))
-        assert u0.meta["int_usq"] == pytest.approx(4 * SQRT2 * (math.cosh(0.5) - 1), rel=1e-12)
+        assert u0.int_usq == pytest.approx(4 * SQRT2 * (math.cosh(0.5) - 1), rel=1e-12)
         ur = solve_u(salt, RobinData(0.1, 1.0))
-        assert ur.meta["int_usq"] == pytest.approx(INT_USQ_ROBIN, rel=1e-12)
+        assert ur.int_usq == pytest.approx(INT_USQ_ROBIN, rel=1e-12)
 
     def test_tail_rate_is_reference_slope(self, salt):
         u = solve_u(salt, RobinData(0.1, 1.0))
@@ -131,12 +131,12 @@ class TestCurvatureProfile:
         u = solve_u(salt, RobinData(0.0, 1.0))
         v = solve_v(u, salt, RobinData(0.0, 0.0))
         assert v.values[0] == 0.0  # V0 = 0 in the Dirichlet limit
-        assert v.meta["v0"] == 0.0
+        assert v.v0 == 0.0
 
     def test_frozen_robin_values(self, std_bundle):
         v = std_bundle["v"]
-        assert v.meta["v0"] == pytest.approx(V0_ROBIN, rel=1e-11)
-        assert v.meta["v_prime0"] == pytest.approx(VPRIME0_ROBIN, rel=1e-11)
+        assert v.v0 == pytest.approx(V0_ROBIN, rel=1e-11)
+        assert v.v_prime0 == pytest.approx(VPRIME0_ROBIN, rel=1e-11)
 
     def test_positivity_and_unimodality(self, profile_matrix):
         for (gamma, phi_bd), (u, v) in profile_matrix.items():
@@ -150,7 +150,7 @@ class TestCurvatureProfile:
             assert flips == 1
             # rising toward the extremum first, mirrored for negative data
             assert sgn * interior[0] > 0 and sgn * interior[-1] < 0
-            assert 0 < v.meta["t_star"] < v.t_max
+            assert 0 < v.t_star < v.t_max
 
     def test_energy_balance_identity_negative(self, profile_matrix, salt):
         # g = f(u) v + u' v' stays negative and vanishes along the tail
@@ -189,19 +189,19 @@ class TestAuxiliaryLayer:
 
     def test_boundary_slope_formula_vs_fd(self, std_bundle):
         th = std_bundle["theta"]
-        assert th.meta["theta_prime0"] == pytest.approx(THETA_PRIME0, rel=1e-11)
+        assert th.theta_prime0 == pytest.approx(THETA_PRIME0, rel=1e-11)
         d_fd = stencil_derivative(th.t[:7], th.values[:7])[0]
-        assert d_fd == pytest.approx(th.meta["theta_prime0"], abs=1e-8)
+        assert d_fd == pytest.approx(th.theta_prime0, abs=1e-8)
 
     def test_positive_boundary_slope(self, std_bundle):
-        assert std_bundle["theta"].meta["theta_prime0"] > 0
+        assert std_bundle["theta"].theta_prime0 > 0
 
     def test_matches_direct_linear_bvp(self, salt, std_bundle):
         from scipy.integrate import solve_bvp
 
         u = std_bundle["u"]
         th = std_bundle["theta"]
-        t_cut = min(u.t_max, 30.0 / u.meta["mu"])
+        t_cut = min(u.t_max, 30.0 / u.mu)
 
         def rhs(t, y):
             uv, _ = profile_eval(u, t)
@@ -279,6 +279,59 @@ class TestConservationProfile:
         with pytest.raises(MismatchedReference):
             solve_w(u, f0, f1, 2.0, RobinData(0.1, 0.0))
 
+    def test_f1_without_drift_constant_rejected(self, msalt, w_setup):
+        from dataclasses import replace
+
+        f0, fh, u = w_setup
+        f1 = replace(make_f1(f0, fh, 1.0), q=None)
+        with pytest.raises(MismatchedReference):
+            solve_w(u, f0, f1, 1.0, RobinData(0.1, 0.0))
+
+
+class TestJsonMeta:
+    """The "meta" keys that to_json_dict gives profiles_meta.json, each a
+    typed attribute of the profile."""
+
+    U_KEYS = {"phi_star", "u0", "mu", "m_f", "u0_prime", "int_usq"}
+    KEYS = {
+        "u": U_KEYS,
+        "v": {"v0", "v_prime0", "t_star", "mu_u"},
+        "theta": {"theta_prime0", "den"},
+        "w": {"w0", "w_prime0", "q", "limit"},
+    }
+
+    def test_layer_keys(self, std_bundle, annulus_constants):
+        bundles = [std_bundle, *annulus_constants.profiles]
+        assert {kind for b in bundles for kind in b} == set(self.KEYS)
+        for bundle in bundles:
+            for kind, p in bundle.items():
+                meta = p.to_json_dict()["meta"]
+                assert set(meta) == self.KEYS[kind]
+                assert all(meta[k] == getattr(p, k) for k in meta)
+                assert not p.flat
+
+    def test_flat_keys(self, msalt):
+        f0 = make_f0(msalt, 1.0, 0.0)
+        f1 = make_f1(f0, make_fhat1(msalt, 1.0, 0.0, [0.0, 0.0]), 2.5)
+        robin0 = RobinData(0.1, 0.0)
+        u = solve_u(f0, robin0)
+        flat = {
+            "u": u,
+            "v": solve_v(u, f0, robin0),
+            "theta": solve_theta(u, f0, robin0),
+            "w": solve_w(u, f0, f1, 2.5, robin0),
+        }
+        want = {
+            "u": {"phi_star": 0.0, "u0": 0.0, "mu": SQRT2, "m_f": SQRT2,
+                  "u0_prime": 0.0, "int_usq": 0.0},
+            "v": {"v0": 0.0, "v_prime0": 0.0, "t_star": 0.0},
+            "theta": {"theta_prime0": 0.0},
+            "w": {"w0": 2.5, "w_prime0": 0.0, "q": 2.5},
+        }
+        for kind, p in flat.items():
+            assert p.flat
+            assert p.to_json_dict()["meta"] == dict(want[kind], degenerate=True)
+
 
 class TestEvaluation:
     def test_nodes_exact(self, std_bundle):
@@ -324,7 +377,7 @@ class TestOdeResidual:
         p = Profile(
             kind="u", t=t, values=vals, derivs=derivs,
             tail=Tail(0.0, 4 * math.tanh(0.25), SQRT2),
-            robin=RobinData(0.0, 1.0), meta={"phi_star": 0.0},
+            robin=RobinData(0.0, 1.0),
         )
         assert ode_residual(p, EquationSpec("u", salt)) <= 1e-6
 
@@ -334,7 +387,7 @@ class TestOdeResidual:
         t = np.linspace(0, 1, 4)
         p = Profile(
             kind="u", t=t, values=np.zeros(4), derivs=np.zeros(4),
-            tail=Tail(0.0, 0.0, 1.0), robin=RobinData(0.0, 0.0), meta={},
+            tail=Tail(0.0, 0.0, 1.0), robin=RobinData(0.0, 0.0),
         )
         with pytest.raises(GridTooCoarse):
             ode_residual(p, EquationSpec("u", salt))

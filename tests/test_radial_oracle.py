@@ -23,6 +23,13 @@ class TestGrid:
         with pytest.raises(GridTooCoarse):
             graded_radial_grid(2, 1.0, None, 1e-4, points_per_layer=4)
 
+    @pytest.mark.parametrize(
+        "eps, points_per_layer", [(0.0, 800), (-0.01, 800), (1e-3, 0), (1e-3, -1)]
+    )
+    def test_nonpositive_inputs_rejected(self, eps, points_per_layer):
+        with pytest.raises(ConfigError):
+            graded_radial_grid(2, 1.0, None, eps, points_per_layer=points_per_layer)
+
     def test_annulus_covers_both_layers(self):
         r = graded_radial_grid(2, 2.0, 1.0, 1e-4)
         assert r[0] == 1.0 and r[-1] == 2.0
@@ -83,7 +90,7 @@ class TestRobin:
         assert values[0] > values[1] > values[2]
 
     def test_boundary_value_approaches_layer_value(self, salt, pb_disk_sweep, std_bundle):
-        u0 = std_bundle["u"].meta["u0"]
+        u0 = std_bundle["u"].u0
         gaps = [abs(pb_disk_sweep[eps].phi[-1] - u0) for eps in (1e-3, 1e-4)]
         assert gaps[0] <= 10 * math.sqrt(1e-3)
         assert gaps[1] <= 10 * math.sqrt(1e-4)

@@ -1,6 +1,7 @@
 """The benchmark's span tracer wraps package functions by name; a rename or
 deletion of any of them must fail here rather than in a traced benchmark run."""
 
+import json
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -19,3 +20,30 @@ def test_benchmark_tracer_installs(monkeypatch):
     finally:
         tracer.uninstall()
     assert cli.main is main
+
+
+def test_traced_profiles_run_records_layer_spans(monkeypatch, tmp_path):
+    # the per-layer bench spans wrap Profile.to_csv and the module-level
+    # solvers; a typed profile subclass that overrode one would zero its span
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import pblayers.cli as cli
+    import spans
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "model": "pb",
+        "species": [{"z": 1, "amount": 1}, {"z": -1, "amount": 1}],
+        "domain": {"type": "disk", "d": 2, "radius": 1.0},
+        "robin": [{"gamma": 0.1, "phi_bd": 1.0}],
+        "grid": {"n_nodes": 2001},
+    }))
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        argv = ["profiles", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    calls = [s[3] for s in tracer.spans]
+    for name in ("profiles.solve_u", "profiles.solve_v", "profiles.to_csv"):
+        assert name in calls, name
