@@ -4,8 +4,8 @@ The zero-order bulk potential phi0* solves a nested algebraic system: for a
 candidate value s, each boundary value u_k(0; s) is pinned by the Robin
 compatibility equation, and s itself is pinned by the zero-total-flux
 condition sum_k |bd_k| u_k'(0; s) = 0.  The flux sum is strictly monotone in
-s and changes sign between the extreme boundary potentials, so a guarded
-bisection finds it.
+s and changes sign between the extreme boundary potentials, so Brent's method
+finds it inside that bracket.
 
 On top of phi0* sit the layer profiles u_k, v_k, theta_k, the signed mass
 corrections mhat_i (half-line integrals of the layer excess), the drift
@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import (
     AllBoundaryPotentialsEqual,
@@ -38,7 +39,7 @@ from .nonlinearity import (
     make_f1,
     make_fhat1,
 )
-from .numerics import bisect_root, gauss_panels
+from .numerics import gauss_panels
 from .profiles import (
     RobinData,
     ULayer,
@@ -51,7 +52,7 @@ from .profiles import (
     solve_u,
 )
 
-PHI0_TOL = 1e-14
+PHI0_TOL = 1e-14  # Brent tolerance (xtol = rtol) of the bulk potential
 EXCESS_PANELS = 2000  # potential-space panels of layer_excess_integrals
 
 
@@ -133,7 +134,9 @@ def solve_phi0(domain: DomainSpec, species: Sequence[IonSpecies]):
         raise BracketFailure(
             f"flux sum does not change sign on ({lo}, {hi}): R({a})={ra:.3e}, R({b})={rb:.3e}"
         )
-    phi0 = bisect_root(lambda s: _flux_sum(domain, species, s)[0] < 0, a, b, PHI0_TOL)
+    phi0 = brentq(
+        lambda s: _flux_sum(domain, species, s)[0], a, b, xtol=PHI0_TOL, rtol=PHI0_TOL
+    )
     _, u0s = _flux_sum(domain, species, phi0)
     return phi0, u0s
 
@@ -294,9 +297,6 @@ class BulkExpansionEntry:
 
     def conc_at(self, eps: float) -> float:
         return self.conc0 + math.sqrt(eps) * self.conc_coeff
-
-    def normalizer_at(self, eps: float) -> float:
-        return self.normalizer0 + math.sqrt(eps) * self.normalizer_coeff
 
 
 def bulk_expansion(constants: CcpbConstants, eps: float):

@@ -229,6 +229,8 @@ def cmd_expand(cfg, out: Path) -> int:
     opts = _section(cfg, "expand", {"t_max", "n_t", "order"})
     t_max = _number(opts, "t_max", "expand", 5.0)
     n_t = _integer(opts, "n_t", "expand", 201)
+    if n_t < 1:
+        raise ConfigError(f"expand.n_t must be at least 1, got {n_t}")
     order = _integer(opts, "order", "expand", 2)
     ts = np.linspace(0.0, t_max, n_t)
     # every query and band is validated before the model solve, so a bad

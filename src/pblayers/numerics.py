@@ -1,6 +1,7 @@
 """Small shared numerical kernels: panel quadrature, Hermite evaluation,
-finite differences on nonuniform grids, the bisection behind every scalar
-root, and the CSV writer of every artifact."""
+finite differences on nonuniform grids, the bisection behind the reference
+potential (the bulk potential and the Robin boundary values use scipy's
+brentq), and the CSV writer of every artifact."""
 
 from __future__ import annotations
 

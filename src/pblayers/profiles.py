@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from .errors import (
     ConfigError,
@@ -43,7 +44,6 @@ from .errors import (
 )
 from .nonlinearity import Nonlinearity, decay_rate, find_reference_potential
 from .numerics import (
-    bisect_root,
     boundary_clustered_nodes,
     cumulative_panel_integral,
     gauss_panels,
@@ -53,9 +53,10 @@ from .numerics import (
 )
 
 DEFAULT_NODES = 20001
+MIN_NODES = 5  # fewest nodes solve_u and ode_residual accept
 TMAX_CAP_FACTOR = 40.0
 TAIL_REL_THRESHOLD = 1e-12
-BOUNDARY_RTOL = 1e-15  # bisection width of the Robin boundary value
+BOUNDARY_RTOL = 1e-15  # Brent tolerance (xtol = rtol) of the Robin boundary value
 TAIL_WINDOW = (0.55, 0.92)  # fraction of t_max that _fit_tail fits over
 
 
@@ -250,7 +251,7 @@ def boundary_potential(f: Nonlinearity, robin: RobinData) -> float:
             f"no sign change for the boundary value on [{lo}, {hi}]"
         )
     # g is strictly decreasing between phi* and phi_bd
-    return bisect_root(lambda x: (g(x) > 0) == (glo > 0), lo, hi, BOUNDARY_RTOL)
+    return brentq(g, lo, hi, xtol=BOUNDARY_RTOL, rtol=BOUNDARY_RTOL)
 
 
 def _from_delta(fn, phi_star, delta):
@@ -289,6 +290,8 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
     first-integral identity u'^2 + 2F(u) = 0 holds at every node by
     construction.
     """
+    if n_nodes < MIN_NODES:
+        raise GridTooCoarse(f"n_nodes = {n_nodes}: a profile needs at least {MIN_NODES} nodes")
     if not f.monotone:
         raise ConfigError("u-profile requires a monotone charge density")
     phi_star = f.phi_star if f.phi_star is not None else find_reference_potential(f)
@@ -577,8 +580,8 @@ class EquationSpec:
 
 def ode_residual(p: Profile, eq: EquationSpec) -> float:
     """Max |y'' - rhs| over interior nodes by nonuniform second differences."""
-    if len(p.t) < 5:
-        raise GridTooCoarse("need at least 5 nodes for the residual")
+    if len(p.t) < MIN_NODES:
+        raise GridTooCoarse(f"need at least {MIN_NODES} nodes for the residual")
     d2 = second_difference(p.t, p.values)
     y = p.values[1:-1]
     if eq.kind == "u":

@@ -14,7 +14,7 @@ from pblayers.ccpb import (
 from pblayers.errors import AllBoundaryPotentialsEqual, NeutralityViolated
 from pblayers.geometry import BoundaryComponent, DomainSpec, make_annulus
 from pblayers.nonlinearity import IonSpecies
-from pblayers import profiles
+from pblayers import ccpb, nonlinearity, profiles
 from pblayers.profiles import RobinData, profile_eval, solve_v, solve_w
 
 
@@ -47,6 +47,32 @@ class TestBulkPotential:
         dom = DomainSpec(2, 1.0, (c0, c1))
         with pytest.raises(AllBoundaryPotentialsEqual):
             solve_phi0(dom, msalt)
+
+    def test_flux_sum_evaluations(self, annulus_domain, msalt, monkeypatch):
+        # Brent's method: a bisection to PHI0_TOL took 51 flux sums
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return _flux_sum(*args)
+
+        monkeypatch.setattr(ccpb, "_flux_sum", counting)
+        solve_phi0(annulus_domain, msalt)
+        assert len(calls) <= 16
+
+    def test_antiderivative_evaluations(self, annulus_domain, msalt, monkeypatch):
+        # both roots by Brent's method: nested bisections took 5,377 scalar
+        # antiderivative evaluations
+        calls = []
+        from_delta = nonlinearity._ExpSumAntiderivative.from_delta
+
+        def counting(self, delta):
+            calls.append(delta)
+            return from_delta(self, delta)
+
+        monkeypatch.setattr(nonlinearity._ExpSumAntiderivative, "from_delta", counting)
+        solve_phi0(annulus_domain, msalt)
+        assert len(calls) <= 400
 
     def test_flux_scan_strictly_monotone(self, annulus_domain, msalt):
         # the outer root-find relies on strict monotonicity of the flux sum
@@ -161,9 +187,20 @@ class TestSharedLayerQuadrature:
     """v and w of each boundary come from one layer quadrature; the sharing
     must change no number."""
 
-    # the fixture's diagnostics as computed by solve_v and solve_w building
-    # one quadrature each
+    # the fixture's diagnostics, pinned exactly (phi0* and the boundary
+    # values by Brent's method)
     DIAGNOSTICS = {
+        "compatibility_residual": 5.898059818321144e-17,
+        "drift_balance": 2.3092638912203256e-14,
+        "drift_balance_rel": 2.077807629156127e-15,
+        "flux_residual": 0.0,
+        "flux_residual_rel": 0.0,
+        "mhat_charge": -5.551115123125783e-16,
+        "mhat_charge_rel": 3.0845566298449665e-16,
+    }
+    # the same diagnostics when both roots came from 1e-14/1e-15 bisections;
+    # no residual may grow past them
+    BISECTION_DIAGNOSTICS = {
         "compatibility_residual": 2.498001805406602e-16,
         "drift_balance": 2.4868995751603507e-14,
         "drift_balance_rel": 2.2376389852450596e-15,
@@ -191,7 +228,10 @@ class TestSharedLayerQuadrature:
                 ]
 
     def test_diagnostics_unchanged(self, annulus_constants):
-        assert annulus_constants.diagnostics == self.DIAGNOSTICS
+        got = annulus_constants.diagnostics
+        assert got == self.DIAGNOSTICS
+        for key, bound in self.BISECTION_DIAGNOSTICS.items():
+            assert abs(got[key]) <= abs(bound), key
 
     def test_one_quadrature_per_layer(self, annulus_domain, msalt, monkeypatch):
         built = []

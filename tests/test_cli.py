@@ -284,6 +284,10 @@ def test_readme_example_config_runs(tmp_path):
         pytest.param("profiles", PB_BASE, "grid", {"n_nodes": 2001.5}, "n_nodes",
                      id="grid-n_nodes-not-integer"),
         pytest.param("expand", PB_BASE, "expand", {"n_t": "x"}, "n_t", id="expand-n_t"),
+        pytest.param("expand", PB_BASE, "expand", {"n_t": -1}, "n_t", id="expand-n_t-negative"),
+        pytest.param("expand", PB_BASE, "expand", {"n_t": 0}, "n_t", id="expand-n_t-zero"),
+        pytest.param("profiles", PB_BASE, "grid", {"n_nodes": 0}, "n_nodes",
+                     id="grid-n_nodes-zero"),
         pytest.param("expand", PB_BASE, "expand", {"order": 1.5}, "order", id="expand-order"),
         pytest.param("verify", PB_BASE, "verify", {"T": "x"}, "T", id="verify-T"),
         pytest.param("oracle", PB_BASE, "oracle", {"points_per_layer": 0}, "points_per_layer",

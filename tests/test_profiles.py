@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from pblayers.errors import ConfigError, MismatchedReference, NegativeTime
+from pblayers.errors import ConfigError, GridTooCoarse, MismatchedReference, NegativeTime
 from pblayers.nonlinearity import IonSpecies, make_classical_pb, make_f0, make_f1, make_fhat1
 from pblayers.numerics import boundary_clustered_nodes, stencil_derivative
 from pblayers.profiles import (
+    MIN_NODES,
     EquationSpec,
     Profile,
     RobinData,
     Tail,
     boundary_potential,
+    boundary_slope,
     first_integral_drift,
     ode_residual,
     profile_eval,
@@ -30,6 +32,13 @@ INT_USQ_ROBIN = 0.5470557089477659     # integral of u'^2
 V0_ROBIN = 0.037185249461187581
 VPRIME0_ROBIN = 0.37185249461187581
 THETA_PRIME0 = 1.3427240170843739
+
+
+def compatibility(f, robin):
+    """g(x) = phi_bd - x + gamma u'(0) of the Robin compatibility equation."""
+    return lambda x: robin.phi_bd - x + robin.gamma * boundary_slope(
+        f, f.phi_star, robin.phi_bd, x
+    )
 
 
 def gouy_chapman(t, phi_bd):
@@ -66,10 +75,38 @@ class TestLayerProfile:
         assert u.values[0] - 0.1 * u.derivs[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_boundary_potential_asymmetric_salt_pinned(self):
-        # 2:1 salt with phi* != 0, pinned exactly
+        # 2:1 salt with phi* != 0, pinned exactly; the residual may not exceed
+        # the one at the values a 1e-15 bisection gave
         f = make_classical_pb([IonSpecies(2.0, 0.3), IonSpecies(-1.0, 1.7)])
-        assert boundary_potential(f, RobinData(0.5, 2.0)) == 0.8989584906947274
-        assert boundary_potential(f, RobinData(0.5, -2.0)) == -1.1174632701687042
+        for phi_bd, want, bisected in (
+            (2.0, 0.8989584906947277, 0.8989584906947274),
+            (-2.0, -1.1174632701687042, -1.1174632701687042),
+        ):
+            got = boundary_potential(f, RobinData(0.5, phi_bd))
+            assert got == want
+            g = compatibility(f, RobinData(0.5, phi_bd))
+            assert abs(g(got)) <= abs(g(bisected))
+
+    def test_boundary_potential_asymmetric_salt_residual(self):
+        # 2:1 salt, either sign of phi_bd: a residual of the compatibility
+        # equation below the 2**-51 a bisection to BOUNDARY_RTOL leaves at
+        # phi_bd = 2
+        f = make_classical_pb([IonSpecies(2.0, 0.3), IonSpecies(-1.0, 1.7)])
+        for phi_bd in (2.0, -2.0):
+            robin = RobinData(0.5, phi_bd)
+            assert abs(compatibility(f, robin)(boundary_potential(f, robin))) <= 4.4e-16
+
+    @pytest.mark.parametrize("n_nodes", [-5, 0, 1, 2, MIN_NODES - 1])
+    @pytest.mark.parametrize("phi_bd", [1.0, 0.0])
+    def test_too_few_nodes_rejected(self, salt, n_nodes, phi_bd):
+        with pytest.raises(GridTooCoarse, match="n_nodes"):
+            solve_u(salt, RobinData(0.1, phi_bd), n_nodes=n_nodes)
+
+    @pytest.mark.parametrize("phi_bd", [1.0, 0.0])
+    def test_fewest_nodes_accepted(self, salt, phi_bd):
+        u = solve_u(salt, RobinData(0.1, phi_bd), n_nodes=MIN_NODES)
+        assert len(u.t) == MIN_NODES
+        assert np.isfinite(ode_residual(u, EquationSpec("u", salt)))
 
     def test_boundary_potential_matches_inline_bisection(self, salt):
         got = boundary_potential(salt, RobinData(0.1, 1.0))
@@ -382,8 +419,6 @@ class TestOdeResidual:
         assert ode_residual(p, EquationSpec("u", salt)) <= 1e-6
 
     def test_grid_too_coarse(self, salt):
-        from pblayers.errors import GridTooCoarse
-
         t = np.linspace(0, 1, 4)
         p = Profile(
             kind="u", t=t, values=np.zeros(4), derivs=np.zeros(4),
