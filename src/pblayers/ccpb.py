@@ -44,12 +44,13 @@ from .profiles import (
     RobinData,
     ULayer,
     _denominator,
-    _solve_v_and_w,
     _speed_from_delta,
     boundary_potential,
     boundary_slope,
     solve_theta,
     solve_u,
+    solve_v,
+    solve_w,
 )
 
 PHI0_TOL = 1e-14  # Brent tolerance (xtol = rtol) of the bulk potential
@@ -226,8 +227,7 @@ def ccpb_constants(
             raise ConfigError("profile boundary value disagrees with the scan")
         u_list.append(u)
 
-    # mhat, q and f1 read only the u-profiles, so each boundary's v, theta
-    # and w can then be solved together from one layer quadrature
+    # mhat, q and f1 read only the u-profiles
     mhat = compute_mhat(domain, species, u_list, phi0)
     fhat1 = make_fhat1(species, domain.volume, phi0, mhat)
     q = compute_q(domain, f0, fhat1, u_list)
@@ -235,8 +235,12 @@ def ccpb_constants(
     bundles = []
     for comp, u in zip(domain.components, u_list):
         robin0 = RobinData(comp.robin.gamma, 0.0)
-        v, w = _solve_v_and_w(u, f0, f1, q, robin0)
-        bundles.append({"u": u, "v": v, "theta": solve_theta(u, f0, robin0), "w": w})
+        bundles.append({
+            "u": u,
+            "v": solve_v(u, f0, robin0),
+            "theta": solve_theta(u, f0, robin0),
+            "w": solve_w(u, f0, f1, q, robin0),
+        })
 
     # diagnostics: compatibility residuals, flux balance, neutrality of the
     # corrections, and the independent balance identity for q

@@ -65,9 +65,13 @@ def _rows(cfg: dict, key: str, allowed: set) -> list[dict]:
 
 def _float(value, where: str) -> float:
     try:
-        return float(value)
+        x = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    if not math.isfinite(x):
+        # json.load accepts NaN, Infinity and -Infinity
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return x
 
 
 def _number(section: dict, key: str, where: str, default=None) -> float:

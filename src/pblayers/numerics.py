@@ -42,6 +42,18 @@ def gauss_panels(a: np.ndarray, b: np.ndarray):
     return x, w
 
 
+def _gl5_partial_matrix():
+    """(5, 7) matrix P: P @ y integrates the degree-6 interpolant through y at
+    (-1, the five Gauss abscissae, 1) from -1 to each Gauss abscissa."""
+    s = np.concatenate(([-1.0], _GL5_X, [1.0]))
+    p = np.arange(1, 8)
+    antideriv = (_GL5_X[:, None] ** p - (-1.0) ** p) / p
+    return np.linalg.solve(np.vander(s, 7, increasing=True).T, antideriv.T).T
+
+
+GL5_PARTIAL = _gl5_partial_matrix()
+
+
 def panel_integrals(fn, a, b):
     """Integral of fn over each panel [a_i, b_i] by 5-point Gauss."""
     x, w = gauss_panels(a, b)
@@ -99,30 +111,6 @@ def second_difference(t, y):
     return 2.0 * (hl * y[2:] - (hl + hr) * y[1:-1] + hr * y[:-2]) / (
         hl * hr * (hl + hr)
     )
-
-
-def stencil_derivative(t, y, order=1, width=5):
-    """Derivative at every node by local polynomial fits of `width` points.
-
-    Solves one small Vandermonde system per node (vectorized); fourth-order
-    accurate for width=5 on smooth grids.
-    """
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = len(t)
-    if n < width:
-        raise ValueError("grid too short for stencil width")
-    half = width // 2
-    start = np.clip(np.arange(n) - half, 0, n - width)
-    cols = start[:, None] + np.arange(width)[None, :]
-    dt = t[cols] - t[:, None]
-    # Vandermonde rows: p(dt) = sum c_k dt^k;  c_order * order! is the derivative
-    powers = dt[:, :, None] ** np.arange(width)[None, None, :]
-    coef = np.linalg.solve(powers, y[cols][:, :, None])[:, :, 0]
-    fact = 1.0
-    for k in range(2, order + 1):
-        fact *= k
-    return coef[:, order] * fact
 
 
 def boundary_clustered_nodes(n: int, t_max: float):

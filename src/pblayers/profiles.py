@@ -18,8 +18,9 @@ and inverted per grid node by vectorized Newton steps.  The first integral
 therefore holds by construction at every node; u(0) solves the Robin
 compatibility equation with the slope boundary_slope.  v and w are evaluated
 from their closed-form variation-of-parameters representations with all
-nested integrals reduced to potential-space quadratures (no tail truncation,
-no cancellation from 1/u'^2 blow-up).  The u and theta tails decay at the
+nested integrals reduced to Gauss quadratures over the offsets u - phi* of
+the nodes of u (no tail truncation, no cancellation from 1/u'^2 blow-up, no
+interpolation of u between nodes).  The u and theta tails decay at the
 known rate sqrt(-f'(phi*)); v ~ t exp(-mu t), so the v and w tails fit their
 rate.
 """
@@ -44,10 +45,12 @@ from .errors import (
 )
 from .nonlinearity import Nonlinearity, decay_rate, find_reference_potential
 from .numerics import (
+    GL5_PARTIAL,
     boundary_clustered_nodes,
     cumulative_panel_integral,
     gauss_panels,
     hermite_eval,
+    panel_integrals,
     second_difference,
     write_csv,
 )
@@ -355,55 +358,41 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
 
 
 # ---------------------------------------------------------------------------
-# shared machinery for the linear corrections
+# linear corrections: potential-space quadrature on the nodes of u
 # ---------------------------------------------------------------------------
 
 
-class _LayerQuadrature:
-    """Samples of u at the grid nodes and interior Gauss points, with the
-    backward energy integral I(t) = integral of u'^2 from t to infinity
-    evaluated in potential space.  v and w of one boundary share it."""
-
-    def __init__(self, u: ULayer, f: Nonlinearity):
-        t = u.t
-        self.t = t
-        self.phi_star = u.phi_star
-        n = len(t)
-        xg, wg = gauss_panels(t[:-1], t[1:])
-        self.wg = wg
-        # positions of the Gauss points in the merged node+Gauss sequence
-        self.gauss = (np.arange(n - 1)[:, None] * 6 + np.arange(1, 6)).ravel()
-        delta_nodes = u.delta
-        d_all = np.empty((n - 1) * 6 + 1)
-        d_all[::6] = delta_nodes
-        d_all[self.gauss] = hermite_eval(xg.ravel(), t, delta_nodes, u.derivs)[0]
-        self.delta_all = d_all
-        speed = _speed_from_delta(f, self.phi_star)
-        self.minus_2F = np.maximum(-2.0 * _from_delta(f.F, self.phi_star, d_all), 0.0)
-        # I(t) = |integral of speed from offset 0 to delta(t)|, accumulated
-        # from the reference end
-        seq = np.concatenate(([0.0], d_all[::-1]))
-        g = np.abs(cumulative_panel_integral(speed, seq))
-        self.energy_all = g[1:][::-1]
-        self.int_usq = float(g[-1])
-
-    def cumulative(self, integrand_all: np.ndarray) -> np.ndarray:
-        """Cumulative integral over the node grid of a quantity sampled on
-        the merged node+Gauss sequence."""
-        inc = np.sum(integrand_all[self.gauss].reshape(-1, 5) * self.wg, axis=1)
-        out = np.empty(len(self.t))
-        out[0] = 0.0
-        np.cumsum(inc, out=out[1:])
-        return out
-
-    @property
-    def nodes(self) -> slice:
-        return slice(None, None, 6)
+def _panel_quadrature(u: ULayer, f: Nonlinearity):
+    """Gauss points x and weights |wq| of shape (n - 1, 5) on the offset panels
+    [delta_{j+1}, delta_j] between consecutive nodes of u, and the layer speed
+    |u'| at x.  Since dt = |d delta| / speed, a t-integral of g over a panel is
+    the sum of wq g / speed."""
+    x, wq = gauss_panels(u.delta[1:], u.delta[:-1])
+    speed = _speed_from_delta(f, u.phi_star)(x.ravel()).reshape(x.shape)
+    return x, np.abs(wq), speed
 
 
-def _quadrature(u: ULayer, f: Nonlinearity) -> _LayerQuadrature | None:
-    """The layer quadrature of u, or None when u is flat (no layer)."""
-    return None if u.flat else _LayerQuadrature(u, f)
+def _energy(u: ULayer, f: Nonlinearity, wq: np.ndarray, speed: np.ndarray):
+    """I(t) = integral of u'^2 from t to infinity = |integral of speed from
+    offset 0 to delta(t)|, at the nodes (suffix sums of the panel integrals)
+    and at the Gauss points (partial integrals of the degree-6 interpolant
+    through the two node speeds |u'| and the five Gauss speeds of a panel)."""
+    d = u.delta
+    nodes = np.empty(len(d))
+    nodes[-1] = abs(panel_integrals(_speed_from_delta(f, u.phi_star), [0.0], d[-1:])[0])
+    nodes[:-1] = nodes[-1] + np.cumsum(np.sum(speed * wq, axis=1)[::-1])[::-1]
+    node_speed = np.abs(u.derivs)
+    y = np.column_stack((node_speed[1:], speed, node_speed[:-1]))
+    gauss = nodes[1:, None] + 0.5 * np.abs(d[:-1] - d[1:])[:, None] * (y @ GL5_PARTIAL.T)
+    return nodes, gauss
+
+
+def _cumulative(wq: np.ndarray, integrand: np.ndarray) -> np.ndarray:
+    """Integral from node 0 to every node, from integrand values at the Gauss
+    points of each panel."""
+    out = np.zeros(len(wq) + 1)
+    np.cumsum(np.sum(integrand * wq, axis=1), out=out[1:])
+    return out
 
 
 def _tail_amplitude(t, resid, rate) -> float:
@@ -449,29 +438,22 @@ def _denominator(u: ULayer, f: Nonlinearity, gamma: float) -> float:
 
 
 def solve_v(u: ULayer, f: Nonlinearity, robin: RobinData) -> VLayer:
-    """Curvature-correction profile from its variation-of-parameters form."""
-    return _solve_v(u, f, robin, _quadrature(u, f))
-
-
-def _solve_v(u: ULayer, f: Nonlinearity, robin: RobinData,
-             lq: _LayerQuadrature | None) -> VLayer:
-    if lq is None:
+    """Curvature-correction profile from its variation-of-parameters form
+    v = u' (v(0)/u'(0) - A), A(t) = integral of I/u'^2 from 0 to t, summed in
+    potential space as the integral of I/speed^3 over the offset."""
+    if u.flat:
         # t_star = 0 is where the argmax rule below puts it for v = 0
         return _constant_profile(
             VLayer, "v", 0.0, u.t_max, len(u.t), robin, u.mu, v0=0.0, t_star=0.0,
         )
-    u0p = u.u0_prime
     den = _denominator(u, f, robin.gamma)
-    v0 = -robin.gamma / den * lq.int_usq
-    v_prime0 = -lq.int_usq / den
-    ratio_all = lq.energy_all / lq.minus_2F  # I(t) / u'(t)^2, bounded
-    a = lq.cumulative(ratio_all)
-    du_nodes = u.derivs
-    v = du_nodes * (v0 / u0p - a)
-    f_nodes = _from_delta(f.f, lq.phi_star, lq.delta_all[lq.nodes])
-    energy_nodes = lq.energy_all[lq.nodes]
-    dv = -f_nodes * (v0 / u0p - a) - energy_nodes / du_nodes
-    dv[0] = v_prime0
+    _, wq, speed = _panel_quadrature(u, f)
+    energy, energy_gauss = _energy(u, f, wq, speed)
+    v0 = -robin.gamma / den * energy[0]
+    c = v0 / u.u0_prime - _cumulative(wq, energy_gauss / speed**3)
+    v = u.derivs * c
+    dv = -_from_delta(f.f, u.phi_star, u.delta) * c - energy / u.derivs
+    dv[0] = -energy[0] / den
     tail = _fit_tail(u.t, v, 0.0, u.mu)
     # extremum location by parabolic refinement of the grid argmax
     j = int(np.argmax(np.abs(v)))
@@ -508,51 +490,29 @@ def solve_w(
     q: float,
     robin: RobinData,
 ) -> WLayer:
-    """Conservation-correction profile from its variation-of-parameters form.
+    """Conservation-correction profile from its variation-of-parameters form
+    w = u' (w(0)/u'(0) + B), B(t) = integral of -F1(u)/u'^2 from 0 to t,
+    summed in potential space as solve_v sums A.
 
     The forcing enters through the antiderivative of f1 anchored at the bulk
     potential: Q f0(u) - Fhat1(u) = -F1(u).
     """
-    _check_f1(f1, q)
-    return _solve_w(u, f0, f1, q, robin, _quadrature(u, f0))
-
-
-def _solve_v_and_w(
-    u: ULayer,
-    f0: Nonlinearity,
-    f1: Nonlinearity,
-    q: float,
-    robin: RobinData,
-) -> tuple[VLayer, WLayer]:
-    """solve_v(u, f0, robin) and solve_w(u, f0, f1, q, robin) from one
-    shared layer quadrature, released on return."""
-    _check_f1(f1, q)
-    lq = _quadrature(u, f0)
-    return _solve_v(u, f0, robin, lq), _solve_w(u, f0, f1, q, robin, lq)
-
-
-def _check_f1(f1: Nonlinearity, q: float):
     if f1.provenance != "f1":
         raise MismatchedReference("solve_w needs the combined first-order density")
     if f1.q is None or abs(f1.q - q) > 1e-12 * max(1.0, abs(q)):
         raise MismatchedReference("f1 was not built with this drift constant")
-
-
-def _solve_w(u: ULayer, f0: Nonlinearity, f1: Nonlinearity, q: float,
-             robin: RobinData, lq: _LayerQuadrature | None) -> WLayer:
-    if lq is None:
+    if u.flat:
         return _constant_profile(WLayer, "w", q, u.t_max, len(u.t), robin, u.mu, w0=q, q=q)
     limit = -float(f1.f(u.phi_star)) / float(f0.df(u.phi_star))
-    u0p = u.u0_prime
     den = _denominator(u, f0, robin.gamma)
-    neg_F1_all = -_from_delta(f1.F, lq.phi_star, lq.delta_all)
-    w0 = robin.gamma * neg_F1_all[0] / den
-    w_prime0 = neg_F1_all[0] / den
-    a = lq.cumulative(neg_F1_all / lq.minus_2F)
-    w = u.derivs * (w0 / u0p + a)
-    f0_nodes = _from_delta(f0.f, lq.phi_star, lq.delta_all[lq.nodes])
-    dw = -f0_nodes * (w0 / u0p + a) + neg_F1_all[lq.nodes] / u.derivs
-    dw[0] = w_prime0
+    x, wq, speed = _panel_quadrature(u, f0)
+    neg_F1 = -_from_delta(f1.F, u.phi_star, u.delta)
+    neg_F1_gauss = -_from_delta(f1.F, u.phi_star, x.ravel()).reshape(x.shape)
+    w0 = robin.gamma * neg_F1[0] / den
+    c = w0 / u.u0_prime + _cumulative(wq, neg_F1_gauss / speed**3)
+    w = u.derivs * c
+    dw = -_from_delta(f0.f, u.phi_star, u.delta) * c + neg_F1 / u.derivs
+    dw[0] = neg_F1[0] / den
     tail = _fit_tail(u.t, w, limit, u.mu)
     return WLayer(
         kind="w", t=u.t, values=w, derivs=dw, tail=tail, robin=robin, w0=float(w0), q=float(q),

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pblayers.ccpb import ccpb_constants
@@ -10,6 +11,26 @@ EPS_SWEEP = (1e-2, 1e-3, 1e-4)
 
 GAMMAS = (0.0, 0.1, 1.0)
 PHI_BDS = (0.5, -0.5, 1.0, -1.0)
+
+
+def _stencil_derivative(t, y):
+    """First derivative at every node from the quartic through the 5 nodes
+    around it (one small Vandermonde solve per node, vectorized); fourth-order
+    accurate on smooth grids.  Independent of the
+    package's own derivatives, which the tests check against it."""
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(t)
+    start = np.clip(np.arange(n) - 2, 0, n - 5)
+    cols = start[:, None] + np.arange(5)[None, :]
+    dt = t[cols] - t[:, None]
+    powers = dt[:, :, None] ** np.arange(5)[None, None, :]
+    return np.linalg.solve(powers, y[cols][:, :, None])[:, 1, 0]
+
+
+@pytest.fixture(scope="session")
+def stencil_derivative():
+    return _stencil_derivative
 
 
 @pytest.fixture(scope="session")

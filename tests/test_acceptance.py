@@ -36,7 +36,6 @@ from pblayers.radial_oracle import (
     compare_expansion,
     solve_radial_dirichlet,
 )
-from pblayers.numerics import stencil_derivative
 
 SQRT2 = math.sqrt(2.0)
 
@@ -111,7 +110,7 @@ def test_criterion_03_ode_residuals(std_bundle, salt, annulus_constants):
         assert np.max(np.abs(mine - sol.sol(tq)[0])) <= 1e-7
 
 
-def test_criterion_04_structural_laws(profile_matrix, salt):
+def test_criterion_04_structural_laws(profile_matrix, salt, stencil_derivative):
     with criterion(4, "structural laws over the 12-configuration matrix"):
         for (gamma, phi_bd), (u, v) in profile_matrix.items():
             sgn = 1.0 if phi_bd > 0 else -1.0

@@ -14,7 +14,7 @@ from pblayers.ccpb import (
 from pblayers.errors import AllBoundaryPotentialsEqual, NeutralityViolated
 from pblayers.geometry import BoundaryComponent, DomainSpec, make_annulus
 from pblayers.nonlinearity import IonSpecies
-from pblayers import ccpb, nonlinearity, profiles
+from pblayers import ccpb, nonlinearity
 from pblayers.profiles import RobinData, profile_eval, solve_v, solve_w
 
 
@@ -183,13 +183,25 @@ class TestBulkExpansion:
                 )
 
 
-class TestSharedLayerQuadrature:
-    """v and w of each boundary come from one layer quadrature; the sharing
-    must change no number."""
+class TestConstantsPipeline:
+    """ccpb_constants solves v and w of each boundary with the public
+    solve_v/solve_w; its diagnostics are pinned exactly."""
 
-    # the fixture's diagnostics, pinned exactly (phi0* and the boundary
-    # values by Brent's method)
+    # the fixture's diagnostics, pinned exactly (v and w by potential-space
+    # quadrature on the nodes of u)
     DIAGNOSTICS = {
+        "compatibility_residual": 5.898059818321144e-17,
+        "drift_balance": -8.881784197001252e-15,
+        "drift_balance_rel": 7.991567804446665e-16,
+        "flux_residual": 0.0,
+        "flux_residual_rel": 0.0,
+        "mhat_charge": -5.551115123125783e-16,
+        "mhat_charge_rel": 3.0845566298449665e-16,
+    }
+    # the same diagnostics when v and w came from a time-space quadrature on
+    # Hermite-interpolated samples of u, and (second record) when also both
+    # roots came from 1e-14/1e-15 bisections; no residual may grow past them
+    TIME_QUADRATURE_DIAGNOSTICS = {
         "compatibility_residual": 5.898059818321144e-17,
         "drift_balance": 2.3092638912203256e-14,
         "drift_balance_rel": 2.077807629156127e-15,
@@ -198,8 +210,6 @@ class TestSharedLayerQuadrature:
         "mhat_charge": -5.551115123125783e-16,
         "mhat_charge_rel": 3.0845566298449665e-16,
     }
-    # the same diagnostics when both roots came from 1e-14/1e-15 bisections;
-    # no residual may grow past them
     BISECTION_DIAGNOSTICS = {
         "compatibility_residual": 2.498001805406602e-16,
         "drift_balance": 2.4868995751603507e-14,
@@ -227,20 +237,9 @@ class TestSharedLayerQuadrature:
                     getattr(want, k) for k in want.json_keys
                 ]
 
-    def test_diagnostics_unchanged(self, annulus_constants):
+    def test_diagnostics_pinned(self, annulus_constants):
         got = annulus_constants.diagnostics
         assert got == self.DIAGNOSTICS
-        for key, bound in self.BISECTION_DIAGNOSTICS.items():
-            assert abs(got[key]) <= abs(bound), key
-
-    def test_one_quadrature_per_layer(self, annulus_domain, msalt, monkeypatch):
-        built = []
-
-        class Counting(profiles._LayerQuadrature):
-            def __init__(self, u, f):
-                built.append(u)
-                super().__init__(u, f)
-
-        monkeypatch.setattr(profiles, "_LayerQuadrature", Counting)
-        ccpb_constants(annulus_domain, msalt, n_nodes=2001)
-        assert len(built) == 2 and built[0] is not built[1]
+        for record in (self.TIME_QUADRATURE_DIAGNOSTICS, self.BISECTION_DIAGNOSTICS):
+            for key, bound in record.items():
+                assert abs(got[key]) <= abs(bound), key

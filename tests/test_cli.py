@@ -1,5 +1,6 @@
 import filecmp
 import json
+import math
 import re
 from pathlib import Path
 
@@ -292,6 +293,14 @@ def test_readme_example_config_runs(tmp_path):
         pytest.param("verify", PB_BASE, "verify", {"T": "x"}, "T", id="verify-T"),
         pytest.param("oracle", PB_BASE, "oracle", {"points_per_layer": 0}, "points_per_layer",
                      id="oracle-points_per_layer-zero"),
+        # json.load reads NaN and Infinity as floats
+        pytest.param("expand", PB_BASE, "expand", {"t_max": math.nan}, "t_max",
+                     id="expand-t_max-nan"),
+        pytest.param("profiles", PB_BASE, "robin", [{"gamma": math.nan, "phi_bd": 1.0}],
+                     "gamma", id="robin-gamma-nan"),
+        pytest.param("profiles", PB_BASE, "robin", [{"gamma": 0.1, "phi_bd": math.inf}],
+                     "phi_bd", id="robin-phi_bd-inf"),
+        pytest.param("oracle", PB_BASE, "eps", [math.inf], "eps", id="eps-inf"),
     ],
 )
 def test_missing_or_bad_key_is_config_error(tmp_path, capsys, command, base, section, value, key):

@@ -5,7 +5,7 @@ import pytest
 
 from pblayers.errors import ConfigError, GridTooCoarse, MismatchedReference, NegativeTime
 from pblayers.nonlinearity import IonSpecies, make_classical_pb, make_f0, make_f1, make_fhat1
-from pblayers.numerics import boundary_clustered_nodes, stencil_derivative
+from pblayers.numerics import boundary_clustered_nodes
 from pblayers.profiles import (
     MIN_NODES,
     EquationSpec,
@@ -196,7 +196,7 @@ class TestCurvatureProfile:
             assert np.all(g < 0)
             assert abs(g[-1]) < 1e-12
 
-    def test_integral_identity(self, profile_matrix, salt):
+    def test_integral_identity(self, profile_matrix, salt, stencil_derivative):
         # v'(t) (-u'(t)) = f(u) v + int_t^inf u'^2, checked against an
         # independent five-point stencil derivative of the v samples
         for (gamma, phi_bd), (u, v) in profile_matrix.items():
@@ -206,6 +206,20 @@ class TestCurvatureProfile:
     def test_ode_residual(self, std_bundle, salt):
         res = ode_residual(std_bundle["v"], EquationSpec("v", salt, u=std_bundle["u"]))
         assert res <= 1e-6
+
+    @pytest.mark.parametrize("valences", [(1, -1), (2, -1)], ids=["1:1", "2:1"])
+    @pytest.mark.parametrize("phi_bd", [-30.0, -20.0, 20.0, 30.0, 35.0, 38.0, 40.0])
+    def test_large_boundary_potential(self, valences, phi_bd):
+        # the inner sublayer holds a few nodes at most; |v'(0)| = I(0) / |u'(0)
+        # + gamma f(u(0))| stays below 2 on these salts (2 tanh(phi_bd / 4) for
+        # 1:1 and gamma = 0)
+        z1, z2 = valences
+        f = make_classical_pb([IonSpecies(z1, -z2), IonSpecies(z2, z1)])
+        for gamma in (0.0, 0.1, 10.0):
+            u = solve_u(f, RobinData(gamma, phi_bd))
+            v = solve_v(u, f, RobinData(gamma, 0.0))
+            assert np.all(np.isfinite(v.values)) and np.all(np.isfinite(v.derivs)), gamma
+            assert abs(v.v_prime0) <= 2.0, gamma
 
 
 class TestAuxiliaryLayer:
@@ -224,7 +238,7 @@ class TestAuxiliaryLayer:
         assert th.tail.limit == 1.0
         assert th.values[-1] == pytest.approx(1.0, abs=1e-9)
 
-    def test_boundary_slope_formula_vs_fd(self, std_bundle):
+    def test_boundary_slope_formula_vs_fd(self, std_bundle, stencil_derivative):
         th = std_bundle["theta"]
         assert th.theta_prime0 == pytest.approx(THETA_PRIME0, rel=1e-11)
         d_fd = stencil_derivative(th.t[:7], th.values[:7])[0]

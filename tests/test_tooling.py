@@ -47,3 +47,30 @@ def test_traced_profiles_run_records_layer_spans(monkeypatch, tmp_path):
     calls = [s[3] for s in tracer.spans]
     for name in ("profiles.solve_u", "profiles.solve_v", "profiles.to_csv"):
         assert name in calls, name
+
+
+def test_traced_constants_run_records_correction_spans(monkeypatch, tmp_path):
+    # ccpb_constants must reach v and w through the public solvers, which the
+    # bench spans wrap in every module that binds them
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import pblayers.cli as cli
+    import spans
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "model": "ccpb",
+        "species": [{"z": 1, "amount": 1}, {"z": -1, "amount": 1}],
+        "domain": {"type": "annulus", "d": 2, "inner_radius": 1.0, "outer_radius": 2.0},
+        "robin": [{"gamma": 0.1, "phi_bd": 1.0}, {"gamma": 0.1, "phi_bd": -1.0}],
+        "grid": {"n_nodes": 2001},
+    }))
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        argv = ["constants", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    calls = [s[3] for s in tracer.spans]
+    for name in ("profiles.solve_v", "profiles.solve_w"):
+        assert calls.count(name) == 2, name
