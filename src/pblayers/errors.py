@@ -50,10 +50,6 @@ class RootBracketFailure(SolverError):
     """The boundary-value compatibility equation could not be bracketed."""
 
 
-class NonMonotoneTrajectory(SolverError):
-    """Profile integration left the first-integral manifold."""
-
-
 class DenominatorNearZero(SolverError):
     """u'(0) + gamma*f(u(0)) vanished; impossible for valid inputs."""
 

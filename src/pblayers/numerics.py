@@ -60,16 +60,6 @@ def panel_integrals(fn, a, b):
     return np.sum(fn(x.ravel()).reshape(x.shape) * w, axis=1)
 
 
-def cumulative_panel_integral(fn, nodes):
-    """Cumulative integral of fn from nodes[0] along a node sequence."""
-    nodes = np.asarray(nodes, dtype=float)
-    seg = panel_integrals(fn, nodes[:-1], nodes[1:])
-    out = np.empty(nodes.shape, dtype=float)
-    out[0] = 0.0
-    np.cumsum(seg, out=out[1:])
-    return out
-
-
 def hermite_eval(tq, t, y, dy):
     """Evaluate the piecewise cubic Hermite interpolant of (t, y, dy) at tq.
 
@@ -113,17 +103,18 @@ def second_difference(t, y):
     )
 
 
-def boundary_clustered_nodes(n: int, t_max: float):
-    """n cosine-graded nodes on [0, t_max], clustered at t = 0 only.
+def boundary_clustered_nodes(n: int, span: float):
+    """n cosine-graded nodes on [0, span], clustered at 0 only.
 
-    The cosine map concentrates resolution where the layer curvature lives;
-    the uniform blend keeps the minimum spacing at
-    (1-CLUSTER_BLEND)*t_max/(n-1), so second differences of sampled values
-    stay above the rounding-noise floor and exponentially close tail samples
-    remain distinct doubles.
+    solve_u grades the decades -log10((u - phi*) / (u(0) - phi*)) of its
+    offsets with it: the cosine map concentrates resolution at the boundary,
+    where the inner sublayer of a large potential drop lives, and the uniform
+    blend keeps the minimum spacing at (1-CLUSTER_BLEND)*span/(n-1), so
+    consecutive offsets stay distinct doubles and the tail nodes, where
+    t grows linearly in the decades, stay evenly spaced in t.
     """
     xi = np.linspace(0.0, 1.0, n)
-    return t_max * ((1.0 - CLUSTER_BLEND) * xi + CLUSTER_BLEND * (1.0 - np.cos(0.5 * np.pi * xi)))
+    return span * ((1.0 - CLUSTER_BLEND) * xi + CLUSTER_BLEND * (1.0 - np.cos(0.5 * np.pi * xi)))
 
 
 def bisect_root(left_of_root, lo: float, hi: float, rtol: float) -> float:

@@ -12,17 +12,18 @@ Four profiles are solved on [0, infinity):
            homogeneous Robin, w(inf) = Q
 
 The u-profile conserves u'^2 + 2 F(u) = 0 exactly, which makes u monotone and
-lets us parametrize the trajectory in potential space: the time map
-t(x) = integral of 1/sqrt(-2F) from x to u(0) is computed by panel quadrature
-and inverted per grid node by vectorized Newton steps.  The first integral
-therefore holds by construction at every node; u(0) solves the Robin
-compatibility equation with the slope boundary_slope.  v and w are evaluated
-from their closed-form variation-of-parameters representations with all
-nested integrals reduced to Gauss quadratures over the offsets u - phi* of
-the nodes of u (no tail truncation, no cancellation from 1/u'^2 blow-up, no
-interpolation of u between nodes).  The u and theta tails decay at the
-known rate sqrt(-f'(phi*)); v ~ t exp(-mu t), so the v and w tails fit their
-rate.
+lets us parametrize the trajectory in potential space: the nodes of u are
+chosen as offsets u - phi*, log-spaced from u(0) - phi* into the tail and
+graded toward the boundary, and the time map t(x) = integral of
+1/sqrt(-2F) from x to u(0) is summed at them by panel quadrature.  Nothing
+is inverted; the first integral holds by construction at every node; u(0)
+solves the Robin compatibility equation with the slope boundary_slope.  v
+and w are evaluated from their closed-form variation-of-parameters
+representations with all nested integrals reduced to Gauss quadratures over
+the offsets u - phi* of the nodes of u (no tail truncation, no cancellation
+from 1/u'^2 blow-up, no interpolation of u between nodes).  The u and theta
+tails decay at the known rate sqrt(-f'(phi*)); v ~ t exp(-mu t), so the v
+and w tails fit their rate.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .errors import (
@@ -40,14 +40,12 @@ from .errors import (
     GridTooCoarse,
     MismatchedReference,
     NegativeTime,
-    NonMonotoneTrajectory,
     RootBracketFailure,
 )
 from .nonlinearity import Nonlinearity, decay_rate, find_reference_potential
 from .numerics import (
     GL5_PARTIAL,
     boundary_clustered_nodes,
-    cumulative_panel_integral,
     gauss_panels,
     hermite_eval,
     panel_integrals,
@@ -57,7 +55,7 @@ from .numerics import (
 
 DEFAULT_NODES = 20001
 MIN_NODES = 5  # fewest nodes solve_u and ode_residual accept
-TMAX_CAP_FACTOR = 40.0
+TMAX_CAP_FACTOR = 40.0  # m_f * t_max of the flat profile
 TAIL_REL_THRESHOLD = 1e-12
 BOUNDARY_RTOL = 1e-15  # Brent tolerance (xtol = rtol) of the Robin boundary value
 TAIL_WINDOW = (0.55, 0.92)  # fraction of t_max that _fit_tail fits over
@@ -71,6 +69,8 @@ class RobinData:
     phi_bd: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.gamma) and math.isfinite(self.phi_bd)):
+            raise ConfigError("gamma and phi_bd must be finite")
         if self.gamma < 0:
             raise ConfigError("gamma must be >= 0 (0 is the Dirichlet limit)")
 
@@ -273,6 +273,34 @@ def _speed_from_delta(f: Nonlinearity, phi_star: float):
     return speed
 
 
+def _panel_quadrature(f: Nonlinearity, phi_star: float, delta: np.ndarray):
+    """Gauss points x and weights |wq| of shape (n - 1, 5) on the offset panels
+    [delta_{j+1}, delta_j] between consecutive nodes, and the layer speed |u'|
+    at x.  Since dt = |d delta| / speed, a t-integral of g over a panel is the
+    sum of wq g / speed."""
+    x, wq = gauss_panels(delta[1:], delta[:-1])
+    speed = _speed_from_delta(f, phi_star)(x.ravel()).reshape(x.shape)
+    return x, np.abs(wq), speed
+
+
+def _cumulative(wq: np.ndarray, integrand: np.ndarray) -> np.ndarray:
+    """Integral from node 0 to every node, from integrand values at the Gauss
+    points of each panel."""
+    out = np.zeros(len(wq) + 1)
+    np.cumsum(np.sum(integrand * wq, axis=1), out=out[1:])
+    return out
+
+
+def _node_energy(f: Nonlinearity, phi_star: float, delta, wq, speed) -> np.ndarray:
+    """I(t) = integral of u'^2 from t to infinity at the nodes: |integral of
+    the speed from offset 0 to delta(t)|, as suffix sums of the panel
+    integrals plus one panel beyond the last node."""
+    out = np.empty(len(delta))
+    out[-1] = abs(panel_integrals(_speed_from_delta(f, phi_star), [0.0], delta[-1:])[0])
+    out[:-1] = out[-1] + np.cumsum(np.sum(speed * wq, axis=1)[::-1])[::-1]
+    return out
+
+
 def _constant_profile(cls, kind, level, t_max, n_nodes, robin, rate, **fields):
     return cls(
         kind=kind,
@@ -289,9 +317,10 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
     """Solve the leading-order layer profile.
 
     The trajectory satisfies u'(t) = sgn(phi* - phi_bd) sqrt(-2 F(u)) exactly,
-    so nodes are produced by inverting the potential-space time map; the
-    first-integral identity u'^2 + 2F(u) = 0 holds at every node by
-    construction.
+    so the n_nodes nodes are chosen in potential space, as offsets
+    u - phi* from u(0) - phi* down to TAIL_REL_THRESHOLD of it, and each node
+    gets its t from the time map; the first-integral identity
+    u'^2 + 2F(u) = 0 holds at every node by construction.
     """
     if n_nodes < MIN_NODES:
         raise GridTooCoarse(f"n_nodes = {n_nodes}: a profile needs at least {MIN_NODES} nodes")
@@ -310,44 +339,16 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
         )
 
     sgn_du = 1.0 if phi_star > u0 else -1.0  # sign of u'
-    speed = _speed_from_delta(f, phi_star)
-    u0_prime = sgn_du * float(speed(delta0)[0])
-
-    # potential-space table: log-spaced offsets from phi*, from |delta0| down
-    # to the tail threshold; t(delta) by cumulative panel quadrature of
-    # 1/speed; everything runs on the offset delta = u - phi* so that the
-    # exponentially small tail keeps full relative accuracy
-    n_table = max(4 * int(math.sqrt(n_nodes)) + 1000, 2000)
+    # nodes in potential space: offsets delta = u - phi* log-spaced from
+    # delta0 down to the tail threshold, graded toward the boundary; t by
+    # panel quadrature of dt = |d delta| / speed; everything runs on the
+    # offset so that the exponentially small tail keeps full relative accuracy
     decades = -math.log10(TAIL_REL_THRESHOLD)
-    frac = np.logspace(0.0, -decades, n_table)
-    table_d = delta0 * frac  # from delta0 toward 0
-    table_t = np.abs(cumulative_panel_integral(lambda x: 1.0 / speed(x), table_d))
-    t_cap = TMAX_CAP_FACTOR / m_f
-    t_max = min(float(table_t[-1]), t_cap)
-
-    t = boundary_clustered_nodes(n_nodes, t_max)
-    inv = PchipInterpolator(table_t, table_d)
-    delta = inv(np.clip(t, table_t[0], table_t[-1]))
-    # Newton-correct the inversion: t(delta) evaluated from the nearest
-    # table node by one quadrature panel
-    idx = np.clip(np.searchsorted(table_t, t) - 1, 0, n_table - 1)
-    for _ in range(3):
-        x, wq = gauss_panels(table_d[idx], delta)
-        tau = table_t[idx] + np.abs(np.sum((1.0 / speed(x.ravel())).reshape(x.shape) * wq, axis=1))
-        delta = delta + (t - tau) * sgn_du * speed(delta)
-    delta[0] = delta0
-    if delta0 > 0:
-        delta = np.maximum(delta, 0.0)
-        if np.any(np.diff(delta) >= 0):
-            raise NonMonotoneTrajectory("u lost strict monotonicity")
-    else:
-        delta = np.minimum(delta, 0.0)
-        if np.any(np.diff(delta) <= 0):
-            raise NonMonotoneTrajectory("u lost strict monotonicity")
-    du = sgn_du * speed(delta)
-    du[0] = u0_prime
-
-    int_usq = float(np.abs(cumulative_panel_integral(speed, np.concatenate(([0.0], table_d[::-1]))))[-1])
+    delta = delta0 * 10.0 ** -boundary_clustered_nodes(n_nodes, decades)
+    _, wq, speed = _panel_quadrature(f, phi_star, delta)
+    t = _cumulative(wq, 1.0 / speed)
+    int_usq = float(_node_energy(f, phi_star, delta, wq, speed)[0])
+    du = sgn_du * _speed_from_delta(f, phi_star)(delta)
 
     tail = Tail(limit=phi_star, amplitude=_tail_amplitude(t, delta, mu), rate=mu)
     delta.setflags(write=False)
@@ -362,37 +363,17 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
 # ---------------------------------------------------------------------------
 
 
-def _panel_quadrature(u: ULayer, f: Nonlinearity):
-    """Gauss points x and weights |wq| of shape (n - 1, 5) on the offset panels
-    [delta_{j+1}, delta_j] between consecutive nodes of u, and the layer speed
-    |u'| at x.  Since dt = |d delta| / speed, a t-integral of g over a panel is
-    the sum of wq g / speed."""
-    x, wq = gauss_panels(u.delta[1:], u.delta[:-1])
-    speed = _speed_from_delta(f, u.phi_star)(x.ravel()).reshape(x.shape)
-    return x, np.abs(wq), speed
-
-
 def _energy(u: ULayer, f: Nonlinearity, wq: np.ndarray, speed: np.ndarray):
     """I(t) = integral of u'^2 from t to infinity = |integral of speed from
     offset 0 to delta(t)|, at the nodes (suffix sums of the panel integrals)
     and at the Gauss points (partial integrals of the degree-6 interpolant
     through the two node speeds |u'| and the five Gauss speeds of a panel)."""
     d = u.delta
-    nodes = np.empty(len(d))
-    nodes[-1] = abs(panel_integrals(_speed_from_delta(f, u.phi_star), [0.0], d[-1:])[0])
-    nodes[:-1] = nodes[-1] + np.cumsum(np.sum(speed * wq, axis=1)[::-1])[::-1]
+    nodes = _node_energy(f, u.phi_star, d, wq, speed)
     node_speed = np.abs(u.derivs)
     y = np.column_stack((node_speed[1:], speed, node_speed[:-1]))
     gauss = nodes[1:, None] + 0.5 * np.abs(d[:-1] - d[1:])[:, None] * (y @ GL5_PARTIAL.T)
     return nodes, gauss
-
-
-def _cumulative(wq: np.ndarray, integrand: np.ndarray) -> np.ndarray:
-    """Integral from node 0 to every node, from integrand values at the Gauss
-    points of each panel."""
-    out = np.zeros(len(wq) + 1)
-    np.cumsum(np.sum(integrand * wq, axis=1), out=out[1:])
-    return out
 
 
 def _tail_amplitude(t, resid, rate) -> float:
@@ -413,10 +394,13 @@ def _fit_tail(t, values, limit, fallback_rate):
     squares in log space, rate included; falls back to fallback_rate when the
     window is empty or the fitted rate is not positive.  v and w need the
     fitted rate: v ~ t exp(-mu t) is not a pure exponential, so the
-    fixed-rate fit of u and theta does not apply."""
+    fixed-rate fit of u and theta does not apply.  Residuals below 1e-8 of
+    max(|limit|, max |value - limit|) are left out: they are too close to the
+    rounding of the values to carry the tail."""
     resid = values - limit
     t_lo, t_hi = TAIL_WINDOW[0] * t[-1], TAIL_WINDOW[1] * t[-1]
-    sel = (t >= t_lo) & (t <= t_hi) & (np.abs(resid) > 1e-280)
+    floor = 1e-8 * max(abs(limit), float(np.max(np.abs(resid))))
+    sel = (t >= t_lo) & (t <= t_hi) & (np.abs(resid) > floor)
     if np.count_nonzero(sel) < 8:
         return Tail(limit=float(limit), amplitude=0.0, rate=fallback_rate)
     x = t[sel]
@@ -447,7 +431,7 @@ def solve_v(u: ULayer, f: Nonlinearity, robin: RobinData) -> VLayer:
             VLayer, "v", 0.0, u.t_max, len(u.t), robin, u.mu, v0=0.0, t_star=0.0,
         )
     den = _denominator(u, f, robin.gamma)
-    _, wq, speed = _panel_quadrature(u, f)
+    _, wq, speed = _panel_quadrature(f, u.phi_star, u.delta)
     energy, energy_gauss = _energy(u, f, wq, speed)
     v0 = -robin.gamma / den * energy[0]
     c = v0 / u.u0_prime - _cumulative(wq, energy_gauss / speed**3)
@@ -505,7 +489,7 @@ def solve_w(
         return _constant_profile(WLayer, "w", q, u.t_max, len(u.t), robin, u.mu, w0=q, q=q)
     limit = -float(f1.f(u.phi_star)) / float(f0.df(u.phi_star))
     den = _denominator(u, f0, robin.gamma)
-    x, wq, speed = _panel_quadrature(u, f0)
+    x, wq, speed = _panel_quadrature(f0, u.phi_star, u.delta)
     neg_F1 = -_from_delta(f1.F, u.phi_star, u.delta)
     neg_F1_gauss = -_from_delta(f1.F, u.phi_star, x.ravel()).reshape(x.shape)
     w0 = robin.gamma * neg_F1[0] / den

@@ -187,9 +187,22 @@ class TestConstantsPipeline:
     """ccpb_constants solves v and w of each boundary with the public
     solve_v/solve_w; its diagnostics are pinned exactly."""
 
-    # the fixture's diagnostics, pinned exactly (v and w by potential-space
-    # quadrature on the nodes of u)
+    # the fixture's diagnostics, pinned exactly (nodes of u chosen in
+    # potential space, v and w by potential-space quadrature on them)
     DIAGNOSTICS = {
+        "compatibility_residual": 5.898059818321144e-17,
+        "drift_balance": 8.881784197001252e-16,
+        "drift_balance_rel": 7.991567804446672e-17,
+        "flux_residual": 0.0,
+        "flux_residual_rel": 0.0,
+        "mhat_charge": -5.551115123125783e-16,
+        "mhat_charge_rel": 3.0845566298449665e-16,
+    }
+    # the same diagnostics when the nodes of u were chosen in t and found by
+    # inverting the time map; when also v and w came from a time-space
+    # quadrature on Hermite-interpolated samples of u; and when also both
+    # roots came from 1e-14/1e-15 bisections; no residual may grow past them
+    T_GRID_DIAGNOSTICS = {
         "compatibility_residual": 5.898059818321144e-17,
         "drift_balance": -8.881784197001252e-15,
         "drift_balance_rel": 7.991567804446665e-16,
@@ -198,9 +211,6 @@ class TestConstantsPipeline:
         "mhat_charge": -5.551115123125783e-16,
         "mhat_charge_rel": 3.0845566298449665e-16,
     }
-    # the same diagnostics when v and w came from a time-space quadrature on
-    # Hermite-interpolated samples of u, and (second record) when also both
-    # roots came from 1e-14/1e-15 bisections; no residual may grow past them
     TIME_QUADRATURE_DIAGNOSTICS = {
         "compatibility_residual": 5.898059818321144e-17,
         "drift_balance": 2.3092638912203256e-14,
@@ -240,6 +250,8 @@ class TestConstantsPipeline:
     def test_diagnostics_pinned(self, annulus_constants):
         got = annulus_constants.diagnostics
         assert got == self.DIAGNOSTICS
-        for record in (self.TIME_QUADRATURE_DIAGNOSTICS, self.BISECTION_DIAGNOSTICS):
+        for record in (
+            self.T_GRID_DIAGNOSTICS, self.TIME_QUADRATURE_DIAGNOSTICS, self.BISECTION_DIAGNOSTICS,
+        ):
             for key, bound in record.items():
                 assert abs(got[key]) <= abs(bound), key

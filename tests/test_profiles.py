@@ -12,6 +12,7 @@ from pblayers.profiles import (
     Profile,
     RobinData,
     Tail,
+    _fit_tail,
     boundary_potential,
     boundary_slope,
     first_integral_drift,
@@ -42,16 +43,24 @@ def compatibility(f, robin):
 
 
 def gouy_chapman(t, phi_bd):
-    return 4 * np.arctanh(np.tanh(phi_bd / 4) * np.exp(-SQRT2 * np.asarray(t)))
+    """4 artanh(a e^{-sqrt2 t}), a = tanh(phi_bd / 4), with 1 - a e^{-sqrt2 t}
+    summed as -expm1(-sqrt2 t) + (1 - a) e^{-sqrt2 t}, 1 - a = 2 / (e^{|phi_bd|/2}
+    + 1), so that it keeps full accuracy at large |phi_bd|."""
+    s = -SQRT2 * np.asarray(t, dtype=float)
+    y = math.tanh(abs(phi_bd) / 4) * np.exp(s)
+    one_minus_y = -np.expm1(s) + 2 / (math.exp(abs(phi_bd) / 2) + 1) * np.exp(s)
+    return math.copysign(2.0, phi_bd) * (np.log1p(y) - np.log(one_minus_y))
 
 
 class TestLayerProfile:
     def test_gouy_chapman_closed_form(self, salt):
-        tq = np.linspace(0, 20, 2001)
-        for phi_bd in (1.0, -1.0):
+        for phi_bd in (1.0, -1.0, 10.0, 20.0, 40.0):
+            # t where u = phi_bd / 2: the inner sublayer, exp(-phi_bd / 4) thin
+            t_half = math.log(math.tanh(phi_bd / 4) / math.tanh(phi_bd / 8)) / SQRT2
+            tq = np.concatenate((np.linspace(0, 20, 2001), np.linspace(0, 2 * t_half, 2001)))
             u = solve_u(salt, RobinData(0.0, phi_bd))
             val, _ = u(tq)
-            assert np.max(np.abs(val - gouy_chapman(tq, phi_bd))) < 1e-10
+            assert np.max(np.abs(val - gouy_chapman(tq, phi_bd))) < 1e-10, phi_bd
 
     def test_boundary_slope_dirichlet(self, salt):
         u = solve_u(salt, RobinData(0.0, 1.0))
@@ -95,6 +104,14 @@ class TestLayerProfile:
         for phi_bd in (2.0, -2.0):
             robin = RobinData(0.5, phi_bd)
             assert abs(compatibility(f, robin)(boundary_potential(f, robin))) <= 4.4e-16
+
+    @pytest.mark.parametrize("gamma, phi_bd", [
+        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+        (0.1, math.nan), (0.1, math.inf), (0.1, -math.inf),
+    ])
+    def test_non_finite_robin_data_rejected(self, gamma, phi_bd):
+        with pytest.raises(ConfigError, match="finite"):
+            RobinData(gamma, phi_bd)
 
     @pytest.mark.parametrize("n_nodes", [-5, 0, 1, 2, MIN_NODES - 1])
     @pytest.mark.parametrize("phi_bd", [1.0, 0.0])
@@ -220,6 +237,7 @@ class TestCurvatureProfile:
             v = solve_v(u, f, RobinData(gamma, 0.0))
             assert np.all(np.isfinite(v.values)) and np.all(np.isfinite(v.derivs)), gamma
             assert abs(v.v_prime0) <= 2.0, gamma
+            assert time_integral_usq(u) == pytest.approx(u.int_usq, rel=1e-10), gamma
 
 
 class TestAuxiliaryLayer:
@@ -330,6 +348,17 @@ class TestConservationProfile:
         with pytest.raises(MismatchedReference):
             solve_w(u, f0, f1, 2.0, RobinData(0.1, 0.0))
 
+    def test_tail_fit_ignores_rounding_noise(self, annulus_constants):
+        # README annulus, boundary 0: moves of w at 1e-13 of max|w| must not
+        # move the fitted tail
+        u, w = annulus_constants.profiles[0]["u"], annulus_constants.profiles[0]["w"]
+        scale = 1e-13 * np.max(np.abs(w.values))
+        for seed in range(5):
+            noise = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, len(w.values))
+            tail = _fit_tail(u.t, w.values + noise, w.tail.limit, u.mu)
+            assert tail.amplitude == pytest.approx(w.tail.amplitude, rel=1e-5), seed
+            assert tail.rate == pytest.approx(w.tail.rate, rel=1e-6), seed
+
     def test_f1_without_drift_constant_rejected(self, msalt, w_setup):
         from dataclasses import replace
 
@@ -398,10 +427,21 @@ class TestEvaluation:
         assert val == pytest.approx(c * math.exp(-mu * t), rel=1e-12)
         assert der == pytest.approx(-mu * c * math.exp(-mu * t), rel=1e-12)
 
+    # the same tails when the nodes were chosen in t and found by inverting
+    # the time map
+    T_GRID_TAILS = {
+        "u": Tail(0.0, 0.8590519589433202, 1.4142135623730951),
+        "theta": Tail(1.0, -0.8257972615494388, 1.4142135623730951),
+    }
+
     def test_fixed_rate_tails_pinned(self, std_bundle):
         # pinned exactly: the fixed-rate tail fit must not move a bit
-        assert std_bundle["u"].tail == Tail(0.0, 0.8590519589433202, 1.4142135623730951)
-        assert std_bundle["theta"].tail == Tail(1.0, -0.8257972615494388, 1.4142135623730951)
+        assert std_bundle["u"].tail == Tail(0.0, 0.8590519589434619, 1.4142135623730951)
+        assert std_bundle["theta"].tail == Tail(1.0, -0.8257974445355212, 1.4142135623730951)
+        for kind, old in self.T_GRID_TAILS.items():
+            got = std_bundle[kind].tail
+            assert (got.limit, got.rate) == (old.limit, old.rate)
+            assert got.amplitude == pytest.approx(old.amplitude, rel=1e-6)
 
     def test_negative_time(self, std_bundle):
         with pytest.raises(NegativeTime):
