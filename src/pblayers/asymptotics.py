@@ -255,7 +255,8 @@ def decay_envelope(kind: str, m_prime: float, m_rate: float, *, t: float | None 
 
 def grid_rows(q_template: ExpansionQuery, profiles: dict, f: Nonlinearity,
               ts, f1: Nonlinearity | None = None):
-    """CSV-ready (t, eps, value) rows for the four pointwise evaluators.
+    """Values of the four pointwise evaluators on the grid ts, one array per
+    evaluator name.
 
     Each profile is evaluated once over the whole grid ts, and each density
     once over the sampled u; q_template supplies everything but t.
@@ -263,14 +264,9 @@ def grid_rows(q_template: ExpansionQuery, profiles: dict, f: Nonlinearity,
     ts = np.asarray(ts, dtype=float)
     q = replace(q_template, t=ts)
     s = _sample(q, profiles)
-    values = {
+    return {
         "potential": _potential(q, s),
         "field": _field(q, s),
         "charge_density": _charge_density(q, s, f, f1),
         "traction": _traction(q, s, f),
-    }
-    t_list = ts.tolist()
-    return {
-        name: [(t, q.eps, v) for t, v in zip(t_list, vals.tolist())]
-        for name, vals in values.items()
     }

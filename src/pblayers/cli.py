@@ -254,11 +254,12 @@ def cmd_expand(cfg, out: Path) -> int:
     for eps, queries, params in plan:
         tag = _eps_tag(eps)
         for k, (q, bundle) in enumerate(zip(queries, bundles)):
-            rows = asymptotics.grid_rows(q, bundle, f, ts, f1)
-            for name, data in sorted(rows.items()):
+            values = asymptotics.grid_rows(q, bundle, f, ts, f1)
+            eps_col = np.full_like(ts, q.eps)
+            for name, vals in sorted(values.items()):
                 write_csv(
                     out / f"expansion_{name}_k{k}_eps{tag}.csv",
-                    "t,eps,value", data,
+                    "t,eps,value", (ts, eps_col, vals),
                 )
             if params is not None:
                 report = asymptotics.region_charge(

@@ -96,6 +96,12 @@ class RegionEmpty(ConfigError):
     """No oracle grid points fall inside the requested region."""
 
 
+# --- artifacts --------------------------------------------------------------
+
+class NonFiniteOutput(SolverError):
+    """A CSV artifact would carry NaN or inf; nothing is written."""
+
+
 # --- radial oracle ----------------------------------------------------------
 
 class NewtonDivergence(SolverError):

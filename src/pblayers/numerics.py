@@ -6,6 +6,9 @@ brentq), and the CSV writer of every artifact."""
 from __future__ import annotations
 
 import numpy as np
+import orjson
+
+from .errors import NonFiniteOutput
 
 # 5-point Gauss-Legendre rule on [-1, 1]
 _GL5_X = np.array([
@@ -132,11 +135,16 @@ def bisect_root(left_of_root, lo: float, hi: float, rtol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def write_csv(path, header: str, rows):
-    """Write tuples of Python floats under a header line, one value per
-    header field, each as its shortest round-trip repr, so that files are
-    deterministic and reload exactly."""
-    line = ",".join(["%r"] * (header.count(",") + 1)) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.writelines(line % row for row in rows)
+def write_csv(path, header: str, columns):
+    """Write equal-length float columns under a header line, one column per
+    header field.  orjson formats every value at once as its shortest
+    round-trip decimal, so files are deterministic and reload exactly.
+    Raises NonFiniteOutput, before the file is opened, on NaN or inf."""
+    table = np.column_stack(columns)
+    if not np.isfinite(table).all():
+        raise NonFiniteOutput(f"{path}: non-finite value in {header} columns")
+    rows = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].replace(b"],[", b"\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        if rows:
+            fh.write(rows + b"\n")

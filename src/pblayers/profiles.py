@@ -118,10 +118,7 @@ class Profile:
         return profile_eval(self, t)
 
     def to_csv(self, path):
-        write_csv(
-            path, "t,value,derivative",
-            zip(self.t.tolist(), self.values.tolist(), self.derivs.tolist()),
-        )
+        write_csv(path, "t,value,derivative", (self.t, self.values, self.derivs))
 
     def to_json_dict(self) -> dict:
         meta = {k: getattr(self, k) for k in self.json_keys}

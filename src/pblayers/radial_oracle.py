@@ -165,7 +165,7 @@ class RadialSolveResult:
         return self._spline(r, 1)
 
     def to_csv(self, path):
-        write_csv(path, "r,phi", zip(self.r.tolist(), self.phi.tolist()))
+        write_csv(path, "r,phi", (self.r, self.phi))
 
     def to_json_dict(self) -> dict:
         out = {
@@ -230,6 +230,7 @@ class _RadialSystem:
         self.sq_eps = math.sqrt(eps)
 
     def residual(self, phi):
+        """(residual vector, max |f(phi)| over the nodes)."""
         eps = self.eps
         flux = self.face_coef * np.diff(phi)
         fvals = np.asarray(self.f.f(phi), dtype=float)
@@ -244,7 +245,7 @@ class _RadialSystem:
         c0, c1, c2 = _one_sided_coeffs(self.h[-1], self.h[-2])
         dphi = c0 * phi[-1] + c1 * phi[-2] + c2 * phi[-3]
         res[-1] = phi[-1] + self.outer.gamma * self.sq_eps * dphi - self.outer.phi_bd
-        return res
+        return res, float(np.max(np.abs(fvals)))
 
     def banded_jacobian(self, phi):
         """(2,2)-banded Jacobian in solve_banded layout."""
@@ -300,37 +301,36 @@ class _RadialSystem:
 
 def _damped_newton(system: _RadialSystem, phi0):
     phi = np.array(phi0, dtype=float)
-    res = system.residual(phi)
+    res, f_max = system.residual(phi)
     norm = float(np.max(np.abs(res)))
     history = []
 
-    def tol(p):
-        scale = 1.0 + float(np.max(np.abs(system.f.f(p))))
-        return NEWTON_TOL * scale + system.rounding_floor(p)
+    def tol(p, f_max):
+        return NEWTON_TOL * (1.0 + f_max) + system.rounding_floor(p)
 
     for it in range(MAX_NEWTON):
-        if norm <= tol(phi):
+        if norm <= tol(phi, f_max):
             return phi, it, norm
         ab = system.banded_jacobian(phi)
         step = solve_banded((2, 2), ab, -res)
         lam = 1.0
         for _ in range(MAX_DAMPING + 1):
             cand = phi + lam * step
-            cres = system.residual(cand)
+            cres, cf_max = system.residual(cand)
             cnorm = float(np.max(np.abs(cres)))
             if np.isfinite(cnorm) and cnorm < norm:
                 break
             lam *= 0.5
         else:
-            if norm <= tol(phi):  # parked at the rounding floor
+            if norm <= tol(phi, f_max):  # parked at the rounding floor
                 return phi, it, norm
             raise NewtonDivergence(
                 f"no residual decrease at iteration {it} (norm {norm:.3e})",
                 damping_history=history,
             )
         history.append(lam)
-        phi, res, norm = cand, cres, cnorm
-    if norm <= tol(phi):
+        phi, res, norm, f_max = cand, cres, cnorm, cf_max
+    if norm <= tol(phi, f_max):
         return phi, MAX_NEWTON, norm
     raise NewtonDivergence(
         f"Newton did not converge: final norm {norm:.3e}", damping_history=history

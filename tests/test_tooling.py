@@ -74,3 +74,29 @@ def test_traced_constants_run_records_correction_spans(monkeypatch, tmp_path):
     calls = [s[3] for s in tracer.spans]
     for name in ("profiles.solve_v", "profiles.solve_w"):
         assert calls.count(name) == 2, name
+
+
+def test_declared_dependencies_cover_imports():
+    # a module imported by the package but missing from pyproject.toml would
+    # only fail on a fresh install
+    import ast
+    import re
+    import sys
+
+    import pytest
+
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = Path(__file__).resolve().parents[1]
+    imported = set()
+    for path in (root / "src" / "pblayers").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"__future__", "pblayers"}
+    with open(root / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in deps}
+    assert {"numpy", "scipy", "orjson"} <= third_party
+    assert third_party <= declared, sorted(third_party - declared)
