@@ -145,6 +145,4 @@ def write_csv(path, header: str, columns):
         raise NonFiniteOutput(f"{path}: non-finite value in {header} columns")
     rows = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].replace(b"],[", b"\n")
     with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        if rows:
-            fh.write(rows + b"\n")
+        fh.write(header.encode() + b"\n" + rows + b"\n")
