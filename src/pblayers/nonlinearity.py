@@ -71,6 +71,22 @@ def check_neutrality(species: Sequence[IonSpecies]):
         )
 
 
+def _exponents(d, b):
+    """(t, m) with t[..., j] = d * b[j] and m = max over j of t[..., j].
+
+    Filled one term column at a time and reduced with np.maximum: the same
+    bits as np.multiply.outer(d, b) and t.max(axis=-1), without their fixed
+    per-call cost, which dominates for the two or three terms of a salt.
+    """
+    t = np.empty(d.shape + b.shape)
+    for j, bj in enumerate(b):
+        np.multiply(d, bj, out=t[..., j])
+    m = t[..., 0].copy()
+    for j in range(1, len(b)):
+        np.maximum(m, t[..., j], out=m)
+    return t, m
+
+
 class _ExpSum:
     """E(phi) = sum_i a_i exp(b_i (phi - ref)), with stable evaluation.
 
@@ -88,9 +104,7 @@ class _ExpSum:
     def __call__(self, phi):
         if np.isscalar(phi) or getattr(phi, "ndim", 0) == 0:
             return self._scalar(float(phi))
-        phi = np.asarray(phi, dtype=float)
-        t = np.multiply.outer(phi - self.ref, self.b)
-        m = t.max(axis=-1)
+        t, m = _exponents(np.asarray(phi, dtype=float) - self.ref, self.b)
         big = m > _EXP_GUARD
         if not big.any():
             return np.exp(t) @ self.a
@@ -211,9 +225,9 @@ class _ExpSumAntiderivative:
             out[near] = acc
         far = ~near
         if far.any():
-            t = np.multiply.outer(d[far], self.esum.b)
+            t, m = _exponents(d[far], self.esum.b)
             val = np.expm1(np.minimum(t, _EXP_GUARD)) @ self._w_over_b
-            overflow = t.max(axis=-1) > _EXP_GUARD
+            overflow = m > _EXP_GUARD
             if overflow.any():
                 # the fastest-growing term decides the sign at huge arguments
                 lead = np.argmax(t, axis=-1)

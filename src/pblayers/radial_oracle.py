@@ -1,11 +1,14 @@
 """Brute-force radial ground truth.
 
 Finite-volume discretization of -eps (r^{d-1} phi')' = r^{d-1} f(phi) on a
-boundary-graded grid, solved by damped Newton with an exact banded Jacobian.
-Cell-centered conservative fluxes make the discrete divergence identity hold
-to solver tolerance.  Every boundary row is a Robin row (gamma = 0 is the
-Dirichlet limit), and the center of a ball is a symmetric flux row; the
-Dirichlet solver is the Robin solver on a ball with gamma = 0.
+boundary-graded grid, solved by damped Newton with an exact (2,2)-banded
+Jacobian.  Only its diagonal depends on phi, so each system assembles the
+other bands once, and a Newton step adds f'(phi) to the diagonal of a copy
+and factors it with LAPACK's dgbsv.  Cell-centered conservative fluxes make
+the discrete divergence identity hold to solver tolerance.  Every boundary
+row is a Robin row (gamma = 0 is the Dirichlet limit), and the center of a
+ball is a symmetric flux row; the Dirichlet solver is the Robin solver on a
+ball with gamma = 0.
 
 Each solve builds its grid and assembled system once.  The nonlocal
 conserved-charge problem is an outer fixed point on the normalizer vector
@@ -27,8 +30,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .errors import (
     ConfigError,
@@ -63,6 +67,29 @@ STRETCHED_SAMPLES = 1024  # points on [0, T] where compare_expansion compares
 # ---------------------------------------------------------------------------
 
 
+def _boundary_offsets(fine_end, limit, h_fine, h_max):
+    """Distances from a boundary: uniform h_fine up to fine_end, then spacings
+    growing by GRID_GROWTH per cell, capped at h_max, up to limit.
+
+    Positions are sequential sums (np.add.accumulate adds in order), so each
+    equals the running sum pos += h of a node-by-node loop, bit for bit.
+    """
+    fine_stop = fine_end * (1 + 1e-12)
+    fine = np.add.accumulate(np.full(int(fine_stop / h_fine) + 2, h_fine))
+    fine = fine[fine <= fine_stop]
+    pos = fine[-1] if len(fine) else 0.0
+    # h_j = min(h_fine * GRID_GROWTH**j, h_max), the powers multiplied in order
+    n_grow = int(math.log(max(h_max / h_fine, 1.0)) / math.log(GRID_GROWTH)) + 2
+    n_grow += int(max(limit - pos, 0.0) / h_max) + 2
+    steps = np.full(n_grow + 1, GRID_GROWTH)
+    steps[0] = h_fine
+    steps = np.minimum(np.multiply.accumulate(steps)[1:], h_max)
+    steps[0] += pos
+    grown = np.add.accumulate(steps)
+    grown = grown[grown <= limit]
+    return np.concatenate(([0.0], fine, grown))
+
+
 def graded_radial_grid(
     d: int,
     r_outer: float,
@@ -88,22 +115,7 @@ def graded_radial_grid(
     half = 0.5 * (r_outer - lo)
 
     def offsets(limit):
-        # distances from a boundary: uniform h_fine across the layer, then
-        # geometric growth capped at h_max, clipped short of the limit
-        offs = [0.0]
-        pos = 0.0
-        fine_end = min(layer_widths * sq, limit)
-        h = h_fine
-        while pos + h_fine <= fine_end * (1 + 1e-12):
-            pos += h_fine
-            offs.append(pos)
-        while True:
-            h = min(h * GRID_GROWTH, h_max)
-            if pos + h > limit:
-                break
-            pos += h
-            offs.append(pos)
-        return np.asarray(offs)
+        return _boundary_offsets(min(layer_widths * sq, limit), limit, h_fine, h_max)
 
     if r_inner is None:
         right = offsets(r_outer - 0.45 * h_max)
@@ -112,8 +124,7 @@ def graded_radial_grid(
         fill = np.linspace(0.0, edge, n_fill + 1)
         r = np.concatenate((fill[:-1], (r_outer - right)[::-1]))
     else:
-        right = offsets(half - 0.45 * h_max)
-        left = offsets(half - 0.45 * h_max)
+        left = right = offsets(half - 0.45 * h_max)
         lo_edge = r_inner + left[-1]
         hi_edge = r_outer - right[-1]
         n_fill = max(int(math.ceil((hi_edge - lo_edge) / h_max)), 1)
@@ -202,12 +213,18 @@ def _one_sided_coeffs(h1, h2):
 
 
 class _RadialSystem:
-    """Residual/Jacobian assembly for one radial problem.
+    """Residual assembly and Newton solves for one radial problem.
 
     `outer` is the Robin data at r = R; `inner` is the Robin data at r = a,
     or None at the center of a ball, where the row is the symmetric flux
     balance.  A Robin row with gamma = 0 is the Dirichlet row.  `f` may be
     replaced between solves on the same grid.
+
+    The Jacobian is (2,2)-banded, and only its diagonal depends on phi (through
+    f'(phi) on the flux rows).  The phi-independent bands are assembled once,
+    in LAPACK's gbsv storage (two fill-in rows above the five bands), and each
+    Newton step copies them into a reused Fortran-order buffer, adds f'(phi)
+    to the diagonal and factors it in place.
     """
 
     def __init__(self, r, d, eps, f: Nonlinearity | None, inner: RobinData | None,
@@ -228,6 +245,36 @@ class _RadialSystem:
         self.n = n
         self.h = h
         self.sq_eps = math.sqrt(eps)
+        # gbsv band storage: ab[4 + i - j, j] = J[i, j]; rows 0-1 are LU fill-in
+        ab = np.zeros((7, n), order="F")
+        a_up = eps * self.face_coef[1:] / self.vol[1:-1]
+        a_dn = eps * self.face_coef[:-1] / self.vol[1:-1]
+        ab[3, 2:] = a_up
+        ab[5, :-2] = a_dn
+        ab[4, 1:-1] = -(a_up + a_dn)
+        # rounding floor: flux differences amplify value rounding by this factor
+        self._floor_scale = float(np.max(eps * (self.face_coef[:-1] + self.face_coef[1:])
+                                         / self.vol[1:-1]))
+        if inner is None:
+            c = eps * self.face_coef[0] / self.vol[0]
+            ab[4, 0] = -c
+            ab[3, 1] = c
+            self._floor_scale = max(self._floor_scale, c)
+            self._df_rows = slice(0, -1)
+        else:
+            g = inner.gamma * self.sq_eps
+            c0, c1, c2 = _one_sided_coeffs(h[0], h[1])
+            ab[4, 0] = 1.0 + g * c0
+            ab[3, 1] = g * c1
+            ab[2, 2] = g * c2
+            self._df_rows = slice(1, -1)
+        g = outer.gamma * self.sq_eps
+        c0, c1, c2 = _one_sided_coeffs(h[-1], h[-2])
+        ab[4, -1] = 1.0 + g * c0
+        ab[5, -2] = g * c1
+        ab[6, -3] = g * c2
+        self._bands = ab
+        self._lu = np.empty_like(ab, order="F")
 
     def residual(self, phi):
         """(residual vector, max |f(phi)| over the nodes)."""
@@ -247,44 +294,32 @@ class _RadialSystem:
         res[-1] = phi[-1] + self.outer.gamma * self.sq_eps * dphi - self.outer.phi_bd
         return res, float(np.max(np.abs(fvals)))
 
-    def banded_jacobian(self, phi):
-        """(2,2)-banded Jacobian in solve_banded layout."""
-        eps = self.eps
-        n = self.n
-        dfv = np.asarray(self.f.df(phi), dtype=float)
-        ab = np.zeros((5, n))
-        # diagonals: ab[0]=super2, ab[1]=super1, ab[2]=diag, ab[3]=sub1, ab[4]=sub2
-        a_up = eps * self.face_coef[1:] / self.vol[1:-1]
-        a_dn = eps * self.face_coef[:-1] / self.vol[1:-1]
-        ab[1, 2:] = a_up
-        ab[3, :-2] = a_dn
-        ab[2, 1:-1] = -(a_up + a_dn) + dfv[1:-1]
-        if self.inner is None:
-            c = eps * self.face_coef[0] / self.vol[0]
-            ab[2, 0] = -c + dfv[0]
-            ab[1, 1] = c
-        else:
-            g = self.inner.gamma * self.sq_eps
-            c0, c1, c2 = _one_sided_coeffs(self.h[0], self.h[1])
-            ab[2, 0] = 1.0 + g * c0
-            ab[1, 1] = g * c1
-            ab[0, 2] = g * c2
-        g = self.outer.gamma * self.sq_eps
-        c0, c1, c2 = _one_sided_coeffs(self.h[-1], self.h[-2])
-        ab[2, -1] = 1.0 + g * c0
-        ab[3, -2] = g * c1
-        ab[4, -3] = g * c2
-        return ab
+    def newton_step(self, phi, res):
+        """The step s solving J(phi) s = -res.
+
+        Raises ValueError on a non-finite f'(phi) or residual and
+        numpy.linalg.LinAlgError on a singular Jacobian, as
+        scipy.linalg.solve_banded does.
+        """
+        lu = self._lu
+        lu[...] = self._bands
+        rows = self._df_rows
+        lu[4, rows] += np.asarray(self.f.df(phi), dtype=float)[rows]
+        rhs = -res
+        if not (np.isfinite(lu[4]).all() and np.isfinite(rhs).all()):
+            raise ValueError("Newton system must not contain infs or NaNs")
+        _, _, step, info = dgbsv(2, 2, lu, rhs, overwrite_ab=1, overwrite_b=1)
+        if info > 0:
+            raise LinAlgError("singular matrix")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dgbsv")
+        return step
 
     def rounding_floor(self, phi):
         """Attainable residual level: flux differences amplify value rounding
         by eps * face_coef / vol, which dominates the floor on fine grids."""
         noise = 2.0**-50 * max(1.0, float(np.max(np.abs(phi))))
-        fl = self.eps * (self.face_coef[:-1] + self.face_coef[1:]) / self.vol[1:-1]
-        floor = float(np.max(fl)) * noise if len(fl) else 0.0
-        if self.inner is None:
-            floor = max(floor, self.eps * self.face_coef[0] / self.vol[0] * noise)
-        return floor
+        return self._floor_scale * noise
 
     def conservation_residual(self, phi):
         """Discrete divergence identity: boundary face fluxes balance the
@@ -311,8 +346,7 @@ def _damped_newton(system: _RadialSystem, phi0):
     for it in range(MAX_NEWTON):
         if norm <= tol(phi, f_max):
             return phi, it, norm
-        ab = system.banded_jacobian(phi)
-        step = solve_banded((2, 2), ab, -res)
+        step = system.newton_step(phi, res)
         lam = 1.0
         for _ in range(MAX_DAMPING + 1):
             cand = phi + lam * step

@@ -15,6 +15,8 @@ from pblayers.errors import (
 )
 from pblayers.nonlinearity import (
     IonSpecies,
+    _ExpSum,
+    _ExpSumAntiderivative,
     decay_rate,
     find_reference_potential,
     make_classical_pb,
@@ -92,6 +94,61 @@ class TestClassical:
         )
         with pytest.raises(NoSignChange):
             find_reference_potential(positive)
+
+
+def _outer_exp_sum(esum, phi):
+    """_ExpSum's array path built on np.multiply.outer and .max(axis=-1)."""
+    t = np.multiply.outer(np.asarray(phi, dtype=float) - esum.ref, esum.b)
+    m = t.max(axis=-1)
+    big = m > 700.0
+    if not big.any():
+        return np.exp(t) @ esum.a
+    out = np.exp(t - m[..., None]) @ esum.a
+    out = out * np.exp(np.where(big, 0.0, m))
+    return np.where(big, np.where(out > 0, np.inf, np.where(out < 0, -np.inf, 0.0)), out)
+
+
+EXP_SUMS = {
+    1: ([0.7], [-1.3], 0.2),
+    2: ([1.0, -1.0], [-1.0, 1.0], 0.0),
+    3: ([2.0, -0.5, -1.5], [-2.0, 1.0, 1.0], -0.3),
+}
+
+
+class TestExpSumArrayPath:
+    @pytest.mark.parametrize("k", sorted(EXP_SUMS))
+    @pytest.mark.parametrize("shape", [(4001,), (37, 53)])
+    def test_bit_equal_to_outer_reference(self, k, shape):
+        a, b, ref = EXP_SUMS[k]
+        esum = _ExpSum(a, b, ref)
+        rng = np.random.default_rng(k)
+        moderate = rng.normal(scale=30.0, size=shape)
+        # a few exponents beyond the overflow guard take the stabilized branch
+        wide = moderate.copy()
+        wide.flat[::97] = rng.uniform(-900.0, 900.0, size=wide.flat[::97].shape)
+        for phi in (moderate, wide):
+            for e in (esum, esum.derivative()):
+                got = e(phi)
+                want = _outer_exp_sum(e, phi)
+                assert got.shape == shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_array_overflow_is_signed_not_nan(self, salt):
+        phi = np.array([[800.0, -800.0], [1e4, -1e4]])
+        f = salt.df.derivative()  # f'' = -2 sinh, through the plain array path
+        assert np.array_equal(f(phi), [[-np.inf, np.inf], [-np.inf, np.inf]])
+        assert np.array_equal(salt.df(phi), np.full((2, 2), -np.inf))
+        assert np.array_equal(salt.f(phi), [[-np.inf, np.inf], [-np.inf, np.inf]])
+        mixed = _ExpSum([1.0, -1.0], [1.0, 1.0])  # cancels exactly: zero, not NaN
+        assert np.array_equal(mixed(np.array([800.0, 1.0])), [0.0, 0.0])
+
+    def test_antiderivative_overflow_is_signed_not_nan(self, salt):
+        d = np.array([800.0, -800.0, 1e4, -1e4])
+        assert np.array_equal(salt.F.from_delta(d), np.full(4, -np.inf))
+        # F = integral of exp(x) + exp(-2x) from 0: the leading term decides
+        anti = _ExpSumAntiderivative(_ExpSum([1.0, 1.0], [1.0, -2.0]), 0.0)
+        assert np.array_equal(anti.from_delta(d), [np.inf, -np.inf, np.inf, -np.inf])
+        assert not np.isnan(anti.from_delta(np.linspace(-1e3, 1e3, 2001))).any()
 
 
 class TestSpecies:

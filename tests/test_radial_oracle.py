@@ -1,14 +1,22 @@
 import functools
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, solve_banded
 
+from pblayers import radial_oracle
 from pblayers.errors import ConfigError, GridTooCoarse, RegionEmpty
 from pblayers.geometry import RegionParams, make_annulus, make_ball, make_disk
 from pblayers.nonlinearity import IonSpecies
 from pblayers.profiles import RobinData
 from pblayers.radial_oracle import (
+    GRID_GROWTH,
+    _one_sided_coeffs,
+    _radial_system,
+    _RadialSystem,
     band_charge_integral,
     compare_expansion,
     graded_radial_grid,
@@ -36,6 +44,42 @@ class TestGrid:
         h = np.diff(r)
         assert h[0] <= math.sqrt(1e-4) / 8 and h[-1] <= math.sqrt(1e-4) / 8
         assert np.all(h > 0)
+
+
+def _loop_offsets(fine_end, limit, h_fine, h_max):
+    """Boundary offsets built node by node, as the grid used to be."""
+    offs = [0.0]
+    pos = 0.0
+    h = h_fine
+    while pos + h_fine <= fine_end * (1 + 1e-12):
+        pos += h_fine
+        offs.append(pos)
+    while True:
+        h = min(h * GRID_GROWTH, h_max)
+        if pos + h > limit:
+            break
+        pos += h
+        offs.append(pos)
+    return np.asarray(offs)
+
+
+@pytest.mark.parametrize("points_per_layer", [8, 800, 2400])
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+@pytest.mark.parametrize("shape", [(2, 1.0, None), (3, 2.0, 1.0)], ids=["ball", "annulus"])
+def test_grid_offsets_match_node_by_node_loop(monkeypatch, shape, eps, points_per_layer):
+    def grid():
+        try:
+            return graded_radial_grid(*shape, eps, points_per_layer=points_per_layer)
+        except GridTooCoarse as exc:
+            return str(exc)
+
+    got = grid()
+    monkeypatch.setattr(radial_oracle, "_boundary_offsets", _loop_offsets)
+    want = grid()
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
 
 
 class TestDirichlet:
@@ -312,3 +356,84 @@ class TestOneSolvePath:
         assert np.array_equal(from_result.r, r)
         assert np.array_equal(from_result.phi, from_array.phi)
         assert from_result.newton_iters == from_array.newton_iters
+
+
+def _five_band_jacobian(system, phi):
+    """The (2,2)-banded Jacobian in solve_banded layout, assembled whole."""
+    eps, n = system.eps, system.n
+    dfv = np.asarray(system.f.df(phi), dtype=float)
+    ab = np.zeros((5, n))
+    a_up = eps * system.face_coef[1:] / system.vol[1:-1]
+    a_dn = eps * system.face_coef[:-1] / system.vol[1:-1]
+    ab[1, 2:] = a_up
+    ab[3, :-2] = a_dn
+    ab[2, 1:-1] = -(a_up + a_dn) + dfv[1:-1]
+    if system.inner is None:
+        c = eps * system.face_coef[0] / system.vol[0]
+        ab[2, 0] = -c + dfv[0]
+        ab[1, 1] = c
+    else:
+        g = system.inner.gamma * system.sq_eps
+        c0, c1, c2 = _one_sided_coeffs(system.h[0], system.h[1])
+        ab[2, 0] = 1.0 + g * c0
+        ab[1, 1] = g * c1
+        ab[0, 2] = g * c2
+    g = system.outer.gamma * system.sq_eps
+    c0, c1, c2 = _one_sided_coeffs(system.h[-1], system.h[-2])
+    ab[2, -1] = 1.0 + g * c0
+    ab[3, -2] = g * c1
+    ab[4, -3] = g * c2
+    return ab
+
+
+NEWTON_DOMAINS = {
+    "ball": make_ball(2, 1.0, RobinData(0.3, 1.5)),
+    # (outer, inner) Robin data: gamma > 0 outside and Dirichlet inside, then swapped
+    "annulus": make_annulus(3, 1.0, 2.0, RobinData(0.7, -1.0), RobinData(0.0, 2.0)),
+    "annulus-robin-inside": make_annulus(2, 1.0, 2.0, RobinData(0.0, 0.5), RobinData(2.0, -1.5)),
+}
+
+
+class TestNewtonStep:
+    @pytest.mark.parametrize("name", sorted(NEWTON_DOMAINS))
+    def test_bit_equal_to_solve_banded(self, salt, name):
+        system = _radial_system(NEWTON_DOMAINS[name], salt, 1e-3, {})
+        r = system.r
+        for phi in (np.zeros(len(r)), np.cos(7.0 * r) * np.exp(-r), np.linspace(-2.0, 3.0, len(r))):
+            res, _ = system.residual(phi)
+            want = solve_banded((2, 2), _five_band_jacobian(system, phi), -res)
+            assert system.newton_step(phi, res).tobytes() == want.tobytes()
+        # the density may be swapped between solves on the same system
+        system.f = replace(salt, df=lambda p: 3.0 * salt.df(p))
+        res, _ = system.residual(phi)
+        want = solve_banded((2, 2), _five_band_jacobian(system, phi), -res)
+        assert system.newton_step(phi, res).tobytes() == want.tobytes()
+
+    def test_nan_derivative_raises_value_error(self, salt):
+        system = _radial_system(NEWTON_DOMAINS["ball"], salt, 1e-3, {})
+        nan_at = len(system.r) // 2
+
+        def df(p):
+            out = np.array(salt.df(p), dtype=float)
+            out[nan_at] = np.nan
+            return out
+
+        system.f = replace(salt, df=df)
+        phi = np.zeros(len(system.r))
+        res, _ = system.residual(phi)
+        with pytest.raises(ValueError):
+            solve_banded((2, 2), _five_band_jacobian(system, phi), -res)
+        with pytest.raises(ValueError):
+            system.newton_step(phi, res)
+
+    def test_singular_system_raises_linalg_error(self, salt):
+        # with eps = 0 the flux couplings vanish and J = diag(1, f'(phi), 1)
+        r = np.linspace(1.0, 2.0, 9)
+        system = _RadialSystem(r, 2, 0.0, None, RobinData(0.0, 1.0), RobinData(0.0, 1.0))
+        system.f = replace(salt, df=lambda p: np.where(np.arange(len(p)) == 4, 0.0, -1.0))
+        phi = np.zeros(len(r))
+        res, _ = system.residual(phi)
+        with pytest.raises(LinAlgError):
+            solve_banded((2, 2), _five_band_jacobian(system, phi), -res)
+        with pytest.raises(LinAlgError):
+            system.newton_step(phi, res)
