@@ -50,6 +50,10 @@ class RootBracketFailure(SolverError):
     """The boundary-value compatibility equation could not be bracketed."""
 
 
+class DegenerateTimeMap(SolverError):
+    """The time map of u is not finite and strictly increasing (|u'| vanished)."""
+
+
 class DenominatorNearZero(SolverError):
     """u'(0) + gamma*f(u(0)) vanished; impossible for valid inputs."""
 

@@ -21,21 +21,24 @@ solves the Robin compatibility equation with the slope boundary_slope.  v
 and w are evaluated from their closed-form variation-of-parameters
 representations with all nested integrals reduced to Gauss quadratures over
 the offsets u - phi* of the nodes of u (no tail truncation, no cancellation
-from 1/u'^2 blow-up, no interpolation of u between nodes).  The u and theta
-tails decay at the known rate sqrt(-f'(phi*)); v ~ t exp(-mu t), so the v
-and w tails fit their rate.
+from 1/u'^2 blow-up, no interpolation of u between nodes).  Beyond the last
+node every profile decays at the known rate mu = sqrt(-f'(phi*)), u and
+theta as exp(-mu t) and v and w as (a + b t) exp(-mu t), so each continues as
+that two-term exponential through its last node's value and slope: no tail
+fit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import (
     ConfigError,
+    DegenerateTimeMap,
     DenominatorNearZero,
     GridTooCoarse,
     MismatchedReference,
@@ -58,7 +61,6 @@ MIN_NODES = 5  # fewest nodes solve_u and ode_residual accept
 TMAX_CAP_FACTOR = 40.0  # m_f * t_max of the flat profile
 TAIL_REL_THRESHOLD = 1e-12
 BOUNDARY_RTOL = 1e-15  # Brent tolerance (xtol = rtol) of the Robin boundary value
-TAIL_WINDOW = (0.55, 0.92)  # fraction of t_max that _fit_tail fits over
 
 
 @dataclass(frozen=True)
@@ -77,11 +79,28 @@ class RobinData:
 
 @dataclass(frozen=True)
 class Tail:
-    """Exponential tail model value(t) ~ limit + amplitude * exp(-rate t)."""
+    """Continuation of a profile beyond its last node t_max: with s = t - t_max,
+    value = limit + (a + b s) exp(-rate s).
+
+    The rate is the known mu = sqrt(-f'(phi*)) of u, and a, b match the value
+    and slope of the last node (anchored), so the tail is C^1 at t_max.
+    """
 
     limit: float
-    amplitude: float
     rate: float
+    a: float
+    b: float
+
+    @classmethod
+    def anchored(cls, limit, rate, dev, slope) -> Tail:
+        """The tail with value limit + dev and the given slope at s = 0."""
+        return cls(float(limit), float(rate), float(dev), float(slope + rate * dev))
+
+    def __call__(self, s):
+        """(value, slope) at s = t - t_max >= 0."""
+        decay = np.exp(-self.rate * s)
+        ab = self.a + self.b * s
+        return self.limit + ab * decay, (self.b - self.rate * ab) * decay
 
 
 @dataclass(frozen=True)
@@ -127,11 +146,7 @@ class Profile:
         return {
             "kind": self.kind,
             "robin": {"gamma": self.robin.gamma, "phi_bd": self.robin.phi_bd},
-            "tail": {
-                "limit": self.tail.limit,
-                "amplitude": self.tail.amplitude,
-                "rate": self.tail.rate,
-            },
+            "tail": asdict(self.tail),
             "t_max": self.t_max,
             "n_nodes": int(len(self.t)),
             "meta": {k: v for k, v in sorted(meta.items()) if v is not None},
@@ -155,13 +170,12 @@ class ULayer(Profile):
 
 @dataclass(frozen=True)
 class VLayer(Profile):
-    """The v-profile; t_star is where |v| peaks, mu_u the rate of u (None when flat)."""
+    """The v-profile; t_star is where |v| peaks."""
 
     v0: float
     t_star: float
-    mu_u: float | None = None
 
-    json_keys = ("v0", "v_prime0", "t_star", "mu_u")
+    json_keys = ("v0", "v_prime0", "t_star")
     v_prime0 = property(lambda self: float(self.derivs[0]))
 
 
@@ -205,9 +219,7 @@ def profile_eval(p: Profile, t):
         val[inside] = v
         der[inside] = d
     if (~inside).any():
-        decay = p.tail.amplitude * np.exp(-p.tail.rate * tq[~inside])
-        val[~inside] = p.tail.limit + decay
-        der[~inside] = -p.tail.rate * decay
+        val[~inside], der[~inside] = p.tail(tq[~inside] - p.t[-1])
     if scalar:
         return float(val[0]), float(der[0])
     return val, der
@@ -304,7 +316,7 @@ def _constant_profile(cls, kind, level, t_max, n_nodes, robin, rate, **fields):
         t=np.linspace(0.0, t_max, n_nodes),
         values=np.full(n_nodes, float(level)),
         derivs=np.zeros(n_nodes),
-        tail=Tail(limit=float(level), amplitude=0.0, rate=rate),
+        tail=Tail(float(level), rate, 0.0, 0.0),
         robin=robin,
         **fields,
     )
@@ -346,11 +358,18 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
     t = _cumulative(wq, 1.0 / speed)
     int_usq = float(_node_energy(f, phi_star, delta, wq, speed)[0])
     du = sgn_du * _speed_from_delta(f, phi_star)(delta)
+    # an F of the wrong sign, or one that cancels to 0 near phi*, gives a
+    # speed of 0 (or NaN) at some offset and an infinite or NaN time map
+    if not (math.isfinite(t[-1]) and np.all(np.diff(t) > 0) and np.all(np.abs(du) > 0)):
+        raise DegenerateTimeMap(
+            "the time map of u is not finite and strictly increasing with u' != 0 at "
+            "every node: F must be negative away from phi* and accurate near it"
+        )
 
-    tail = Tail(limit=phi_star, amplitude=_tail_amplitude(t, delta, mu), rate=mu)
     delta.setflags(write=False)
     return ULayer(
-        kind="u", t=t, values=phi_star + delta, derivs=du, tail=tail, robin=robin,
+        kind="u", t=t, values=phi_star + delta, derivs=du,
+        tail=Tail.anchored(phi_star, mu, delta[-1], du[-1]), robin=robin,
         u0=u0, m_f=m_f, int_usq=int_usq, delta=delta,
     )
 
@@ -371,44 +390,6 @@ def _energy(u: ULayer, f: Nonlinearity, wq: np.ndarray, speed: np.ndarray):
     y = np.column_stack((node_speed[1:], speed, node_speed[:-1]))
     gauss = nodes[1:, None] + 0.5 * np.abs(d[:-1] - d[1:])[:, None] * (y @ GL5_PARTIAL.T)
     return nodes, gauss
-
-
-def _tail_amplitude(t, resid, rate) -> float:
-    """c in resid ~ c exp(-rate t) for a known rate, by least squares on
-    log|resid| over the last 10 % of nodes (at least 10); u and theta decay
-    as pure exponentials at the rate sqrt(-f'(phi*))."""
-    k = max(len(t) // 10, 10)
-    tail = resid[-k:]
-    good = np.abs(tail) > 0
-    if not good.any():
-        return 0.0
-    amp = math.exp(float(np.mean(np.log(np.abs(tail[good])) + rate * t[-k:][good])))
-    return math.copysign(amp, float(np.median(tail[good])))
-
-
-def _fit_tail(t, values, limit, fallback_rate):
-    """Fit value ~ limit + c exp(-mu t) on the TAIL_WINDOW of t by least
-    squares in log space, rate included; falls back to fallback_rate when the
-    window is empty or the fitted rate is not positive.  v and w need the
-    fitted rate: v ~ t exp(-mu t) is not a pure exponential, so the
-    fixed-rate fit of u and theta does not apply.  Residuals below 1e-8 of
-    max(|limit|, max |value - limit|) are left out: they are too close to the
-    rounding of the values to carry the tail."""
-    resid = values - limit
-    t_lo, t_hi = TAIL_WINDOW[0] * t[-1], TAIL_WINDOW[1] * t[-1]
-    floor = 1e-8 * max(abs(limit), float(np.max(np.abs(resid))))
-    sel = (t >= t_lo) & (t <= t_hi) & (np.abs(resid) > floor)
-    if np.count_nonzero(sel) < 8:
-        return Tail(limit=float(limit), amplitude=0.0, rate=fallback_rate)
-    x = t[sel]
-    y = np.log(np.abs(resid[sel]))
-    slope, intercept = np.polyfit(x, y, 1)
-    rate = -float(slope)
-    if not rate > 0:
-        rate = fallback_rate
-        intercept = float(np.mean(y + rate * x))
-    sign = math.copysign(1.0, float(np.median(resid[sel])))
-    return Tail(limit=float(limit), amplitude=sign * math.exp(float(intercept)), rate=rate)
 
 
 def _denominator(u: ULayer, f: Nonlinearity, gamma: float) -> float:
@@ -435,7 +416,6 @@ def solve_v(u: ULayer, f: Nonlinearity, robin: RobinData) -> VLayer:
     v = u.derivs * c
     dv = -_from_delta(f.f, u.phi_star, u.delta) * c - energy / u.derivs
     dv[0] = -energy[0] / den
-    tail = _fit_tail(u.t, v, 0.0, u.mu)
     # extremum location by parabolic refinement of the grid argmax
     j = int(np.argmax(np.abs(v)))
     if 0 < j < len(v) - 1:
@@ -444,22 +424,21 @@ def solve_v(u: ULayer, f: Nonlinearity, robin: RobinData) -> VLayer:
     else:
         t_star = u.t[j]
     return VLayer(
-        kind="v", t=u.t, values=v, derivs=dv, tail=tail, robin=robin,
-        v0=v0, t_star=float(t_star), mu_u=u.mu,
+        kind="v", t=u.t, values=v, derivs=dv, tail=Tail.anchored(0.0, u.mu, v[-1], dv[-1]),
+        robin=robin, v0=v0, t_star=float(t_star),
     )
 
 
 def solve_theta(u: ULayer, f0: Nonlinearity, robin: RobinData) -> ThetaLayer:
     """Auxiliary linear layer theta = 1 - u' / (u'(0) + gamma f0(u(0)))."""
-    mu = u.mu
     if u.flat:
-        return _constant_profile(ThetaLayer, "theta", 1.0, u.t_max, len(u.t), robin, mu)
+        return _constant_profile(ThetaLayer, "theta", 1.0, u.t_max, len(u.t), robin, u.mu)
     den = _denominator(u, f0, robin.gamma)
     theta = 1.0 - u.derivs / den
     dtheta = _from_delta(f0.f, u.phi_star, u.delta) / den
     return ThetaLayer(
         kind="theta", t=u.t, values=theta, derivs=dtheta,
-        tail=Tail(limit=1.0, amplitude=_tail_amplitude(u.t, theta - 1.0, mu), rate=mu),
+        tail=Tail.anchored(1.0, u.mu, -u.derivs[-1] / den, dtheta[-1]),
         robin=robin, den=den,
     )
 
@@ -494,9 +473,10 @@ def solve_w(
     w = u.derivs * c
     dw = -_from_delta(f0.f, u.phi_star, u.delta) * c + neg_F1 / u.derivs
     dw[0] = neg_F1[0] / den
-    tail = _fit_tail(u.t, w, limit, u.mu)
     return WLayer(
-        kind="w", t=u.t, values=w, derivs=dw, tail=tail, robin=robin, w0=float(w0), q=float(q),
+        kind="w", t=u.t, values=w, derivs=dw,
+        tail=Tail.anchored(limit, u.mu, w[-1] - limit, dw[-1]),
+        robin=robin, w0=float(w0), q=float(q),
     )
 
 
@@ -552,10 +532,10 @@ def first_integral_drift(u: ULayer, f: Nonlinearity) -> float:
 
 def time_integral_usq(u: ULayer) -> float:
     """Integral of u'^2 over [0, inf) by time-space panel quadrature plus the
-    closed-form tail; cross-checks the potential-space value u.int_usq."""
+    pure-exponential tail u'(t_max)^2 / (2 mu); cross-checks the
+    potential-space value u.int_usq."""
     t = u.t
     xg, wg = gauss_panels(t[:-1], t[1:])
     _, dug = hermite_eval(xg.ravel(), t, u.values, u.derivs)
     body = float(np.sum(dug.reshape(xg.shape) ** 2 * wg))
-    c, mu = u.tail.amplitude, u.tail.rate
-    return body + mu * c * c * math.exp(-2.0 * mu * t[-1]) / 2.0
+    return body + float(u.derivs[-1]) ** 2 / (2.0 * u.mu)

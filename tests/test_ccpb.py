@@ -124,8 +124,7 @@ class TestConstants:
             uv, _ = profile_eval(u, tt)
             for i, s in enumerate(msalt):
                 body = np.trapezoid(-np.expm1(-s.z * (uv - annulus_constants.phi0_star)), tt)
-                c, mu = u.tail.amplitude, u.tail.rate
-                tail = s.z * c * math.exp(-mu * u.t_max) / mu
+                tail = s.z * u.delta[-1] / u.mu
                 mh_oracle[i] += comp.surface_area * (body + tail)
         mh_oracle *= np.array([s.amount for s in msalt]) / annulus_domain.volume
         assert np.allclose(annulus_constants.mhat, mh_oracle, rtol=1e-7)

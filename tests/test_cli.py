@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from pblayers.cli import main
+from pblayers.profiles import Tail
 
 PB_BASE = {
     "model": "pb",
@@ -84,6 +85,29 @@ class TestProfilesCommand:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run("profiles", fast_pb, out1) == 0
         assert run("profiles", fast_pb, out2) == 0
+        names = sorted(p.name for p in out1.iterdir())
+        match, mismatch, errors = filecmp.cmpfiles(out1, out2, names, shallow=False)
+        assert mismatch == [] and errors == []
+
+
+    def test_tail_round_trip(self, tmp_path):
+        # README annulus at the default grid: each tail is {limit, rate, a, b}
+        # and, rebuilt from the JSON, continues the last CSV row in value and
+        # slope; a second run writes the same bytes
+        cfg = write_cfg(tmp_path, CCPB_BASE)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run("profiles", cfg, out1) == 0
+        meta = json.loads((out1 / "profiles_meta.json").read_text())
+        for entry in meta["boundaries"]:
+            for kind in ("u", "v", "theta", "w"):
+                assert set(entry[kind]["tail"]) == {"limit", "rate", "a", "b"}
+                tail = Tail(**entry[kind]["tail"])
+                last = (out1 / f"{kind}_k{entry['k']}.csv").read_text().splitlines()[-1]
+                _, value, slope = (float(x) for x in last.split(","))
+                val, der = tail(0.0)
+                assert abs(val - value) <= 4 * math.ulp(max(abs(tail.limit), abs(value)))
+                assert abs(der - slope) <= 4 * math.ulp(abs(slope))
+        assert run("profiles", cfg, out2) == 0
         names = sorted(p.name for p in out1.iterdir())
         match, mismatch, errors = filecmp.cmpfiles(out1, out2, names, shallow=False)
         assert mismatch == [] and errors == []

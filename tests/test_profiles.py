@@ -1,10 +1,24 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pblayers.errors import ConfigError, GridTooCoarse, MismatchedReference, NegativeTime
-from pblayers.nonlinearity import IonSpecies, make_classical_pb, make_f0, make_f1, make_fhat1
+from pblayers.errors import (
+    ConfigError,
+    DegenerateTimeMap,
+    GridTooCoarse,
+    MismatchedReference,
+    NegativeTime,
+)
+from pblayers.nonlinearity import (
+    IonSpecies,
+    make_classical_pb,
+    make_custom,
+    make_f0,
+    make_f1,
+    make_fhat1,
+)
 from pblayers.numerics import boundary_clustered_nodes
 from pblayers.profiles import (
     MIN_NODES,
@@ -12,7 +26,6 @@ from pblayers.profiles import (
     Profile,
     RobinData,
     Tail,
-    _fit_tail,
     boundary_potential,
     boundary_slope,
     first_integral_drift,
@@ -168,6 +181,28 @@ class TestLayerProfile:
     def test_tail_rate_is_reference_slope(self, salt):
         u = solve_u(salt, RobinData(0.1, 1.0))
         assert u.tail.rate == pytest.approx(SQRT2, abs=1e-13)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("F", [
+        lambda x: -2.0 * (np.cosh(x) - 1.0),  # cancels to 0 near phi*
+        lambda x: 2.0 * (np.cosh(x) - 1.0),  # wrong sign
+    ], ids=["cancelling", "wrong-sign"])
+    def test_degenerate_time_map_rejected(self, F):
+        f = make_custom(lambda x: -2.0 * np.sinh(x), lambda x: -2.0 * np.cosh(x), F)
+        with pytest.raises(DegenerateTimeMap):
+            solve_u(f, RobinData(0.1, 1.0))
+
+    def test_custom_density_matches_exp_sum(self, std_bundle):
+        # the 1:1 salt through make_custom, with an F that keeps its relative
+        # accuracy near phi*
+        f = make_custom(
+            lambda x: -2.0 * np.sinh(x), lambda x: -2.0 * np.cosh(x),
+            lambda x: -4.0 * np.sinh(np.asarray(x) / 2.0) ** 2,
+        )
+        u, want = solve_u(f, RobinData(0.1, 1.0)), std_bundle["u"]
+        assert np.max(np.abs(u.t - want.t)) <= 1e-15 * want.t_max
+        assert np.max(np.abs(u.values - want.values)) <= 1e-15
+        assert np.max(np.abs(u.derivs - want.derivs)) <= 1e-15
 
     def test_nonmonotone_density_rejected(self, msalt):
         f0 = make_f0(msalt, 1.0, 0.0)
@@ -348,24 +383,40 @@ class TestConservationProfile:
         with pytest.raises(MismatchedReference):
             solve_w(u, f0, f1, 2.0, RobinData(0.1, 0.0))
 
-    def test_tail_fit_ignores_rounding_noise(self, annulus_constants):
-        # README annulus, boundary 0: moves of w at 1e-13 of max|w| must not
-        # move the fitted tail
-        u, w = annulus_constants.profiles[0]["u"], annulus_constants.profiles[0]["w"]
+    def test_tail_moves_no_more_than_last_node(self, annulus_constants):
+        # README annulus, boundary 0: a move of w's last value by up to 1e-13
+        # of max|w| moves the tail by no more than that, up to the rounding of
+        # the limit, anywhere on [t_max, t_max + 50]
+        w = annulus_constants.profiles[0]["w"]
+        limit, s = w.tail.limit, np.linspace(0.0, 50.0, 5001)
+        want, _ = w.tail(s)
         scale = 1e-13 * np.max(np.abs(w.values))
         for seed in range(5):
-            noise = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, len(w.values))
-            tail = _fit_tail(u.t, w.values + noise, w.tail.limit, u.mu)
-            assert tail.amplitude == pytest.approx(w.tail.amplitude, rel=1e-5), seed
-            assert tail.rate == pytest.approx(w.tail.rate, rel=1e-6), seed
+            noise = scale * np.random.default_rng(seed).uniform(-1.0, 1.0)
+            tail = Tail.anchored(limit, w.tail.rate, w.values[-1] + noise - limit, w.derivs[-1])
+            got, _ = tail(s)
+            assert np.max(np.abs(got - want)) <= abs(noise) + 4 * np.spacing(abs(limit)), seed
 
     def test_f1_without_drift_constant_rejected(self, msalt, w_setup):
-        from dataclasses import replace
-
         f0, fh, u = w_setup
         f1 = replace(make_f1(f0, fh, 1.0), q=None)
         with pytest.raises(MismatchedReference):
             solve_w(u, f0, f1, 1.0, RobinData(0.1, 0.0))
+
+
+@pytest.fixture(scope="module")
+def flat_bundle(msalt):
+    """u, v, theta and w with phi_bd = phi* = 0: no layer, every profile constant."""
+    f0 = make_f0(msalt, 1.0, 0.0)
+    f1 = make_f1(f0, make_fhat1(msalt, 1.0, 0.0, [0.0, 0.0]), 2.5)
+    robin0 = RobinData(0.1, 0.0)
+    u = solve_u(f0, robin0)
+    return {
+        "u": u,
+        "v": solve_v(u, f0, robin0),
+        "theta": solve_theta(u, f0, robin0),
+        "w": solve_w(u, f0, f1, 2.5, robin0),
+    }
 
 
 class TestJsonMeta:
@@ -375,7 +426,7 @@ class TestJsonMeta:
     U_KEYS = {"phi_star", "u0", "mu", "m_f", "u0_prime", "int_usq"}
     KEYS = {
         "u": U_KEYS,
-        "v": {"v0", "v_prime0", "t_star", "mu_u"},
+        "v": {"v0", "v_prime0", "t_star"},
         "theta": {"theta_prime0", "den"},
         "w": {"w0", "w_prime0", "q", "limit"},
     }
@@ -390,17 +441,7 @@ class TestJsonMeta:
                 assert all(meta[k] == getattr(p, k) for k in meta)
                 assert not p.flat
 
-    def test_flat_keys(self, msalt):
-        f0 = make_f0(msalt, 1.0, 0.0)
-        f1 = make_f1(f0, make_fhat1(msalt, 1.0, 0.0, [0.0, 0.0]), 2.5)
-        robin0 = RobinData(0.1, 0.0)
-        u = solve_u(f0, robin0)
-        flat = {
-            "u": u,
-            "v": solve_v(u, f0, robin0),
-            "theta": solve_theta(u, f0, robin0),
-            "w": solve_w(u, f0, f1, 2.5, robin0),
-        }
+    def test_flat_keys(self, flat_bundle):
         want = {
             "u": {"phi_star": 0.0, "u0": 0.0, "mu": SQRT2, "m_f": SQRT2,
                   "u0_prime": 0.0, "int_usq": 0.0},
@@ -408,7 +449,7 @@ class TestJsonMeta:
             "theta": {"theta_prime0": 0.0},
             "w": {"w0": 2.5, "w_prime0": 0.0, "q": 2.5},
         }
-        for kind, p in flat.items():
+        for kind, p in flat_bundle.items():
             assert p.flat
             assert p.to_json_dict()["meta"] == dict(want[kind], degenerate=True)
 
@@ -419,29 +460,63 @@ class TestEvaluation:
         val, der = u(u.t[1234])
         assert val == u.values[1234] and der == u.derivs[1234]
 
-    def test_tail_model(self, std_bundle):
-        u = std_bundle["u"]
-        t = u.t_max + 10.0
-        val, der = u(t)
-        c, mu = u.tail.amplitude, u.tail.rate
-        assert val == pytest.approx(c * math.exp(-mu * t), rel=1e-12)
-        assert der == pytest.approx(-mu * c * math.exp(-mu * t), rel=1e-12)
+    def test_tail_model(self, salt):
+        # Dirichlet Gouy-Chapman beyond t_max, where u = 4 artanh(y) with
+        # y = tanh(phi_bd / 4) exp(-sqrt2 t) below 1e-12
+        for phi_bd in (1.0, -1.0):
+            u = solve_u(salt, RobinData(0.0, phi_bd))
+            tq = u.t_max + np.array([0.5, 1.0, 5.0, 10.0, 30.0])
+            y = math.tanh(phi_bd / 4) * np.exp(-SQRT2 * tq)
+            val, der = u(tq)
+            assert np.max(np.abs(val / (4 * np.arctanh(y)) - 1)) <= 1e-12, phi_bd
+            assert np.max(np.abs(der / (-4 * SQRT2 * y / (1 - y * y)) - 1)) <= 1e-12, phi_bd
 
-    # the same tails when the nodes were chosen in t and found by inverting
-    # the time map
-    T_GRID_TAILS = {
-        "u": Tail(0.0, 0.8590519589433202, 1.4142135623730951),
-        "theta": Tail(1.0, -0.8257972615494388, 1.4142135623730951),
+    # the fitted amplitudes c of the former fixed-rate tails c exp(-mu t), with
+    # the nodes chosen in potential space and, before that, in t
+    FITTED_AMPLITUDES = {
+        "u": (0.8590519589434619, 0.8590519589433202),
+        "theta": (-0.8257974445355212, -0.8257972615494388),
     }
 
     def test_fixed_rate_tails_pinned(self, std_bundle):
-        # pinned exactly: the fixed-rate tail fit must not move a bit
-        assert std_bundle["u"].tail == Tail(0.0, 0.8590519589434619, 1.4142135623730951)
-        assert std_bundle["theta"].tail == Tail(1.0, -0.8257974445355212, 1.4142135623730951)
-        for kind, old in self.T_GRID_TAILS.items():
-            got = std_bundle[kind].tail
-            assert (got.limit, got.rate) == (old.limit, old.rate)
-            assert got.amplitude == pytest.approx(old.amplitude, rel=1e-6)
+        # pinned exactly: the anchored tails must not move a bit
+        assert std_bundle["u"].tail == Tail(0.0, 1.4142135623730951, 8.726373409076226e-13, 0.0)
+        assert std_bundle["theta"].tail == Tail(
+            1.0, 1.4142135623730951, -8.388570049006286e-13, -2.0194839173657902e-28
+        )
+        for kind, amplitudes in self.FITTED_AMPLITUDES.items():
+            p = std_bundle[kind]
+            for old in amplitudes:
+                assert p.tail.a * math.exp(p.tail.rate * p.t_max) == pytest.approx(old, rel=1e-6)
+
+    def test_tail_is_c1_at_t_max(self, profile_matrix, salt, annulus_constants, flat_bundle):
+        # the tail gives the last node's value and slope to within 4 ulp
+        bundles = [*annulus_constants.profiles, flat_bundle]
+        for (gamma, _), (u, v) in profile_matrix.items():
+            bundles.append({"u": u, "v": v, "theta": solve_theta(u, salt, RobinData(gamma, 0.0))})
+        for bundle in bundles:
+            for kind, p in bundle.items():
+                val, der = p.tail(0.0)
+                scale = max(abs(p.tail.limit), abs(p.values[-1]))
+                assert abs(val - p.values[-1]) <= 4 * np.spacing(scale), kind
+                assert abs(der - p.derivs[-1]) <= 4 * np.spacing(abs(p.derivs[-1])), kind
+
+    def test_tail_predicts_interior(self, annulus_constants):
+        # README annulus: v and w cut at the node nearest 0.6 t_max and
+        # continued by the tail anchored there predict the node nearest
+        # 0.9 t_max (measured: v 2.0e-15 and 5.6e-15; w 2.7e-6 and 5.2e-7, the
+        # rounding of w - q against |q| = 0.61)
+        for bundle in annulus_constants.profiles:
+            for kind, bound in (("v", 1e-11), ("w", 1e-5)):
+                p = bundle[kind]
+                j, k = (int(np.argmin(np.abs(p.t - x * p.t_max))) for x in (0.6, 0.9))
+                limit = p.tail.limit
+                cut = replace(
+                    p, t=p.t[: j + 1], values=p.values[: j + 1], derivs=p.derivs[: j + 1],
+                    tail=Tail.anchored(limit, p.tail.rate, p.values[j] - limit, p.derivs[j]),
+                )
+                val, _ = cut(p.t[k])
+                assert abs(val - p.values[k]) <= bound * abs(p.values[k] - limit), kind
 
     def test_negative_time(self, std_bundle):
         with pytest.raises(NegativeTime):
@@ -467,7 +542,7 @@ class TestOdeResidual:
         derivs = 4 * (-SQRT2) * a / (1 - a * a)
         p = Profile(
             kind="u", t=t, values=vals, derivs=derivs,
-            tail=Tail(0.0, 4 * math.tanh(0.25), SQRT2),
+            tail=Tail.anchored(0.0, SQRT2, vals[-1], derivs[-1]),
             robin=RobinData(0.0, 1.0),
         )
         assert ode_residual(p, EquationSpec("u", salt)) <= 1e-6
@@ -476,7 +551,7 @@ class TestOdeResidual:
         t = np.linspace(0, 1, 4)
         p = Profile(
             kind="u", t=t, values=np.zeros(4), derivs=np.zeros(4),
-            tail=Tail(0.0, 0.0, 1.0), robin=RobinData(0.0, 0.0),
+            tail=Tail(0.0, 1.0, 0.0, 0.0), robin=RobinData(0.0, 0.0),
         )
         with pytest.raises(GridTooCoarse):
             ode_residual(p, EquationSpec("u", salt))
