@@ -107,8 +107,9 @@ class _ExpSum:
         t, m = _exponents(np.asarray(phi, dtype=float) - self.ref, self.b)
         big = m > _EXP_GUARD
         if not big.any():
-            return np.exp(t) @ self.a
-        out = np.exp(t - m[..., None]) @ self.a
+            return np.exp(t, out=t) @ self.a
+        t -= m[..., None]
+        out = np.exp(t, out=t) @ self.a
         safe = np.where(big, 0.0, m)
         out = out * np.exp(safe)
         return np.where(big, np.where(out > 0, np.inf, np.where(out < 0, -np.inf, 0.0)), out)
@@ -178,7 +179,8 @@ class _AnchoredExpSum(_ExpSum):
             dn = d[near]
             acc = np.full(dn.shape, self._taylor[_TAYLOR_TERMS])
             for n in range(_TAYLOR_TERMS - 1, -1, -1):
-                acc = acc * dn + self._taylor[n]
+                acc *= dn
+                acc += self._taylor[n]
             out[near] = acc
         if (~near).any():
             out[~near] = _ExpSum.__call__(self, self.anchor + d[~near])
@@ -221,16 +223,19 @@ class _ExpSumAntiderivative:
             dn = d[near]
             acc = np.zeros(dn.shape)
             for n in range(_TAYLOR_TERMS, 0, -1):
-                acc = (acc + self._taylor[n]) * dn
+                acc += self._taylor[n]
+                acc *= dn
             out[near] = acc
         far = ~near
         if far.any():
             t, m = _exponents(d[far], self.esum.b)
-            val = np.expm1(np.minimum(t, _EXP_GUARD)) @ self._w_over_b
             overflow = m > _EXP_GUARD
-            if overflow.any():
-                # the fastest-growing term decides the sign at huge arguments
-                lead = np.argmax(t, axis=-1)
+            # the fastest-growing term decides the sign at huge arguments;
+            # found before the clipping below can tie the exponents
+            lead = np.argmax(t, axis=-1) if overflow.any() else None
+            np.minimum(t, _EXP_GUARD, out=t)
+            val = np.expm1(t, out=t) @ self._w_over_b
+            if lead is not None:
                 val = np.where(overflow, np.sign(self._w_over_b[lead]) * np.inf, val)
             out[far] = val
         return out

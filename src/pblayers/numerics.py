@@ -143,6 +143,12 @@ def write_csv(path, header: str, columns):
     table = np.column_stack(columns)
     if not np.isfinite(table).all():
         raise NonFiniteOutput(f"{path}: non-finite value in {header} columns")
-    rows = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].replace(b"],[", b"\n")
+    # "[a,b,c,d]" -> "a,b\nc,d\n": the closing bracket becomes the last
+    # separator and every n_cols-th separator a line break
+    buf = bytearray(orjson.dumps(table.ravel(), option=orjson.OPT_SERIALIZE_NUMPY))
+    chars = np.frombuffer(buf, dtype=np.uint8)
+    chars[-1] = ord(",")
+    chars[np.flatnonzero(chars == ord(","))[table.shape[1] - 1 :: table.shape[1]]] = ord("\n")
     with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n" + rows + b"\n")
+        fh.write(f"{header}\n".encode())
+        fh.write(memoryview(buf)[1:])

@@ -21,7 +21,11 @@ solves the Robin compatibility equation with the slope boundary_slope.  v
 and w are evaluated from their closed-form variation-of-parameters
 representations with all nested integrals reduced to Gauss quadratures over
 the offsets u - phi* of the nodes of u (no tail truncation, no cancellation
-from 1/u'^2 blow-up, no interpolation of u between nodes).  Beyond the last
+from 1/u'^2 blow-up, no interpolation of u between nodes).  The integrals of
+v, the energy I(t) = integral of u'^2 from t to infinity and A(t) = integral
+of I/u'^2 from 0 to t, come from the Gauss speeds of u, so solve_u keeps them
+on the ULayer and solve_v is arithmetic at the nodes; solve_w sums its
+forcing integral on the same panels.  Beyond the last
 node every profile decays at the known rate mu = sqrt(-f'(phi*)), u and
 theta as exp(-mu t) and v and w as (a + b t) exp(-mu t), so each continues as
 that two-term exponential through its last node's value and slope: no tail
@@ -31,7 +35,7 @@ fit.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.optimize import brentq
@@ -121,8 +125,10 @@ class Profile:
     json_keys = ()
 
     def __post_init__(self):
-        for arr in (self.t, self.values, self.derivs):
-            arr.setflags(write=False)
+        for field in fields(self):
+            arr = getattr(self, field.name)
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
 
     @property
     def t_max(self) -> float:
@@ -155,17 +161,23 @@ class Profile:
 
 @dataclass(frozen=True)
 class ULayer(Profile):
-    """The u-profile; delta holds the offsets u - phi* (None when flat)."""
+    """The u-profile.  At its nodes, None when flat: delta, the offsets
+    u - phi*; energy, I(t) = integral of u'^2 from t to infinity; and
+    energy_integral, A(t) = integral of I/u'^2 from 0 to t, which solve_v
+    reads."""
 
     u0: float
     m_f: float  # decay rate of f over the hull of phi* and phi_bd
-    int_usq: float  # integral of u'^2 over [0, inf)
     delta: np.ndarray | None = None
+    energy: np.ndarray | None = None
+    energy_integral: np.ndarray | None = None
 
     json_keys = ("phi_star", "u0", "mu", "m_f", "u0_prime", "int_usq")
     phi_star = property(lambda self: self.tail.limit)
     mu = property(lambda self: self.tail.rate)  # sqrt(-f'(phi*))
     u0_prime = property(lambda self: float(self.derivs[0]))
+    # integral of u'^2 over [0, inf)
+    int_usq = property(lambda self: 0.0 if self.energy is None else float(self.energy[0]))
 
 
 @dataclass(frozen=True)
@@ -300,14 +312,19 @@ def _cumulative(wq: np.ndarray, integrand: np.ndarray) -> np.ndarray:
     return out
 
 
-def _node_energy(f: Nonlinearity, phi_star: float, delta, wq, speed) -> np.ndarray:
-    """I(t) = integral of u'^2 from t to infinity at the nodes: |integral of
-    the speed from offset 0 to delta(t)|, as suffix sums of the panel
-    integrals plus one panel beyond the last node."""
-    out = np.empty(len(delta))
-    out[-1] = abs(panel_integrals(_speed_from_delta(f, phi_star), [0.0], delta[-1:])[0])
-    out[:-1] = out[-1] + np.cumsum(np.sum(speed * wq, axis=1)[::-1])[::-1]
-    return out
+def _energy(f: Nonlinearity, phi_star: float, delta, node_speed, wq, speed):
+    """I(t) = integral of u'^2 from t to infinity = |integral of the speed from
+    offset 0 to delta(t)|, at the nodes (suffix sums of the panel integrals
+    plus one panel beyond the last node) and at the Gauss points (partial
+    integrals of the degree-6 interpolant through the two node speeds and the
+    five Gauss speeds of a panel)."""
+    nodes = np.empty(len(delta))
+    nodes[-1] = abs(panel_integrals(_speed_from_delta(f, phi_star), [0.0], delta[-1:])[0])
+    nodes[:-1] = nodes[-1] + np.cumsum(np.sum(speed * wq, axis=1)[::-1])[::-1]
+    y = np.column_stack((node_speed[1:], speed, node_speed[:-1]))
+    half = 0.5 * np.abs(delta[:-1] - delta[1:])
+    gauss = nodes[1:, None] + half[:, None] * (y @ GL5_PARTIAL.T)
+    return nodes, gauss
 
 
 def _constant_profile(cls, kind, level, t_max, n_nodes, robin, rate, **fields):
@@ -343,8 +360,7 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
     delta0 = u0 - phi_star
     if delta0 == 0.0 or abs(delta0) <= 1e-14 * max(1.0, abs(phi_star)):
         return _constant_profile(
-            ULayer, "u", phi_star, TMAX_CAP_FACTOR / m_f, n_nodes, robin, mu,
-            u0=u0, m_f=m_f, int_usq=0.0,
+            ULayer, "u", phi_star, TMAX_CAP_FACTOR / m_f, n_nodes, robin, mu, u0=u0, m_f=m_f,
         )
 
     sgn_du = 1.0 if phi_star > u0 else -1.0  # sign of u'
@@ -356,8 +372,8 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
     delta = delta0 * 10.0 ** -boundary_clustered_nodes(n_nodes, decades)
     _, wq, speed = _panel_quadrature(f, phi_star, delta)
     t = _cumulative(wq, 1.0 / speed)
-    int_usq = float(_node_energy(f, phi_star, delta, wq, speed)[0])
-    du = sgn_du * _speed_from_delta(f, phi_star)(delta)
+    node_speed = _speed_from_delta(f, phi_star)(delta)
+    du = sgn_du * node_speed
     # an F of the wrong sign, or one that cancels to 0 near phi*, gives a
     # speed of 0 (or NaN) at some offset and an infinite or NaN time map
     if not (math.isfinite(t[-1]) and np.all(np.diff(t) > 0) and np.all(np.abs(du) > 0)):
@@ -366,11 +382,14 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
             "every node: F must be negative away from phi* and accurate near it"
         )
 
-    delta.setflags(write=False)
+    # the variation-of-parameters integral of solve_v, summed here from the
+    # same Gauss speeds: A = integral of I/speed^3 over the offset
+    energy, energy_gauss = _energy(f, phi_star, delta, node_speed, wq, speed)
+    energy_integral = _cumulative(wq, energy_gauss / speed**3)
     return ULayer(
         kind="u", t=t, values=phi_star + delta, derivs=du,
         tail=Tail.anchored(phi_star, mu, delta[-1], du[-1]), robin=robin,
-        u0=u0, m_f=m_f, int_usq=int_usq, delta=delta,
+        u0=u0, m_f=m_f, delta=delta, energy=energy, energy_integral=energy_integral,
     )
 
 
@@ -379,17 +398,14 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
 # ---------------------------------------------------------------------------
 
 
-def _energy(u: ULayer, f: Nonlinearity, wq: np.ndarray, speed: np.ndarray):
-    """I(t) = integral of u'^2 from t to infinity = |integral of speed from
-    offset 0 to delta(t)|, at the nodes (suffix sums of the panel integrals)
-    and at the Gauss points (partial integrals of the degree-6 interpolant
-    through the two node speeds |u'| and the five Gauss speeds of a panel)."""
-    d = u.delta
-    nodes = _node_energy(f, u.phi_star, d, wq, speed)
-    node_speed = np.abs(u.derivs)
-    y = np.column_stack((node_speed[1:], speed, node_speed[:-1]))
-    gauss = nodes[1:, None] + 0.5 * np.abs(d[:-1] - d[1:])[:, None] * (y @ GL5_PARTIAL.T)
-    return nodes, gauss
+def _check_density(u: ULayer, f: Nonlinearity):
+    """Raise MismatchedReference unless f has the reference potential of u,
+    the density u was solved with."""
+    phi_star = f.phi_star if f.phi_star is not None else find_reference_potential(f)
+    if abs(phi_star - u.phi_star) > 1e-12 * max(1.0, abs(u.phi_star)):
+        raise MismatchedReference(
+            f"the density has phi* = {phi_star!r}, the u-profile {u.phi_star!r}"
+        )
 
 
 def _denominator(u: ULayer, f: Nonlinearity, gamma: float) -> float:
@@ -401,18 +417,18 @@ def _denominator(u: ULayer, f: Nonlinearity, gamma: float) -> float:
 
 def solve_v(u: ULayer, f: Nonlinearity, robin: RobinData) -> VLayer:
     """Curvature-correction profile from its variation-of-parameters form
-    v = u' (v(0)/u'(0) - A), A(t) = integral of I/u'^2 from 0 to t, summed in
-    potential space as the integral of I/speed^3 over the offset."""
+    v = u' (v(0)/u'(0) - A), with I and A = integral of I/u'^2 from 0 to t
+    read from u; f must be the density u was solved with."""
+    _check_density(u, f)
     if u.flat:
         # t_star = 0 is where the argmax rule below puts it for v = 0
         return _constant_profile(
             VLayer, "v", 0.0, u.t_max, len(u.t), robin, u.mu, v0=0.0, t_star=0.0,
         )
     den = _denominator(u, f, robin.gamma)
-    _, wq, speed = _panel_quadrature(f, u.phi_star, u.delta)
-    energy, energy_gauss = _energy(u, f, wq, speed)
+    energy = u.energy
     v0 = -robin.gamma / den * energy[0]
-    c = v0 / u.u0_prime - _cumulative(wq, energy_gauss / speed**3)
+    c = v0 / u.u0_prime - u.energy_integral
     v = u.derivs * c
     dv = -_from_delta(f.f, u.phi_star, u.delta) * c - energy / u.derivs
     dv[0] = -energy[0] / den
@@ -431,6 +447,7 @@ def solve_v(u: ULayer, f: Nonlinearity, robin: RobinData) -> VLayer:
 
 def solve_theta(u: ULayer, f0: Nonlinearity, robin: RobinData) -> ThetaLayer:
     """Auxiliary linear layer theta = 1 - u' / (u'(0) + gamma f0(u(0)))."""
+    _check_density(u, f0)
     if u.flat:
         return _constant_profile(ThetaLayer, "theta", 1.0, u.t_max, len(u.t), robin, u.mu)
     den = _denominator(u, f0, robin.gamma)
@@ -452,7 +469,7 @@ def solve_w(
 ) -> WLayer:
     """Conservation-correction profile from its variation-of-parameters form
     w = u' (w(0)/u'(0) + B), B(t) = integral of -F1(u)/u'^2 from 0 to t,
-    summed in potential space as solve_v sums A.
+    summed in potential space as solve_u sums the A of solve_v.
 
     The forcing enters through the antiderivative of f1 anchored at the bulk
     potential: Q f0(u) - Fhat1(u) = -F1(u).
@@ -461,6 +478,7 @@ def solve_w(
         raise MismatchedReference("solve_w needs the combined first-order density")
     if f1.q is None or abs(f1.q - q) > 1e-12 * max(1.0, abs(q)):
         raise MismatchedReference("f1 was not built with this drift constant")
+    _check_density(u, f0)
     if u.flat:
         return _constant_profile(WLayer, "w", q, u.t_max, len(u.t), robin, u.mu, w0=q, q=q)
     limit = -float(f1.f(u.phi_star)) / float(f0.df(u.phi_star))

@@ -1,7 +1,9 @@
-"""The CSV writer of every artifact against the row-by-row `%r` writer it
-replaced: same header, same rows, every value reloading bit-equal."""
+"""The CSV writer of every artifact against the row-by-row `%r` writer and
+the nested-list orjson writer it replaced: same header, same rows, every
+value reloading bit-equal, the same bytes as the nested-list writer."""
 
 import numpy as np
+import orjson
 import pytest
 
 from pblayers.errors import NonFiniteOutput, SolverError
@@ -17,6 +19,15 @@ def reference_write_csv(path, header, rows):
         fh.writelines(line % row for row in rows)
 
 
+def reference_write_csv_2d(path, header, columns):
+    """The former orjson writer: the (n, k) table dumped as nested lists,
+    whose row brackets turn into line breaks."""
+    table = np.column_stack(columns)
+    rows = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].replace(b"],[", b"\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n" + rows + b"\n")
+
+
 def adversarial_values(n_random=20000):
     special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
                np.finfo(float).max, -np.finfo(float).max, 1e-7, 1.1e278, 1e15, 1e16,
@@ -30,9 +41,11 @@ def adversarial_values(n_random=20000):
 
 
 def compare(tmp_path, header, columns):
-    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    got, want, nested = tmp_path / "got.csv", tmp_path / "want.csv", tmp_path / "nested.csv"
     write_csv(got, header, columns)
     reference_write_csv(want, header, zip(*(c.tolist() for c in columns)))
+    reference_write_csv_2d(nested, header, columns)
+    assert got.read_bytes() == nested.read_bytes()
     got_lines = got.read_bytes().split(b"\n")
     want_lines = want.read_bytes().split(b"\n")
     # every row ends in "\n": the last split piece is empty on both sides
@@ -49,6 +62,13 @@ def compare(tmp_path, header, columns):
 def test_adversarial_values_reload_bit_equal(tmp_path):
     cols = adversarial_values().reshape(3, -1)
     compare(tmp_path, "a,b,c", (cols[0], cols[1], cols[2]))
+
+
+@pytest.mark.parametrize("header", ["a", "r,phi"])
+def test_one_and_two_columns(tmp_path, header):
+    n_cols = header.count(",") + 1
+    values = adversarial_values(2000)
+    compare(tmp_path, header, tuple(values[: n_cols * (len(values) // n_cols)].reshape(n_cols, -1)))
 
 
 def test_real_profile_reloads_bit_equal(tmp_path, std_bundle):

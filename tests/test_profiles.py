@@ -19,13 +19,17 @@ from pblayers.nonlinearity import (
     make_f1,
     make_fhat1,
 )
-from pblayers.numerics import boundary_clustered_nodes
+from pblayers.numerics import GL5_PARTIAL, boundary_clustered_nodes, panel_integrals
 from pblayers.profiles import (
     MIN_NODES,
     EquationSpec,
     Profile,
     RobinData,
     Tail,
+    _cumulative,
+    _from_delta,
+    _panel_quadrature,
+    _speed_from_delta,
     boundary_potential,
     boundary_slope,
     first_integral_drift,
@@ -53,6 +57,30 @@ def compatibility(f, robin):
     return lambda x: robin.phi_bd - x + robin.gamma * boundary_slope(
         f, f.phi_star, robin.phi_bd, x
     )
+
+
+def quadrature_v(u, f, robin):
+    """(v, v') by the former solve_v, which summed I and A afresh from the
+    speed at the Gauss points of every offset panel; also returns (I, A)."""
+    d = u.delta
+    _, wq, speed = _panel_quadrature(f, u.phi_star, d)
+    energy = np.empty(len(d))
+    energy[-1] = abs(panel_integrals(_speed_from_delta(f, u.phi_star), [0.0], d[-1:])[0])
+    energy[:-1] = energy[-1] + np.cumsum(np.sum(speed * wq, axis=1)[::-1])[::-1]
+    node_speed = np.abs(u.derivs)
+    y = np.column_stack((node_speed[1:], speed, node_speed[:-1]))
+    gauss = energy[1:, None] + 0.5 * np.abs(d[:-1] - d[1:])[:, None] * (y @ GL5_PARTIAL.T)
+    a_int = _cumulative(wq, gauss / speed**3)
+    den = u.u0_prime + robin.gamma * float(f.f(u.u0))
+    v0 = -robin.gamma / den * energy[0]
+    c = v0 / u.u0_prime - a_int
+    dv = -_from_delta(f.f, u.phi_star, d) * c - energy / u.derivs
+    dv[0] = -energy[0] / den
+    return u.derivs * c, dv, energy, a_int
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
 
 
 def gouy_chapman(t, phi_bd):
@@ -178,6 +206,16 @@ class TestLayerProfile:
         ur = solve_u(salt, RobinData(0.1, 1.0))
         assert ur.int_usq == pytest.approx(INT_USQ_ROBIN, rel=1e-12)
 
+    def test_layer_integrals_stored_read_only(self, profile_matrix, salt):
+        for (gamma, phi_bd), (u, _) in profile_matrix.items():
+            assert bits(u.energy[0]) == bits(u.int_usq)
+            assert u.energy.shape == u.energy_integral.shape == u.t.shape
+            for arr in (u.delta, u.energy, u.energy_integral):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.0
+        flat = solve_u(salt, RobinData(0.1, 0.0))
+        assert flat.energy is None and flat.energy_integral is None and flat.int_usq == 0.0
+
     def test_tail_rate_is_reference_slope(self, salt):
         u = solve_u(salt, RobinData(0.1, 1.0))
         assert u.tail.rate == pytest.approx(SQRT2, abs=1e-13)
@@ -258,6 +296,55 @@ class TestCurvatureProfile:
     def test_ode_residual(self, std_bundle, salt):
         res = ode_residual(std_bundle["v"], EquationSpec("v", salt, u=std_bundle["u"]))
         assert res <= 1e-6
+
+    def test_matches_gauss_point_quadrature(self, profile_matrix, salt):
+        # reading I and A from u changes no bit of v
+        for (gamma, phi_bd), (u, v) in profile_matrix.items():
+            want_v, want_dv, energy, a_int = quadrature_v(u, salt, RobinData(gamma, 0.0))
+            assert np.array_equal(bits(u.energy), bits(energy)), (gamma, phi_bd)
+            assert np.array_equal(bits(u.energy_integral), bits(a_int)), (gamma, phi_bd)
+            assert np.array_equal(bits(v.values), bits(want_v)), (gamma, phi_bd)
+            assert np.array_equal(bits(v.derivs), bits(want_dv)), (gamma, phi_bd)
+
+    def test_no_antiderivative_call(self):
+        # v reads I and A from u: F is never called, and f only at the nodes
+        # and at u(0)
+        calls = {"F": 0, "f": 0}
+
+        def f(x):
+            calls["f"] += np.size(x)
+            return -2.0 * np.sinh(x)
+
+        def F(x):
+            calls["F"] += 1
+            return -4.0 * np.sinh(np.asarray(x) / 2.0) ** 2
+
+        dens = make_custom(f, lambda x: -2.0 * np.cosh(x), F, phi_star=0.0)
+        u = solve_u(dens, RobinData(0.1, 1.0))
+        calls.update(F=0, f=0)
+        v = solve_v(u, dens, RobinData(0.1, 0.0))
+        assert calls == {"F": 0, "f": len(u.t) + 1}
+        assert np.all(np.isfinite(v.values))
+
+    def test_density_of_another_reference_rejected(self, salt, msalt):
+        # a 1:1 salt with unequal amounts has phi* = log(2) / 2, not 0
+        shifted = [IonSpecies(1.0, 2.0), IonSpecies(-1.0, 1.0)]
+        custom = make_custom(
+            lambda x: 2.0 * np.exp(-x) - np.exp(x), lambda x: -2.0 * np.exp(-x) - np.exp(x),
+            lambda x: 2.0 * SQRT2 - 2.0 * np.exp(-x) - np.exp(x),
+        )
+        u = solve_u(salt, RobinData(0.1, 1.0))
+        robin0 = RobinData(0.1, 0.0)
+        for dens in (make_classical_pb(shifted), custom):
+            with pytest.raises(MismatchedReference):
+                solve_v(u, dens, robin0)
+            with pytest.raises(MismatchedReference):
+                solve_theta(u, dens, robin0)
+        f0 = make_f0(msalt, 1.0, 0.0)
+        f0b = make_f0(msalt, 1.0, 0.5)
+        f1b = make_f1(f0b, make_fhat1(msalt, 1.0, 0.5, [1.0, 1.0]), 1.0)
+        with pytest.raises(MismatchedReference):
+            solve_w(solve_u(f0, RobinData(0.1, 1.0)), f0b, f1b, 1.0, robin0)
 
     @pytest.mark.parametrize("valences", [(1, -1), (2, -1)], ids=["1:1", "2:1"])
     @pytest.mark.parametrize("phi_bd", [-30.0, -20.0, 20.0, 30.0, 35.0, 38.0, 40.0])
