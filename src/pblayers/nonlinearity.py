@@ -8,10 +8,13 @@ F' = f).  The built-in provenances are exponential sums over ion species:
     f0          f0(phi) = (1/|Omega|) sum_i m_i z_i exp(-z_i (phi - phi0*))
     fhat1       same shape with signed coefficients mhat_i (no zero/monotone
                 contract)
-    f1          f1 = -Q f0' + fhat1
+    f1          f1 = -Q f0' + fhat1, one sum with coefficients
+                -Q a0_i b_i + ahat_i on the exponents of f0
 
 Evaluators accept floats or numpy arrays, are immutable after construction,
-and are safe to share across threads.
+and are safe to share across threads.  A scalar call runs the same formulas
+on Python floats (no one-element arrays); arrays, 0-d arrays and exponents
+past the overflow guard take the array path.
 """
 
 from __future__ import annotations
@@ -94,12 +97,13 @@ class _ExpSum:
     sign survives even when the magnitude overflows (the value is then +-inf).
     """
 
-    __slots__ = ("a", "b", "ref")
+    __slots__ = ("a", "b", "ref", "_terms")
 
     def __init__(self, a, b, ref=0.0):
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self.ref = float(ref)
+        self._terms = tuple(zip(self.a.tolist(), self.b.tolist()))  # (a_i, b_i) floats
 
     def __call__(self, phi):
         if np.isscalar(phi) or getattr(phi, "ndim", 0) == 0:
@@ -116,14 +120,14 @@ class _ExpSum:
 
     def _scalar(self, phi: float) -> float:
         d = phi - self.ref
-        m = max(bi * d for bi in self.b)
+        m = max(bi * d for _, bi in self._terms)
         if m <= _EXP_GUARD:
             total = 0.0
-            for ai, bi in zip(self.a, self.b):
+            for ai, bi in self._terms:
                 total += ai * math.exp(bi * d)
             return total
         total = 0.0
-        for ai, bi in zip(self.a, self.b):
+        for ai, bi in self._terms:
             total += ai * math.exp(bi * d - m)
         if total == 0.0:
             return 0.0
@@ -195,24 +199,43 @@ class _ExpSumAntiderivative:
     there instead.
     """
 
-    __slots__ = ("esum", "anchor", "_w_over_b", "_taylor", "_switch")
+    __slots__ = ("esum", "anchor", "_w_over_b", "_terms", "_taylor", "_switch")
 
     def __init__(self, esum: _ExpSum, anchor: float):
         self.esum = esum
         self.anchor = float(anchor)
         w = esum.a * np.exp(esum.b * (self.anchor - esum.ref))
         self._w_over_b = w / esum.b
-        # F(anchor + d) = sum_{n>=1} f^(n-1)(anchor) d^n / n!
-        coeffs = np.zeros(_TAYLOR_TERMS + 1)
+        self._terms = tuple(zip(self._w_over_b.tolist(), esum.b.tolist()))  # (w_i/b_i, b_i)
+        # F(anchor + d) = sum_{n>=1} f^(n-1)(anchor) d^n / n!, highest order first
+        coeffs = []
         fact = 1.0
         for n in range(1, _TAYLOR_TERMS + 1):
             fact *= n
-            coeffs[n] = float(np.sum(w * esum.b ** (n - 1))) / fact
-        self._taylor = coeffs
+            coeffs.append(float(np.sum(w * esum.b ** (n - 1))) / fact)
+        self._taylor = tuple(reversed(coeffs))
         bmax = float(np.max(np.abs(esum.b)))
         self._switch = 0.05 / max(1.0, bmax)
 
-    __call__ = _call_from_delta
+    def __call__(self, phi):
+        if isinstance(phi, (float, int)):
+            d = float(phi) - self.anchor
+            if abs(d) <= self._switch:
+                return self._horner(d, 0.0)
+            if max(bi * d for _, bi in self._terms) <= _EXP_GUARD:
+                total = 0.0
+                for c, bi in self._terms:
+                    total += c * math.expm1(bi * d)
+                return total
+        return _call_from_delta(self, phi)
+
+    def _horner(self, d, acc):
+        """The Taylor sum at offsets d, accumulated into acc (0.0 or zeros
+        shaped like d) in place."""
+        for c in self._taylor:
+            acc += c
+            acc *= d
+        return acc
 
     def from_delta(self, delta):
         """Evaluate at anchor + delta with delta supplied exactly."""
@@ -221,22 +244,20 @@ class _ExpSumAntiderivative:
         near = np.abs(d) <= self._switch
         if near.any():
             dn = d[near]
-            acc = np.zeros(dn.shape)
-            for n in range(_TAYLOR_TERMS, 0, -1):
-                acc += self._taylor[n]
-                acc *= dn
-            out[near] = acc
+            out[near] = self._horner(dn, np.zeros(dn.shape))
         far = ~near
         if far.any():
             t, m = _exponents(d[far], self.esum.b)
             overflow = m > _EXP_GUARD
             # the fastest-growing term decides the sign at huge arguments;
-            # found before the clipping below can tie the exponents
+            # found before the clipping below can tie the exponents (a zero
+            # coefficient leaves the clipped sum)
             lead = np.argmax(t, axis=-1) if overflow.any() else None
             np.minimum(t, _EXP_GUARD, out=t)
             val = np.expm1(t, out=t) @ self._w_over_b
             if lead is not None:
-                val = np.where(overflow, np.sign(self._w_over_b[lead]) * np.inf, val)
+                sign = self._w_over_b[lead]
+                val = np.where(overflow & (sign != 0.0), np.copysign(np.inf, sign), val)
             out[far] = val
         return out
 
@@ -259,7 +280,7 @@ class Nonlinearity:
         return self.provenance in ("classical", "f0", "custom")
 
 
-def _exp_terms_nonlinearity(a, b, ref, provenance, species=(), phi_star=None):
+def _exp_terms_nonlinearity(a, b, ref, provenance, species=(), phi_star=None, q=None):
     esum = _ExpSum(a, b, ref)
     desum = esum.derivative()
     if phi_star is None:
@@ -272,6 +293,7 @@ def _exp_terms_nonlinearity(a, b, ref, provenance, species=(), phi_star=None):
         phi_star=phi_star,
         provenance=provenance,
         species=tuple(species),
+        q=q,
     )
 
 
@@ -312,48 +334,19 @@ def make_fhat1(
         raise ConfigError("mhat must have one entry per species")
     a = np.array([mh * s.z / volume for mh, s in zip(mhat, species)])
     b = np.array([-s.z for s in species])
-    if not np.any(a):
-        def zero(phi):
-            return 0.0 if np.isscalar(phi) else np.zeros_like(np.asarray(phi, dtype=float))
-
-        zero.from_delta = lambda d: np.zeros_like(np.atleast_1d(np.asarray(d, dtype=float)))
-        return Nonlinearity(
-            f=zero, df=zero, F=zero, phi_star=float(phi0_star),
-            provenance="fhat1", species=tuple(species),
-        )
     return _exp_terms_nonlinearity(a, b, phi0_star, "fhat1", species, phi_star=float(phi0_star))
 
 
 def make_f1(f0: Nonlinearity, fhat1: Nonlinearity, q: float) -> Nonlinearity:
-    """Combined first-order density f1 = -q f0' + fhat1."""
+    """Combined first-order density f1 = -q f0' + fhat1: both are exp sums on
+    the exponents of f0, so f1 is one, with F1 anchored at phi0*."""
     if f0.provenance != "f0" or fhat1.provenance != "fhat1":
         raise UnsupportedProvenance("make_f1 needs an f0 and an fhat1")
     if f0.phi_star is None or abs(f0.phi_star - fhat1.phi_star) > 1e-12:
         raise MismatchedReference("f0 and fhat1 must share the reference potential")
-    d2f0 = f0.df.derivative()
-    anchor = float(f0.phi_star)
-
-    def f1(phi):
-        return -q * f0.df(phi) + fhat1.f(phi)
-
-    def df1(phi):
-        return -q * d2f0(phi) + fhat1.df(phi)
-
-    def F1(phi):
-        # f0(phi0*) = 0, so the antiderivative of -q f0' anchored there is -q f0
-        return -q * f0.f(phi) + fhat1.F(phi)
-
-    # delta-native paths keep relative accuracy at exponentially small
-    # layer offsets (f0' has sign-definite terms, so its argument may be
-    # reconstructed from the rounded potential without loss)
-    f1.from_delta = lambda d: -q * np.atleast_1d(
-        np.asarray(f0.df(anchor + np.asarray(d, dtype=float)), dtype=float)
-    ) + fhat1.f.from_delta(d)
-    F1.from_delta = lambda d: -q * f0.f.from_delta(d) + fhat1.F.from_delta(d)
-
-    return Nonlinearity(
-        f=f1, df=df1, F=F1, phi_star=f0.phi_star, provenance="f1",
-        species=f0.species, q=float(q),
+    a = -q * f0.df.a + fhat1.f.a
+    return _exp_terms_nonlinearity(
+        a, f0.df.b, f0.df.ref, "f1", f0.species, phi_star=f0.phi_star, q=float(q),
     )
 
 

@@ -35,7 +35,7 @@ fit.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import brentq
@@ -49,7 +49,7 @@ from .errors import (
     NegativeTime,
     RootBracketFailure,
 )
-from .nonlinearity import Nonlinearity, decay_rate, find_reference_potential
+from .nonlinearity import _ExpSum, Nonlinearity, decay_rate, find_reference_potential
 from .numerics import (
     GL5_PARTIAL,
     boundary_clustered_nodes,
@@ -161,13 +161,14 @@ class Profile:
 
 @dataclass(frozen=True)
 class ULayer(Profile):
-    """The u-profile.  At its nodes, None when flat: delta, the offsets
-    u - phi*; energy, I(t) = integral of u'^2 from t to infinity; and
-    energy_integral, A(t) = integral of I/u'^2 from 0 to t, which solve_v
-    reads."""
+    """The u-profile and the density it was solved with.  At its nodes, None
+    when flat: delta, the offsets u - phi*; energy, I(t) = integral of u'^2
+    from t to infinity; and energy_integral, A(t) = integral of I/u'^2 from 0
+    to t, which solve_v reads."""
 
     u0: float
     m_f: float  # decay rate of f over the hull of phi* and phi_bd
+    density: Nonlinearity = field(compare=False, repr=False)
     delta: np.ndarray | None = None
     energy: np.ndarray | None = None
     energy_integral: np.ndarray | None = None
@@ -361,6 +362,7 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
     if delta0 == 0.0 or abs(delta0) <= 1e-14 * max(1.0, abs(phi_star)):
         return _constant_profile(
             ULayer, "u", phi_star, TMAX_CAP_FACTOR / m_f, n_nodes, robin, mu, u0=u0, m_f=m_f,
+            density=f,
         )
 
     sgn_du = 1.0 if phi_star > u0 else -1.0  # sign of u'
@@ -390,6 +392,7 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
         kind="u", t=t, values=phi_star + delta, derivs=du,
         tail=Tail.anchored(phi_star, mu, delta[-1], du[-1]), robin=robin,
         u0=u0, m_f=m_f, delta=delta, energy=energy, energy_integral=energy_integral,
+        density=f,
     )
 
 
@@ -399,12 +402,16 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
 
 
 def _check_density(u: ULayer, f: Nonlinearity):
-    """Raise MismatchedReference unless f has the reference potential of u,
-    the density u was solved with."""
-    phi_star = f.phi_star if f.phi_star is not None else find_reference_potential(f)
-    if abs(phi_star - u.phi_star) > 1e-12 * max(1.0, abs(u.phi_star)):
+    """Raise MismatchedReference unless f is the density u was solved with,
+    or an exp sum with its coefficients and reference potential."""
+
+    def key(g):
+        return (g.f._terms, g.f.ref, g.phi_star) if isinstance(g.f, _ExpSum) else g
+
+    if key(f) != key(u.density):
         raise MismatchedReference(
-            f"the density has phi* = {phi_star!r}, the u-profile {u.phi_star!r}"
+            f"the density (phi* = {f.phi_star!r}) is not the one the u-profile "
+            f"(phi* = {u.phi_star!r}) was solved with"
         )
 
 

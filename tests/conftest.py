@@ -3,7 +3,7 @@ import pytest
 
 from pblayers.ccpb import ccpb_constants
 from pblayers.geometry import make_annulus, make_disk
-from pblayers.nonlinearity import make_classical_pb, symmetric_salt
+from pblayers.nonlinearity import Nonlinearity, make_classical_pb, symmetric_salt
 from pblayers.profiles import RobinData, solve_theta, solve_u, solve_v
 from pblayers.radial_oracle import solve_radial_ccpb, solve_radial_robin_pb
 
@@ -31,6 +31,37 @@ def _stencil_derivative(t, y):
 @pytest.fixture(scope="session")
 def stencil_derivative():
     return _stencil_derivative
+
+
+def _closure_f1(f0, fhat1, q):
+    """f1 = -q f0' + fhat1 as make_f1 once summed it: closures over f0 and
+    fhat1, with F1 = -q f0 + Fhat1 (f0(phi0*) = 0) and delta-native paths.
+    The reference the one-sum f1 is checked against."""
+    d2f0 = f0.df.derivative()
+    anchor = float(f0.phi_star)
+
+    def f1(phi):
+        return -q * f0.df(phi) + fhat1.f(phi)
+
+    def df1(phi):
+        return -q * d2f0(phi) + fhat1.df(phi)
+
+    def F1(phi):
+        return -q * f0.f(phi) + fhat1.F(phi)
+
+    f1.from_delta = lambda d: -q * np.atleast_1d(
+        np.asarray(f0.df(anchor + np.asarray(d, dtype=float)), dtype=float)
+    ) + fhat1.f.from_delta(d)
+    F1.from_delta = lambda d: -q * f0.f.from_delta(d) + fhat1.F.from_delta(d)
+    return Nonlinearity(
+        f=f1, df=df1, F=F1, phi_star=f0.phi_star, provenance="f1",
+        species=f0.species, q=float(q),
+    )
+
+
+@pytest.fixture(scope="session")
+def closure_f1():
+    return _closure_f1
 
 
 @pytest.fixture(scope="session")

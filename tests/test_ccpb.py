@@ -187,8 +187,19 @@ class TestConstantsPipeline:
     solve_v/solve_w; its diagnostics are pinned exactly."""
 
     # the fixture's diagnostics, pinned exactly (nodes of u chosen in
-    # potential space, v and w by potential-space quadrature on them)
+    # potential space, v and w by potential-space quadrature on them, f1 one
+    # exp sum)
     DIAGNOSTICS = {
+        "compatibility_residual": 5.898059818321144e-17,
+        "drift_balance": 0.0,
+        "drift_balance_rel": 0.0,
+        "flux_residual": 0.0,
+        "flux_residual_rel": 0.0,
+        "mhat_charge": -5.551115123125783e-16,
+        "mhat_charge_rel": 3.0845566298449665e-16,
+    }
+    # the same diagnostics when f1 was -q f0' + fhat1 summed by closures
+    CLOSURE_F1_DIAGNOSTICS = {
         "compatibility_residual": 5.898059818321144e-17,
         "drift_balance": 8.881784197001252e-16,
         "drift_balance_rel": 7.991567804446672e-17,
@@ -250,7 +261,8 @@ class TestConstantsPipeline:
         got = annulus_constants.diagnostics
         assert got == self.DIAGNOSTICS
         for record in (
-            self.T_GRID_DIAGNOSTICS, self.TIME_QUADRATURE_DIAGNOSTICS, self.BISECTION_DIAGNOSTICS,
+            self.CLOSURE_F1_DIAGNOSTICS, self.T_GRID_DIAGNOSTICS,
+            self.TIME_QUADRATURE_DIAGNOSTICS, self.BISECTION_DIAGNOSTICS,
         ):
             for key, bound in record.items():
                 assert abs(got[key]) <= abs(bound), key

@@ -148,7 +148,68 @@ class TestExpSumArrayPath:
         # F = integral of exp(x) + exp(-2x) from 0: the leading term decides
         anti = _ExpSumAntiderivative(_ExpSum([1.0, 1.0], [1.0, -2.0]), 0.0)
         assert np.array_equal(anti.from_delta(d), [np.inf, -np.inf, np.inf, -np.inf])
+        assert [anti(x) for x in d.tolist()] == [np.inf, -np.inf, np.inf, -np.inf]
         assert not np.isnan(anti.from_delta(np.linspace(-1e3, 1e3, 2001))).any()
+
+
+def _numpy_scalar_loop(esum, phi):
+    """_ExpSum._scalar as it ran on the numpy scalars of esum.a and esum.b."""
+    d = phi - esum.ref
+    m = max(bi * d for bi in esum.b)
+    if m <= 700.0:
+        total = 0.0
+        for ai, bi in zip(esum.a, esum.b):
+            total += ai * math.exp(bi * d)
+        return total
+    total = 0.0
+    for ai, bi in zip(esum.a, esum.b):
+        total += ai * math.exp(bi * d - m)
+    if total == 0.0:
+        return 0.0
+    return math.inf if total > 0 else -math.inf
+
+
+SCALAR_F_DENSITIES = {
+    "1:1": [IonSpecies(1.0, 1.0), IonSpecies(-1.0, 1.0)],
+    "2:1": [IonSpecies(2.0, 0.3), IonSpecies(-1.0, 1.7)],
+    "3 terms": [IonSpecies(2.0, 1.0), IonSpecies(1.0, 0.5), IonSpecies(-1.0, 2.5)],
+}
+
+
+class TestScalarCalls:
+    @pytest.mark.parametrize("k", sorted(EXP_SUMS))
+    def test_exp_sum_scalar_bit_equal_to_numpy_scalar_loop(self, k):
+        a, b, ref = EXP_SUMS[k]
+        esum = _ExpSum(a, b, ref)
+        rng = np.random.default_rng(100 + k)
+        phi = rng.normal(scale=30.0, size=100_000)
+        phi[::97] = rng.uniform(-900.0, 900.0, size=phi[::97].shape)  # past the guard
+        got = [esum._scalar(x) for x in phi.tolist()]
+        want = [_numpy_scalar_loop(esum, x) for x in phi.tolist()]
+        assert all(type(x) is float for x in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_F_DENSITIES))
+    def test_scalar_antiderivative_matches_array_path(self, name):
+        F = make_classical_pb(SCALAR_F_DENSITIES[name]).F
+        rng = np.random.default_rng(len(name))
+        sw = F._switch
+        d = np.concatenate([
+            rng.uniform(-sw, sw, 500), [sw, -sw],  # Taylor window: the same bits
+            rng.uniform(-60.0, 60.0, 500), rng.uniform(-3 * sw, 3 * sw, 500),
+        ])
+        want = F(F.anchor + d)
+        for x, w in zip((F.anchor + d).tolist(), want):
+            # the far sum runs libm's expm1 in place of numpy's, summed in
+            # order: a few ulp of the terms, which cancel near the window
+            scale = sum(abs(c * math.expm1(b * (x - F.anchor))) for c, b in F._terms)
+            for arg in (x, np.float64(x), np.array(x)):
+                got = F(arg)
+                assert type(got) is float
+                assert abs(got - w) <= 4 * np.spacing(scale), (x - F.anchor, got, w)
+        for x in (800.0, -800.0, 1e4, -1e4):  # both overflow signs
+            want = F(np.array([F.anchor + x]))[0]
+            assert F(F.anchor + x) == want and math.isinf(want)
 
 
 class TestSpecies:
@@ -181,8 +242,19 @@ class TestConservedChargeDensities:
             make_f0([IonSpecies(1, 1, "mass")], 1.0, 0.0)
 
     def test_fhat1_zero_coefficients(self, msalt):
-        fh = make_fhat1(msalt, 1.0, 0.0, [0.0, 0.0])
-        assert fh.f(1.3) == 0.0 and fh.F(1.3) == 0.0
+        # an exp sum with zero coefficients: exactly 0 everywhere, also past
+        # the overflow guard
+        fh = make_fhat1(msalt, 1.0, 0.3, [0.0, 0.0])
+        phi = 0.3 + np.array([-1e4, -800.0, -1.3, -1e-3, 0.0, 1e-300, 1e-3, 1.3, 800.0, 1e4])
+        for fn in (fh.f, fh.df, fh.F):
+            for x in phi:
+                for arg in (float(x), np.array(x)):
+                    assert fn(arg) == 0.0
+            assert np.array_equal(fn(phi), np.zeros(phi.shape))
+        for fn in (fh.f, fh.F):
+            assert np.array_equal(fn.from_delta(phi - 0.3), np.zeros(phi.shape))
+        anti = _ExpSumAntiderivative(_ExpSum([0.0, -0.0], [-1.0, 1.0]), 0.0)
+        assert np.array_equal(anti.from_delta(phi), np.zeros(phi.shape))
 
     def test_fhat1_neutral_coefficients_vanish_at_reference(self, msalt):
         # sum mhat_i z_i = 0 for mhat = (1, 1) with z = (+1, -1)
@@ -205,6 +277,28 @@ class TestConservedChargeDensities:
         assert float(f1_pure.f(0.0)) == pytest.approx(2.0, abs=1e-14)  # -f0'(0) > 0
         f1 = make_f1(f0, fh, 1.0)
         assert float(f1.f(0.0)) == pytest.approx(2.0, abs=1e-14)  # 2 + 0
+
+    def test_f1_one_exp_sum_matches_closures(self, annulus_constants, closure_f1):
+        # README annulus: offsets down to 1e-300 and the tail of u; scale is
+        # |q part| + |fhat1 part| of the closure sum
+        cc = annulus_constants
+        new, old = cc.f1, closure_f1(cc.f0, cc.fhat1, cc.q)
+        tiny = np.geomspace(1e-300, 3.0, 2000)
+        d = np.concatenate([tiny, -tiny, *(b["u"].delta for b in cc.profiles)])
+        phi = cc.f0.phi_star + d
+        q, f0, fh = abs(cc.q), cc.f0, cc.fhat1
+        cases = (
+            (new.f.from_delta(d), old.f.from_delta(d), q * abs(f0.df(phi)) + abs(fh.f.from_delta(d)), 4),
+            (new.f(phi), old.f(phi), q * abs(f0.df(phi)) + abs(fh.f(phi)), 4),
+            (new.df(phi), old.df(phi), q * abs(f0.df.derivative()(phi)) + abs(fh.df(phi)), 4),
+            # the closure sums f0's exponential terms, which cancel by up to
+            # 20x just outside the Taylor window (18 ulp measured)
+            (new.F.from_delta(d), old.F.from_delta(d), q * abs(f0.f.from_delta(d)) + abs(fh.F.from_delta(d)), 32),
+            (new.F(phi), old.F(phi), q * abs(f0.f(phi)) + abs(fh.F(phi)), 32),
+        )
+        for got, want, scale, ulps in cases:
+            assert np.all(np.abs(got - want) <= ulps * np.spacing(scale))
+        assert new.F(cc.f0.phi_star) == 0.0 and new.q == cc.q
 
     def test_f1_mismatched_reference(self, msalt):
         f0 = make_f0(msalt, 1.0, 0.0)

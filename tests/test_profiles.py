@@ -18,6 +18,7 @@ from pblayers.nonlinearity import (
     make_f0,
     make_f1,
     make_fhat1,
+    symmetric_salt,
 )
 from pblayers.numerics import GL5_PARTIAL, boundary_clustered_nodes, panel_integrals
 from pblayers.profiles import (
@@ -349,6 +350,25 @@ class TestCurvatureProfile:
         with pytest.raises(MismatchedReference):
             solve_w(solve_u(f0, RobinData(0.1, 1.0)), f0b, f1b, 1.0, robin0)
 
+    def test_density_of_the_same_reference_rejected(self, msalt):
+        # 1:1 salts at concentrations 1 and 2 both have phi* = 0; v of u_a
+        # with f_b would be 0.03278 against u_a's own 0.03719
+        f_a, f_b = (make_classical_pb(symmetric_salt(c)) for c in (1.0, 2.0))
+        u = solve_u(f_a, RobinData(0.1, 1.0))
+        robin0 = RobinData(0.1, 0.0)
+        for solve in (solve_v, solve_theta):
+            with pytest.raises(MismatchedReference):
+                solve(u, f_b, robin0)
+        # an exp sum with the same coefficients and reference is accepted
+        again = make_classical_pb(symmetric_salt(1.0))
+        assert solve_v(u, again, robin0).v0 == solve_v(u, f_a, robin0).v0
+        f0_a, f0_b = (make_f0(symmetric_salt(c, "mass"), 1.0, 0.0) for c in (1.0, 2.0))
+        f1_b = make_f1(f0_b, make_fhat1(msalt, 1.0, 0.0, [1.0, 1.0]), 1.0)
+        with pytest.raises(MismatchedReference):
+            solve_w(solve_u(f0_a, RobinData(0.1, 1.0)), f0_b, f1_b, 1.0, robin0)
+        # the density is kept out of equality and of profiles_meta.json
+        assert replace(u, density=f_b) == u and "density" not in str(u.to_json_dict())
+
     @pytest.mark.parametrize("valences", [(1, -1), (2, -1)], ids=["1:1", "2:1"])
     @pytest.mark.parametrize("phi_bd", [-30.0, -20.0, 20.0, 30.0, 35.0, 38.0, 40.0])
     def test_large_boundary_potential(self, valences, phi_bd):
@@ -466,6 +486,17 @@ class TestConservationProfile:
         u = solve_u(f0, RobinData(0.1, 0.0))
         w = solve_w(u, f0, f1, 2.5, RobinData(0.1, 0.0))
         assert np.all(w.values == 2.5)
+
+    def test_matches_closure_f1(self, annulus_constants, annulus_domain, closure_f1):
+        # f1 as one exp sum moves w by rounding only
+        cc = annulus_constants
+        old = closure_f1(cc.f0, cc.fhat1, cc.q)
+        for comp, bundle in zip(annulus_domain.components, cc.profiles):
+            want = solve_w(bundle["u"], cc.f0, old, cc.q, RobinData(comp.robin.gamma, 0.0))
+            got = bundle["w"]
+            assert np.max(np.abs(got.values - want.values)) <= 1e-13
+            assert np.max(np.abs(got.derivs - want.derivs)) <= 1e-13
+            assert got.tail.limit == pytest.approx(want.tail.limit, abs=1e-13)
 
     def test_drift_constant_mismatch(self, msalt, w_setup):
         f0, fh, u = w_setup
