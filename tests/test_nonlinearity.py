@@ -195,18 +195,20 @@ class TestScalarCalls:
         rng = np.random.default_rng(len(name))
         sw = F._switch
         d = np.concatenate([
-            rng.uniform(-sw, sw, 500), [sw, -sw],  # Taylor window: the same bits
+            rng.uniform(-sw, sw, 500), [sw, -sw],
             rng.uniform(-60.0, 60.0, 500), rng.uniform(-3 * sw, 3 * sw, 500),
         ])
         want = F(F.anchor + d)
         for x, w in zip((F.anchor + d).tolist(), want):
-            # the far sum runs libm's expm1 in place of numpy's, summed in
-            # order: a few ulp of the terms, which cancel near the window
+            # the Taylor window gives the same bits; the far sum runs libm's
+            # expm1 in place of numpy's, summed in order: a few ulp of the
+            # terms, which cancel near the window
+            near = abs(x - F.anchor) <= sw
             scale = sum(abs(c * math.expm1(b * (x - F.anchor))) for c, b in F._terms)
             for arg in (x, np.float64(x), np.array(x)):
                 got = F(arg)
                 assert type(got) is float
-                assert abs(got - w) <= 4 * np.spacing(scale), (x - F.anchor, got, w)
+                assert got == w if near else abs(got - w) <= 4 * np.spacing(scale)
         for x in (800.0, -800.0, 1e4, -1e4):  # both overflow signs
             want = F(np.array([F.anchor + x]))[0]
             assert F(F.anchor + x) == want and math.isinf(want)
@@ -279,21 +281,23 @@ class TestConservedChargeDensities:
         assert float(f1.f(0.0)) == pytest.approx(2.0, abs=1e-14)  # 2 + 0
 
     def test_f1_one_exp_sum_matches_closures(self, annulus_constants, closure_f1):
-        # README annulus: offsets down to 1e-300 and the tail of u; scale is
-        # |q part| + |fhat1 part| of the closure sum
+        # README annulus: offsets down to 1e-300 and the tail of u
         cc = annulus_constants
         new, old = cc.f1, closure_f1(cc.f0, cc.fhat1, cc.q)
         tiny = np.geomspace(1e-300, 3.0, 2000)
         d = np.concatenate([tiny, -tiny, *(b["u"].delta for b in cc.profiles)])
         phi = cc.f0.phi_star + d
         q, f0, fh = abs(cc.q), cc.f0, cc.fhat1
-        cases = (
-            (new.f.from_delta(d), old.f.from_delta(d), q * abs(f0.df(phi)) + abs(fh.f.from_delta(d)), 4),
+        d2f0 = f0.df.derivative()
+        cases = (  # (new, closure, |q part| + |fhat1 part|, ulps)
+            (new.f.from_delta(d), old.f.from_delta(d),
+             q * abs(f0.df(phi)) + abs(fh.f.from_delta(d)), 4),
             (new.f(phi), old.f(phi), q * abs(f0.df(phi)) + abs(fh.f(phi)), 4),
-            (new.df(phi), old.df(phi), q * abs(f0.df.derivative()(phi)) + abs(fh.df(phi)), 4),
+            (new.df(phi), old.df(phi), q * abs(d2f0(phi)) + abs(fh.df(phi)), 4),
             # the closure sums f0's exponential terms, which cancel by up to
             # 20x just outside the Taylor window (18 ulp measured)
-            (new.F.from_delta(d), old.F.from_delta(d), q * abs(f0.f.from_delta(d)) + abs(fh.F.from_delta(d)), 32),
+            (new.F.from_delta(d), old.F.from_delta(d),
+             q * abs(f0.f.from_delta(d)) + abs(fh.F.from_delta(d)), 32),
             (new.F(phi), old.F(phi), q * abs(f0.f(phi)) + abs(fh.F(phi)), 32),
         )
         for got, want, scale, ulps in cases:
