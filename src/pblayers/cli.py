@@ -298,8 +298,15 @@ def cmd_verify(cfg, out: Path) -> int:
     halving = _number(opts, "e2_halving", "verify", 0.5)
     T = _number(opts, "T", "verify", _number(region, "T", "region", 5.0))
     beta = _number(region, "beta", "region") if "beta" in region else None
+    flip = opts.get("flip_curvature", False)
+    if not isinstance(flip, bool):
+        raise ConfigError(f"verify.flip_curvature must be true or false, got {flip!r}")
     domain, species, f, bundles, constants = _build_model(cfg)
-    if opts.get("flip_curvature"):
+    eps_list = sorted(_eps_list(cfg), reverse=True)
+    if len(set(eps_list)) < 2:
+        # the E2 checks compare the largest eps with the smallest
+        raise ConfigError(f"verify needs at least two distinct eps values, got {eps_list}")
+    if flip:
         # negative control: corrupt the curvature sign in the expansion side
         from dataclasses import replace
 
@@ -311,7 +318,6 @@ def cmd_verify(cfg, out: Path) -> int:
                 for c in domain.components
             ),
         )
-    eps_list = sorted(_eps_list(cfg), reverse=True)
     sweep = []
     neutrality_scale = sum(abs(s.amount * s.z) for s in species)
     res = None

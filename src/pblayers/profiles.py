@@ -25,7 +25,11 @@ from 1/u'^2 blow-up, no interpolation of u between nodes).  The integrals of
 v, the energy I(t) = integral of u'^2 from t to infinity and A(t) = integral
 of I/u'^2 from 0 to t, come from the Gauss speeds of u, so solve_u keeps them
 on the ULayer and solve_v is arithmetic at the nodes; solve_w sums its
-forcing integral on the same panels.  Beyond the last
+forcing integral on the same panels.  Both Gauss-point sweeps run
+PANEL_BLOCK panels at a time (loop tiling), so their temporaries stay in
+cache instead of being mapped afresh on every call; each step is element-wise
+or per panel, and the running sums carry across blocks in order, so the
+result has the bits of one sweep over all panels.  Beyond the last
 node every profile decays at the known rate mu = sqrt(-f'(phi*)), u and
 theta as exp(-mu t) and v and w as (a + b t) exp(-mu t), so each continues as
 that two-term exponential through its last node's value and slope: no tail
@@ -65,6 +69,7 @@ MIN_NODES = 5  # fewest nodes solve_u and ode_residual accept
 TMAX_CAP_FACTOR = 40.0  # m_f * t_max of the flat profile
 TAIL_REL_THRESHOLD = 1e-12
 BOUNDARY_RTOL = 1e-15  # Brent tolerance (xtol = rtol) of the Robin boundary value
+PANEL_BLOCK = 4096  # offset panels per block of the Gauss-point sweeps (20,480 points)
 
 
 @dataclass(frozen=True)
@@ -295,37 +300,21 @@ def _speed_from_delta(f: Nonlinearity, phi_star: float):
     return speed
 
 
-def _panel_quadrature(f: Nonlinearity, phi_star: float, delta: np.ndarray):
-    """Gauss points x and weights |wq| of shape (n - 1, 5) on the offset panels
-    [delta_{j+1}, delta_j] between consecutive nodes, and the layer speed |u'|
-    at x.  Since dt = |d delta| / speed, a t-integral of g over a panel is the
-    sum of wq g / speed."""
-    x, wq = gauss_panels(delta[1:], delta[:-1])
-    speed = _speed_from_delta(f, phi_star)(x.ravel()).reshape(x.shape)
-    return x, np.abs(wq), speed
-
-
-def _cumulative(wq: np.ndarray, integrand: np.ndarray) -> np.ndarray:
-    """Integral from node 0 to every node, from integrand values at the Gauss
-    points of each panel."""
-    out = np.zeros(len(wq) + 1)
-    np.cumsum(np.sum(integrand * wq, axis=1), out=out[1:])
-    return out
-
-
-def _energy(f: Nonlinearity, phi_star: float, delta, node_speed, wq, speed):
-    """I(t) = integral of u'^2 from t to infinity = |integral of the speed from
-    offset 0 to delta(t)|, at the nodes (suffix sums of the panel integrals
-    plus one panel beyond the last node) and at the Gauss points (partial
-    integrals of the degree-6 interpolant through the two node speeds and the
-    five Gauss speeds of a panel)."""
-    nodes = np.empty(len(delta))
-    nodes[-1] = abs(panel_integrals(_speed_from_delta(f, phi_star), [0.0], delta[-1:])[0])
-    nodes[:-1] = nodes[-1] + np.cumsum(np.sum(speed * wq, axis=1)[::-1])[::-1]
-    y = np.column_stack((node_speed[1:], speed, node_speed[:-1]))
-    half = 0.5 * np.abs(delta[:-1] - delta[1:])
-    gauss = nodes[1:, None] + half[:, None] * (y @ GL5_PARTIAL.T)
-    return nodes, gauss
+def _panel_blocks(f: Nonlinearity, phi_star: float, delta: np.ndarray, reverse=False):
+    """Yield (panels, x, |wq|, speed) for PANEL_BLOCK offset panels
+    [delta_{j+1}, delta_j] at a time, last block first when reverse: the
+    slice of panel indices, the Gauss points x and weights |wq| of shape
+    (len(panels), 5), and the layer speed |u'| at x.  Since
+    dt = |d delta| / speed, a t-integral of g over a panel is the sum of
+    wq g / speed.  Every value is computed element by element or per panel,
+    so it has the bits of one whole-array sweep, at a working set that stays
+    in cache."""
+    speed = _speed_from_delta(f, phi_star)
+    starts = range(0, len(delta) - 1, PANEL_BLOCK)
+    for lo in reversed(starts) if reverse else starts:
+        hi = min(lo + PANEL_BLOCK, len(delta) - 1)
+        x, wq = gauss_panels(delta[lo + 1 : hi + 1], delta[lo:hi])
+        yield slice(lo, hi), x, np.abs(wq), speed(x.ravel()).reshape(x.shape)
 
 
 def _constant_profile(cls, kind, level, t_max, n_nodes, robin, rate, **fields):
@@ -347,7 +336,9 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
     so the n_nodes nodes are chosen in potential space, as offsets
     u - phi* from u(0) - phi* down to TAIL_REL_THRESHOLD of it, and each node
     gets its t from the time map; the first-integral identity
-    u'^2 + 2F(u) = 0 holds at every node by construction.
+    u'^2 + 2F(u) = 0 holds at every node by construction.  One sweep over
+    the Gauss points, PANEL_BLOCK panels at a time from the tail inward, sums
+    the time map, the energy I and the A of solve_v.
     """
     if n_nodes < MIN_NODES:
         raise GridTooCoarse(f"n_nodes = {n_nodes}: a profile needs at least {MIN_NODES} nodes")
@@ -372,10 +363,33 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
     # offset so that the exponentially small tail keeps full relative accuracy
     decades = -math.log10(TAIL_REL_THRESHOLD)
     delta = delta0 * 10.0 ** -boundary_clustered_nodes(n_nodes, decades)
-    _, wq, speed = _panel_quadrature(f, phi_star, delta)
-    t = _cumulative(wq, 1.0 / speed)
-    node_speed = _speed_from_delta(f, phi_star)(delta)
+    speed_at = _speed_from_delta(f, phi_star)
+    node_speed = speed_at(delta)
     du = sgn_du * node_speed
+    # one sweep from the tail inward, PANEL_BLOCK panels at a time: panel j
+    # (nodes j and j + 1) puts its integrals of 1/speed and I/speed^3 into
+    # entry j + 1 of t and A (the A of solve_v), which are then summed from
+    # node 0, and adds its integral of the speed to the running suffix sum
+    # that gives I at node j.  I at the Gauss points comes from the degree-6
+    # interpolant through the two node speeds and the five Gauss speeds of
+    # the panel, and I at the last node from the panel from offset 0 to it.
+    t = np.zeros(n_nodes)
+    energy = np.empty(n_nodes)
+    energy_integral = np.zeros(n_nodes)
+    energy[-1] = abs(panel_integrals(speed_at, [0.0], delta[-1:])[0])
+    suffix = 0.0  # integral of the speed over the panels already swept
+    for panels, x, wq, speed in _panel_blocks(f, phi_star, delta, reverse=True):
+        ahead = slice(panels.start + 1, panels.stop + 1)  # node j + 1 of panel j
+        t[ahead] = np.sum(1.0 / speed * wq, axis=1)
+        sums = np.cumsum(np.concatenate(([suffix], np.sum(speed * wq, axis=1)[::-1])))
+        suffix = sums[-1]
+        energy[panels] = energy[-1] + sums[:0:-1]
+        y = np.column_stack((node_speed[ahead], speed, node_speed[panels]))
+        half = 0.5 * np.abs(delta[panels] - delta[ahead])
+        energy_gauss = energy[ahead, None] + half[:, None] * (y @ GL5_PARTIAL.T)
+        energy_integral[ahead] = np.sum(energy_gauss / speed**3 * wq, axis=1)
+    np.cumsum(t[1:], out=t[1:])
+    np.cumsum(energy_integral[1:], out=energy_integral[1:])
     # an F of the wrong sign, or one that cancels to 0 near phi*, gives a
     # speed of 0 (or NaN) at some offset and an infinite or NaN time map
     if not (math.isfinite(t[-1]) and np.all(np.diff(t) > 0) and np.all(np.abs(du) > 0)):
@@ -384,10 +398,6 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
             "every node: F must be negative away from phi* and accurate near it"
         )
 
-    # the variation-of-parameters integral of solve_v, summed here from the
-    # same Gauss speeds: A = integral of I/speed^3 over the offset
-    energy, energy_gauss = _energy(f, phi_star, delta, node_speed, wq, speed)
-    energy_integral = _cumulative(wq, energy_gauss / speed**3)
     return ULayer(
         kind="u", t=t, values=phi_star + delta, derivs=du,
         tail=Tail.anchored(phi_star, mu, delta[-1], du[-1]), robin=robin,
@@ -476,7 +486,8 @@ def solve_w(
 ) -> WLayer:
     """Conservation-correction profile from its variation-of-parameters form
     w = u' (w(0)/u'(0) + B), B(t) = integral of -F1(u)/u'^2 from 0 to t,
-    summed in potential space as solve_u sums the A of solve_v.
+    summed in potential space as solve_u sums the A of solve_v: one sweep
+    over the Gauss points of the panels of u, PANEL_BLOCK panels at a time.
 
     The forcing enters through the antiderivative of f1 anchored at the bulk
     potential: Q f0(u) - Fhat1(u) = -F1(u).
@@ -490,11 +501,15 @@ def solve_w(
         return _constant_profile(WLayer, "w", q, u.t_max, len(u.t), robin, u.mu, w0=q, q=q)
     limit = -float(f1.f(u.phi_star)) / float(f0.df(u.phi_star))
     den = _denominator(u, f0, robin.gamma)
-    x, wq, speed = _panel_quadrature(f0, u.phi_star, u.delta)
     neg_F1 = -_from_delta(f1.F, u.phi_star, u.delta)
-    neg_F1_gauss = -_from_delta(f1.F, u.phi_star, x.ravel()).reshape(x.shape)
     w0 = robin.gamma * neg_F1[0] / den
-    c = w0 / u.u0_prime + _cumulative(wq, neg_F1_gauss / speed**3)
+    # the integral of -F1/speed^3 over panel j goes into entry j + 1 of B
+    B = np.zeros(len(u.t))
+    for panels, x, wq, speed in _panel_blocks(f0, u.phi_star, u.delta):
+        neg_F1_gauss = -_from_delta(f1.F, u.phi_star, x.ravel()).reshape(x.shape)
+        B[panels.start + 1 : panels.stop + 1] = np.sum(neg_F1_gauss / speed**3 * wq, axis=1)
+    np.cumsum(B[1:], out=B[1:])
+    c = w0 / u.u0_prime + B
     w = u.derivs * c
     dw = -_from_delta(f0.f, u.phi_star, u.delta) * c + neg_F1 / u.derivs
     dw[0] = neg_F1[0] / den

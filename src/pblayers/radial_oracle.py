@@ -104,9 +104,10 @@ def graded_radial_grid(
     each boundary, then grows by GRID_GROWTH per cell to at most
     R*INTERIOR_CAP.
     """
-    if not (eps > 0 and points_per_layer > 0):
+    if not (eps > 0 and points_per_layer > 0 and layer_widths > 0):
         raise ConfigError(
-            f"eps and points_per_layer must be positive, got {eps!r} and {points_per_layer!r}"
+            f"eps, points_per_layer and layer_widths must be positive, got {eps!r}, "
+            f"{points_per_layer!r} and {layer_widths!r}"
         )
     sq = math.sqrt(eps)
     h_fine = sq / points_per_layer

@@ -4,7 +4,15 @@ import pytest
 from pblayers.ccpb import ccpb_constants
 from pblayers.geometry import make_annulus, make_disk
 from pblayers.nonlinearity import Nonlinearity, make_classical_pb, symmetric_salt
-from pblayers.profiles import RobinData, solve_theta, solve_u, solve_v
+from pblayers.numerics import GL5_PARTIAL, gauss_panels, panel_integrals
+from pblayers.profiles import (
+    RobinData,
+    _from_delta,
+    _speed_from_delta,
+    solve_theta,
+    solve_u,
+    solve_v,
+)
 from pblayers.radial_oracle import solve_radial_ccpb, solve_radial_robin_pb
 
 EPS_SWEEP = (1e-2, 1e-3, 1e-4)
@@ -62,6 +70,64 @@ def _closure_f1(f0, fhat1, q):
 @pytest.fixture(scope="session")
 def closure_f1():
     return _closure_f1
+
+
+# The Gauss-point sweeps of solve_u and solve_w over all panels at once, as
+# they ran before profiles._panel_blocks: the reference the blocked sweeps
+# match bit for bit.
+
+
+def panel_quadrature(f, phi_star, delta):
+    """Gauss points x and weights |wq| of shape (n - 1, 5) on the offset panels
+    [delta_{j+1}, delta_j] between consecutive nodes, and the layer speed |u'|
+    at x."""
+    x, wq = gauss_panels(delta[1:], delta[:-1])
+    speed = _speed_from_delta(f, phi_star)(x.ravel()).reshape(x.shape)
+    return x, np.abs(wq), speed
+
+
+def cumulative(wq, integrand):
+    """Integral from node 0 to every node, from integrand values at the Gauss
+    points of each panel."""
+    out = np.zeros(len(wq) + 1)
+    np.cumsum(np.sum(integrand * wq, axis=1), out=out[1:])
+    return out
+
+
+def energy(f, phi_star, delta, node_speed, wq, speed):
+    """I(t) = integral of u'^2 from t to infinity at the nodes (suffix sums of
+    the panel integrals plus one panel beyond the last node) and at the Gauss
+    points (partial integrals of the degree-6 interpolant through the two node
+    speeds and the five Gauss speeds of a panel)."""
+    nodes = np.empty(len(delta))
+    nodes[-1] = abs(panel_integrals(_speed_from_delta(f, phi_star), [0.0], delta[-1:])[0])
+    nodes[:-1] = nodes[-1] + np.cumsum(np.sum(speed * wq, axis=1)[::-1])[::-1]
+    y = np.column_stack((node_speed[1:], speed, node_speed[:-1]))
+    half = 0.5 * np.abs(delta[:-1] - delta[1:])
+    gauss = nodes[1:, None] + half[:, None] * (y @ GL5_PARTIAL.T)
+    return nodes, gauss
+
+
+def whole_array_u(f, u):
+    """(t, u', I, A) at the offsets u.delta of the nodes of u."""
+    _, wq, speed = panel_quadrature(f, u.phi_star, u.delta)
+    node_speed = _speed_from_delta(f, u.phi_star)(u.delta)
+    nodes, gauss = energy(f, u.phi_star, u.delta, node_speed, wq, speed)
+    sgn_du = 1.0 if u.phi_star > u.u0 else -1.0
+    return cumulative(wq, 1.0 / speed), sgn_du * node_speed, nodes, cumulative(wq, gauss / speed**3)
+
+
+def whole_array_w(u, f0, f1, q, robin):
+    """(w, w') on the nodes of u."""
+    x, wq, speed = panel_quadrature(f0, u.phi_star, u.delta)
+    neg_F1 = -_from_delta(f1.F, u.phi_star, u.delta)
+    neg_F1_gauss = -_from_delta(f1.F, u.phi_star, x.ravel()).reshape(x.shape)
+    den = u.u0_prime + robin.gamma * float(f0.f(u.u0))
+    w0 = robin.gamma * neg_F1[0] / den
+    c = w0 / u.u0_prime + cumulative(wq, neg_F1_gauss / speed**3)
+    dw = -_from_delta(f0.f, u.phi_star, u.delta) * c + neg_F1 / u.derivs
+    dw[0] = neg_F1[0] / den
+    return u.derivs * c, dw
 
 
 @pytest.fixture(scope="session")

@@ -317,6 +317,18 @@ def test_readme_example_config_runs(tmp_path):
         pytest.param("verify", PB_BASE, "verify", {"T": "x"}, "T", id="verify-T"),
         pytest.param("oracle", PB_BASE, "oracle", {"points_per_layer": 0}, "points_per_layer",
                      id="oracle-points_per_layer-zero"),
+        pytest.param("oracle", PB_BASE, "oracle", {"layer_widths": 0}, "layer_widths",
+                     id="oracle-layer_widths-zero"),
+        pytest.param("oracle", PB_BASE, "oracle", {"layer_widths": -1}, "layer_widths",
+                     id="oracle-layer_widths-negative"),
+        *(
+            pytest.param("verify", PB_BASE, "verify", {"flip_curvature": value},
+                         "flip_curvature", id=f"verify-flip_curvature-{value}")
+            for value in ("no", "yes", 1, None)
+        ),
+        # the E2 checks need a largest and a smallest eps
+        pytest.param("verify", PB_BASE, "eps", [1e-2], "eps", id="verify-one-eps"),
+        pytest.param("verify", PB_BASE, "eps", [1e-3, 1e-3], "eps", id="verify-repeated-eps"),
         # json.load reads NaN and Infinity as floats
         pytest.param("expand", PB_BASE, "expand", {"t_max": math.nan}, "t_max",
                      id="expand-t_max-nan"),

@@ -20,17 +20,16 @@ from pblayers.nonlinearity import (
     make_fhat1,
     symmetric_salt,
 )
-from pblayers.numerics import GL5_PARTIAL, boundary_clustered_nodes, panel_integrals
+from pblayers.numerics import boundary_clustered_nodes
 from pblayers.profiles import (
+    DEFAULT_NODES,
     MIN_NODES,
+    PANEL_BLOCK,
     EquationSpec,
     Profile,
     RobinData,
     Tail,
-    _cumulative,
     _from_delta,
-    _panel_quadrature,
-    _speed_from_delta,
     boundary_potential,
     boundary_slope,
     first_integral_drift,
@@ -42,6 +41,8 @@ from pblayers.profiles import (
     solve_w,
     time_integral_usq,
 )
+
+from conftest import whole_array_u, whole_array_w
 
 SQRT2 = math.sqrt(2.0)
 
@@ -63,21 +64,20 @@ def compatibility(f, robin):
 def quadrature_v(u, f, robin):
     """(v, v') by the former solve_v, which summed I and A afresh from the
     speed at the Gauss points of every offset panel; also returns (I, A)."""
-    d = u.delta
-    _, wq, speed = _panel_quadrature(f, u.phi_star, d)
-    energy = np.empty(len(d))
-    energy[-1] = abs(panel_integrals(_speed_from_delta(f, u.phi_star), [0.0], d[-1:])[0])
-    energy[:-1] = energy[-1] + np.cumsum(np.sum(speed * wq, axis=1)[::-1])[::-1]
-    node_speed = np.abs(u.derivs)
-    y = np.column_stack((node_speed[1:], speed, node_speed[:-1]))
-    gauss = energy[1:, None] + 0.5 * np.abs(d[:-1] - d[1:])[:, None] * (y @ GL5_PARTIAL.T)
-    a_int = _cumulative(wq, gauss / speed**3)
+    _, _, energy, a_int = whole_array_u(f, u)
     den = u.u0_prime + robin.gamma * float(f.f(u.u0))
     v0 = -robin.gamma / den * energy[0]
     c = v0 / u.u0_prime - a_int
-    dv = -_from_delta(f.f, u.phi_star, d) * c - energy / u.derivs
+    dv = -_from_delta(f.f, u.phi_star, u.delta) * c - energy / u.derivs
     dv[0] = -energy[0] / den
     return u.derivs * c, dv, energy, a_int
+
+
+# node counts around the block size of the Gauss-point sweeps: one partial
+# block, one full block, one block and one panel, two full blocks
+NODE_COUNTS = (
+    MIN_NODES, PANEL_BLOCK, PANEL_BLOCK + 1, PANEL_BLOCK + 2, 2 * PANEL_BLOCK + 1, DEFAULT_NODES,
+)
 
 
 def bits(x):
@@ -219,6 +219,15 @@ class TestLayerProfile:
                     arr[0] = 0.0
         flat = solve_u(salt, RobinData(0.1, 0.0))
         assert flat.energy is None and flat.energy_integral is None and flat.int_usq == 0.0
+
+    @pytest.mark.parametrize("n_nodes", NODE_COUNTS)
+    def test_blocked_sweep_matches_whole_array(self, profile_matrix, salt, n_nodes):
+        # summing PANEL_BLOCK panels at a time changes no bit of t, u', I or A
+        for gamma, phi_bd in profile_matrix:
+            u = solve_u(salt, RobinData(gamma, phi_bd), n_nodes)
+            got = (u.t, u.derivs, u.energy, u.energy_integral)
+            for name, a, b in zip(("t", "u'", "I", "A"), got, whole_array_u(salt, u)):
+                assert np.array_equal(bits(a), bits(b)), (gamma, phi_bd, name)
 
     def test_tail_rate_is_reference_slope(self, salt):
         u = solve_u(salt, RobinData(0.1, 1.0))
@@ -497,6 +506,20 @@ class TestConservationProfile:
             assert np.max(np.abs(got.values - want.values)) <= 1e-13
             assert np.max(np.abs(got.derivs - want.derivs)) <= 1e-13
             assert got.tail.limit == pytest.approx(want.tail.limit, abs=1e-13)
+
+    @pytest.mark.parametrize("n_nodes", NODE_COUNTS)
+    def test_blocked_sweep_matches_whole_array(self, annulus_constants, annulus_domain, n_nodes):
+        # on both README-annulus boundaries, B summed PANEL_BLOCK panels at a
+        # time changes no bit of w, w' or of the u they rest on
+        cc = annulus_constants
+        for k, comp in enumerate(annulus_domain.components):
+            robin0 = RobinData(comp.robin.gamma, 0.0)
+            u = solve_u(cc.f0, comp.robin, n_nodes)
+            w = solve_w(u, cc.f0, cc.f1, cc.q, robin0)
+            got = (u.t, u.derivs, u.energy, u.energy_integral, w.values, w.derivs)
+            want = (*whole_array_u(cc.f0, u), *whole_array_w(u, cc.f0, cc.f1, cc.q, robin0))
+            for name, a, b in zip(("t", "u'", "I", "A", "w", "w'"), got, want):
+                assert np.array_equal(bits(a), bits(b)), (k, name)
 
     def test_drift_constant_mismatch(self, msalt, w_setup):
         f0, fh, u = w_setup

@@ -38,6 +38,12 @@ class TestGrid:
         with pytest.raises(ConfigError):
             graded_radial_grid(2, 1.0, None, eps, points_per_layer=points_per_layer)
 
+    @pytest.mark.parametrize("layer_widths", [0.0, -1.0])
+    def test_nonpositive_layer_widths_rejected(self, layer_widths):
+        # 0 would leave no uniform layer zone, and -1 a negative array size
+        with pytest.raises(ConfigError, match="layer_widths"):
+            graded_radial_grid(2, 1.0, None, 1e-3, layer_widths=layer_widths)
+
     def test_annulus_covers_both_layers(self):
         r = graded_radial_grid(2, 2.0, 1.0, 1e-4)
         assert r[0] == 1.0 and r[-1] == 2.0
