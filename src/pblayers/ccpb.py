@@ -10,15 +10,23 @@ finds it inside that bracket.
 On top of phi0* sit the layer profiles u_k, v_k, theta_k, the signed mass
 corrections mhat_i (half-line integrals of the layer excess), the drift
 constant Q (a quotient of boundary sums), and the conservation-correction
-profiles w_k.  Two independent identities are evaluated as diagnostics: the
-signed mass corrections are charge-neutral, and the curvature-weighted sum
-of v_k'(0) balances the area-weighted sum of w_k'(0).
+profiles w_k.  The layer excess integrals are closed forms in u_k'(0) and
+the layer energy int_usq (see layer_excess_integrals), plus, for three or
+more species, the integral of a remainder.  Two identities are evaluated as
+diagnostics: the signed mass corrections are charge-neutral, and the
+curvature-weighted sum of v_k'(0) balances the area-weighted sum of w_k'(0).
+Since sum_i m_i z_i (1 - exp(-z_i (u - phi0*))) = -|Omega| f0(u), whose
+layer integral is -|Omega| u_k'(0), the charge of the corrections is minus
+the flux sum sum_k |bd_k| u_k'(0): for two species, where the closed form
+has no remainder, mhat_charge restates the flux balance term for term and
+checks nothing of the excess integrals beyond it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +37,7 @@ from .errors import (
     BracketFailure,
     ConfigError,
     DegenerateDenominator,
+    MismatchedReference,
 )
 from .geometry import DomainSpec
 from .nonlinearity import (
@@ -39,12 +48,12 @@ from .nonlinearity import (
     make_f1,
     make_fhat1,
 )
-from .numerics import gauss_panels
 from .profiles import (
     RobinData,
     ULayer,
+    _check_density,
     _denominator,
-    _speed_from_delta,
+    _F0Terms,
     boundary_potential,
     boundary_slope,
     solve_theta,
@@ -54,7 +63,6 @@ from .profiles import (
 )
 
 PHI0_TOL = 1e-14  # Brent tolerance (xtol = rtol) of the bulk potential
-EXCESS_PANELS = 2000  # potential-space panels of layer_excess_integrals
 
 
 @dataclass(frozen=True)
@@ -145,22 +153,36 @@ def solve_phi0(domain: DomainSpec, species: Sequence[IonSpecies]):
 def layer_excess_integrals(
     u: ULayer, f0: Nonlinearity, zs: Sequence[float], phi0_star: float,
 ):
-    """Half-line integrals of 1 - exp(-z (u(s) - phi0*)) per valence z.
+    """Half-line integrals of 1 - exp(-z (u(s) - phi0*)) per valence z, for
+    the valences of the species of f0, the density u was solved with.
 
-    Evaluated in potential space with the layer speed |u'| = sqrt(-2 F0(u)):
-    the integrand is bounded and the interval finite, so there is no tail
-    truncation.
+    The integrand is -expm1(b delta) with b = -z, one term of f0; on the
+    terms of f0 it splits as -(alpha f0 + beta F0 + n), and along u the
+    integral of f0 is u'(0) and that of F0 = -u'^2/2 is -int_usq/2, so the
+    integral is -(alpha u'(0) - beta int_usq/2 + T), where T, the integral
+    of the remainder n, is 0 for two species.  The first two terms are
+    summed in exact rational arithmetic on their float inputs and rounded
+    once, so they do not depend on the order of the operations.
     """
+    if phi0_star != u.phi_star:
+        raise MismatchedReference("phi0_star is not the bulk potential of the u-profile")
+    _check_density(u, f0)
+    terms = _F0Terms.of(f0)
+    b = -np.asarray(zs, dtype=float)
+    index = {bi: i for i, bi in enumerate(terms.b.tolist())}
+    if not set(b.tolist()) <= index.keys():
+        raise ConfigError(f"valences {list(zs)} are not all valences of the species of f0")
     if u.flat:
         return [0.0 for _ in zs]
-    delta0 = u.u0 - phi0_star
-    x = np.linspace(min(0.0, delta0), max(0.0, delta0), EXCESS_PANELS + 1)
-    xg, wg = gauss_panels(x[:-1], x[1:])
-    speed = _speed_from_delta(f0, phi0_star)(xg.ravel()).reshape(xg.shape)
+    unit = np.eye(len(terms.b))[:, [index[bi] for bi in b.tolist()]]
+    _, _, gamma = terms.split(unit, b, b * b)
+    _, totals = u.remainder_integrals
+    up, energy, d1, d2 = map(Fraction, (u.u0_prime, u.int_usq, terms.df0, terms.d2f0))
     out = []
-    for z in zs:
-        h = -np.expm1(-z * xg)
-        out.append(float(np.sum(h / speed * wg)))
+    for bi, rest in zip(map(Fraction, b.tolist()), (totals @ gamma).tolist()):
+        # alpha = b/f0'(phi*), beta = (b^2 - alpha f0''(phi*))/f0'(phi*)
+        closed = (bi * up - (bi * bi - bi * d2 / d1) * energy / 2) / d1
+        out.append(-(float(closed) + rest))
     return out
 
 

@@ -297,6 +297,12 @@ def cmd_verify(cfg, out: Path) -> int:
     region = _section(cfg, "region", {"T", "beta"})
     halving = _number(opts, "e2_halving", "verify", 0.5)
     T = _number(opts, "T", "verify", _number(region, "T", "region", 5.0))
+    # e2_halving <= 0 fails every model; T = 0 puts every stretched sample at
+    # the boundary point
+    if halving <= 0:
+        raise ConfigError(f"verify.e2_halving must be positive, got {halving!r}")
+    if T <= 0:
+        raise ConfigError(f"verify.T must be positive, got {T!r}")
     beta = _number(region, "beta", "region") if "beta" in region else None
     flip = opts.get("flip_curvature", False)
     if not isinstance(flip, bool):

@@ -18,28 +18,32 @@ graded toward the boundary, and the time map t(x) = integral of
 1/sqrt(-2F) from x to u(0) is summed at them by panel quadrature.  Nothing
 is inverted; the first integral holds by construction at every node; u(0)
 solves the Robin compatibility equation with the slope boundary_slope.  v
-and w are evaluated from their closed-form variation-of-parameters
-representations with all nested integrals reduced to Gauss quadratures over
-the offsets u - phi* of the nodes of u (no tail truncation, no cancellation
-from 1/u'^2 blow-up, no interpolation of u between nodes).  The integrals of
-v, the energy I(t) = integral of u'^2 from t to infinity and A(t) = integral
-of I/u'^2 from 0 to t, come from the Gauss speeds of u, so solve_u keeps them
-on the ULayer and solve_v is arithmetic at the nodes; solve_w sums its
-forcing integral on the same panels.  Both Gauss-point sweeps run
-PANEL_BLOCK panels at a time (loop tiling), so their temporaries stay in
-cache instead of being mapped afresh on every call; each step is element-wise
-or per panel, and the running sums carry across blocks in order, so the
-result has the bits of one sweep over all panels.  Beyond the last
-node every profile decays at the known rate mu = sqrt(-f'(phi*)), u and
-theta as exp(-mu t) and v and w as (a + b t) exp(-mu t), so each continues as
-that two-term exponential through its last node's value and slope: no tail
-fit.
+comes from its variation-of-parameters form, with its nested integrals
+reduced to Gauss quadratures over the offsets u - phi* of the nodes of u (no
+tail truncation, no interpolation of u between nodes): the energy
+I(t) = integral of u'^2 from t to infinity and A(t) = integral of I/u'^2
+from 0 to t come from the Gauss speeds of u, so solve_u keeps them on the
+ULayer and solve_v is arithmetic at the nodes.  The Gauss-point sweep of
+solve_u runs PANEL_BLOCK panels at a time (loop tiling), so its temporaries
+stay in cache instead of being mapped afresh on every call; each step is
+element-wise or per panel, and the running sums carry across blocks in
+order, so the result has the bits of one sweep over all panels.  w is in
+closed form: on the terms of f0 its forcing splits into multiples of f0 and
+F0, whose integrals along u follow from u'' = -f0(u) and u'^2 = -2 F0(u),
+and a remainder O((u - phi*)^3) that only salts of three or more species
+have and that one more such sweep integrates.  So w = limit + u' s with s
+growing at most linearly: its limit is added, not recovered from u' times
+an integral that grows as 1/u'.  Beyond the last node every profile decays
+at the known rate mu = sqrt(-f'(phi*)), u and theta as exp(-mu t) and v and
+w as (a + b t) exp(-mu t), so each continues as that two-term exponential
+through its last node's value and slope: no tail fit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -70,6 +74,7 @@ TMAX_CAP_FACTOR = 40.0  # m_f * t_max of the flat profile
 TAIL_REL_THRESHOLD = 1e-12
 BOUNDARY_RTOL = 1e-15  # Brent tolerance (xtol = rtol) of the Robin boundary value
 PANEL_BLOCK = 4096  # offset panels per block of the Gauss-point sweeps (20,480 points)
+REMAINDER_ORDER = 18  # highest Taylor order of the remainders of _F0Terms
 
 
 @dataclass(frozen=True)
@@ -184,6 +189,12 @@ class ULayer(Profile):
     u0_prime = property(lambda self: float(self.derivs[0]))
     # integral of u'^2 over [0, inf)
     int_usq = property(lambda self: 0.0 if self.energy is None else float(self.energy[0]))
+
+    @cached_property
+    def remainder_integrals(self):
+        """(R, T) of _F0Terms.remainder_integrals for the density of u, swept
+        once per layer: mhat and w of three or more species both read them."""
+        return _F0Terms.of(self.density).remainder_integrals(self)
 
 
 @dataclass(frozen=True)
@@ -432,6 +443,91 @@ def _denominator(u: ULayer, f: Nonlinearity, gamma: float) -> float:
     return d
 
 
+@dataclass(frozen=True)
+class _F0Terms:
+    """The terms e_i(delta) = expm1(b_i delta), delta = phi - phi*, of an
+    exp-sum f0 = sum_i a0_i e_i (sum_i a0_i = 0), whose antiderivative is
+    F0 = sum_i (a0_i/b_i) e_i.
+
+    A sum G = sum_i g_i e_i splits as G = alpha f0 + beta F0 + n with
+    alpha = G'(0)/f0'(phi*), beta = (G''(0) - alpha f0''(phi*))/f0'(phi*) and
+    a remainder n = sum_j gamma_j n_j = O(delta^3) on the basis
+    n_j = sum_i basis_ij e_i, where the columns of basis span the vectors rho
+    with sum_i rho_i b_i = sum_i rho_i b_i^2 = 0: k - 2 of them for k species,
+    none for two.  Along the layer u solved with f0, the integrals of f0 and
+    F0 are closed forms (u'' = -f0(u), u'^2 = -2 F0(u)); only n needs a
+    quadrature, and its integrands n/|u'| and n/|u'|^3 are bounded.
+    """
+
+    b: np.ndarray
+    a0: np.ndarray
+    df0: float  # f0'(phi*)
+    d2f0: float  # f0''(phi*)
+    basis: np.ndarray  # (k, k - 2)
+    # Taylor coefficients of the n_j in delta, orders REMAINDER_ORDER down to
+    # 3, for |delta| <= 1/max|b_i|, where the first term left out is at most
+    # 1/19! (8e-18) of a basis coefficient
+    taylor: np.ndarray  # (REMAINDER_ORDER - 2, k - 2)
+
+    @classmethod
+    def of(cls, f0: Nonlinearity) -> _F0Terms:
+        """The terms of f0; MismatchedReference unless it is an exp sum
+        referenced at its phi*."""
+        if not (isinstance(f0.f, _ExpSum) and f0.f.ref == f0.phi_star):
+            raise MismatchedReference("f0 must be an exp sum referenced at its phi*")
+        b = f0.f.b
+        basis = np.linalg.svd(np.vstack((b, b * b)))[2][2:].T
+        orders = np.arange(REMAINDER_ORDER, 2, -1)
+        powers = b[None, :] ** orders[:, None] / [[math.factorial(m)] for m in orders]
+        return cls(
+            b=b, a0=f0.f.a, df0=float(f0.df(f0.phi_star)),
+            d2f0=float(f0.df.derivative()(f0.phi_star)), basis=basis, taylor=powers @ basis,
+        )
+
+    def split(self, g, slope, curvature):
+        """(alpha, beta, gamma) of G = sum_i g_i e_i given G'(0) = slope and
+        G''(0) = curvature; g of shape (k,) or (k, m) with m slopes."""
+        alpha = slope / self.df0
+        beta = (curvature - alpha * self.d2f0) / self.df0
+        rest = g - np.multiply.outer(self.a0, alpha) - np.multiply.outer(self.a0 / self.b, beta)
+        return alpha, beta, self.basis.T @ rest
+
+    def remainders(self, delta):
+        """n_j(delta) of shape delta.shape + (k - 2,): the Taylor sum near
+        phi*, where the terms of n_j cancel to O(delta^3), the sum of its
+        terms beyond."""
+        d = delta[..., None]
+        out = np.empty(delta.shape + (self.basis.shape[1],))
+        out[...] = self.taylor[0]
+        for c in self.taylor[1:]:
+            out *= d
+            out += c
+        out *= d * d * d
+        far = np.abs(delta) > 1.0 / np.max(np.abs(self.b))
+        out[far] = np.expm1(np.multiply.outer(delta[far], self.b)) @ self.basis
+        return out
+
+    def remainder_integrals(self, u: ULayer):
+        """(R, T) along u: R[:, j], the integral of n_j/u'^2 from 0 to each
+        node, and T_j, the integral of n_j over [0, inf), from one sweep over
+        the Gauss points of the panels of u and the panel from its last
+        offset to 0; no sweep for two species."""
+        R = np.zeros((len(u.t), self.basis.shape[1]))
+        if not self.basis.size:
+            return R, np.zeros(0)
+        speed_at = _speed_from_delta(u.density, u.phi_star)
+        x, wq = gauss_panels(np.zeros(1), u.delta[-1:])
+        total = (np.abs(wq) / speed_at(x.ravel())).ravel() @ self.remainders(x.ravel())
+        for panels, x, wq, speed in _panel_blocks(u.density, u.phi_star, u.delta):
+            n = self.remainders(x)
+            R[panels.start + 1 : panels.stop + 1] = np.einsum(
+                "pg,pgj->pj", wq / (speed * speed * speed), n
+            )
+            total += np.einsum("pg,pgj->j", wq / speed, n)
+        np.cumsum(R[1:], axis=0, out=R[1:])
+        return R, total
+
+
 def solve_v(u: ULayer, f: Nonlinearity, robin: RobinData) -> VLayer:
     """Curvature-correction profile from its variation-of-parameters form
     v = u' (v(0)/u'(0) - A), with I and A = integral of I/u'^2 from 0 to t
@@ -484,38 +580,55 @@ def solve_w(
     q: float,
     robin: RobinData,
 ) -> WLayer:
-    """Conservation-correction profile from its variation-of-parameters form
-    w = u' (w(0)/u'(0) + B), B(t) = integral of -F1(u)/u'^2 from 0 to t,
-    summed in potential space as solve_u sums the A of solve_v: one sweep
-    over the Gauss points of the panels of u, PANEL_BLOCK panels at a time.
+    """Conservation-correction profile in closed form on the nodes of u.
 
     The forcing enters through the antiderivative of f1 anchored at the bulk
-    potential: Q f0(u) - Fhat1(u) = -F1(u).
+    potential, -F1(u) = Q f0(u) - Fhat1(u), and on the terms of f0 it splits
+    as -F1 = alpha f0 + beta F0 + n (see _F0Terms).  Along u,
+    d(1/u')/dt = f0(u)/u'^2 and F0(u)/u'^2 = -1/2, so the variation-of-
+    parameters form w = u' (w(0)/u'(0) + integral of -F1/u'^2) becomes
+    w = alpha + u' s, s(t) = (w(0) - alpha)/u'(0) - beta t/2 + R(t), with
+    R = integral of n/u'^2 from 0 to t, which vanishes for two species.  The
+    limit alpha = -f1(phi*)/f0'(phi*) is thus added, not recovered from
+    u' times a growing integral.  f1 must be an exp sum on the exponents of f0.
     """
     if f1.provenance != "f1":
         raise MismatchedReference("solve_w needs the combined first-order density")
     if f1.q is None or abs(f1.q - q) > 1e-12 * max(1.0, abs(q)):
         raise MismatchedReference("f1 was not built with this drift constant")
     _check_density(u, f0)
+    terms = _F0Terms.of(f0)
+    if not (
+        isinstance(f1.f, _ExpSum) and f1.f.ref == u.phi_star
+        and np.array_equal(f1.f.b, terms.b)
+    ):
+        raise MismatchedReference("f1 must be an exp sum on the exponents of f0")
     if u.flat:
         return _constant_profile(WLayer, "w", q, u.t_max, len(u.t), robin, u.mu, w0=q, q=q)
-    limit = -float(f1.f(u.phi_star)) / float(f0.df(u.phi_star))
+    # -F1 = sum_i (-c_i/b_i) expm1(b_i delta): slope -f1(phi*), curvature -f1'(phi*)
+    limit, beta, gamma = terms.split(
+        -f1.f.a / terms.b, -float(f1.f(u.phi_star)), -float(f1.df(u.phi_star)),
+    )
     den = _denominator(u, f0, robin.gamma)
-    neg_F1 = -_from_delta(f1.F, u.phi_star, u.delta)
-    w0 = robin.gamma * neg_F1[0] / den
-    # the integral of -F1/speed^3 over panel j goes into entry j + 1 of B
-    B = np.zeros(len(u.t))
-    for panels, x, wq, speed in _panel_blocks(f0, u.phi_star, u.delta):
-        neg_F1_gauss = -_from_delta(f1.F, u.phi_star, x.ravel()).reshape(x.shape)
-        B[panels.start + 1 : panels.stop + 1] = np.sum(neg_F1_gauss / speed**3 * wq, axis=1)
-    np.cumsum(B[1:], out=B[1:])
-    c = w0 / u.u0_prime + B
-    w = u.derivs * c
-    dw = -_from_delta(f0.f, u.phi_star, u.delta) * c + neg_F1 / u.derivs
-    dw[0] = neg_F1[0] / den
+    neg_F1 = -_from_delta(f1.F, u.phi_star, u.delta[:1])[0]
+    w0 = robin.gamma * neg_F1 / den
+    # s and w' = -f0(u) s - beta u'/2 + n/u', summed in place
+    s = u.t * (-0.5 * beta)
+    s += (w0 - limit) / u.u0_prime
+    dw = u.derivs * (-0.5 * beta)
+    if gamma.size:  # three or more species
+        R, _ = u.remainder_integrals
+        s += R @ gamma
+        dw += terms.remainders(u.delta) @ gamma / u.derivs
+    w = u.derivs * s
+    w += limit
+    f0s = _from_delta(f0.f, u.phi_star, u.delta)
+    f0s *= s
+    dw -= f0s
+    dw[0] = neg_F1 / den
     return WLayer(
         kind="w", t=u.t, values=w, derivs=dw,
-        tail=Tail.anchored(limit, u.mu, w[-1] - limit, dw[-1]),
+        tail=Tail.anchored(limit, u.mu, u.derivs[-1] * s[-1], dw[-1]),
         robin=robin, w0=float(w0), q=float(q),
     )
 

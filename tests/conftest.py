@@ -73,8 +73,9 @@ def closure_f1():
 
 
 # The Gauss-point sweeps of solve_u and solve_w over all panels at once, as
-# they ran before profiles._panel_blocks: the reference the blocked sweeps
-# match bit for bit.
+# they ran before profiles._panel_blocks: the reference the blocked sweep of
+# solve_u matches bit for bit, and the quadrature the closed form of solve_w
+# is checked against.
 
 
 def panel_quadrature(f, phi_star, delta):
@@ -118,7 +119,10 @@ def whole_array_u(f, u):
 
 
 def whole_array_w(u, f0, f1, q, robin):
-    """(w, w') on the nodes of u."""
+    """(w, w') on the nodes of u from w = u' (w(0)/u'(0) + B), with
+    B = integral of -F1/u'^2 summed at the Gauss points of every panel, as
+    solve_w did before its closed form.  In the tail it loses what the
+    rounding of u' costs the growing B; for two species it holds to 1e-13."""
     x, wq, speed = panel_quadrature(f0, u.phi_star, u.delta)
     neg_F1 = -_from_delta(f1.F, u.phi_star, u.delta)
     neg_F1_gauss = -_from_delta(f1.F, u.phi_star, x.ravel()).reshape(x.shape)
@@ -128,6 +132,19 @@ def whole_array_w(u, f0, f1, q, robin):
     dw = -_from_delta(f0.f, u.phi_star, u.delta) * c + neg_F1 / u.derivs
     dw[0] = neg_F1[0] / den
     return u.derivs * c, dw
+
+
+def quadrature_excess(u, f0, zs, phi0_star, panels=2000):
+    """Half-line integrals of 1 - exp(-z (u - phi0*)) per valence z, as
+    ccpb.layer_excess_integrals summed them before its closed form: Gauss
+    panels on [u(0) - phi0*, 0] in potential space, weighted by 1/|u'|."""
+    if u.flat:
+        return [0.0 for _ in zs]
+    delta0 = u.u0 - phi0_star
+    x = np.linspace(min(0.0, delta0), max(0.0, delta0), panels + 1)
+    xg, wg = gauss_panels(x[:-1], x[1:])
+    speed = _speed_from_delta(f0, phi0_star)(xg.ravel()).reshape(xg.shape)
+    return [float(np.sum(-np.expm1(-z * xg) / speed * wg)) for z in zs]
 
 
 @pytest.fixture(scope="session")

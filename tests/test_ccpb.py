@@ -9,13 +9,24 @@ from pblayers.ccpb import (
     bulk_expansion,
     ccpb_constants,
     compute_mhat,
+    layer_excess_integrals,
     solve_phi0,
 )
-from pblayers.errors import AllBoundaryPotentialsEqual, NeutralityViolated
+from pblayers.errors import AllBoundaryPotentialsEqual, ConfigError, NeutralityViolated
 from pblayers.geometry import BoundaryComponent, DomainSpec, make_annulus
 from pblayers.nonlinearity import IonSpecies
 from pblayers import ccpb, nonlinearity
 from pblayers.profiles import RobinData, profile_eval, solve_v, solve_w
+
+from conftest import quadrature_excess, whole_array_w
+
+# salts of three and four species (role mass) for the remainder of the closed
+# forms, and the robin data of both boundaries of their annuli (radii 1, 2)
+MULTI_SPECIES = {
+    3: ((2.0, 1.0), (1.0, 0.5), (-1.0, 2.5)),
+    4: ((2.0, 1.0), (1.0, 1.5), (-1.0, 2.0), (-3.0, 0.5)),
+}
+MULTI_ROBIN = (RobinData(0.8, -1.7), RobinData(0.8, 1.9))
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +156,71 @@ class TestConstants:
             assert w.values[-1] == pytest.approx(annulus_constants.q, abs=1e-7)
 
 
+@pytest.fixture(scope="module", params=[(k, d) for k in MULTI_SPECIES for d in (2, 3)],
+                ids=lambda kd: f"{kd[0]}species-d{kd[1]}")
+def multi_species(request):
+    k, d = request.param
+    species = [IonSpecies(z, m, "mass") for z, m in MULTI_SPECIES[k]]
+    domain = make_annulus(d, 1.0, 2.0, *MULTI_ROBIN)
+    return domain, species, ccpb_constants(domain, species)
+
+
+def excess_close(u, f0, zs, phi0_star):
+    got = layer_excess_integrals(u, f0, zs, phi0_star)
+    want = quadrature_excess(u, f0, zs, phi0_star)
+    return np.max(np.abs(np.subtract(got, want))) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestClosedForms:
+    """w and the layer excess integrals in closed form, against the
+    quadratures they replace (tests/conftest.py)."""
+
+    def test_excess_matches_quadrature(self, annulus_constants, msalt, profile_matrix):
+        cc = annulus_constants
+        zs = [s.z for s in msalt]
+        for bundle in cc.profiles:
+            assert excess_close(bundle["u"], cc.f0, zs, cc.phi0_star)
+        # the 1:1 salt of unit volume at phi* = 0 is the classical density
+        f0 = nonlinearity.make_f0(msalt, 1.0, 0.0)
+        for key, (u, _) in profile_matrix.items():
+            assert excess_close(u, f0, zs, 0.0), key
+
+    def test_multi_species_match_quadratures(self, multi_species):
+        # body values, offsets within two decades of u(0) - phi0*: beyond
+        # them the reference w loses accuracy as 1/|u - phi0*| (it sums the
+        # growing integral of -F1/u'^2 over speeds whose rounding grows so)
+        domain, species, cc = multi_species
+        zs = [s.z for s in species]
+        for comp, bundle in zip(domain.components, cc.profiles):
+            u, w = bundle["u"], bundle["w"]
+            body = np.abs(u.delta) >= 1e-2 * abs(u.delta[0])
+            want = whole_array_w(u, cc.f0, cc.f1, cc.q, RobinData(comp.robin.gamma, 0.0))
+            for name, a, b in zip(("w", "w'"), (w.values, w.derivs), want):
+                assert np.max(np.abs(a - b)[body]) <= 1e-13 * np.max(np.abs(b)), name
+            assert excess_close(u, cc.f0, zs, cc.phi0_star)
+
+    def test_multi_species_diagnostics(self, multi_species):
+        diag = multi_species[2].diagnostics
+        for key in ("mhat_charge_rel", "drift_balance_rel", "flux_residual_rel"):
+            assert diag[key] <= 1e-13, key
+
+    def test_w_reaches_its_limit(self, multi_species):
+        # w = limit + u' s settles on its limit; summing u' (w(0)/u'(0) + B)
+        # with the growing B left w(t_max) -5.8e-5 and +1.4e-5 off it on the
+        # 3-D annulus of three species, and -4.7e-6 and +2.4e-6 on the 2-D
+        # annulus of four
+        domain, species, cc = multi_species
+        for bundle in cc.profiles:
+            w = bundle["w"]
+            assert abs(w.values[-1] - w.tail.limit) <= 1e-9
+            assert w.tail.limit == pytest.approx(cc.q, abs=1e-12)
+
+    def test_excess_valence_outside_f0_rejected(self, annulus_constants):
+        cc = annulus_constants
+        with pytest.raises(ConfigError):
+            layer_excess_integrals(cc.profiles[0]["u"], cc.f0, [2.0], cc.phi0_star)
+
+
 class TestBulkExpansion:
     def test_zero_data(self, annulus_constants):
         frozen = replace(annulus_constants, q=0.0, mhat=(0.0, 0.0))
@@ -187,9 +263,20 @@ class TestConstantsPipeline:
     solve_v/solve_w; its diagnostics are pinned exactly."""
 
     # the fixture's diagnostics, pinned exactly (nodes of u chosen in
-    # potential space, v and w by potential-space quadrature on them, f1 one
-    # exp sum)
+    # potential space, f1 one exp sum, w and the layer excess integrals of
+    # mhat in closed form from the first integral of u)
     DIAGNOSTICS = {
+        "compatibility_residual": 5.898059818321144e-17,
+        "drift_balance": -8.881784197001252e-16,
+        "drift_balance_rel": 7.991567804446672e-17,
+        "flux_residual": 0.0,
+        "flux_residual_rel": 0.0,
+        "mhat_charge": -2.220446049250313e-16,
+        "mhat_charge_rel": 1.2338226519379887e-16,
+    }
+    # the same diagnostics when w and the layer excess integrals came from
+    # Gauss quadratures in potential space
+    QUADRATURE_DIAGNOSTICS = {
         "compatibility_residual": 5.898059818321144e-17,
         "drift_balance": 0.0,
         "drift_balance_rel": 0.0,

@@ -315,6 +315,14 @@ def test_readme_example_config_runs(tmp_path):
                      id="grid-n_nodes-zero"),
         pytest.param("expand", PB_BASE, "expand", {"order": 1.5}, "order", id="expand-order"),
         pytest.param("verify", PB_BASE, "verify", {"T": "x"}, "T", id="verify-T"),
+        # an e2_halving <= 0 fails every model; T = 0 compares one point
+        pytest.param("verify", PB_BASE, "verify", {"e2_halving": 0}, "e2_halving",
+                     id="verify-e2_halving-zero"),
+        pytest.param("verify", PB_BASE, "verify", {"e2_halving": -1}, "e2_halving",
+                     id="verify-e2_halving-negative"),
+        pytest.param("verify", PB_BASE, "verify", {"T": 0}, "T", id="verify-T-zero"),
+        pytest.param("verify", PB_BASE, "region", {"T": 0.0, "beta": 0.25}, "T",
+                     id="verify-region-T-zero"),
         pytest.param("oracle", PB_BASE, "oracle", {"points_per_layer": 0}, "points_per_layer",
                      id="oracle-points_per_layer-zero"),
         pytest.param("oracle", PB_BASE, "oracle", {"layer_widths": 0}, "layer_widths",

@@ -497,29 +497,60 @@ class TestConservationProfile:
         assert np.all(w.values == 2.5)
 
     def test_matches_closure_f1(self, annulus_constants, annulus_domain, closure_f1):
-        # f1 as one exp sum moves w by rounding only
+        # f1 as one exp sum and w in closed form move w by rounding only
+        # against the quadrature fed with f1 summed by closures, which
+        # solve_w itself rejects: it reads the coefficients of f1
         cc = annulus_constants
         old = closure_f1(cc.f0, cc.fhat1, cc.q)
         for comp, bundle in zip(annulus_domain.components, cc.profiles):
-            want = solve_w(bundle["u"], cc.f0, old, cc.q, RobinData(comp.robin.gamma, 0.0))
-            got = bundle["w"]
-            assert np.max(np.abs(got.values - want.values)) <= 1e-13
-            assert np.max(np.abs(got.derivs - want.derivs)) <= 1e-13
-            assert got.tail.limit == pytest.approx(want.tail.limit, abs=1e-13)
+            robin0 = RobinData(comp.robin.gamma, 0.0)
+            got, want = bundle["w"], whole_array_w(bundle["u"], cc.f0, old, cc.q, robin0)
+            for a, b in zip((got.values, got.derivs), want):
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+            with pytest.raises(MismatchedReference):
+                solve_w(bundle["u"], cc.f0, old, cc.q, robin0)
 
     @pytest.mark.parametrize("n_nodes", NODE_COUNTS)
     def test_blocked_sweep_matches_whole_array(self, annulus_constants, annulus_domain, n_nodes):
-        # on both README-annulus boundaries, B summed PANEL_BLOCK panels at a
-        # time changes no bit of w, w' or of the u they rest on
+        # on both README-annulus boundaries, the u that w rests on keeps every
+        # bit of the sweep over all panels at once, and the closed-form w and
+        # w' match that sweep's quadrature to 1e-13 of max|w| and max|w'| at
+        # every node; with five nodes the quadrature's panels are a few
+        # decades of offset wide, so w is compared from one block on
         cc = annulus_constants
         for k, comp in enumerate(annulus_domain.components):
             robin0 = RobinData(comp.robin.gamma, 0.0)
             u = solve_u(cc.f0, comp.robin, n_nodes)
-            w = solve_w(u, cc.f0, cc.f1, cc.q, robin0)
-            got = (u.t, u.derivs, u.energy, u.energy_integral, w.values, w.derivs)
-            want = (*whole_array_u(cc.f0, u), *whole_array_w(u, cc.f0, cc.f1, cc.q, robin0))
-            for name, a, b in zip(("t", "u'", "I", "A", "w", "w'"), got, want):
+            got = (u.t, u.derivs, u.energy, u.energy_integral)
+            for name, a, b in zip(("t", "u'", "I", "A"), got, whole_array_u(cc.f0, u)):
                 assert np.array_equal(bits(a), bits(b)), (k, name)
+            if n_nodes < PANEL_BLOCK:
+                continue
+            w = solve_w(u, cc.f0, cc.f1, cc.q, robin0)
+            want = whole_array_w(u, cc.f0, cc.f1, cc.q, robin0)
+            for name, a, b in zip(("w", "w'"), (w.values, w.derivs), want):
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), (k, name)
+
+    def test_closed_form_matches_quadrature(self, profile_matrix, salt, msalt):
+        # on the 12 configurations of the 1:1 salt (f0 of unit volume at
+        # phi* = 0 has the terms of the classical density), w and w' match
+        # the Gauss-point quadrature to 1e-13 of their maxima at every node
+        f0 = make_f0(msalt, 1.0, 0.0)
+        f1 = make_f1(f0, make_fhat1(msalt, 1.0, 0.0, [1.0, 1.0]), 1.0)
+        for (gamma, phi_bd), (u, _) in profile_matrix.items():
+            robin0 = RobinData(gamma, 0.0)
+            w = solve_w(u, f0, f1, 1.0, robin0)
+            want = whole_array_w(u, f0, f1, 1.0, robin0)
+            for name, a, b in zip(("w", "w'"), (w.values, w.derivs), want):
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), (gamma, phi_bd, name)
+
+    def test_f1_off_the_exponents_of_f0_rejected(self, msalt, w_setup):
+        f0, fh, u = w_setup
+        f1 = make_f1(f0, fh, 1.0)
+        other = make_f0([IonSpecies(2.0, 1.0, "mass"), IonSpecies(-1.0, 2.0, "mass")], 1.0, 0.0)
+        for bad in (replace(f1, f=other.f), replace(f1, f=lambda x: f1.f(x))):
+            with pytest.raises(MismatchedReference):
+                solve_w(u, f0, bad, 1.0, RobinData(0.1, 0.0))
 
     def test_drift_constant_mismatch(self, msalt, w_setup):
         f0, fh, u = w_setup
