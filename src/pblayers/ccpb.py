@@ -176,7 +176,7 @@ def layer_excess_integrals(
         return [0.0 for _ in zs]
     unit = np.eye(len(terms.b))[:, [index[bi] for bi in b.tolist()]]
     _, _, gamma = terms.split(unit, b, b * b)
-    _, totals = u.remainder_integrals
+    _, totals = terms.remainder_integrals(u)
     up, energy, d1, d2 = map(Fraction, (u.u0_prime, u.int_usq, terms.df0, terms.d2f0))
     out = []
     for bi, rest in zip(map(Fraction, b.tolist()), (totals @ gamma).tolist()):

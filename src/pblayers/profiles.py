@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -189,12 +188,6 @@ class ULayer(Profile):
     u0_prime = property(lambda self: float(self.derivs[0]))
     # integral of u'^2 over [0, inf)
     int_usq = property(lambda self: 0.0 if self.energy is None else float(self.energy[0]))
-
-    @cached_property
-    def remainder_integrals(self):
-        """(R, T) of _F0Terms.remainder_integrals for the density of u, swept
-        once per layer: mhat and w of three or more species both read them."""
-        return _F0Terms.of(self.density).remainder_integrals(self)
 
 
 @dataclass(frozen=True)
@@ -493,9 +486,22 @@ class _F0Terms:
         return alpha, beta, self.basis.T @ rest
 
     def remainders(self, delta):
-        """n_j(delta) of shape delta.shape + (k - 2,): the Taylor sum near
-        phi*, where the terms of n_j cancel to O(delta^3), the sum of its
-        terms beyond."""
+        """n_j(delta) of shape delta.shape + (k - 2,): the Taylor sum for
+        |delta| <= 1/max|b_i|, where the terms of n_j cancel to O(delta^3),
+        the sum of its terms beyond."""
+        flat = delta.ravel()
+        far = np.abs(flat) > 1.0 / np.max(np.abs(self.b))
+        if not far.any():
+            return self._taylor_sum(delta)
+        # row indices, not masks: gathering and scattering rows by index is
+        # the cheaper of the two
+        (fi,), (ni,) = np.nonzero(far), np.nonzero(~far)
+        out = np.empty((flat.size, self.basis.shape[1]))
+        out[fi] = np.expm1(np.multiply.outer(flat[fi], self.b)) @ self.basis
+        out[ni] = self._taylor_sum(flat[ni])
+        return out.reshape(delta.shape + (-1,))
+
+    def _taylor_sum(self, delta):
         d = delta[..., None]
         out = np.empty(delta.shape + (self.basis.shape[1],))
         out[...] = self.taylor[0]
@@ -503,8 +509,6 @@ class _F0Terms:
             out *= d
             out += c
         out *= d * d * d
-        far = np.abs(delta) > 1.0 / np.max(np.abs(self.b))
-        out[far] = np.expm1(np.multiply.outer(delta[far], self.b)) @ self.basis
         return out
 
     def remainder_integrals(self, u: ULayer):
@@ -617,7 +621,7 @@ def solve_w(
     s += (w0 - limit) / u.u0_prime
     dw = u.derivs * (-0.5 * beta)
     if gamma.size:  # three or more species
-        R, _ = u.remainder_integrals
+        R, _ = terms.remainder_integrals(u)
         s += R @ gamma
         dw += terms.remainders(u.delta) @ gamma / u.derivs
     w = u.derivs * s

@@ -507,16 +507,22 @@ class TestConservationProfile:
             got, want = bundle["w"], whole_array_w(bundle["u"], cc.f0, old, cc.q, robin0)
             for a, b in zip((got.values, got.derivs), want):
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+            limit = -float(old.f(cc.phi0_star)) / float(cc.f0.df(cc.phi0_star))
+            assert got.tail.limit == pytest.approx(limit, rel=0, abs=1e-13)
             with pytest.raises(MismatchedReference):
                 solve_w(bundle["u"], cc.f0, old, cc.q, robin0)
 
     @pytest.mark.parametrize("n_nodes", NODE_COUNTS)
     def test_blocked_sweep_matches_whole_array(self, annulus_constants, annulus_domain, n_nodes):
         # on both README-annulus boundaries, the u that w rests on keeps every
-        # bit of the sweep over all panels at once, and the closed-form w and
-        # w' match that sweep's quadrature to 1e-13 of max|w| and max|w'| at
-        # every node; with five nodes the quadrature's panels are a few
-        # decades of offset wide, so w is compared from one block on
+        # bit of the sweep over all panels at once.  At every node count, w'(0)
+        # has the bits of that sweep's w'(0) and w(0) is within 1e-15 of
+        # max|w| of its w(0) (limit + u'(0) s(0) rounds at the scale of the
+        # limit), neither of which reads the quadrature, and w settles on the
+        # limit -f1(phi*)/f0'(phi*).  From one block of panels up, w and w'
+        # match the quadrature to 1e-13 of max|w| and max|w'| at every node;
+        # with five nodes its panels are decades of offset wide and it misses
+        # w by the order of w itself, so the body is not compared there
         cc = annulus_constants
         for k, comp in enumerate(annulus_domain.components):
             robin0 = RobinData(comp.robin.gamma, 0.0)
@@ -524,10 +530,16 @@ class TestConservationProfile:
             got = (u.t, u.derivs, u.energy, u.energy_integral)
             for name, a, b in zip(("t", "u'", "I", "A"), got, whole_array_u(cc.f0, u)):
                 assert np.array_equal(bits(a), bits(b)), (k, name)
-            if n_nodes < PANEL_BLOCK:
-                continue
             w = solve_w(u, cc.f0, cc.f1, cc.q, robin0)
             want = whole_array_w(u, cc.f0, cc.f1, cc.q, robin0)
+            limit = -float(cc.f1.f(u.phi_star)) / float(cc.f0.df(u.phi_star))
+            scale = np.max(np.abs(w.values))
+            assert abs(w.values[0] - want[0][0]) <= 1e-15 * scale, k
+            assert w.derivs[0] == want[1][0], k
+            assert w.tail.limit == limit, k
+            assert abs(w.values[-1] - limit) <= 1e-9 * scale, k
+            if n_nodes < PANEL_BLOCK:
+                continue
             for name, a, b in zip(("w", "w'"), (w.values, w.derivs), want):
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), (k, name)
 
