@@ -222,7 +222,7 @@ def cmd_profiles(cfg, out: Path) -> int:
 def cmd_constants(cfg, out: Path) -> int:
     if cfg["model"] != "ccpb":
         raise ConfigError("constants requires model 'ccpb'")
-    constants = ccpb_constants(_domain(cfg), _species(cfg))
+    constants = ccpb_constants(_domain(cfg), _species(cfg), **_grid_kwargs(cfg))
     payload = constants.to_json_dict()
     payload["config"] = cfg
     _write_json(out / "ccpb_constants.json", payload)
@@ -395,13 +395,14 @@ def cmd_figures(cfg, out: Path) -> int:
     if preset not in _FIGURE_PRESETS:
         raise ConfigError(f"figures.preset must be one of {_FIGURE_PRESETS}")
     gamma = _number(opts, "gamma", "figures", 0.1)
+    grid = _grid_kwargs(cfg)
     species = _species(cfg)
     f = make_classical_pb(species)
     meta = {"config": cfg, "curves": [], "verdicts": {}}
     want_u = preset in ("figure-U", "both")
     want_v = preset in ("figure-V", "both")
     for label, phi_bd in (("plus", 1.0), ("minus", -1.0)):
-        u = solve_u(f, RobinData(gamma, phi_bd))
+        u = solve_u(f, RobinData(gamma, phi_bd), **grid)
         v = solve_v(u, f, RobinData(gamma, 0.0))
         if want_u:
             u.to_csv(out / f"figure_u_{label}.csv")

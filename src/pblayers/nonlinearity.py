@@ -254,7 +254,13 @@ class _ExpSumAntiderivative:
             # coefficient leaves the clipped sum)
             lead = np.argmax(t, axis=-1) if overflow.any() else None
             np.minimum(t, _EXP_GUARD, out=t)
-            val = np.expm1(t, out=t) @ self._w_over_b
+            np.expm1(t, out=t)
+            # the term columns summed in order, element by element: a matmul
+            # rounds a 1-row batch differently from a long one, this sum
+            # gives each offset the same bits in any batch
+            val = t[..., 0] * self._w_over_b[0]
+            for j in range(1, t.shape[-1]):
+                val += t[..., j] * self._w_over_b[j]
             if lead is not None:
                 sign = self._w_over_b[lead]
                 val = np.where(overflow & (sign != 0.0), np.copysign(np.inf, sign), val)

@@ -1,7 +1,7 @@
-"""Small shared numerical kernels: panel quadrature, Hermite evaluation,
-finite differences on nonuniform grids, the bisection behind the reference
-potential (the bulk potential and the Robin boundary values use scipy's
-brentq), and the CSV writer of every artifact."""
+"""Small shared numerical kernels: panel quadrature, quintic Hermite
+evaluation, the bisection behind the reference potential (the bulk
+potential and the Robin boundary values use scipy's brentq), and the CSV
+writer of every artifact."""
 
 from __future__ import annotations
 
@@ -63,47 +63,38 @@ def panel_integrals(fn, a, b):
     return np.sum(fn(x.ravel()).reshape(x.shape) * w, axis=1)
 
 
-def hermite_eval(tq, t, y, dy):
-    """Evaluate the piecewise cubic Hermite interpolant of (t, y, dy) at tq.
+def hermite_eval(tq, t, y, dy, d2y):
+    """Evaluate the piecewise quintic Hermite interpolant of (t, y, dy, d2y)
+    at tq: on each panel [t_j, t_j+1] the quintic that matches value, slope
+    and second derivative at both ends, O(h^6) in value and O(h^5) in slope.
 
-    Matches values and first derivatives at the nodes exactly.  Returns
-    (value, derivative) arrays of tq's shape.  tq must lie inside [t[0], t[-1]].
+    It is summed in difference form: with h = t_j+1 - t_j and
+    s = (tq - t_j) / h, p = y_j + h y'_j s + h^2 y''_j s^2 / 2
+    + (a3 + a4 s + a5 s^2) s^3, where a3..a5 are combinations of the misfits
+    at s = 1 of the Taylor part, y_j+1 - y_j - h y'_j - h^2 y''_j / 2,
+    h (y'_j+1 - y'_j) - h^2 y''_j and h^2 (y''_j+1 - y''_j).  The slope
+    then carries the rounding of y_j+1 - y_j, not the eps |y| / h of a sum
+    y_j H_0(s) + y_j+1 H_5(s).  Returns (value, slope, second derivative)
+    arrays of tq's shape, exact at the left node of each panel.  tq must lie
+    inside [t[0], t[-1]].
     """
     tq = np.asarray(tq, dtype=float)
     idx = np.clip(np.searchsorted(t, tq, side="right") - 1, 0, len(t) - 2)
     h = t[idx + 1] - t[idx]
     s = (tq - t[idx]) / h
-    y0, y1 = y[idx], y[idx + 1]
-    d0, d1 = dy[idx], dy[idx + 1]
-    # standard Hermite basis
-    s2 = s * s
-    s3 = s2 * s
-    h00 = 2 * s3 - 3 * s2 + 1
-    h10 = s3 - 2 * s2 + s
-    h01 = -2 * s3 + 3 * s2
-    h11 = s3 - s2
-    val = h00 * y0 + h * h10 * d0 + h01 * y1 + h * h11 * d1
-    dh00 = (6 * s2 - 6 * s) / h
-    dh10 = 3 * s2 - 4 * s + 1
-    dh01 = (-6 * s2 + 6 * s) / h
-    dh11 = 3 * s2 - 2 * s
-    der = dh00 * y0 + dh10 * d0 + dh01 * y1 + dh11 * d1
-    return val, der
-
-
-def second_difference(t, y):
-    """Three-point second derivative on a nonuniform grid (interior nodes).
-
-    Exact for quadratics; second order on smoothly graded grids.  Returns an
-    array of len(t) - 2 values for nodes 1..n-2.
-    """
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    hl = t[1:-1] - t[:-2]
-    hr = t[2:] - t[1:-1]
-    return 2.0 * (hl * y[2:] - (hl + hr) * y[1:-1] + hr * y[:-2]) / (
-        hl * hr * (hl + hr)
-    )
+    y0, d0, c0 = y[idx], dy[idx], d2y[idx]
+    slope = h * d0  # the Taylor part at s = 1, in units of the panel
+    curv = h * h * c0
+    miss = y[idx + 1] - y0 - slope - 0.5 * curv
+    miss_slope = h * dy[idx + 1] - slope - curv
+    miss_curv = h * h * d2y[idx + 1] - curv
+    a3 = 10.0 * miss - 4.0 * miss_slope + 0.5 * miss_curv
+    a4 = -15.0 * miss + 7.0 * miss_slope - miss_curv
+    a5 = 6.0 * miss - 3.0 * miss_slope + 0.5 * miss_curv
+    val = y0 + s * (slope + s * (0.5 * curv + s * (a3 + s * (a4 + s * a5))))
+    der = d0 + s * (curv + s * (3.0 * a3 + s * (4.0 * a4 + s * (5.0 * a5)))) / h
+    sec = c0 + s * (6.0 * a3 + s * (12.0 * a4 + s * (20.0 * a5))) / (h * h)
+    return val, der, sec
 
 
 def boundary_clustered_nodes(n: int, span: float):

@@ -36,7 +36,10 @@ growing at most linearly: its limit is added, not recovered from u' times
 an integral that grows as 1/u'.  Beyond the last node every profile decays
 at the known rate mu = sqrt(-f'(phi*)), u and theta as exp(-mu t) and v and
 w as (a + b t) exp(-mu t), so each continues as that two-term exponential
-through its last node's value and slope: no tail fit.
+through its last node's value and slope: no tail fit.  Each solver also sets
+y'' at its nodes from its own equation (u'' = -f(u), v'' = u' - f'(u) v,
+theta'' = f0'(u)(1 - theta), w'' = -f0'(u) w - f1(u)), and between nodes a
+profile is the quintic Hermite interpolant through value, slope and y''.
 """
 
 from __future__ import annotations
@@ -63,11 +66,10 @@ from .numerics import (
     gauss_panels,
     hermite_eval,
     panel_integrals,
-    second_difference,
     write_csv,
 )
 
-DEFAULT_NODES = 20001
+DEFAULT_NODES = 4001
 MIN_NODES = 5  # fewest nodes solve_u and ode_residual accept
 TMAX_CAP_FACTOR = 40.0  # m_f * t_max of the flat profile
 TAIL_REL_THRESHOLD = 1e-12
@@ -118,16 +120,21 @@ class Tail:
 
 @dataclass(frozen=True)
 class Profile:
-    """Sampled profile with derivatives and an exponential tail model.
+    """Sampled profile with first and second derivatives and an exponential
+    tail model.
 
-    The per-kind subclasses below add the layer's typed scalars; to_json_dict
-    lists those named in json_keys under "meta" (None values are left out).
+    second_derivs holds y'' at the nodes, which each solver takes from the
+    profile's own equation; between nodes profile_eval evaluates the quintic
+    Hermite interpolant through value, slope and y''.  The per-kind
+    subclasses below add the layer's typed scalars; to_json_dict lists those
+    named in json_keys under "meta" (None values are left out).
     """
 
     kind: str
     t: np.ndarray
     values: np.ndarray
     derivs: np.ndarray
+    second_derivs: np.ndarray
     tail: Tail
     robin: RobinData
 
@@ -226,8 +233,8 @@ class WLayer(Profile):
 def profile_eval(p: Profile, t):
     """Evaluate (value, derivative) at t >= 0.
 
-    Cubic Hermite interpolation on the samples (exact at nodes); the tail
-    model takes over beyond t_max.
+    Quintic Hermite interpolation on the values, slopes and second
+    derivatives at the nodes; the tail model takes over beyond t_max.
     """
     scalar = np.isscalar(t) or getattr(t, "ndim", 0) == 0
     tq = np.atleast_1d(np.asarray(t, dtype=float))
@@ -237,7 +244,7 @@ def profile_eval(p: Profile, t):
     der = np.empty(tq.shape)
     inside = tq <= p.t[-1]
     if inside.any():
-        v, d = hermite_eval(tq[inside], p.t, p.values, p.derivs)
+        v, d, _ = hermite_eval(tq[inside], p.t, p.values, p.derivs, p.second_derivs)
         val[inside] = v
         der[inside] = d
     if (~inside).any():
@@ -327,6 +334,7 @@ def _constant_profile(cls, kind, level, t_max, n_nodes, robin, rate, **fields):
         t=np.linspace(0.0, t_max, n_nodes),
         values=np.full(n_nodes, float(level)),
         derivs=np.zeros(n_nodes),
+        second_derivs=np.zeros(n_nodes),
         tail=Tail(float(level), rate, 0.0, 0.0),
         robin=robin,
         **fields,
@@ -404,6 +412,7 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
 
     return ULayer(
         kind="u", t=t, values=phi_star + delta, derivs=du,
+        second_derivs=-_from_delta(f.f, phi_star, delta),  # u'' = -f(u)
         tail=Tail.anchored(phi_star, mu, delta[-1], du[-1]), robin=robin,
         u0=u0, m_f=m_f, delta=delta, energy=energy, energy_integral=energy_integral,
         density=f,
@@ -535,7 +544,7 @@ class _F0Terms:
 def solve_v(u: ULayer, f: Nonlinearity, robin: RobinData) -> VLayer:
     """Curvature-correction profile from its variation-of-parameters form
     v = u' (v(0)/u'(0) - A), with I and A = integral of I/u'^2 from 0 to t
-    read from u; f must be the density u was solved with."""
+    and f(u) = -u'' read from u; f must be the density u was solved with."""
     _check_density(u, f)
     if u.flat:
         # t_star = 0 is where the argmax rule below puts it for v = 0
@@ -547,8 +556,9 @@ def solve_v(u: ULayer, f: Nonlinearity, robin: RobinData) -> VLayer:
     v0 = -robin.gamma / den * energy[0]
     c = v0 / u.u0_prime - u.energy_integral
     v = u.derivs * c
-    dv = -_from_delta(f.f, u.phi_star, u.delta) * c - energy / u.derivs
+    dv = u.second_derivs * c - energy / u.derivs
     dv[0] = -energy[0] / den
+    d2v = u.derivs - np.asarray(f.df(u.values), dtype=float) * v  # v'' = u' - f'(u) v
     # extremum location by parabolic refinement of the grid argmax
     j = int(np.argmax(np.abs(v)))
     if 0 < j < len(v) - 1:
@@ -557,21 +567,24 @@ def solve_v(u: ULayer, f: Nonlinearity, robin: RobinData) -> VLayer:
     else:
         t_star = u.t[j]
     return VLayer(
-        kind="v", t=u.t, values=v, derivs=dv, tail=Tail.anchored(0.0, u.mu, v[-1], dv[-1]),
-        robin=robin, v0=v0, t_star=float(t_star),
+        kind="v", t=u.t, values=v, derivs=dv, second_derivs=d2v,
+        tail=Tail.anchored(0.0, u.mu, v[-1], dv[-1]), robin=robin, v0=v0, t_star=float(t_star),
     )
 
 
 def solve_theta(u: ULayer, f0: Nonlinearity, robin: RobinData) -> ThetaLayer:
-    """Auxiliary linear layer theta = 1 - u' / (u'(0) + gamma f0(u(0)))."""
+    """Auxiliary linear layer theta = 1 - u' / (u'(0) + gamma f0(u(0))), with
+    theta' = f0(u)/den = -u''/den and theta'' = f0'(u)(1 - theta) =
+    f0'(u) u'/den."""
     _check_density(u, f0)
     if u.flat:
         return _constant_profile(ThetaLayer, "theta", 1.0, u.t_max, len(u.t), robin, u.mu)
     den = _denominator(u, f0, robin.gamma)
     theta = 1.0 - u.derivs / den
-    dtheta = _from_delta(f0.f, u.phi_star, u.delta) / den
+    dtheta = -u.second_derivs / den
+    d2theta = np.asarray(f0.df(u.values), dtype=float) * u.derivs / den
     return ThetaLayer(
-        kind="theta", t=u.t, values=theta, derivs=dtheta,
+        kind="theta", t=u.t, values=theta, derivs=dtheta, second_derivs=d2theta,
         tail=Tail.anchored(1.0, u.mu, -u.derivs[-1] / den, dtheta[-1]),
         robin=robin, den=den,
     )
@@ -626,12 +639,13 @@ def solve_w(
         dw += terms.remainders(u.delta) @ gamma / u.derivs
     w = u.derivs * s
     w += limit
-    f0s = _from_delta(f0.f, u.phi_star, u.delta)
-    f0s *= s
-    dw -= f0s
+    dw += u.second_derivs * s  # -f0(u) s
     dw[0] = neg_F1 / den
+    # w'' = -f0'(u) w - f1(u)
+    d2w = np.asarray(f0.df(u.values), dtype=float) * -w
+    d2w -= _from_delta(f1.f, u.phi_star, u.delta)
     return WLayer(
-        kind="w", t=u.t, values=w, derivs=dw,
+        kind="w", t=u.t, values=w, derivs=dw, second_derivs=d2w,
         tail=Tail.anchored(limit, u.mu, u.derivs[-1] * s[-1], dw[-1]),
         robin=robin, w0=float(w0), q=float(q),
     )
@@ -657,17 +671,20 @@ class EquationSpec:
 
 
 def ode_residual(p: Profile, eq: EquationSpec) -> float:
-    """Max |y'' - rhs| over interior nodes by nonuniform second differences."""
+    """Max |y'' - rhs| at the panel midpoints, where the quintic of p gives
+    y and y'' and the background u and u' are interpolated: the residual of
+    the interpolant that profile_eval evaluates, between the nodes where
+    y'' was set from the equation."""
     if len(p.t) < MIN_NODES:
         raise GridTooCoarse(f"need at least {MIN_NODES} nodes for the residual")
-    d2 = second_difference(p.t, p.values)
-    y = p.values[1:-1]
+    mid = 0.5 * (p.t[:-1] + p.t[1:])
+    y, _, d2 = hermite_eval(mid, p.t, p.values, p.derivs, p.second_derivs)
     if eq.kind == "u":
         rhs = -np.asarray(eq.f.f(y), dtype=float)
     else:
         if eq.u is None:
             raise ConfigError("background u profile required")
-        ub, dub = profile_eval(eq.u, p.t[1:-1])
+        ub, dub = profile_eval(eq.u, mid)
         dfu = np.asarray(eq.f.df(ub), dtype=float)
         if eq.kind == "v":
             rhs = dub - dfu * y
@@ -693,6 +710,6 @@ def time_integral_usq(u: ULayer) -> float:
     potential-space value u.int_usq."""
     t = u.t
     xg, wg = gauss_panels(t[:-1], t[1:])
-    _, dug = hermite_eval(xg.ravel(), t, u.values, u.derivs)
+    _, dug, _ = hermite_eval(xg.ravel(), t, u.values, u.derivs, u.second_derivs)
     body = float(np.sum(dug.reshape(xg.shape) ** 2 * wg))
     return body + float(u.derivs[-1]) ** 2 / (2.0 * u.mu)

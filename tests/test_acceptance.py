@@ -76,18 +76,18 @@ def test_criterion_02_first_integral(profile_matrix, salt, annulus_constants):
 def test_criterion_03_ode_residuals(std_bundle, salt, annulus_constants):
     with criterion(3, "ODE residuals and the auxiliary-layer cross-check"):
         u, v, theta = std_bundle["u"], std_bundle["v"], std_bundle["theta"]
-        assert ode_residual(v, EquationSpec("v", salt, u=u)) <= 1e-6
-        assert ode_residual(theta, EquationSpec("theta", salt, u=u)) <= 1e-6
+        assert ode_residual(v, EquationSpec("v", salt, u=u)) <= 1e-10
+        assert ode_residual(theta, EquationSpec("theta", salt, u=u)) <= 1e-10
         cc = annulus_constants
         for comp_bundle in cc.profiles:
             uu = comp_bundle["u"]
-            assert ode_residual(comp_bundle["v"], EquationSpec("v", cc.f0, u=uu)) <= 1e-6
+            assert ode_residual(comp_bundle["v"], EquationSpec("v", cc.f0, u=uu)) <= 1e-10
             assert ode_residual(
                 comp_bundle["theta"], EquationSpec("theta", cc.f0, u=uu)
-            ) <= 1e-6
+            ) <= 1e-10
             assert ode_residual(
                 comp_bundle["w"], EquationSpec("w", cc.f0, u=uu, f1=cc.f1)
-            ) <= 1e-6
+            ) <= 1e-10
 
         # independent linear boundary-value solve for the auxiliary layer
         t_cut = min(u.t_max, 30.0 / u.mu)

@@ -16,7 +16,7 @@ from pblayers.errors import AllBoundaryPotentialsEqual, ConfigError, NeutralityV
 from pblayers.geometry import BoundaryComponent, DomainSpec, make_annulus
 from pblayers.nonlinearity import IonSpecies
 from pblayers import ccpb, nonlinearity
-from pblayers.profiles import RobinData, profile_eval, solve_v, solve_w
+from pblayers.profiles import EquationSpec, RobinData, ode_residual, profile_eval, solve_v, solve_w
 
 from conftest import quadrature_excess, whole_array_w
 
@@ -215,6 +215,21 @@ class TestClosedForms:
             assert abs(w.values[-1] - w.tail.limit) <= 1e-9
             assert w.tail.limit == pytest.approx(cc.q, abs=1e-12)
 
+    def test_ode_residuals(self, multi_species):
+        # the quintic between nodes, with y'' at the nodes from each equation
+        # and the remainder terms of w (measured: at most 2.4e-11, on the
+        # 3-D annulus of four species)
+        _, _, cc = multi_species
+        for bundle in cc.profiles:
+            u = bundle["u"]
+            specs = {
+                "u": EquationSpec("u", cc.f0), "v": EquationSpec("v", cc.f0, u=u),
+                "theta": EquationSpec("theta", cc.f0, u=u),
+                "w": EquationSpec("w", cc.f0, u=u, f1=cc.f1),
+            }
+            for kind, eq in specs.items():
+                assert ode_residual(bundle[kind], eq) <= 1e-10, kind
+
     def test_excess_valence_outside_f0_rejected(self, annulus_constants):
         cc = annulus_constants
         with pytest.raises(ConfigError):
@@ -264,8 +279,19 @@ class TestConstantsPipeline:
 
     # the fixture's diagnostics, pinned exactly (nodes of u chosen in
     # potential space, f1 one exp sum, w and the layer excess integrals of
-    # mhat in closed form from the first integral of u)
+    # mhat in closed form from the first integral of u, 4,001 nodes, F summed
+    # term by term)
     DIAGNOSTICS = {
+        "compatibility_residual": 5.898059818321144e-17,
+        "drift_balance": 0.0,
+        "drift_balance_rel": 0.0,
+        "flux_residual": 0.0,
+        "flux_residual_rel": 0.0,
+        "mhat_charge": -2.220446049250313e-16,
+        "mhat_charge_rel": 1.2338226519379863e-16,
+    }
+    # the same diagnostics at 20,001 nodes with F's terms summed by a matmul
+    NODES_20001_DIAGNOSTICS = {
         "compatibility_residual": 5.898059818321144e-17,
         "drift_balance": -8.881784197001252e-16,
         "drift_balance_rel": 7.991567804446672e-17,
@@ -348,7 +374,7 @@ class TestConstantsPipeline:
         got = annulus_constants.diagnostics
         assert got == self.DIAGNOSTICS
         for record in (
-            self.CLOSURE_F1_DIAGNOSTICS, self.T_GRID_DIAGNOSTICS,
+            self.NODES_20001_DIAGNOSTICS, self.CLOSURE_F1_DIAGNOSTICS, self.T_GRID_DIAGNOSTICS,
             self.TIME_QUADRATURE_DIAGNOSTICS, self.BISECTION_DIAGNOSTICS,
         ):
             for key, bound in record.items():

@@ -313,6 +313,11 @@ def test_readme_example_config_runs(tmp_path):
         pytest.param("expand", PB_BASE, "expand", {"n_t": 0}, "n_t", id="expand-n_t-zero"),
         pytest.param("profiles", PB_BASE, "grid", {"n_nodes": 0}, "n_nodes",
                      id="grid-n_nodes-zero"),
+        # every command that solves profiles reads grid.n_nodes
+        pytest.param("constants", CCPB_BASE, "grid", {"n_nodes": 4}, "n_nodes",
+                     id="grid-n_nodes-4-constants"),
+        pytest.param("figures", PB_BASE, "grid", {"n_nodes": 4}, "n_nodes",
+                     id="grid-n_nodes-4-figures"),
         pytest.param("expand", PB_BASE, "expand", {"order": 1.5}, "order", id="expand-order"),
         pytest.param("verify", PB_BASE, "verify", {"T": "x"}, "T", id="verify-T"),
         # an e2_halving <= 0 fails every model; T = 0 compares one point

@@ -359,6 +359,20 @@ class TestAntiderivative:
         assert np.all(salt.F(phis) < 0)
         assert float(salt.F(salt.phi_star)) == 0.0
 
+    def test_offsets_keep_their_bits_in_any_batch(self, annulus_constants):
+        # F0, Fhat1 and F1 at the offsets of both README-annulus layers, and a
+        # three-term F at offsets on both sides of the Taylor window: the
+        # whole array has the bits of one offset at a time (a matmul over the
+        # term columns rounded 339-770 of the 4,001 layer offsets differently)
+        cc = annulus_constants
+        cases = [(F, b["u"].delta) for b in cc.profiles for F in (cc.f0.F, cc.fhat1.F, cc.f1.F)]
+        three = make_classical_pb([IonSpecies(2.0, 1.0), IonSpecies(1.0, 0.5), IonSpecies(-1.0, 2.5)])
+        cases.append((three.F, np.random.default_rng(7).uniform(-3.0, 3.0, 2000)))
+        for F, d in cases:
+            whole = F.from_delta(d)
+            one = np.array([F.from_delta(d[i : i + 1])[0] for i in range(len(d))])
+            assert np.array_equal(whole.view(np.uint64), one.view(np.uint64))
+
 
 @st.composite
 def species_sets(draw):

@@ -8,7 +8,7 @@ import pytest
 
 from pblayers.errors import NonFiniteOutput, SolverError
 from pblayers.numerics import write_csv
-from pblayers.profiles import Profile
+from pblayers.profiles import DEFAULT_NODES, Profile
 
 
 def reference_write_csv(path, header, rows):
@@ -73,7 +73,7 @@ def test_one_and_two_columns(tmp_path, header):
 
 def test_real_profile_reloads_bit_equal(tmp_path, std_bundle):
     u = std_bundle["u"]
-    assert len(u.t) == 20001
+    assert len(u.t) == DEFAULT_NODES
     compare(tmp_path, "t,value,derivative", (u.t, u.values, u.derivs))
 
 
@@ -87,7 +87,7 @@ def test_non_finite_profile_writes_nothing(tmp_path, std_bundle, bad):
     u = std_bundle["u"]
     values = u.values.copy()
     values[len(values) // 2] = bad
-    prof = Profile("u", u.t, values, u.derivs, u.tail, u.robin)
+    prof = Profile("u", u.t, values, u.derivs, u.second_derivs, u.tail, u.robin)
     path = tmp_path / "u_k0.csv"
     with pytest.raises(NonFiniteOutput, match="u_k0.csv") as info:
         prof.to_csv(path)

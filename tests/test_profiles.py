@@ -1,6 +1,7 @@
 import math
 from dataclasses import fields, replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -84,26 +85,65 @@ def bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
 
 
-def gouy_chapman(t, phi_bd):
+def gouy_chapman(t, phi_bd, slope=False):
     """4 artanh(a e^{-sqrt2 t}), a = tanh(phi_bd / 4), with 1 - a e^{-sqrt2 t}
     summed as -expm1(-sqrt2 t) + (1 - a) e^{-sqrt2 t}, 1 - a = 2 / (e^{|phi_bd|/2}
-    + 1), so that it keeps full accuracy at large |phi_bd|."""
+    + 1), so that it keeps full accuracy at large |phi_bd|; with slope, also
+    its t-derivative -4 sqrt2 y / (1 - y^2), y = |a| e^{-sqrt2 t}, signed."""
     s = -SQRT2 * np.asarray(t, dtype=float)
     y = math.tanh(abs(phi_bd) / 4) * np.exp(s)
     one_minus_y = -np.expm1(s) + 2 / (math.exp(abs(phi_bd) / 2) + 1) * np.exp(s)
-    return math.copysign(2.0, phi_bd) * (np.log1p(y) - np.log(one_minus_y))
+    value = math.copysign(2.0, phi_bd) * (np.log1p(y) - np.log(one_minus_y))
+    if not slope:
+        return value
+    return value, -math.copysign(4 * SQRT2, phi_bd) * y / (one_minus_y * (1 + y))
 
 
 class TestLayerProfile:
+    # sup errors of the 20,001-node cubic Hermite against Gouy-Chapman on the
+    # grid below (Dirichlet, 1:1): |u - u_GC| and max|u' - u'_GC| / max|u'_GC|
+    CUBIC_20001_ERRORS = {
+        1.0: (8.1e-16, 1.6e-12), 4.0: (4.9e-15, 4.1e-12), 10.0: (8.3e-14, 3.2e-11),
+        20.0: (1.3e-12, 1.6e-10), 40.0: (2.1e-11, 1.3e-10),
+    }
+
     def test_gouy_chapman_closed_form(self, salt):
-        for phi_bd in (1.0, -1.0, 10.0, 20.0, 40.0):
+        # the quintic on DEFAULT_NODES nodes is no worse in value or slope,
+        # on t in [0, 20] and across the inner sublayer (measured at 4,001
+        # nodes: values 5.6e-16 .. 1.4e-12, slopes 1.7e-14 .. 2.1e-12)
+        for phi_bd in (1.0, -1.0, 4.0, 10.0, 20.0, 40.0):
+            value_err, slope_err = self.CUBIC_20001_ERRORS[abs(phi_bd)]
             # t where u = phi_bd / 2: the inner sublayer, exp(-phi_bd / 4) thin
             t_half = math.log(math.tanh(phi_bd / 4) / math.tanh(phi_bd / 8)) / SQRT2
-            tq = np.concatenate((np.linspace(0, 20, 2001), np.linspace(0, 2 * t_half, 2001)))
-            u = solve_u(salt, RobinData(0.0, phi_bd))
-            val, _ = u(tq)
-            assert np.max(np.abs(val - gouy_chapman(tq, phi_bd))) < 1e-10, phi_bd
+            tq = np.concatenate((np.linspace(0, 20, 20001), np.linspace(0, 2 * t_half, 2001)))
+            val, der = solve_u(salt, RobinData(0.0, phi_bd))(tq)
+            want, want_der = gouy_chapman(tq, phi_bd, slope=True)
+            assert np.max(np.abs(val - want)) <= value_err, phi_bd
+            assert np.max(np.abs(der - want_der)) <= slope_err * np.max(np.abs(want_der)), phi_bd
 
+    # integral of u'^2 over [0, inf) on the two README-annulus boundaries:
+    # mpmath quadrature at 30 digits of sqrt(-2 F0) from phi0* to u(0), with
+    # F0 = -(1/|Omega|) sum_i m_i expm1(-z_i (x - phi0*)) on the double
+    # |Omega|, phi0* and u(0) of the solve
+    INT_USQ_ANNULUS = ("0.0999566736546646236", "0.3729322947316460052")
+
+    def test_int_usq_against_mpmath(self, annulus_constants):
+        cc = annulus_constants
+        volume = mpmath.mpf(cc.domain.volume)
+        with mpmath.workdps(30):
+            for bundle, recorded in zip(cc.profiles, self.INT_USQ_ANNULUS):
+                u = bundle["u"]
+                star = mpmath.mpf(u.phi_star)
+
+                def F0(x):
+                    return -sum(
+                        s.amount * mpmath.expm1(-s.z * (x - star)) for s in cc.species
+                    ) / volume
+
+                ends = sorted((star, mpmath.mpf(u.u0)))
+                ref = mpmath.quad(lambda x: mpmath.sqrt(-2 * F0(x)), ends)
+                assert abs(ref / mpmath.mpf(recorded) - 1) <= 1e-18
+                assert abs(u.int_usq / ref - 1) <= 1e-15
     def test_boundary_slope_dirichlet(self, salt):
         u = solve_u(salt, RobinData(0.0, 1.0))
         assert u.u0_prime == pytest.approx(-2 * SQRT2 * math.sinh(0.5), abs=1e-13)
@@ -213,7 +253,7 @@ class TestLayerProfile:
             # one value per node: no per-panel Gauss data is kept
             arrays = [getattr(u, fl.name) for fl in fields(u)]
             arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-            assert len(arrays) == 6 and all(a.shape == u.t.shape for a in arrays)
+            assert len(arrays) == 7 and all(a.shape == u.t.shape for a in arrays)
             for arr in (u.delta, u.energy, u.energy_integral):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0.0
@@ -308,7 +348,7 @@ class TestCurvatureProfile:
 
     def test_ode_residual(self, std_bundle, salt):
         res = ode_residual(std_bundle["v"], EquationSpec("v", salt, u=std_bundle["u"]))
-        assert res <= 1e-6
+        assert res <= 1e-10
 
     def test_matches_gauss_point_quadrature(self, profile_matrix, salt):
         # reading I and A from u changes no bit of v
@@ -320,8 +360,8 @@ class TestCurvatureProfile:
             assert np.array_equal(bits(v.derivs), bits(want_dv)), (gamma, phi_bd)
 
     def test_no_antiderivative_call(self):
-        # v reads I and A from u: F is never called, and f only at the nodes
-        # and at u(0)
+        # v reads I, A and f(u) = -u'' from u: F is never called, and f only
+        # at u(0)
         calls = {"F": 0, "f": 0}
 
         def f(x):
@@ -336,7 +376,7 @@ class TestCurvatureProfile:
         u = solve_u(dens, RobinData(0.1, 1.0))
         calls.update(F=0, f=0)
         v = solve_v(u, dens, RobinData(0.1, 0.0))
-        assert calls == {"F": 0, "f": len(u.t) + 1}
+        assert calls == {"F": 0, "f": 1}
         assert np.all(np.isfinite(v.values))
 
     def test_density_of_another_reference_rejected(self, salt, msalt):
@@ -443,7 +483,7 @@ class TestAuxiliaryLayer:
 
     def test_ode_residual(self, std_bundle, salt):
         res = ode_residual(std_bundle["theta"], EquationSpec("theta", salt, u=std_bundle["u"]))
-        assert res <= 1e-6
+        assert res <= 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -486,7 +526,7 @@ class TestConservationProfile:
         f0, fh, u = w_setup
         f1 = make_f1(f0, fh, 1.0)
         w = solve_w(u, f0, f1, 1.0, RobinData(0.1, 0.0))
-        assert ode_residual(w, EquationSpec("w", f0, u=u, f1=f1)) <= 1e-6
+        assert ode_residual(w, EquationSpec("w", f0, u=u, f1=f1)) <= 1e-10
 
     def test_degenerate_constant(self, msalt):
         f0 = make_f0(msalt, 1.0, 0.0)
@@ -700,6 +740,7 @@ class TestEvaluation:
                 limit = p.tail.limit
                 cut = replace(
                     p, t=p.t[: j + 1], values=p.values[: j + 1], derivs=p.derivs[: j + 1],
+                    second_derivs=p.second_derivs[: j + 1],
                     tail=Tail.anchored(limit, p.tail.rate, p.values[j] - limit, p.derivs[j]),
                 )
                 val, _ = cut(p.t[k])
@@ -722,22 +763,24 @@ class TestOdeResidual:
         assert ode_residual(u, EquationSpec("u", salt)) < 1e-13
 
     def test_closed_form_samples(self, salt):
-        # Gouy-Chapman samples on the default-resolution grid
-        t = boundary_clustered_nodes(20001, 20.0)
+        # Gouy-Chapman samples, slopes and second derivatives, each from the
+        # closed form, on a grid of the default node count
+        t = boundary_clustered_nodes(DEFAULT_NODES, 20.0)
         vals = np.asarray(gouy_chapman(t, 1.0))
         a = np.tanh(0.25) * np.exp(-SQRT2 * t)
         derivs = 4 * (-SQRT2) * a / (1 - a * a)
+        second = 8 * a * (1 + a * a) / (1 - a * a) ** 2
         p = Profile(
-            kind="u", t=t, values=vals, derivs=derivs,
+            kind="u", t=t, values=vals, derivs=derivs, second_derivs=second,
             tail=Tail.anchored(0.0, SQRT2, vals[-1], derivs[-1]),
             robin=RobinData(0.0, 1.0),
         )
-        assert ode_residual(p, EquationSpec("u", salt)) <= 1e-6
+        assert ode_residual(p, EquationSpec("u", salt)) <= 1e-10
 
     def test_grid_too_coarse(self, salt):
         t = np.linspace(0, 1, 4)
         p = Profile(
-            kind="u", t=t, values=np.zeros(4), derivs=np.zeros(4),
+            kind="u", t=t, values=np.zeros(4), derivs=np.zeros(4), second_derivs=np.zeros(4),
             tail=Tail(0.0, 1.0, 0.0, 0.0), robin=RobinData(0.0, 0.0),
         )
         with pytest.raises(GridTooCoarse):
