@@ -75,9 +75,11 @@ def quadrature_v(u, f, robin):
 
 
 # node counts around the block size of the Gauss-point sweeps: one partial
-# block, one full block, one block and one panel, two full blocks
+# block, one full block, one block and one panel, two full blocks, the
+# default, and the former default of 20,001 nodes (five blocks)
 NODE_COUNTS = (
     MIN_NODES, PANEL_BLOCK, PANEL_BLOCK + 1, PANEL_BLOCK + 2, 2 * PANEL_BLOCK + 1, DEFAULT_NODES,
+    20001,
 )
 
 
