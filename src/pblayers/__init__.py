@@ -26,7 +26,6 @@ from .nonlinearity import (
     symmetric_salt,
 )
 from .profiles import (
-    EquationSpec,
     Profile,
     RobinData,
     Tail,

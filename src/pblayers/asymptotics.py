@@ -135,17 +135,17 @@ def field_normal_component(q: ExpansionQuery, profiles: dict) -> float | np.ndar
     return _result(_field(q, _sample(q, profiles)))
 
 
-def charge_density(q: ExpansionQuery, profiles: dict, f: Nonlinearity,
+def charge_density(q: ExpansionQuery, profiles: dict,
                    f1: Nonlinearity | None = None) -> float | np.ndarray:
     """f(u) [+ sqrt(eps)((d-1)H f'(u) v  (+ f'(u) w + f1(u) for conserved
-    charge))]."""
-    return _result(_charge_density(q, _sample(q, profiles), f, f1))
+    charge))], with f the density of u."""
+    return _result(_charge_density(q, _sample(q, profiles), profiles["u"].density, f1))
 
 
-def maxwell_traction(q: ExpansionQuery, profiles: dict, f: Nonlinearity) -> float | np.ndarray:
+def maxwell_traction(q: ExpansionQuery, profiles: dict) -> float | np.ndarray:
     """Normal-normal component of the electrostatic stress acting on nu_p:
-    -F(u) [+ sqrt(eps) u' ((d-1)H v' (+ w'))]."""
-    return _result(_traction(q, _sample(q, profiles), f))
+    -F(u) [+ sqrt(eps) u' ((d-1)H v' (+ w'))], with F that of the density of u."""
+    return _result(_traction(q, _sample(q, profiles), profiles["u"].density))
 
 
 @dataclass(frozen=True)
@@ -253,17 +253,18 @@ def decay_envelope(kind: str, m_prime: float, m_rate: float, *, t: float | None 
     raise ConfigError("kind must be 'regionII' or 'regionIII'")
 
 
-def grid_rows(q_template: ExpansionQuery, profiles: dict, f: Nonlinearity,
-              ts, f1: Nonlinearity | None = None):
+def grid_rows(q_template: ExpansionQuery, profiles: dict, ts, f1: Nonlinearity | None = None):
     """Values of the four pointwise evaluators on the grid ts, one array per
     evaluator name.
 
     Each profile is evaluated once over the whole grid ts, and each density
-    once over the sampled u; q_template supplies everything but t.
+    (that of u, and f1) once over the sampled u; q_template supplies
+    everything but t.
     """
     ts = np.asarray(ts, dtype=float)
     q = replace(q_template, t=ts)
     s = _sample(q, profiles)
+    f = profiles["u"].density
     return {
         "potential": _potential(q, s),
         "field": _field(q, s),

@@ -37,7 +37,6 @@ from .errors import (
     BracketFailure,
     ConfigError,
     DegenerateDenominator,
-    MismatchedReference,
 )
 from .geometry import DomainSpec
 from .nonlinearity import (
@@ -49,9 +48,7 @@ from .nonlinearity import (
     make_fhat1,
 )
 from .profiles import (
-    RobinData,
     ULayer,
-    _check_density,
     _denominator,
     _F0Terms,
     boundary_potential,
@@ -108,27 +105,21 @@ class CcpbConstants:
         }
 
 
-def _flux_sum(domain: DomainSpec, species, s: float):
+def _flux_sum(domain: DomainSpec, species, s: float) -> float:
     """sum_k |bd_k| u_k'(0; s) with u_k(0; s) from the compatibility equation.
 
     Strictly increasing in s; zero exactly at the bulk potential.
     """
-    volume = domain.volume
-    f0 = make_f0(species, volume, s)
+    f0 = make_f0(species, domain.volume, s)
     total = 0.0
-    u0s = []
     for comp in domain.components:
         u0 = boundary_potential(f0, comp.robin)
-        u0s.append(u0)
         total += comp.surface_area * boundary_slope(f0, s, comp.robin.phi_bd, u0)
-    return total, u0s
+    return total
 
 
-def solve_phi0(domain: DomainSpec, species: Sequence[IonSpecies]):
-    """Bulk potential and boundary values of the conserved-charge layer.
-
-    Returns (phi0_star, [u_k(0)]).
-    """
+def solve_phi0(domain: DomainSpec, species: Sequence[IonSpecies]) -> float:
+    """Bulk potential phi0* of the conserved-charge layer."""
     check_neutrality(species)
     phis = [c.robin.phi_bd for c in domain.components]
     lo, hi = min(phis), max(phis)
@@ -137,24 +128,21 @@ def solve_phi0(domain: DomainSpec, species: Sequence[IonSpecies]):
     span = hi - lo
     a = lo + 1e-12 * span
     b = hi - 1e-12 * span
-    ra, _ = _flux_sum(domain, species, a)
-    rb, _ = _flux_sum(domain, species, b)
+    ra = _flux_sum(domain, species, a)
+    rb = _flux_sum(domain, species, b)
     if not (ra < 0 < rb):
         raise BracketFailure(
             f"flux sum does not change sign on ({lo}, {hi}): R({a})={ra:.3e}, R({b})={rb:.3e}"
         )
-    phi0 = brentq(
-        lambda s: _flux_sum(domain, species, s)[0], a, b, xtol=PHI0_TOL, rtol=PHI0_TOL
+    return brentq(
+        lambda s: _flux_sum(domain, species, s), a, b, xtol=PHI0_TOL, rtol=PHI0_TOL
     )
-    _, u0s = _flux_sum(domain, species, phi0)
-    return phi0, u0s
 
 
-def layer_excess_integrals(
-    u: ULayer, f0: Nonlinearity, zs: Sequence[float], phi0_star: float,
-):
+def layer_excess_integrals(u: ULayer, zs: Sequence[float]):
     """Half-line integrals of 1 - exp(-z (u(s) - phi0*)) per valence z, for
-    the valences of the species of f0, the density u was solved with.
+    the valences of the species of f0, the density u was solved with, and
+    phi0* its bulk potential.
 
     The integrand is -expm1(b delta) with b = -z, one term of f0; on the
     terms of f0 it splits as -(alpha f0 + beta F0 + n), and along u the
@@ -164,10 +152,7 @@ def layer_excess_integrals(
     summed in exact rational arithmetic on their float inputs and rounded
     once, so they do not depend on the order of the operations.
     """
-    if phi0_star != u.phi_star:
-        raise MismatchedReference("phi0_star is not the bulk potential of the u-profile")
-    _check_density(u, f0)
-    terms = _F0Terms.of(f0)
+    terms = _F0Terms.of(u.density)
     b = -np.asarray(zs, dtype=float)
     index = {bi: i for i, bi in enumerate(terms.b.tolist())}
     if not set(b.tolist()) <= index.keys():
@@ -190,22 +175,17 @@ def compute_mhat(
     domain: DomainSpec,
     species: Sequence[IonSpecies],
     u_profiles: Sequence[ULayer],
-    phi0_star: float,
 ):
     """Signed mass corrections mhat_i from the per-boundary layer excess."""
     zs = [s.z for s in species]
-    volume = domain.volume
-    f0 = make_f0(species, volume, phi0_star)
     acc = np.zeros(len(species))
     for comp, u in zip(domain.components, u_profiles):
-        integrals = layer_excess_integrals(u, f0, zs, phi0_star)
-        acc += comp.surface_area * np.asarray(integrals)
-    return [s.amount / volume * float(a) for s, a in zip(species, acc)]
+        acc += comp.surface_area * np.asarray(layer_excess_integrals(u, zs))
+    return [s.amount / domain.volume * float(a) for s, a in zip(species, acc)]
 
 
 def compute_q(
     domain: DomainSpec,
-    f0: Nonlinearity,
     fhat1: Nonlinearity,
     u_profiles: Sequence[ULayer],
 ) -> float:
@@ -216,12 +196,12 @@ def compute_q(
     den = 0.0
     d = domain.dimension
     for comp, u in zip(domain.components, u_profiles):
-        dk = _denominator(u, f0, comp.robin.gamma)
+        dk = _denominator(u)
         num += (
             comp.surface_area * float(fhat1.F(u.u0))
             + (d - 1) * comp.curvature_integral * u.int_usq
         ) / dk
-        term = comp.surface_area * float(f0.f(u.u0)) / dk
+        term = comp.surface_area * float(u.density.f(u.u0)) / dk
         den += term
     if den <= 0:
         raise DegenerateDenominator(
@@ -239,30 +219,20 @@ def ccpb_constants(
     drift constant, conservation profiles and diagnostics."""
     domain.require_ccpb_admissible()
     check_neutrality(species)
-    phi0, u0s = solve_phi0(domain, species)
+    phi0 = solve_phi0(domain, species)
     f0 = make_f0(species, domain.volume, phi0)
     kwargs = {} if n_nodes is None else {"n_nodes": n_nodes}
-    u_list = []
-    for comp, u0_expected in zip(domain.components, u0s):
-        u = solve_u(f0, comp.robin, **kwargs)
-        if abs(u.u0 - u0_expected) > 1e-9 * max(1.0, abs(u0_expected)):
-            raise ConfigError("profile boundary value disagrees with the scan")
-        u_list.append(u)
+    u_list = [solve_u(f0, comp.robin, **kwargs) for comp in domain.components]
 
     # mhat, q and f1 read only the u-profiles
-    mhat = compute_mhat(domain, species, u_list, phi0)
+    mhat = compute_mhat(domain, species, u_list)
     fhat1 = make_fhat1(species, domain.volume, phi0, mhat)
-    q = compute_q(domain, f0, fhat1, u_list)
+    q = compute_q(domain, fhat1, u_list)
     f1 = make_f1(f0, fhat1, q)
-    bundles = []
-    for comp, u in zip(domain.components, u_list):
-        robin0 = RobinData(comp.robin.gamma, 0.0)
-        bundles.append({
-            "u": u,
-            "v": solve_v(u, f0, robin0),
-            "theta": solve_theta(u, f0, robin0),
-            "w": solve_w(u, f0, f1, q, robin0),
-        })
+    bundles = [
+        {"u": u, "v": solve_v(u), "theta": solve_theta(u), "w": solve_w(u, f1)}
+        for u in u_list
+    ]
 
     # diagnostics: compatibility residuals, flux balance, neutrality of the
     # corrections, and the independent balance identity for q
@@ -271,9 +241,9 @@ def ccpb_constants(
     balance_v = 0.0
     balance_w = 0.0
     d = domain.dimension
-    for comp, bundle, u0 in zip(domain.components, bundles, u0s):
+    for comp, bundle in zip(domain.components, bundles):
         u = bundle["u"]
-        phi_bd = comp.robin.phi_bd
+        phi_bd, u0 = comp.robin.phi_bd, u.u0
         res_compat = max(
             res_compat,
             abs(phi_bd - u0 + comp.robin.gamma * boundary_slope(f0, phi0, phi_bd, u0)),
@@ -297,7 +267,7 @@ def ccpb_constants(
     bulk0 = [s.amount * math.exp(s.z * phi0) / domain.volume for s in species]
     return CcpbConstants(
         phi0_star=phi0,
-        u0_per_boundary=tuple(u0s),
+        u0_per_boundary=tuple(b["u"].u0 for b in bundles),
         q=q,
         mhat=tuple(mhat),
         bulk_conc0=tuple(bulk0),

@@ -182,8 +182,7 @@ def _pb_bundles(domain, f, cfg):
     bundles = []
     for comp in domain.components:
         u = solve_u(f, comp.robin, **kwargs)
-        v = solve_v(u, f, RobinData(comp.robin.gamma, 0.0))
-        bundles.append({"u": u, "v": v})
+        bundles.append({"u": u, "v": solve_v(u)})
     return bundles
 
 
@@ -249,12 +248,12 @@ def cmd_expand(cfg, out: Path) -> int:
             for k, comp in enumerate(domain.components)
         ]
         plan.append((eps, queries, _region_params(cfg, eps)))
-    _, _, f, bundles, constants = _build_model(cfg)
+    _, _, _, bundles, constants = _build_model(cfg)
     f1 = constants.f1 if constants is not None else None
     for eps, queries, params in plan:
         tag = _eps_tag(eps)
         for k, (q, bundle) in enumerate(zip(queries, bundles)):
-            values = asymptotics.grid_rows(q, bundle, f, ts, f1)
+            values = asymptotics.grid_rows(q, bundle, ts=ts, f1=f1)
             eps_col = np.full_like(ts, q.eps)
             for name, vals in sorted(values.items()):
                 write_csv(
@@ -403,7 +402,7 @@ def cmd_figures(cfg, out: Path) -> int:
     want_v = preset in ("figure-V", "both")
     for label, phi_bd in (("plus", 1.0), ("minus", -1.0)):
         u = solve_u(f, RobinData(gamma, phi_bd), **grid)
-        v = solve_v(u, f, RobinData(gamma, 0.0))
+        v = solve_v(u)
         if want_u:
             u.to_csv(out / f"figure_u_{label}.csv")
             meta["curves"].append({"name": f"u_{label}", "phi_bd": phi_bd})

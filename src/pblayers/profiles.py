@@ -424,22 +424,9 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
 # ---------------------------------------------------------------------------
 
 
-def _check_density(u: ULayer, f: Nonlinearity):
-    """Raise MismatchedReference unless f is the density u was solved with,
-    or an exp sum with its coefficients and reference potential."""
-
-    def key(g):
-        return (g.f._terms, g.f.ref, g.phi_star) if isinstance(g.f, _ExpSum) else g
-
-    if key(f) != key(u.density):
-        raise MismatchedReference(
-            f"the density (phi* = {f.phi_star!r}) is not the one the u-profile "
-            f"(phi* = {u.phi_star!r}) was solved with"
-        )
-
-
-def _denominator(u: ULayer, f: Nonlinearity, gamma: float) -> float:
-    d = u.u0_prime + gamma * float(f.f(u.u0))
+def _denominator(u: ULayer) -> float:
+    """u'(0) + gamma f(u(0)), with u's own gamma and density."""
+    d = u.u0_prime + u.robin.gamma * float(u.density.f(u.u0))
     if abs(d) <= 1e-300:
         raise DenominatorNearZero("u'(0) + gamma f(u(0)) vanished")
     return d
@@ -541,24 +528,24 @@ class _F0Terms:
         return R, total
 
 
-def solve_v(u: ULayer, f: Nonlinearity, robin: RobinData) -> VLayer:
+def solve_v(u: ULayer) -> VLayer:
     """Curvature-correction profile from its variation-of-parameters form
     v = u' (v(0)/u'(0) - A), with I and A = integral of I/u'^2 from 0 to t
-    and f(u) = -u'' read from u; f must be the density u was solved with."""
-    _check_density(u, f)
+    and f(u) = -u'' read from u, on u's density and gamma."""
+    robin = RobinData(u.robin.gamma, 0.0)
     if u.flat:
         # t_star = 0 is where the argmax rule below puts it for v = 0
         return _constant_profile(
             VLayer, "v", 0.0, u.t_max, len(u.t), robin, u.mu, v0=0.0, t_star=0.0,
         )
-    den = _denominator(u, f, robin.gamma)
+    den = _denominator(u)
     energy = u.energy
     v0 = -robin.gamma / den * energy[0]
     c = v0 / u.u0_prime - u.energy_integral
     v = u.derivs * c
     dv = u.second_derivs * c - energy / u.derivs
     dv[0] = -energy[0] / den
-    d2v = u.derivs - np.asarray(f.df(u.values), dtype=float) * v  # v'' = u' - f'(u) v
+    d2v = u.derivs - np.asarray(u.density.df(u.values), dtype=float) * v  # v'' = u' - f'(u) v
     # extremum location by parabolic refinement of the grid argmax
     j = int(np.argmax(np.abs(v)))
     if 0 < j < len(v) - 1:
@@ -572,17 +559,17 @@ def solve_v(u: ULayer, f: Nonlinearity, robin: RobinData) -> VLayer:
     )
 
 
-def solve_theta(u: ULayer, f0: Nonlinearity, robin: RobinData) -> ThetaLayer:
+def solve_theta(u: ULayer) -> ThetaLayer:
     """Auxiliary linear layer theta = 1 - u' / (u'(0) + gamma f0(u(0))), with
-    theta' = f0(u)/den = -u''/den and theta'' = f0'(u)(1 - theta) =
-    f0'(u) u'/den."""
-    _check_density(u, f0)
+    f0 and gamma those of u, theta' = f0(u)/den = -u''/den and
+    theta'' = f0'(u)(1 - theta) = f0'(u) u'/den."""
+    robin = RobinData(u.robin.gamma, 0.0)
     if u.flat:
         return _constant_profile(ThetaLayer, "theta", 1.0, u.t_max, len(u.t), robin, u.mu)
-    den = _denominator(u, f0, robin.gamma)
+    den = _denominator(u)
     theta = 1.0 - u.derivs / den
     dtheta = -u.second_derivs / den
-    d2theta = np.asarray(f0.df(u.values), dtype=float) * u.derivs / den
+    d2theta = np.asarray(u.density.df(u.values), dtype=float) * u.derivs / den
     return ThetaLayer(
         kind="theta", t=u.t, values=theta, derivs=dtheta, second_derivs=d2theta,
         tail=Tail.anchored(1.0, u.mu, -u.derivs[-1] / den, dtheta[-1]),
@@ -590,14 +577,9 @@ def solve_theta(u: ULayer, f0: Nonlinearity, robin: RobinData) -> ThetaLayer:
     )
 
 
-def solve_w(
-    u: ULayer,
-    f0: Nonlinearity,
-    f1: Nonlinearity,
-    q: float,
-    robin: RobinData,
-) -> WLayer:
-    """Conservation-correction profile in closed form on the nodes of u.
+def solve_w(u: ULayer, f1: Nonlinearity) -> WLayer:
+    """Conservation-correction profile in closed form on the nodes of u, for
+    the density f0 and gamma of u and the drift constant q of f1.
 
     The forcing enters through the antiderivative of f1 anchored at the bulk
     potential, -F1(u) = Q f0(u) - Fhat1(u), and on the terms of f0 it splits
@@ -611,10 +593,10 @@ def solve_w(
     """
     if f1.provenance != "f1":
         raise MismatchedReference("solve_w needs the combined first-order density")
-    if f1.q is None or abs(f1.q - q) > 1e-12 * max(1.0, abs(q)):
-        raise MismatchedReference("f1 was not built with this drift constant")
-    _check_density(u, f0)
-    terms = _F0Terms.of(f0)
+    if f1.q is None:
+        raise MismatchedReference("f1 was not built with a drift constant")
+    q, robin = f1.q, RobinData(u.robin.gamma, 0.0)
+    terms = _F0Terms.of(u.density)
     if not (
         isinstance(f1.f, _ExpSum) and f1.f.ref == u.phi_star
         and np.array_equal(f1.f.b, terms.b)
@@ -626,7 +608,7 @@ def solve_w(
     limit, beta, gamma = terms.split(
         -f1.f.a / terms.b, -float(f1.f(u.phi_star)), -float(f1.df(u.phi_star)),
     )
-    den = _denominator(u, f0, robin.gamma)
+    den = _denominator(u)
     neg_F1 = -_from_delta(f1.F, u.phi_star, u.delta[:1])[0]
     w0 = robin.gamma * neg_F1 / den
     # s and w' = -f0(u) s - beta u'/2 + n/u', summed in place
@@ -642,7 +624,7 @@ def solve_w(
     dw += u.second_derivs * s  # -f0(u) s
     dw[0] = neg_F1 / den
     # w'' = -f0'(u) w - f1(u)
-    d2w = np.asarray(f0.df(u.values), dtype=float) * -w
+    d2w = np.asarray(u.density.df(u.values), dtype=float) * -w
     d2w -= _from_delta(f1.f, u.phi_star, u.delta)
     return WLayer(
         kind="w", t=u.t, values=w, derivs=dw, second_derivs=d2w,
@@ -656,52 +638,42 @@ def solve_w(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquationSpec:
-    """Descriptor of the half-line equation a profile is expected to solve.
-
-    kind 'u' needs f; 'v' and 'theta' need f and the background u; 'w' needs
-    f (the limiting density), f1 and the background u.
-    """
-
-    kind: str
-    f: Nonlinearity
-    u: Profile | None = None
-    f1: Nonlinearity | None = None
-
-
-def ode_residual(p: Profile, eq: EquationSpec) -> float:
+def ode_residual(p: Profile, u: ULayer | None = None, f1: Nonlinearity | None = None) -> float:
     """Max |y'' - rhs| at the panel midpoints, where the quintic of p gives
     y and y'' and the background u and u' are interpolated: the residual of
     the interpolant that profile_eval evaluates, between the nodes where
-    y'' was set from the equation."""
+    y'' was set from the equation.  The equation is that of p.kind on the
+    density of u (p itself when u is None); kind 'w' also needs f1."""
     if len(p.t) < MIN_NODES:
         raise GridTooCoarse(f"need at least {MIN_NODES} nodes for the residual")
+    u = p if u is None else u
+    if not isinstance(u, ULayer):
+        raise ConfigError("background u profile required")
+    f = u.density
     mid = 0.5 * (p.t[:-1] + p.t[1:])
     y, _, d2 = hermite_eval(mid, p.t, p.values, p.derivs, p.second_derivs)
-    if eq.kind == "u":
-        rhs = -np.asarray(eq.f.f(y), dtype=float)
+    if p.kind == "u":
+        rhs = -np.asarray(f.f(y), dtype=float)
     else:
-        if eq.u is None:
-            raise ConfigError("background u profile required")
-        ub, dub = profile_eval(eq.u, mid)
-        dfu = np.asarray(eq.f.df(ub), dtype=float)
-        if eq.kind == "v":
+        ub, dub = profile_eval(u, mid)
+        dfu = np.asarray(f.df(ub), dtype=float)
+        if p.kind == "v":
             rhs = dub - dfu * y
-        elif eq.kind == "theta":
+        elif p.kind == "theta":
             rhs = dfu * (1.0 - y)
-        elif eq.kind == "w":
-            if eq.f1 is None:
+        elif p.kind == "w":
+            if f1 is None:
                 raise ConfigError("w residual requires f1")
-            rhs = -dfu * y - np.asarray(eq.f1.f(ub), dtype=float)
+            rhs = -dfu * y - np.asarray(f1.f(ub), dtype=float)
         else:
-            raise ConfigError(f"unknown equation kind {eq.kind!r}")
+            raise ConfigError(f"unknown equation kind {p.kind!r}")
     return float(np.max(np.abs(d2 - rhs)))
 
 
-def first_integral_drift(u: ULayer, f: Nonlinearity) -> float:
-    """max_t |u'^2 + 2F(u)|, the conserved-quantity drift."""
-    return float(np.max(np.abs(u.derivs**2 + 2.0 * np.asarray(f.F(u.values), dtype=float))))
+def first_integral_drift(u: ULayer) -> float:
+    """max_t |u'^2 + 2F(u)|, the conserved-quantity drift on u's density."""
+    F = np.asarray(u.density.F(u.values), dtype=float)
+    return float(np.max(np.abs(u.derivs**2 + 2.0 * F)))
 
 
 def time_integral_usq(u: ULayer) -> float:

@@ -109,8 +109,9 @@ def energy(f, phi_star, delta, node_speed, wq, speed):
     return nodes, gauss
 
 
-def whole_array_u(f, u):
+def whole_array_u(u):
     """(t, u', I, A) at the offsets u.delta of the nodes of u."""
+    f = u.density
     _, wq, speed = panel_quadrature(f, u.phi_star, u.delta)
     node_speed = _speed_from_delta(f, u.phi_star)(u.delta)
     nodes, gauss = energy(f, u.phi_star, u.delta, node_speed, wq, speed)
@@ -118,32 +119,34 @@ def whole_array_u(f, u):
     return cumulative(wq, 1.0 / speed), sgn_du * node_speed, nodes, cumulative(wq, gauss / speed**3)
 
 
-def whole_array_w(u, f0, f1, q, robin):
+def whole_array_w(u, f1):
     """(w, w') on the nodes of u from w = u' (w(0)/u'(0) + B), with
     B = integral of -F1/u'^2 summed at the Gauss points of every panel, as
     solve_w did before its closed form.  In the tail it loses what the
     rounding of u' costs the growing B; for two species it holds to 1e-13."""
+    f0 = u.density
     x, wq, speed = panel_quadrature(f0, u.phi_star, u.delta)
     neg_F1 = -_from_delta(f1.F, u.phi_star, u.delta)
     neg_F1_gauss = -_from_delta(f1.F, u.phi_star, x.ravel()).reshape(x.shape)
-    den = u.u0_prime + robin.gamma * float(f0.f(u.u0))
-    w0 = robin.gamma * neg_F1[0] / den
+    den = u.u0_prime + u.robin.gamma * float(f0.f(u.u0))
+    w0 = u.robin.gamma * neg_F1[0] / den
     c = w0 / u.u0_prime + cumulative(wq, neg_F1_gauss / speed**3)
     dw = -_from_delta(f0.f, u.phi_star, u.delta) * c + neg_F1 / u.derivs
     dw[0] = neg_F1[0] / den
     return u.derivs * c, dw
 
 
-def quadrature_excess(u, f0, zs, phi0_star, panels=2000):
+def quadrature_excess(u, zs, panels=2000):
     """Half-line integrals of 1 - exp(-z (u - phi0*)) per valence z, as
     ccpb.layer_excess_integrals summed them before its closed form: Gauss
     panels on [u(0) - phi0*, 0] in potential space, weighted by 1/|u'|."""
     if u.flat:
         return [0.0 for _ in zs]
+    phi0_star = u.phi_star
     delta0 = u.u0 - phi0_star
     x = np.linspace(min(0.0, delta0), max(0.0, delta0), panels + 1)
     xg, wg = gauss_panels(x[:-1], x[1:])
-    speed = _speed_from_delta(f0, phi0_star)(xg.ravel()).reshape(xg.shape)
+    speed = _speed_from_delta(u.density, phi0_star)(xg.ravel()).reshape(xg.shape)
     return [float(np.sum(-np.expm1(-z * xg) / speed * wg)) for z in zs]
 
 
@@ -161,9 +164,7 @@ def msalt():
 def std_bundle(salt):
     """gamma = 0.1, phi_bd = 1 profiles used across the suite."""
     u = solve_u(salt, RobinData(0.1, 1.0))
-    v = solve_v(u, salt, RobinData(0.1, 0.0))
-    theta = solve_theta(u, salt, RobinData(0.1, 0.0))
-    return {"u": u, "v": v, "theta": theta}
+    return {"u": u, "v": solve_v(u), "theta": solve_theta(u)}
 
 
 @pytest.fixture(scope="session")
@@ -173,8 +174,7 @@ def profile_matrix(salt):
     for gamma in GAMMAS:
         for phi_bd in PHI_BDS:
             u = solve_u(salt, RobinData(gamma, phi_bd))
-            v = solve_v(u, salt, RobinData(gamma, 0.0))
-            out[(gamma, phi_bd)] = (u, v)
+            out[(gamma, phi_bd)] = (u, solve_v(u))
     return out
 
 

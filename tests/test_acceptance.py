@@ -23,7 +23,6 @@ from pblayers.cli import main as cli_main
 from pblayers.geometry import BoundaryComponent, DomainSpec, RegionParams
 from pblayers.nonlinearity import _exp_terms_nonlinearity
 from pblayers.profiles import (
-    EquationSpec,
     RobinData,
     first_integral_drift,
     ode_residual,
@@ -62,32 +61,26 @@ def test_criterion_01_gouy_chapman_equivalence(salt):
         assert time.perf_counter() - start < 1.0
 
 
-def test_criterion_02_first_integral(profile_matrix, salt, annulus_constants):
+def test_criterion_02_first_integral(profile_matrix, annulus_constants):
     with criterion(2, "first integral"):
         for (gamma, phi_bd), (u, _) in profile_matrix.items():
-            assert first_integral_drift(u, salt) <= 1e-10 * (1 + u.u0_prime ** 2)
+            assert first_integral_drift(u) <= 1e-10 * (1 + u.u0_prime ** 2)
         for bundle in annulus_constants.profiles:
             u = bundle["u"]
-            assert first_integral_drift(u, annulus_constants.f0) <= 1e-10 * (
-                1 + u.u0_prime ** 2
-            )
+            assert first_integral_drift(u) <= 1e-10 * (1 + u.u0_prime ** 2)
 
 
 def test_criterion_03_ode_residuals(std_bundle, salt, annulus_constants):
     with criterion(3, "ODE residuals and the auxiliary-layer cross-check"):
         u, v, theta = std_bundle["u"], std_bundle["v"], std_bundle["theta"]
-        assert ode_residual(v, EquationSpec("v", salt, u=u)) <= 1e-10
-        assert ode_residual(theta, EquationSpec("theta", salt, u=u)) <= 1e-10
+        assert ode_residual(v, u) <= 1e-10
+        assert ode_residual(theta, u) <= 1e-10
         cc = annulus_constants
         for comp_bundle in cc.profiles:
             uu = comp_bundle["u"]
-            assert ode_residual(comp_bundle["v"], EquationSpec("v", cc.f0, u=uu)) <= 1e-10
-            assert ode_residual(
-                comp_bundle["theta"], EquationSpec("theta", cc.f0, u=uu)
-            ) <= 1e-10
-            assert ode_residual(
-                comp_bundle["w"], EquationSpec("w", cc.f0, u=uu, f1=cc.f1)
-            ) <= 1e-10
+            assert ode_residual(comp_bundle["v"], uu) <= 1e-10
+            assert ode_residual(comp_bundle["theta"], uu) <= 1e-10
+            assert ode_residual(comp_bundle["w"], uu, cc.f1) <= 1e-10
 
         # independent linear boundary-value solve for the auxiliary layer
         t_cut = min(u.t_max, 30.0 / u.mu)
@@ -146,7 +139,7 @@ def test_criterion_05_ccpb_constants(annulus_domain, msalt):
         assert cc.diagnostics["drift_balance_rel"] <= 1e-8
         c0 = BoundaryComponent(0, 1.0, 0.0, 0.0, RobinData(0.1, 1.0), "outer")
         c1 = BoundaryComponent(1, 1.0, 0.0, 0.0, RobinData(0.1, -1.0), "hole")
-        phi0_sym, _ = solve_phi0(DomainSpec(2, 1.0, (c0, c1)), msalt)
+        phi0_sym = solve_phi0(DomainSpec(2, 1.0, (c0, c1)), msalt)
         assert abs(phi0_sym) <= 1e-12
         assert elapsed < 5.0
 

@@ -48,40 +48,32 @@ class TestPointwiseEvaluators:
 
     def test_field_order1_value(self, salt):
         u = solve_u(salt, RobinData(0.0, 1.0))
-        v = solve_v(u, salt, RobinData(0.0, 0.0))
+        v = solve_v(u)
         coef = field_normal_component(q_at(0.0, 1e-4, order=1), {"u": u, "v": v})
         assert coef == pytest.approx(-2 * math.sqrt(2) * math.sinh(0.5) / 1e-2, rel=1e-12)
 
     def test_field_constant_profile(self, salt):
         u = solve_u(salt, RobinData(0.1, 0.0))
-        v = solve_v(u, salt, RobinData(0.1, 0.0))
+        v = solve_v(u)
         assert field_normal_component(q_at(1.0), {"u": u, "v": v}) == 0.0
 
-    def test_sqrt_eps_scaling_exact(self, std_bundle, salt):
+    def test_sqrt_eps_scaling_exact(self, std_bundle):
         # order-2 minus order-1 must be exactly sqrt(eps) times an
         # eps-independent function of t
-        for fn, extra in (
-            (potential, ()),
-            (charge_density, (salt,)),
-            (maxwell_traction, (salt,)),
-        ):
-            d1 = fn(q_at(0.7, 1e-4, 2), std_bundle, *extra) - fn(
-                q_at(0.7, 1e-4, 1), std_bundle, *extra
-            )
-            d2 = fn(q_at(0.7, 1e-6, 2), std_bundle, *extra) - fn(
-                q_at(0.7, 1e-6, 1), std_bundle, *extra
-            )
+        for fn in (potential, charge_density, maxwell_traction):
+            d1 = fn(q_at(0.7, 1e-4, 2), std_bundle) - fn(q_at(0.7, 1e-4, 1), std_bundle)
+            d2 = fn(q_at(0.7, 1e-6, 2), std_bundle) - fn(q_at(0.7, 1e-6, 1), std_bundle)
             assert d1 / math.sqrt(1e-4) == pytest.approx(
                 d2 / math.sqrt(1e-6), rel=1e-12
             )
 
     def test_charge_density_order1_is_density_of_u(self, std_bundle, salt):
-        got = charge_density(q_at(0.0, order=1), std_bundle, salt)
+        got = charge_density(q_at(0.0, order=1), std_bundle)
         u0 = std_bundle["u"].u0
         assert got == pytest.approx(float(salt.f(u0)), rel=1e-14)
 
-    def test_charge_density_pb_far_field(self, std_bundle, salt):
-        assert charge_density(q_at(40.0), std_bundle, salt) == pytest.approx(0.0, abs=1e-9)
+    def test_charge_density_pb_far_field(self, std_bundle):
+        assert charge_density(q_at(40.0), std_bundle) == pytest.approx(0.0, abs=1e-9)
 
     def test_charge_density_ccpb_far_field_subleading(self, annulus_constants):
         # sqrt(eps)[f0'(phi0*) Q + f1(phi0*)] collapses to the neutral
@@ -91,7 +83,7 @@ class TestPointwiseEvaluators:
         bundle = cc.profiles[0]
         t = bundle["u"].t_max
         q = ExpansionQuery("ccpb", 0, 0.5, t, eps, 2, 2)
-        val = charge_density(q, bundle, cc.f0, cc.f1)
+        val = charge_density(q, bundle, cc.f1)
         lim = math.sqrt(eps) * (float(cc.f0.df(cc.phi0_star)) * cc.q + float(cc.f1.f(cc.phi0_star)))
         assert abs(lim) <= 1e-8 * math.sqrt(eps) * abs(float(cc.f0.df(cc.phi0_star)))
         assert abs(val) <= 1e-6 * math.sqrt(eps) + 1e-12
@@ -103,37 +95,36 @@ class TestPointwiseEvaluators:
     def test_ccpb_density_needs_f1(self, annulus_constants):
         q = ExpansionQuery("ccpb", 0, 0.5, 0.0, 1e-4, 2, 2)
         with pytest.raises(ModelProfileMismatch):
-            charge_density(q, annulus_constants.profiles[0], annulus_constants.f0)
+            charge_density(q, annulus_constants.profiles[0])
 
 
 class TestMaxwellTraction:
-    def test_leading_term_is_energy_density(self, std_bundle, salt):
+    def test_leading_term_is_energy_density(self, std_bundle):
         # -F(u) = u'^2 / 2 >= 0 on the whole trajectory; the identity the
         # traction formula rests on is re-asserted here
         from pblayers.profiles import first_integral_drift
 
         u = std_bundle["u"]
-        assert first_integral_drift(u, salt) <= 1e-10 * (1 + u.u0_prime ** 2)
+        assert first_integral_drift(u) <= 1e-10 * (1 + u.u0_prime ** 2)
         for t in np.linspace(0, 10, 21):
-            lead = maxwell_traction(q_at(t, order=1), std_bundle, salt)
+            lead = maxwell_traction(q_at(t, order=1), std_bundle)
             _, du = profile_eval(u, t)
             assert lead == pytest.approx(du * du / 2, rel=1e-10, abs=1e-14)
             assert lead >= 0
 
     def test_dirichlet_boundary_value(self, salt):
         u = solve_u(salt, RobinData(0.0, 1.0))
-        v = solve_v(u, salt, RobinData(0.0, 0.0))
-        lead = maxwell_traction(q_at(0.0, order=1), {"u": u, "v": v}, salt)
+        lead = maxwell_traction(q_at(0.0, order=1), {"u": u, "v": solve_v(u)})
         assert lead == pytest.approx(2 * (math.cosh(1.0) - 1.0), rel=1e-12)
 
-    def test_far_field_vanishes(self, std_bundle, salt):
-        assert maxwell_traction(q_at(40.0), std_bundle, salt) == pytest.approx(0.0, abs=1e-12)
+    def test_far_field_vanishes(self, std_bundle):
+        assert maxwell_traction(q_at(40.0), std_bundle) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestRegionCharge:
     def test_degenerate_is_zero(self, salt):
         u = solve_u(salt, RobinData(0.1, 0.0))
-        v = solve_v(u, salt, RobinData(0.1, 0.0))
+        v = solve_v(u)
         dom = make_disk(1.0, RobinData(0.1, 0.0))
         params = RegionParams(eps=1e-4, beta=0.25, T=5.0)
         rep = region_charge(dom, 0, params, {"u": u, "v": v}, model="pb")
@@ -144,7 +135,7 @@ class TestRegionCharge:
         for phi_bd, expected in ((1.0, -1), (-1.0, 1), (0.5, -1), (-0.5, 1)):
             dom = make_disk(1.0, RobinData(0.1, phi_bd))
             u = solve_u(salt, RobinData(0.1, phi_bd))
-            v = solve_v(u, salt, RobinData(0.1, 0.0))
+            v = solve_v(u)
             rep = region_charge(dom, 0, params, {"u": u, "v": v}, model="pb")
             assert rep.sign == expected
             assert math.copysign(1, rep.region1) == expected
@@ -222,11 +213,10 @@ class TestArrayEvaluators:
     """
 
     @pytest.fixture(params=["pb", "ccpb"])
-    def case(self, request, std_bundle, salt, annulus_constants):
+    def case(self, request, std_bundle, annulus_constants):
         if request.param == "pb":
-            return "pb", std_bundle, salt, None
-        cc = annulus_constants
-        return "ccpb", cc.profiles[0], cc.f0, cc.f1
+            return "pb", std_bundle, None
+        return "ccpb", annulus_constants.profiles[0], annulus_constants.f1
 
     @staticmethod
     def depths(bundle):
@@ -235,12 +225,12 @@ class TestArrayEvaluators:
         return np.concatenate(([0.0], np.linspace(0.013, 9.0, 41), [t_max, 1.2 * t_max, t_max + 30.0]))
 
     @staticmethod
-    def evaluators(f, f1):
+    def evaluators(f1):
         return (
             ("potential", potential, (), True),
             ("field", field_normal_component, (), True),
-            ("charge_density", charge_density, (f, f1), False),
-            ("traction", maxwell_traction, (f,), False),
+            ("charge_density", charge_density, (f1,), False),
+            ("traction", maxwell_traction, (), False),
         )
 
     @staticmethod
@@ -252,10 +242,10 @@ class TestArrayEvaluators:
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_array_matches_scalar(self, case, order):
-        model, bundle, f, f1 = case
+        model, bundle, f1 = case
         ts = self.depths(bundle)
         q = ExpansionQuery(model, 0, 0.5, ts, 1e-4, order, 2)
-        for _, fn, extra, exact in self.evaluators(f, f1):
+        for _, fn, extra, exact in self.evaluators(f1):
             got = fn(q, bundle, *extra)
             want = np.array([fn(replace(q, t=float(t)), bundle, *extra) for t in ts])
             assert isinstance(got, np.ndarray) and got.shape == ts.shape
@@ -263,25 +253,25 @@ class TestArrayEvaluators:
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_grid_rows_matches_scalar(self, case, order):
-        model, bundle, f, f1 = case
+        model, bundle, f1 = case
         ts = self.depths(bundle)
         q = ExpansionQuery(model, 0, 0.5, 0.0, 1e-3, order, 3)
-        values = grid_rows(q, bundle, f, ts, f1)
-        for name, fn, extra, exact in self.evaluators(f, f1):
+        values = grid_rows(q, bundle, ts, f1)
+        for name, fn, extra, exact in self.evaluators(f1):
             assert isinstance(values[name], np.ndarray) and values[name].shape == ts.shape
             want = np.array([fn(replace(q, t=float(t)), bundle, *extra) for t in ts])
             self.assert_match(values[name], want, exact)
 
     def test_scalar_query_returns_float(self, case):
-        model, bundle, f, f1 = case
+        model, bundle, f1 = case
         q = ExpansionQuery(model, 0, 0.5, 0.7, 1e-4, 2, 2)
-        for _, fn, extra, _ in self.evaluators(f, f1):
+        for _, fn, extra, _ in self.evaluators(f1):
             assert type(fn(q, bundle, *extra)) is float
 
     def test_negative_t_rejected(self, case):
-        model, bundle, f, f1 = case
+        model, bundle, f1 = case
         ts = np.array([0.0, 1.0, -1e-12])
         with pytest.raises(ConfigError):
             ExpansionQuery(model, 0, 0.5, ts, 1e-4, 2, 2)
         with pytest.raises(ConfigError):
-            grid_rows(ExpansionQuery(model, 0, 0.5, 0.0, 1e-4, 2, 2), bundle, f, ts, f1)
+            grid_rows(ExpansionQuery(model, 0, 0.5, 0.0, 1e-4, 2, 2), bundle, ts, f1)

@@ -16,7 +16,7 @@ from pblayers.errors import AllBoundaryPotentialsEqual, ConfigError, NeutralityV
 from pblayers.geometry import BoundaryComponent, DomainSpec, make_annulus
 from pblayers.nonlinearity import IonSpecies
 from pblayers import ccpb, nonlinearity
-from pblayers.profiles import EquationSpec, RobinData, ode_residual, profile_eval, solve_v, solve_w
+from pblayers.profiles import RobinData, ode_residual, profile_eval, solve_v, solve_w
 
 from conftest import quadrature_excess, whole_array_w
 
@@ -38,8 +38,8 @@ def symmetric_domain():
 
 class TestBulkPotential:
     def test_symmetric_configuration(self, symmetric_domain, msalt):
-        phi0, u0s = solve_phi0(symmetric_domain, msalt)
-        assert phi0 == pytest.approx(0.0, abs=1e-12)
+        assert solve_phi0(symmetric_domain, msalt) == pytest.approx(0.0, abs=1e-12)
+        u0s = ccpb_constants(symmetric_domain, msalt).u0_per_boundary
         assert u0s[0] == pytest.approx(-u0s[1], abs=1e-12)
 
     def test_annulus_value_strictly_between(self, annulus_constants):
@@ -88,7 +88,7 @@ class TestBulkPotential:
     def test_flux_scan_strictly_monotone(self, annulus_domain, msalt):
         # the outer root-find relies on strict monotonicity of the flux sum
         ss = np.linspace(-1 + 1e-6, 1 - 1e-6, 64)
-        vals = [_flux_sum(annulus_domain, msalt, s)[0] for s in ss]
+        vals = [_flux_sum(annulus_domain, msalt, s) for s in ss]
         assert all(a < b for a, b in zip(vals, vals[1:]))
         signs = np.sign(vals)
         assert np.sum(np.diff(signs) != 0) == 1
@@ -96,7 +96,7 @@ class TestBulkPotential:
     def test_scaling_invariance(self, annulus_domain, msalt):
         # m -> lam m together with gamma -> gamma / sqrt(lam) leaves the
         # bulk potential and boundary values fixed
-        base_phi0, base_u0 = solve_phi0(annulus_domain, msalt)
+        base = ccpb_constants(annulus_domain, msalt)
         for lam in (0.25, 4.0):
             species = [IonSpecies(s.z, lam * s.amount, s.role) for s in msalt]
             comps = tuple(
@@ -104,9 +104,9 @@ class TestBulkPotential:
                 for c in annulus_domain.components
             )
             dom = DomainSpec(2, annulus_domain.volume, comps)
-            phi0, u0s = solve_phi0(dom, species)
-            assert phi0 == pytest.approx(base_phi0, abs=1e-11)
-            assert np.allclose(u0s, base_u0, atol=1e-11)
+            cc = ccpb_constants(dom, species)
+            assert cc.phi0_star == pytest.approx(base.phi0_star, abs=1e-11)
+            assert np.allclose(cc.u0_per_boundary, base.u0_per_boundary, atol=1e-11)
 
 
 class TestConstants:
@@ -147,7 +147,7 @@ class TestConstants:
         dom = make_annulus(2, 1.0, 2.0, RobinData(0.1, 0.3), RobinData(0.1, -1.0))
         f0 = make_f0(msalt, dom.volume, 0.3)
         u_deg = solve_u(f0, RobinData(0.1, 0.3))
-        assert compute_mhat(dom, msalt, [u_deg, u_deg], 0.3) == [0.0, 0.0]
+        assert compute_mhat(dom, msalt, [u_deg, u_deg]) == [0.0, 0.0]
 
     def test_w_profiles_reach_drift_constant(self, annulus_constants):
         for bundle in annulus_constants.profiles:
@@ -165,9 +165,9 @@ def multi_species(request):
     return domain, species, ccpb_constants(domain, species)
 
 
-def excess_close(u, f0, zs, phi0_star):
-    got = layer_excess_integrals(u, f0, zs, phi0_star)
-    want = quadrature_excess(u, f0, zs, phi0_star)
+def excess_close(u, zs):
+    got = layer_excess_integrals(u, zs)
+    want = quadrature_excess(u, zs)
     return np.max(np.abs(np.subtract(got, want))) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -179,25 +179,25 @@ class TestClosedForms:
         cc = annulus_constants
         zs = [s.z for s in msalt]
         for bundle in cc.profiles:
-            assert excess_close(bundle["u"], cc.f0, zs, cc.phi0_star)
-        # the 1:1 salt of unit volume at phi* = 0 is the classical density
-        f0 = nonlinearity.make_f0(msalt, 1.0, 0.0)
+            assert excess_close(bundle["u"], zs)
+        # the classical 1:1 salt has the terms of the f0 of unit volume at
+        # phi* = 0
         for key, (u, _) in profile_matrix.items():
-            assert excess_close(u, f0, zs, 0.0), key
+            assert excess_close(u, zs), key
 
     def test_multi_species_match_quadratures(self, multi_species):
         # body values, offsets within two decades of u(0) - phi0*: beyond
         # them the reference w loses accuracy as 1/|u - phi0*| (it sums the
         # growing integral of -F1/u'^2 over speeds whose rounding grows so)
-        domain, species, cc = multi_species
+        _, species, cc = multi_species
         zs = [s.z for s in species]
-        for comp, bundle in zip(domain.components, cc.profiles):
+        for bundle in cc.profiles:
             u, w = bundle["u"], bundle["w"]
             body = np.abs(u.delta) >= 1e-2 * abs(u.delta[0])
-            want = whole_array_w(u, cc.f0, cc.f1, cc.q, RobinData(comp.robin.gamma, 0.0))
+            want = whole_array_w(u, cc.f1)
             for name, a, b in zip(("w", "w'"), (w.values, w.derivs), want):
                 assert np.max(np.abs(a - b)[body]) <= 1e-13 * np.max(np.abs(b)), name
-            assert excess_close(u, cc.f0, zs, cc.phi0_star)
+            assert excess_close(u, zs)
 
     def test_multi_species_diagnostics(self, multi_species):
         diag = multi_species[2].diagnostics
@@ -221,19 +221,13 @@ class TestClosedForms:
         # 3-D annulus of four species)
         _, _, cc = multi_species
         for bundle in cc.profiles:
-            u = bundle["u"]
-            specs = {
-                "u": EquationSpec("u", cc.f0), "v": EquationSpec("v", cc.f0, u=u),
-                "theta": EquationSpec("theta", cc.f0, u=u),
-                "w": EquationSpec("w", cc.f0, u=u, f1=cc.f1),
-            }
-            for kind, eq in specs.items():
-                assert ode_residual(bundle[kind], eq) <= 1e-10, kind
+            for kind, p in bundle.items():
+                assert ode_residual(p, bundle["u"], cc.f1) <= 1e-10, kind
 
     def test_excess_valence_outside_f0_rejected(self, annulus_constants):
         cc = annulus_constants
         with pytest.raises(ConfigError):
-            layer_excess_integrals(cc.profiles[0]["u"], cc.f0, [2.0], cc.phi0_star)
+            layer_excess_integrals(cc.profiles[0]["u"], [2.0])
 
 
 class TestBulkExpansion:
@@ -353,14 +347,10 @@ class TestConstantsPipeline:
         "mhat_charge_rel": 1.8137192983488402e-14,
     }
 
-    def test_profiles_equal_standalone_solves(self, annulus_constants, annulus_domain):
+    def test_profiles_equal_standalone_solves(self, annulus_constants):
         cc = annulus_constants
-        for comp, bundle in zip(annulus_domain.components, cc.profiles):
-            robin0 = RobinData(comp.robin.gamma, 0.0)
-            alone = {
-                "v": solve_v(bundle["u"], cc.f0, robin0),
-                "w": solve_w(bundle["u"], cc.f0, cc.f1, cc.q, robin0),
-            }
+        for bundle in cc.profiles:
+            alone = {"v": solve_v(bundle["u"]), "w": solve_w(bundle["u"], cc.f1)}
             for kind, want in alone.items():
                 got = bundle[kind]
                 assert np.array_equal(got.values, want.values)

@@ -26,7 +26,6 @@ from pblayers.profiles import (
     DEFAULT_NODES,
     MIN_NODES,
     PANEL_BLOCK,
-    EquationSpec,
     Profile,
     RobinData,
     Tail,
@@ -62,12 +61,13 @@ def compatibility(f, robin):
     )
 
 
-def quadrature_v(u, f, robin):
+def quadrature_v(u):
     """(v, v') by the former solve_v, which summed I and A afresh from the
     speed at the Gauss points of every offset panel; also returns (I, A)."""
-    _, _, energy, a_int = whole_array_u(f, u)
-    den = u.u0_prime + robin.gamma * float(f.f(u.u0))
-    v0 = -robin.gamma / den * energy[0]
+    _, _, energy, a_int = whole_array_u(u)
+    f, gamma = u.density, u.robin.gamma
+    den = u.u0_prime + gamma * float(f.f(u.u0))
+    v0 = -gamma / den * energy[0]
     c = v0 / u.u0_prime - a_int
     dv = -_from_delta(f.f, u.phi_star, u.delta) * c - energy / u.derivs
     dv[0] = -energy[0] / den
@@ -207,7 +207,7 @@ class TestLayerProfile:
     def test_fewest_nodes_accepted(self, salt, phi_bd):
         u = solve_u(salt, RobinData(0.1, phi_bd), n_nodes=MIN_NODES)
         assert len(u.t) == MIN_NODES
-        assert np.isfinite(ode_residual(u, EquationSpec("u", salt)))
+        assert np.isfinite(ode_residual(u))
 
     def test_boundary_potential_matches_inline_bisection(self, salt):
         got = boundary_potential(salt, RobinData(0.1, 1.0))
@@ -226,9 +226,9 @@ class TestLayerProfile:
         assert np.all(np.diff(u.values) > 0)
         assert np.all(u.values[:-1] < 0) and np.all(u.values > -1.0 - 1e-14)
 
-    def test_first_integral(self, profile_matrix, salt):
+    def test_first_integral(self, profile_matrix):
         for (gamma, phi_bd), (u, _) in profile_matrix.items():
-            drift = first_integral_drift(u, salt)
+            drift = first_integral_drift(u)
             assert drift <= 1e-10 * (1 + u.u0_prime ** 2)
 
     def test_derivative_envelope(self, profile_matrix):
@@ -268,7 +268,7 @@ class TestLayerProfile:
         for gamma, phi_bd in profile_matrix:
             u = solve_u(salt, RobinData(gamma, phi_bd), n_nodes)
             got = (u.t, u.derivs, u.energy, u.energy_integral)
-            for name, a, b in zip(("t", "u'", "I", "A"), got, whole_array_u(salt, u)):
+            for name, a, b in zip(("t", "u'", "I", "A"), got, whole_array_u(u)):
                 assert np.array_equal(bits(a), bits(b)), (gamma, phi_bd, name)
 
     def test_tail_rate_is_reference_slope(self, salt):
@@ -308,10 +308,10 @@ class TestLayerProfile:
 class TestCurvatureProfile:
     def test_degenerate_and_dirichlet_zero(self, salt):
         u_deg = solve_u(salt, RobinData(0.1, 0.0))
-        v_deg = solve_v(u_deg, salt, RobinData(0.1, 0.0))
+        v_deg = solve_v(u_deg)
         assert np.all(v_deg.values == 0.0)
         u = solve_u(salt, RobinData(0.0, 1.0))
-        v = solve_v(u, salt, RobinData(0.0, 0.0))
+        v = solve_v(u)
         assert v.values[0] == 0.0  # V0 = 0 in the Dirichlet limit
         assert v.v0 == 0.0
 
@@ -348,14 +348,14 @@ class TestCurvatureProfile:
             dv_fd = stencil_derivative(v.t, v.values)
             assert np.max(np.abs(dv_fd - v.derivs)) < 1e-7
 
-    def test_ode_residual(self, std_bundle, salt):
-        res = ode_residual(std_bundle["v"], EquationSpec("v", salt, u=std_bundle["u"]))
+    def test_ode_residual(self, std_bundle):
+        res = ode_residual(std_bundle["v"], std_bundle["u"])
         assert res <= 1e-10
 
-    def test_matches_gauss_point_quadrature(self, profile_matrix, salt):
+    def test_matches_gauss_point_quadrature(self, profile_matrix):
         # reading I and A from u changes no bit of v
         for (gamma, phi_bd), (u, v) in profile_matrix.items():
-            want_v, want_dv, energy, a_int = quadrature_v(u, salt, RobinData(gamma, 0.0))
+            want_v, want_dv, energy, a_int = quadrature_v(u)
             assert np.array_equal(bits(u.energy), bits(energy)), (gamma, phi_bd)
             assert np.array_equal(bits(u.energy_integral), bits(a_int)), (gamma, phi_bd)
             assert np.array_equal(bits(v.values), bits(want_v)), (gamma, phi_bd)
@@ -377,47 +377,16 @@ class TestCurvatureProfile:
         dens = make_custom(f, lambda x: -2.0 * np.cosh(x), F, phi_star=0.0)
         u = solve_u(dens, RobinData(0.1, 1.0))
         calls.update(F=0, f=0)
-        v = solve_v(u, dens, RobinData(0.1, 0.0))
+        v = solve_v(u)
         assert calls == {"F": 0, "f": 1}
         assert np.all(np.isfinite(v.values))
 
-    def test_density_of_another_reference_rejected(self, salt, msalt):
-        # a 1:1 salt with unequal amounts has phi* = log(2) / 2, not 0
-        shifted = [IonSpecies(1.0, 2.0), IonSpecies(-1.0, 1.0)]
-        custom = make_custom(
-            lambda x: 2.0 * np.exp(-x) - np.exp(x), lambda x: -2.0 * np.exp(-x) - np.exp(x),
-            lambda x: 2.0 * SQRT2 - 2.0 * np.exp(-x) - np.exp(x),
-        )
-        u = solve_u(salt, RobinData(0.1, 1.0))
-        robin0 = RobinData(0.1, 0.0)
-        for dens in (make_classical_pb(shifted), custom):
-            with pytest.raises(MismatchedReference):
-                solve_v(u, dens, robin0)
-            with pytest.raises(MismatchedReference):
-                solve_theta(u, dens, robin0)
-        f0 = make_f0(msalt, 1.0, 0.0)
-        f0b = make_f0(msalt, 1.0, 0.5)
-        f1b = make_f1(f0b, make_fhat1(msalt, 1.0, 0.5, [1.0, 1.0]), 1.0)
-        with pytest.raises(MismatchedReference):
-            solve_w(solve_u(f0, RobinData(0.1, 1.0)), f0b, f1b, 1.0, robin0)
-
-    def test_density_of_the_same_reference_rejected(self, msalt):
-        # 1:1 salts at concentrations 1 and 2 both have phi* = 0; v of u_a
-        # with f_b would be 0.03278 against u_a's own 0.03719
+    def test_density_out_of_equality_and_json(self):
+        # 1:1 salts at concentrations 1 and 2 both have phi* = 0; the density
+        # a u was solved with is kept out of equality and of
+        # profiles_meta.json
         f_a, f_b = (make_classical_pb(symmetric_salt(c)) for c in (1.0, 2.0))
         u = solve_u(f_a, RobinData(0.1, 1.0))
-        robin0 = RobinData(0.1, 0.0)
-        for solve in (solve_v, solve_theta):
-            with pytest.raises(MismatchedReference):
-                solve(u, f_b, robin0)
-        # an exp sum with the same coefficients and reference is accepted
-        again = make_classical_pb(symmetric_salt(1.0))
-        assert solve_v(u, again, robin0).v0 == solve_v(u, f_a, robin0).v0
-        f0_a, f0_b = (make_f0(symmetric_salt(c, "mass"), 1.0, 0.0) for c in (1.0, 2.0))
-        f1_b = make_f1(f0_b, make_fhat1(msalt, 1.0, 0.0, [1.0, 1.0]), 1.0)
-        with pytest.raises(MismatchedReference):
-            solve_w(solve_u(f0_a, RobinData(0.1, 1.0)), f0_b, f1_b, 1.0, robin0)
-        # the density is kept out of equality and of profiles_meta.json
         assert replace(u, density=f_b) == u and "density" not in str(u.to_json_dict())
 
     @pytest.mark.parametrize("valences", [(1, -1), (2, -1)], ids=["1:1", "2:1"])
@@ -425,26 +394,33 @@ class TestCurvatureProfile:
     def test_large_boundary_potential(self, valences, phi_bd):
         # the inner sublayer holds a few nodes at most; |v'(0)| = I(0) / |u'(0)
         # + gamma f(u(0))| stays below 2 on these salts (2 tanh(phi_bd / 4) for
-        # 1:1 and gamma = 0)
+        # 1:1 and gamma = 0).  The ODE residuals of u, v and theta, relative
+        # to max|y''|, were measured on these cases and at phi_bd -40, 1 and
+        # -1.7: at most 1.06e-7 for gamma = 0 (v and theta of the 2:1 salt at
+        # phi_bd -40; 3.4e-8 on the list here) and 4.8e-11 for gamma > 0
         z1, z2 = valences
         f = make_classical_pb([IonSpecies(z1, -z2), IonSpecies(z2, z1)])
         for gamma in (0.0, 0.1, 10.0):
             u = solve_u(f, RobinData(gamma, phi_bd))
-            v = solve_v(u, f, RobinData(gamma, 0.0))
+            v = solve_v(u)
             assert np.all(np.isfinite(v.values)) and np.all(np.isfinite(v.derivs)), gamma
             assert abs(v.v_prime0) <= 2.0, gamma
             assert time_integral_usq(u) == pytest.approx(u.int_usq, rel=1e-10), gamma
+            pin = 2e-7 if gamma == 0.0 else 1e-10
+            for p in (u, v, solve_theta(u)):
+                scale = np.max(np.abs(p.second_derivs))
+                assert ode_residual(p, u) <= pin * scale, (gamma, p.kind)
 
 
 class TestAuxiliaryLayer:
     def test_dirichlet_limit_vanishes_at_boundary(self, salt):
         u = solve_u(salt, RobinData(0.0, 1.0))
-        th = solve_theta(u, salt, RobinData(0.0, 0.0))
+        th = solve_theta(u)
         assert th.values[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_degenerate_is_one(self, salt):
         u = solve_u(salt, RobinData(0.1, 0.0))
-        th = solve_theta(u, salt, RobinData(0.1, 0.0))
+        th = solve_theta(u)
         assert np.all(th.values == 1.0)
 
     def test_limit_is_one(self, std_bundle):
@@ -483,8 +459,8 @@ class TestAuxiliaryLayer:
         mine, _ = profile_eval(th, tq)
         assert np.max(np.abs(mine - sol.sol(tq)[0])) < 1e-7
 
-    def test_ode_residual(self, std_bundle, salt):
-        res = ode_residual(std_bundle["theta"], EquationSpec("theta", salt, u=std_bundle["u"]))
+    def test_ode_residual(self, std_bundle):
+        res = ode_residual(std_bundle["theta"], std_bundle["u"])
         assert res <= 1e-10
 
 
@@ -501,58 +477,57 @@ class TestConservationProfile:
         f0, _, u = w_setup
         zero = make_fhat1(msalt, 1.0, 0.0, [0.0, 0.0])
         f1 = make_f1(f0, zero, 0.0)
-        w = solve_w(u, f0, f1, 0.0, RobinData(0.1, 0.0))
+        w = solve_w(u, f1)
         assert np.max(np.abs(w.values)) < 1e-13
 
     def test_dirichlet_boundary_value(self, msalt, w_setup):
         f0, fh, _ = w_setup
         f1 = make_f1(f0, fh, 1.0)
         u = solve_u(f0, RobinData(0.0, 1.0))
-        w = solve_w(u, f0, f1, 1.0, RobinData(0.0, 0.0))
+        w = solve_w(u, f1)
         assert w.values[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_limit_is_drift_constant(self, msalt, w_setup):
         f0, fh, u = w_setup
         f1 = make_f1(f0, fh, 1.0)
-        w = solve_w(u, f0, f1, 1.0, RobinData(0.1, 0.0))
+        w = solve_w(u, f1)
         assert w.tail.limit == pytest.approx(1.0, abs=1e-12)
         assert w.values[-1] == pytest.approx(1.0, abs=1e-8)
 
     def test_robin_condition(self, msalt, w_setup):
         f0, fh, u = w_setup
         f1 = make_f1(f0, fh, 1.0)
-        w = solve_w(u, f0, f1, 1.0, RobinData(0.1, 0.0))
+        w = solve_w(u, f1)
         assert w.values[0] - 0.1 * w.derivs[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_ode_residual(self, msalt, w_setup):
         f0, fh, u = w_setup
         f1 = make_f1(f0, fh, 1.0)
-        w = solve_w(u, f0, f1, 1.0, RobinData(0.1, 0.0))
-        assert ode_residual(w, EquationSpec("w", f0, u=u, f1=f1)) <= 1e-10
+        w = solve_w(u, f1)
+        assert ode_residual(w, u, f1) <= 1e-10
 
     def test_degenerate_constant(self, msalt):
         f0 = make_f0(msalt, 1.0, 0.0)
         fh = make_fhat1(msalt, 1.0, 0.0, [0.0, 0.0])
         f1 = make_f1(f0, fh, 2.5)
         u = solve_u(f0, RobinData(0.1, 0.0))
-        w = solve_w(u, f0, f1, 2.5, RobinData(0.1, 0.0))
+        w = solve_w(u, f1)
         assert np.all(w.values == 2.5)
 
-    def test_matches_closure_f1(self, annulus_constants, annulus_domain, closure_f1):
+    def test_matches_closure_f1(self, annulus_constants, closure_f1):
         # f1 as one exp sum and w in closed form move w by rounding only
         # against the quadrature fed with f1 summed by closures, which
         # solve_w itself rejects: it reads the coefficients of f1
         cc = annulus_constants
         old = closure_f1(cc.f0, cc.fhat1, cc.q)
-        for comp, bundle in zip(annulus_domain.components, cc.profiles):
-            robin0 = RobinData(comp.robin.gamma, 0.0)
-            got, want = bundle["w"], whole_array_w(bundle["u"], cc.f0, old, cc.q, robin0)
+        for bundle in cc.profiles:
+            got, want = bundle["w"], whole_array_w(bundle["u"], old)
             for a, b in zip((got.values, got.derivs), want):
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
             limit = -float(old.f(cc.phi0_star)) / float(cc.f0.df(cc.phi0_star))
             assert got.tail.limit == pytest.approx(limit, rel=0, abs=1e-13)
             with pytest.raises(MismatchedReference):
-                solve_w(bundle["u"], cc.f0, old, cc.q, robin0)
+                solve_w(bundle["u"], old)
 
     @pytest.mark.parametrize("n_nodes", NODE_COUNTS)
     def test_blocked_sweep_matches_whole_array(self, annulus_constants, annulus_domain, n_nodes):
@@ -567,13 +542,12 @@ class TestConservationProfile:
         # w by the order of w itself, so the body is not compared there
         cc = annulus_constants
         for k, comp in enumerate(annulus_domain.components):
-            robin0 = RobinData(comp.robin.gamma, 0.0)
             u = solve_u(cc.f0, comp.robin, n_nodes)
             got = (u.t, u.derivs, u.energy, u.energy_integral)
-            for name, a, b in zip(("t", "u'", "I", "A"), got, whole_array_u(cc.f0, u)):
+            for name, a, b in zip(("t", "u'", "I", "A"), got, whole_array_u(u)):
                 assert np.array_equal(bits(a), bits(b)), (k, name)
-            w = solve_w(u, cc.f0, cc.f1, cc.q, robin0)
-            want = whole_array_w(u, cc.f0, cc.f1, cc.q, robin0)
+            w = solve_w(u, cc.f1)
+            want = whole_array_w(u, cc.f1)
             limit = -float(cc.f1.f(u.phi_star)) / float(cc.f0.df(u.phi_star))
             scale = np.max(np.abs(w.values))
             assert abs(w.values[0] - want[0][0]) <= 1e-15 * scale, k
@@ -592,9 +566,8 @@ class TestConservationProfile:
         f0 = make_f0(msalt, 1.0, 0.0)
         f1 = make_f1(f0, make_fhat1(msalt, 1.0, 0.0, [1.0, 1.0]), 1.0)
         for (gamma, phi_bd), (u, _) in profile_matrix.items():
-            robin0 = RobinData(gamma, 0.0)
-            w = solve_w(u, f0, f1, 1.0, robin0)
-            want = whole_array_w(u, f0, f1, 1.0, robin0)
+            w = solve_w(u, f1)
+            want = whole_array_w(u, f1)
             for name, a, b in zip(("w", "w'"), (w.values, w.derivs), want):
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), (gamma, phi_bd, name)
 
@@ -602,15 +575,11 @@ class TestConservationProfile:
         f0, fh, u = w_setup
         f1 = make_f1(f0, fh, 1.0)
         other = make_f0([IonSpecies(2.0, 1.0, "mass"), IonSpecies(-1.0, 2.0, "mass")], 1.0, 0.0)
-        for bad in (replace(f1, f=other.f), replace(f1, f=lambda x: f1.f(x))):
+        # an f1 on the exponents of f0 but anchored at another phi* (0.5)
+        shifted = make_f1(make_f0(msalt, 1.0, 0.5), make_fhat1(msalt, 1.0, 0.5, [1.0, 1.0]), 1.0)
+        for bad in (replace(f1, f=other.f), replace(f1, f=lambda x: f1.f(x)), shifted):
             with pytest.raises(MismatchedReference):
-                solve_w(u, f0, bad, 1.0, RobinData(0.1, 0.0))
-
-    def test_drift_constant_mismatch(self, msalt, w_setup):
-        f0, fh, u = w_setup
-        f1 = make_f1(f0, fh, 1.0)
-        with pytest.raises(MismatchedReference):
-            solve_w(u, f0, f1, 2.0, RobinData(0.1, 0.0))
+                solve_w(u, bad)
 
     def test_tail_moves_no_more_than_last_node(self, annulus_constants):
         # README annulus, boundary 0: a move of w's last value by up to 1e-13
@@ -630,7 +599,7 @@ class TestConservationProfile:
         f0, fh, u = w_setup
         f1 = replace(make_f1(f0, fh, 1.0), q=None)
         with pytest.raises(MismatchedReference):
-            solve_w(u, f0, f1, 1.0, RobinData(0.1, 0.0))
+            solve_w(u, f1)
 
 
 @pytest.fixture(scope="module")
@@ -638,14 +607,8 @@ def flat_bundle(msalt):
     """u, v, theta and w with phi_bd = phi* = 0: no layer, every profile constant."""
     f0 = make_f0(msalt, 1.0, 0.0)
     f1 = make_f1(f0, make_fhat1(msalt, 1.0, 0.0, [0.0, 0.0]), 2.5)
-    robin0 = RobinData(0.1, 0.0)
-    u = solve_u(f0, robin0)
-    return {
-        "u": u,
-        "v": solve_v(u, f0, robin0),
-        "theta": solve_theta(u, f0, robin0),
-        "w": solve_w(u, f0, f1, 2.5, robin0),
-    }
+    u = solve_u(f0, RobinData(0.1, 0.0))
+    return {"u": u, "v": solve_v(u), "theta": solve_theta(u), "w": solve_w(u, f1)}
 
 
 class TestJsonMeta:
@@ -718,11 +681,11 @@ class TestEvaluation:
             for old in amplitudes:
                 assert p.tail.a * math.exp(p.tail.rate * p.t_max) == pytest.approx(old, rel=1e-6)
 
-    def test_tail_is_c1_at_t_max(self, profile_matrix, salt, annulus_constants, flat_bundle):
+    def test_tail_is_c1_at_t_max(self, profile_matrix, annulus_constants, flat_bundle):
         # the tail gives the last node's value and slope to within 4 ulp
         bundles = [*annulus_constants.profiles, flat_bundle]
-        for (gamma, _), (u, v) in profile_matrix.items():
-            bundles.append({"u": u, "v": v, "theta": solve_theta(u, salt, RobinData(gamma, 0.0))})
+        for u, v in profile_matrix.values():
+            bundles.append({"u": u, "v": v, "theta": solve_theta(u)})
         for bundle in bundles:
             for kind, p in bundle.items():
                 val, der = p.tail(0.0)
@@ -762,7 +725,7 @@ class TestEvaluation:
 class TestOdeResidual:
     def test_constant_profile(self, salt):
         u = solve_u(salt, RobinData(0.1, 0.0))
-        assert ode_residual(u, EquationSpec("u", salt)) < 1e-13
+        assert ode_residual(u) < 1e-13
 
     def test_closed_form_samples(self, salt):
         # Gouy-Chapman samples, slopes and second derivatives, each from the
@@ -777,13 +740,14 @@ class TestOdeResidual:
             tail=Tail.anchored(0.0, SQRT2, vals[-1], derivs[-1]),
             robin=RobinData(0.0, 1.0),
         )
-        assert ode_residual(p, EquationSpec("u", salt)) <= 1e-10
+        # the residual on the density of a u solved with the same data
+        assert ode_residual(p, solve_u(salt, RobinData(0.0, 1.0))) <= 1e-10
 
-    def test_grid_too_coarse(self, salt):
+    def test_grid_too_coarse(self):
         t = np.linspace(0, 1, 4)
         p = Profile(
             kind="u", t=t, values=np.zeros(4), derivs=np.zeros(4), second_derivs=np.zeros(4),
             tail=Tail(0.0, 1.0, 0.0, 0.0), robin=RobinData(0.0, 0.0),
         )
         with pytest.raises(GridTooCoarse):
-            ode_residual(p, EquationSpec("u", salt))
+            ode_residual(p)

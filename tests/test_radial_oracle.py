@@ -189,7 +189,7 @@ class TestComparison:
         from pblayers.profiles import solve_u, solve_v
 
         u = solve_u(salt, RobinData(0.1, 0.0))
-        v = solve_v(u, salt, RobinData(0.1, 0.0))
+        v = solve_v(u)
         rep = compare_expansion(res, dom, [{"u": u, "v": v}], "pb", T=5.0)
         assert rep.boundaries[0].e1 == 0.0 and rep.boundaries[0].e2 == 0.0
 
@@ -269,7 +269,7 @@ class TestGenerality:
         f = make_classical_pb([IonSpecies(1, 2), IonSpecies(-1, 1)])
         dom = make_ball(3, 1.0, RobinData(0.1, 1.0))
         u = solve_u(f, RobinData(0.1, 1.0))
-        v = solve_v(u, f, RobinData(0.1, 0.0))
+        v = solve_v(u)
         e2 = []
         for eps in (1e-2, 1e-3, 1e-4):
             res = solve_radial_robin_pb(dom, f, eps)

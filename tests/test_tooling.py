@@ -76,6 +76,33 @@ def test_traced_constants_run_records_correction_spans(monkeypatch, tmp_path):
         assert calls.count(name) == 2, name
 
 
+def test_traced_expand_run_counts_grid_points(monkeypatch, tmp_path):
+    # the grid_rows counter reads ts by keyword, or as the third positional
+    # argument after the query and the profiles; on the README annulus,
+    # expand evaluates its 201 depths on 2 boundaries at 3 eps
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import pblayers.cli as cli
+    import spans
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "model": "ccpb",
+        "species": [{"z": 1, "amount": 1, "role": "mass"}, {"z": -1, "amount": 1, "role": "mass"}],
+        "domain": {"type": "annulus", "d": 2, "inner_radius": 1.0, "outer_radius": 2.0},
+        "robin": [{"gamma": 0.1, "phi_bd": 1.0}, {"gamma": 0.1, "phi_bd": -1.0}],
+        "eps": [1e-2, 1e-3, 1e-4],
+        "region": {"T": 3.0, "beta": 0.2},
+    }))
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        argv = ["expand", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.per_op_metrics(1)["asymptotics.grid_rows.points"] == 201 * 2 * 3
+
+
 def test_declared_dependencies_cover_imports():
     # a module imported by the package but missing from pyproject.toml would
     # only fail on a fresh install
