@@ -30,7 +30,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     AllBoundaryPotentialsEqual,
@@ -47,6 +46,7 @@ from .nonlinearity import (
     make_f1,
     make_fhat1,
 )
+from .numerics import brent_root
 from .profiles import (
     ULayer,
     _denominator,
@@ -134,9 +134,7 @@ def solve_phi0(domain: DomainSpec, species: Sequence[IonSpecies]) -> float:
         raise BracketFailure(
             f"flux sum does not change sign on ({lo}, {hi}): R({a})={ra:.3e}, R({b})={rb:.3e}"
         )
-    return brentq(
-        lambda s: _flux_sum(domain, species, s), a, b, xtol=PHI0_TOL, rtol=PHI0_TOL
-    )
+    return brent_root(lambda s: _flux_sum(domain, species, s), a, b, PHI0_TOL, PHI0_TOL)
 
 
 def layer_excess_integrals(u: ULayer, zs: Sequence[float]):

@@ -18,7 +18,7 @@ class SolverError(PBLayersError, RuntimeError):
     """A numerical procedure failed to converge or lost an invariant."""
 
 
-# --- nonlinearity -----------------------------------------------------------
+# --- nonlinearity and root finding ------------------------------------------
 
 class AllSameSignValences(ConfigError):
     """All ion valences share one sign; the charge density has no zero."""
@@ -37,7 +37,15 @@ class UnsupportedProvenance(ConfigError):
 
 
 class NoSignChange(SolverError):
-    """Bracket expansion found no sign change for the reference potential."""
+    """A root bracket (or its expansion) shows no sign change."""
+
+
+class NaNFunctionValue(SolverError):
+    """A root finder's function returned NaN."""
+
+
+class RootNotConverged(SolverError):
+    """Brent's method did not converge within its iteration limit."""
 
 
 class NonDecreasingDetected(SolverError):

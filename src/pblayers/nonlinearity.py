@@ -393,9 +393,9 @@ def _decreasing_zero(f, df) -> float:
             hi *= 2.0
     else:
         raise NoSignChange("could not bracket the reference potential")
-    # bisection, not brentq: the radial oracle rebuilds its density through
+    # bisection, not brent_root: the radial oracle rebuilds its density through
     # this root every sweep, and where its Picard loop stops follows the
-    # last bits of the root
+    # last bits of the root, so a switch must wait until oracle bits may move
     root = bisect_root(lambda x: f(x) > 0.0, lo, hi, REFERENCE_RTOL)
     for _ in range(3):
         slope = df(root)

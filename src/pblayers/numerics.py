@@ -1,6 +1,6 @@
 """Small shared numerical kernels: panel quadrature, quintic Hermite
-evaluation, the bisection behind the reference potential (the bulk
-potential and the Robin boundary values use scipy's brentq), and the CSV
+evaluation, the bisection behind the reference potential, the Brent root
+finder of the bulk potential and the Robin boundary values, and the CSV
 writer of every artifact."""
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 import orjson
 
-from .errors import NonFiniteOutput
+from .errors import NaNFunctionValue, NonFiniteOutput, NoSignChange, RootNotConverged
 
 # 5-point Gauss-Legendre rule on [-1, 1]
 _GL5_X = np.array([
@@ -28,6 +28,7 @@ _GL5_W = np.array([
 
 CLUSTER_BLEND = 0.9  # weight of the cosine map in boundary_clustered_nodes
 BISECT_STEPS = 200
+BRENT_MAXITER = 100  # iterations of brent_root, the default of SciPy's brentq
 
 
 def gauss_panels(a: np.ndarray, b: np.ndarray):
@@ -124,6 +125,67 @@ def bisect_root(left_of_root, lo: float, hi: float, rtol: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# brent_root transcribes SciPy's optimize/Zeros/brentq.c (by Charles Harris).
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.  Used under the BSD 3-Clause License, whose conditions
+# and disclaimer are in LICENSES/SciPy-BSD-3-Clause.txt of this repository.
+def brent_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Root of f between a and b by Brent's method, operation for operation
+    SciPy's brentq: the same evaluation points and bits.  Stops when f is 0
+    or half the bracket is below (xtol + rtol |x|) / 2.  Raises
+    NaNFunctionValue on a NaN value of f, NoSignChange when f(a) and f(b)
+    share a sign, RootNotConverged after BRENT_MAXITER iterations."""
+
+    def fn(x):
+        fx = float(f(x))
+        if np.isnan(fx):
+            raise NaNFunctionValue(f"root function is NaN at x={x!r}")
+        return fx
+
+    # xcur is the newest estimate, xpre the one before, and [xblk, xcur]
+    # brackets the root with |f(xcur)| <= |f(xblk)|
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fn(xpre), fn(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise NoSignChange(f"f({xpre!r}) = {fpre!r} and f({xcur!r}) = {fcur!r} share a sign")
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fn(xcur)
+    raise RootNotConverged(f"no convergence in {BRENT_MAXITER} iterations, last x={xcur!r}")
 
 
 def write_csv(path, header: str, columns):

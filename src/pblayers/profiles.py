@@ -48,7 +48,6 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     ConfigError,
@@ -63,6 +62,7 @@ from .nonlinearity import _ExpSum, Nonlinearity, decay_rate, find_reference_pote
 from .numerics import (
     GL5_PARTIAL,
     boundary_clustered_nodes,
+    brent_root,
     gauss_panels,
     hermite_eval,
     panel_integrals,
@@ -76,6 +76,7 @@ TAIL_REL_THRESHOLD = 1e-12
 BOUNDARY_RTOL = 1e-15  # Brent tolerance (xtol = rtol) of the Robin boundary value
 PANEL_BLOCK = 4096  # offset panels per block of the Gauss-point sweeps (20,480 points)
 REMAINDER_ORDER = 18  # highest Taylor order of the remainders of _F0Terms
+W_LIMIT_RTOL = 1e-9  # solve_w rejects an f1 whose w(inf) is off f1.q by more, times max(1, |q|)
 
 
 @dataclass(frozen=True)
@@ -292,7 +293,7 @@ def boundary_potential(f: Nonlinearity, robin: RobinData) -> float:
             f"no sign change for the boundary value on [{lo}, {hi}]"
         )
     # g is strictly decreasing between phi* and phi_bd
-    return brentq(g, lo, hi, xtol=BOUNDARY_RTOL, rtol=BOUNDARY_RTOL)
+    return brent_root(g, lo, hi, BOUNDARY_RTOL, BOUNDARY_RTOL)
 
 
 def _from_delta(fn, phi_star, delta):
@@ -602,12 +603,14 @@ def solve_w(u: ULayer, f1: Nonlinearity) -> WLayer:
         and np.array_equal(f1.f.b, terms.b)
     ):
         raise MismatchedReference("f1 must be an exp sum on the exponents of f0")
-    if u.flat:
-        return _constant_profile(WLayer, "w", q, u.t_max, len(u.t), robin, u.mu, w0=q, q=q)
     # -F1 = sum_i (-c_i/b_i) expm1(b_i delta): slope -f1(phi*), curvature -f1'(phi*)
     limit, beta, gamma = terms.split(
         -f1.f.a / terms.b, -float(f1.f(u.phi_star)), -float(f1.df(u.phi_star)),
     )
+    if abs(limit - q) > W_LIMIT_RTOL * max(1.0, abs(q)):
+        raise MismatchedReference(f"f1 belongs to another f0: w tends to {limit!r}, not q = {q!r}")
+    if u.flat:
+        return _constant_profile(WLayer, "w", q, u.t_max, len(u.t), robin, u.mu, w0=q, q=q)
     den = _denominator(u)
     neg_F1 = -_from_delta(f1.F, u.phi_star, u.delta[:1])[0]
     w0 = robin.gamma * neg_F1 / den

@@ -31,8 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.interpolate import CubicSpline
-from scipy.linalg.lapack import dgbsv
 
 from .errors import (
     ConfigError,
@@ -168,6 +166,7 @@ class RadialSolveResult:
     neutrality: float | None = None
 
     def __post_init__(self):
+        from scipy.interpolate import CubicSpline  # scipy loads with the first solve
         self._spline = CubicSpline(self.r, self.phi)
 
     def phi_at(self, r):
@@ -300,8 +299,9 @@ class _RadialSystem:
 
         Raises ValueError on a non-finite f'(phi) or residual and
         numpy.linalg.LinAlgError on a singular Jacobian, as
-        scipy.linalg.solve_banded does.
+        SciPy's solve_banded does.
         """
+        from scipy.linalg.lapack import dgbsv
         lu = self._lu
         lu[...] = self._bands
         rows = self._df_rows
@@ -683,6 +683,7 @@ def band_charge_integral(
 ) -> float:
     """Oracle-side total charge in Region I or II of component k, by spline
     integration of f(phi) r^{d-1} over the band."""
+    from scipy.interpolate import CubicSpline
     comp = domain.components[k]
     d = domain.dimension
     depths = {"I": (0.0, params.inner_width), "II": (params.inner_width, params.outer_width)}

@@ -1,14 +1,29 @@
 """The CSV writer of every artifact against the row-by-row `%r` writer and
 the nested-list orjson writer it replaced: same header, same rows, every
-value reloading bit-equal, the same bytes as the nested-list writer."""
+value reloading bit-equal, the same bytes as the nested-list writer.  The
+Brent root finder against scipy's brentq, which it transcribes: the same
+evaluation points and result bits, and typed errors where brentq raises
+ValueError or RuntimeError."""
+
+import math
 
 import numpy as np
 import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
-from pblayers.errors import NonFiniteOutput, SolverError
-from pblayers.numerics import write_csv
-from pblayers.profiles import DEFAULT_NODES, Profile
+from pblayers.ccpb import PHI0_TOL
+from pblayers.errors import (
+    NaNFunctionValue,
+    NonFiniteOutput,
+    NoSignChange,
+    RootNotConverged,
+    SolverError,
+)
+from pblayers.numerics import BRENT_MAXITER, brent_root, write_csv
+from pblayers.profiles import BOUNDARY_RTOL, DEFAULT_NODES, Profile
 
 
 def reference_write_csv(path, header, rows):
@@ -93,3 +108,86 @@ def test_non_finite_profile_writes_nothing(tmp_path, std_bundle, bad):
         prof.to_csv(path)
     assert isinstance(info.value, SolverError)
     assert not path.exists()
+
+
+def traced(fn, points):
+    def f(x):
+        points.append(x.hex())
+        return fn(x)
+    return f
+
+
+def run_both(fn, a, b, xtol, rtol):
+    """(evaluation points, result hex or exception type) of brent_root and of
+    brentq with its default maxiter, which is BRENT_MAXITER."""
+    out = []
+    for solver in (brent_root, lambda f, a, b, xtol, rtol: brentq(f, a, b, xtol=xtol, rtol=rtol)):
+        points = []
+        try:
+            res = solver(traced(fn, points), a, b, xtol, rtol).hex()
+        except (SolverError, ValueError, RuntimeError) as exc:
+            res = type(exc)
+        out.append((points, res))
+    return out
+
+
+@st.composite
+def monotone_exp_sums(draw):
+    """f(x) = sign * (sum_i c_i exp(b_i x) - k), each term increasing, zero
+    near r; a bracket [r - left, r + right] in either order."""
+    n = draw(st.integers(1, 3))
+    signs = st.sampled_from((-1.0, 1.0))
+    b = [draw(st.floats(0.1, 4.0)) * draw(signs) for _ in range(n)]
+    c = [math.copysign(draw(st.floats(0.1, 10.0)), bi) for bi in b]
+    r = draw(st.floats(-3.0, 3.0))
+    k = sum(ci * math.exp(bi * r) for ci, bi in zip(c, b))
+    sign = draw(signs)
+
+    def fn(x):
+        return sign * (sum(ci * math.exp(bi * x) for ci, bi in zip(c, b)) - k)
+
+    lo, hi = r - draw(st.floats(1e-3, 5.0)), r + draw(st.floats(1e-3, 5.0))
+    return (fn, lo, hi) if draw(st.booleans()) else (fn, hi, lo)
+
+
+TOLERANCES = st.one_of(
+    st.sampled_from([(PHI0_TOL, PHI0_TOL), (BOUNDARY_RTOL, BOUNDARY_RTOL),
+                     (2e-12, 4 * np.finfo(float).eps)]),
+    st.tuples(st.floats(1e-16, 1e-4), st.floats(4 * np.finfo(float).eps, 1e-4)),
+)
+
+
+class TestBrentRoot:
+    @given(monotone_exp_sums(), TOLERANCES)
+    @settings(max_examples=400, deadline=None)
+    def test_same_points_and_bits_as_brentq(self, problem, tols):
+        fn, a, b = problem
+        (got_points, got), (want_points, want) = run_both(fn, a, b, *tols)
+        assert got_points == want_points
+        assert got == want
+        assert isinstance(got, str)  # a sign change on every bracket drawn
+
+    def test_nan_value_raises_typed_error(self):
+        (points, got), (want_points, want) = run_both(
+            lambda x: x if x < 0.5 else math.nan, -1.0, 2.0, PHI0_TOL, PHI0_TOL
+        )
+        assert got is NaNFunctionValue and want is ValueError
+        assert points == want_points == [(-1.0).hex(), (2.0).hex()]
+        assert issubclass(NaNFunctionValue, SolverError)
+
+    def test_no_sign_change_raises_typed_error(self):
+        (points, got), (_, want) = run_both(lambda x: x * x + 1.0, -1.0, 2.0, PHI0_TOL, PHI0_TOL)
+        assert got is NoSignChange and want is ValueError
+        assert len(points) == 2
+        assert issubclass(NoSignChange, SolverError)
+
+    def test_no_convergence_raises_typed_error(self):
+        # a step function leaves only bisection, from a bracket of width 4
+        # down to xtol = 1e-300: far more than BRENT_MAXITER halvings
+        (points, got), (want_points, want) = run_both(
+            lambda x: math.copysign(1.0, x), -1.0, 3.0, 1e-300, 4 * np.finfo(float).eps
+        )
+        assert got is RootNotConverged and want is RuntimeError
+        assert points == want_points
+        assert len(points) == BRENT_MAXITER + 2
+        assert issubclass(RootNotConverged, SolverError)

@@ -595,6 +595,15 @@ class TestConservationProfile:
             got, _ = tail(s)
             assert np.max(np.abs(got - want)) <= abs(noise) + 4 * np.spacing(abs(limit)), seed
 
+    def test_f1_of_another_salt_rejected(self, w_setup):
+        # same exponents and phi* as f0 (the 1:1 salt of amounts 1), but built
+        # from the salt of amounts 2: its w would settle on 2.0, not f1.q = 1.0
+        _, _, u = w_setup
+        salt2 = symmetric_salt(2.0, "mass")
+        f1 = make_f1(make_f0(salt2, 1.0, 0.0), make_fhat1(salt2, 1.0, 0.0, [1.0, 1.0]), 1.0)
+        with pytest.raises(MismatchedReference, match="w tends to 2.0"):
+            solve_w(u, f1)
+
     def test_f1_without_drift_constant_rejected(self, msalt, w_setup):
         f0, fh, u = w_setup
         f1 = replace(make_f1(f0, fh, 1.0), q=None)

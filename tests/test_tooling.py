@@ -1,10 +1,28 @@
 """The benchmark's span tracer wraps package functions by name; a rename or
-deletion of any of them must fail here rather than in a traced benchmark run."""
+deletion of any of them must fail here rather than in a traced benchmark run.
+The asymptotic commands must start without scipy, which only the oracle
+loads."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+# run in a fresh interpreter: main() for each command in turn, then the
+# scipy modules loaded so far, one JSON line per command
+_SCIPY_PROBE = """
+import json, sys
+from pblayers import cli
+for command in sys.argv[2:]:
+    rc = cli.main([command, "--config", sys.argv[1], "--output-dir", command])
+    scipy = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+    print(json.dumps({"command": command, "rc": rc, "scipy": len(scipy)}))
+"""
 
 
 def test_benchmark_tracer_installs(monkeypatch):
@@ -127,3 +145,22 @@ def test_declared_dependencies_cover_imports():
     declared = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in deps}
     assert {"numpy", "scipy", "orjson"} <= third_party
     assert third_party <= declared, sorted(third_party - declared)
+
+
+def test_asymptotic_commands_start_without_scipy(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(block)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    commands = ["constants", "expand", "profiles", "figures", "verify"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(cfg), *commands],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r["command"] for r in rows] == commands
+    assert all(r["rc"] == 0 for r in rows), rows
+    assert [r["scipy"] for r in rows[:-1]] == [0, 0, 0, 0], rows
+    assert rows[-1]["scipy"] > 0, rows
