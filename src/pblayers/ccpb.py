@@ -31,12 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    AllBoundaryPotentialsEqual,
-    BracketFailure,
-    ConfigError,
-    DegenerateDenominator,
-)
+from .errors import BracketFailure, ConfigError, DegenerateDenominator
 from .geometry import DomainSpec
 from .nonlinearity import (
     IonSpecies,
@@ -120,11 +115,10 @@ def _flux_sum(domain: DomainSpec, species, s: float) -> float:
 
 def solve_phi0(domain: DomainSpec, species: Sequence[IonSpecies]) -> float:
     """Bulk potential phi0* of the conserved-charge layer."""
+    domain.require_ccpb_admissible()
     check_neutrality(species)
     phis = [c.robin.phi_bd for c in domain.components]
     lo, hi = min(phis), max(phis)
-    if lo == hi:
-        raise AllBoundaryPotentialsEqual("not-all-equal boundary potentials required")
     span = hi - lo
     a = lo + 1e-12 * span
     b = hi - 1e-12 * span
@@ -215,8 +209,6 @@ def ccpb_constants(
 ) -> CcpbConstants:
     """Full constants pipeline: bulk potential, profiles, mass corrections,
     drift constant, conservation profiles and diagnostics."""
-    domain.require_ccpb_admissible()
-    check_neutrality(species)
     phi0 = solve_phi0(domain, species)
     f0 = make_f0(species, domain.volume, phi0)
     kwargs = {} if n_nodes is None else {"n_nodes": n_nodes}

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadRadii, ConfigError, InconsistentParams
+from .errors import AllBoundaryPotentialsEqual, BadRadii, ConfigError, InconsistentParams
 from .profiles import RobinData
 
 REGION_I = "I"
@@ -62,11 +62,9 @@ class DomainSpec:
             raise ConfigError("need at least one boundary component")
 
     def require_ccpb_admissible(self):
-        """Conserved-charge runs need a hole and not-all-equal potentials."""
+        """Conserved-charge runs need boundary potentials that are not all equal."""
         phis = [c.robin.phi_bd for c in self.components]
         if max(phis) == min(phis):
-            from .errors import AllBoundaryPotentialsEqual
-
             raise AllBoundaryPotentialsEqual(
                 "boundary potentials are all equal; the solution is constant"
             )

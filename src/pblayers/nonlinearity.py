@@ -41,6 +41,11 @@ REFERENCE_RTOL = 1e-13  # bisection width of the reference potential
 DECAY_SAMPLES = 2048  # grid that brackets the maximum of f' in decay_rate
 _EXP_GUARD = 700.0  # exponents beyond this go through the stabilized path
 _TAYLOR_TERMS = 12
+_TAYLOR_ORDER = 18  # highest order of the Taylor sums of _Expm1Sum
+# Taylor window of _Expm1Sum, times 1/max|b_i|, by the lowest order kept.  Within
+# 1 order 19 is below 1/19! (8e-18) of a moment; 0.65 is the widest window that
+# keeps the bits of the pinned constants, and F is within 4 ulp just beyond it
+_TAYLOR_WINDOW = {1: 0.65, 2: 0.65, 3: 1.0}
 
 
 @dataclass(frozen=True)
@@ -191,81 +196,105 @@ class _AnchoredExpSum(_ExpSum):
         return out
 
 
-class _ExpSumAntiderivative:
-    """F(phi) = integral of an _ExpSum from `anchor`, cancellation-safe.
+def _horner(coeffs, d, acc):
+    """The polynomial sum_n coeffs[n] d^(N - n), N = len(coeffs), highest
+    order first and without a constant term, summed into acc: zeros, in
+    place, or 0.0 on floats."""
+    for c in coeffs:
+        acc += c
+        acc *= d
+    return acc
 
-    Near the anchor the exponential terms cancel to higher order, so the
-    closed form loses precision; a Taylor expansion about the anchor is used
-    there instead.
+
+class _Expm1Sum:
+    """S(delta) = sum_i c_i expm1(b_i delta), delta = phi - anchor, less its
+    Taylor terms below order `low`, for each column of c: S = O(delta^low).
+
+    Those terms, the moments sum_i c_i b_i^n / n! for n < low, cancel by
+    construction, and the coefficients only round to that: F of a density
+    with a zero at the anchor has low = 2 (its first moment is f(anchor)),
+    the remainders n_j of profiles._F0Terms have low = 3.  Dropping them on
+    both sides of the window keeps their rounding out of S: within
+    |delta| <= _TAYLOR_WINDOW[low] / max|b_i| S is the Taylor sum of orders
+    low to _TAYLOR_ORDER, beyond it the expm1 sum less those terms.  Each
+    column sums its terms in order, element by element, so an offset has
+    the same bits in any batch; a float call of one column runs the same
+    formulas on Python floats.  Past the overflow guard a column is +-inf
+    with the sign of its fastest-growing term.
     """
 
-    __slots__ = ("esum", "anchor", "_w_over_b", "_terms", "_taylor", "_switch")
+    __slots__ = ("b", "c", "anchor", "_terms", "_taylor", "_head", "_window")
 
-    def __init__(self, esum: _ExpSum, anchor: float):
-        self.esum = esum
+    def __init__(self, b, c, low, anchor):
+        self.b = np.asarray(b, dtype=float)
+        self.c = np.asarray(c, dtype=float)  # (k,), or (k, m) for m columns
         self.anchor = float(anchor)
-        w = esum.a * np.exp(esum.b * (self.anchor - esum.ref))
-        self._w_over_b = w / esum.b
-        self._terms = tuple(zip(self._w_over_b.tolist(), esum.b.tolist()))  # (w_i/b_i, b_i)
-        # F(anchor + d) = sum_{n>=1} f^(n-1)(anchor) d^n / n!, highest order first
-        coeffs = []
-        fact = 1.0
-        for n in range(1, _TAYLOR_TERMS + 1):
-            fact *= n
-            coeffs.append(float(np.sum(w * esum.b ** (n - 1))) / fact)
-        self._taylor = tuple(reversed(coeffs))
-        bmax = float(np.max(np.abs(esum.b)))
-        self._switch = 0.05 / max(1.0, bmax)
+        self._terms = tuple(zip(self.c.tolist(), self.b.tolist())) if self.c.ndim == 1 else None
+        # Taylor coefficients sum_i c_i b_i^n / n!, highest order first; the
+        # head, orders low - 1..1, is 0 in the Taylor sum
+        orders = np.arange(_TAYLOR_ORDER, 0, -1)
+        factorials = np.array([[float(math.factorial(n))] for n in orders])
+        coeffs = (self.b ** orders[:, None]) @ self.c.reshape(len(self.b), -1) / factorials
+        rows = coeffs[:, 0].tolist() if self.c.ndim == 1 else list(coeffs)
+        self._head = rows[_TAYLOR_ORDER - low + 1 :]
+        self._taylor = rows[: _TAYLOR_ORDER - low + 1] + [0.0] * len(self._head)
+        self._window = _TAYLOR_WINDOW[low] / float(np.max(np.abs(self.b)))
 
     def __call__(self, phi):
+        """S at phi, one column only."""
         if isinstance(phi, (float, int)):
             d = float(phi) - self.anchor
-            if abs(d) <= self._switch:
-                return self._horner(d, 0.0)
+            if abs(d) <= self._window:
+                return _horner(self._taylor, d, 0.0)
             if max(bi * d for _, bi in self._terms) <= _EXP_GUARD:
                 total = 0.0
-                for c, bi in self._terms:
-                    total += c * math.expm1(bi * d)
-                return total
+                for ci, bi in self._terms:
+                    total += ci * math.expm1(bi * d)
+                return total - _horner(self._head, d, 0.0)
         return _call_from_delta(self, phi)
 
-    def _horner(self, d, acc):
-        """The Taylor sum at offsets d, accumulated into acc (0.0 or zeros
-        shaped like d) in place."""
-        for c in self._taylor:
-            acc += c
-            acc *= d
-        return acc
-
     def from_delta(self, delta):
-        """Evaluate at anchor + delta with delta supplied exactly."""
+        """S at anchor + delta with delta supplied exactly, of shape
+        delta.shape + (m,) for m columns."""
         d = np.atleast_1d(np.asarray(delta, dtype=float))
-        out = np.empty(d.shape, dtype=float)
-        near = np.abs(d) <= self._switch
-        if near.any():
-            dn = d[near]
-            out[near] = self._horner(dn, np.zeros(dn.shape))
-        far = ~near
+        # the Taylor sum at every offset, in one array (np.full: the calloc
+        # of np.zeros faulted more pages in per call); those beyond the
+        # window, where it may overflow, are then overwritten
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _horner(self._taylor, self._column(d), np.full(d.shape + self.c.shape[1:], 0.0))
+        far = (d > self._window) | (d < -self._window)
         if far.any():
-            t, m = _exponents(d[far], self.esum.b)
-            overflow = m > _EXP_GUARD
-            # the fastest-growing term decides the sign at huge arguments;
-            # found before the clipping below can tie the exponents (a zero
-            # coefficient leaves the clipped sum)
-            lead = np.argmax(t, axis=-1) if overflow.any() else None
-            np.minimum(t, _EXP_GUARD, out=t)
-            np.expm1(t, out=t)
-            # the term columns summed in order, element by element: a matmul
-            # rounds a 1-row batch differently from a long one, this sum
-            # gives each offset the same bits in any batch
-            val = t[..., 0] * self._w_over_b[0]
-            for j in range(1, t.shape[-1]):
-                val += t[..., j] * self._w_over_b[j]
-            if lead is not None:
-                sign = self._w_over_b[lead]
-                val = np.where(overflow & (sign != 0.0), np.copysign(np.inf, sign), val)
-            out[far] = val
+            out[far] = self._far(d[far])
         return out
+
+    def _column(self, d):
+        """d shaped to broadcast against one row of coefficients."""
+        return d if self.c.ndim == 1 else d[..., None]
+
+    def _far(self, d):
+        t, m = _exponents(d, self.b)
+        overflow = m > _EXP_GUARD
+        # the fastest-growing term decides the sign at huge arguments;
+        # found before the clipping below can tie the exponents (a zero
+        # coefficient leaves the clipped sum)
+        lead = np.argmax(t, axis=-1) if overflow.any() else None
+        np.minimum(t, _EXP_GUARD, out=t)
+        np.expm1(t, out=t)
+        # the term columns summed in order, element by element: a matmul
+        # rounds a 1-row batch differently from a long one
+        val = self._column(t[..., 0]) * self.c[0]
+        for j in range(1, len(self.b)):
+            val += self._column(t[..., j]) * self.c[j]
+        if self._head:
+            val -= _horner(self._head, self._column(d), np.zeros(val.shape))
+        if lead is not None:
+            sign = self.c[lead]
+            hit = self._column(overflow) & (sign != 0.0)
+            val = np.where(hit, np.copysign(np.inf, sign), val)
+        return val
+
+
+_ZERO_AT_REFERENCE = ("classical", "f0", "custom")  # strictly decreasing, f(phi*) = 0
 
 
 @dataclass(frozen=True)
@@ -283,7 +312,7 @@ class Nonlinearity:
     @property
     def monotone(self) -> bool:
         """Whether this provenance carries the strictly-decreasing contract."""
-        return self.provenance in ("classical", "f0", "custom")
+        return self.provenance in _ZERO_AT_REFERENCE
 
 
 def _exp_terms_nonlinearity(a, b, ref, provenance, species=(), phi_star=None, q=None):
@@ -291,11 +320,14 @@ def _exp_terms_nonlinearity(a, b, ref, provenance, species=(), phi_star=None, q=
     desum = esum.derivative()
     if phi_star is None:
         phi_star = _decreasing_zero(esum, desum)
-    anti = _ExpSumAntiderivative(esum, phi_star)
+    # F = sum_i (w_i/b_i) expm1(b_i (phi - phi*)), w_i = a_i exp(b_i (phi* - ref));
+    # a density with a zero at phi* has F = O((phi - phi*)^2) there
+    w = esum.a * np.exp(esum.b * (phi_star - esum.ref))
+    low = 2 if provenance in _ZERO_AT_REFERENCE else 1
     return Nonlinearity(
         f=esum.with_anchor(phi_star),  # terms cancel at phi*; Taylor there
         df=desum,
-        F=anti,
+        F=_Expm1Sum(esum.b, w / esum.b, low, phi_star),
         phi_star=phi_star,
         provenance=provenance,
         species=tuple(species),

@@ -58,7 +58,7 @@ from .errors import (
     NegativeTime,
     RootBracketFailure,
 )
-from .nonlinearity import _ExpSum, Nonlinearity, decay_rate, find_reference_potential
+from .nonlinearity import _ExpSum, _Expm1Sum, Nonlinearity, decay_rate, find_reference_potential
 from .numerics import (
     GL5_PARTIAL,
     boundary_clustered_nodes,
@@ -75,7 +75,6 @@ TMAX_CAP_FACTOR = 40.0  # m_f * t_max of the flat profile
 TAIL_REL_THRESHOLD = 1e-12
 BOUNDARY_RTOL = 1e-15  # Brent tolerance (xtol = rtol) of the Robin boundary value
 PANEL_BLOCK = 4096  # offset panels per block of the Gauss-point sweeps (20,480 points)
-REMAINDER_ORDER = 18  # highest Taylor order of the remainders of _F0Terms
 W_LIMIT_RTOL = 1e-9  # solve_w rejects an f1 whose w(inf) is off f1.q by more, times max(1, |q|)
 
 
@@ -454,10 +453,7 @@ class _F0Terms:
     df0: float  # f0'(phi*)
     d2f0: float  # f0''(phi*)
     basis: np.ndarray  # (k, k - 2)
-    # Taylor coefficients of the n_j in delta, orders REMAINDER_ORDER down to
-    # 3, for |delta| <= 1/max|b_i|, where the first term left out is at most
-    # 1/19! (8e-18) of a basis coefficient
-    taylor: np.ndarray  # (REMAINDER_ORDER - 2, k - 2)
+    n: _Expm1Sum  # the n_j: sum_i basis_ij e_i less its orders 1 and 2
 
     @classmethod
     def of(cls, f0: Nonlinearity) -> _F0Terms:
@@ -467,11 +463,10 @@ class _F0Terms:
             raise MismatchedReference("f0 must be an exp sum referenced at its phi*")
         b = f0.f.b
         basis = np.linalg.svd(np.vstack((b, b * b)))[2][2:].T
-        orders = np.arange(REMAINDER_ORDER, 2, -1)
-        powers = b[None, :] ** orders[:, None] / [[math.factorial(m)] for m in orders]
         return cls(
             b=b, a0=f0.f.a, df0=float(f0.df(f0.phi_star)),
-            d2f0=float(f0.df.derivative()(f0.phi_star)), basis=basis, taylor=powers @ basis,
+            d2f0=float(f0.df.derivative()(f0.phi_star)), basis=basis,
+            n=_Expm1Sum(b, basis, 3, f0.phi_star),
         )
 
     def split(self, g, slope, curvature):
@@ -481,32 +476,6 @@ class _F0Terms:
         beta = (curvature - alpha * self.d2f0) / self.df0
         rest = g - np.multiply.outer(self.a0, alpha) - np.multiply.outer(self.a0 / self.b, beta)
         return alpha, beta, self.basis.T @ rest
-
-    def remainders(self, delta):
-        """n_j(delta) of shape delta.shape + (k - 2,): the Taylor sum for
-        |delta| <= 1/max|b_i|, where the terms of n_j cancel to O(delta^3),
-        the sum of its terms beyond."""
-        flat = delta.ravel()
-        far = np.abs(flat) > 1.0 / np.max(np.abs(self.b))
-        if not far.any():
-            return self._taylor_sum(delta)
-        # row indices, not masks: gathering and scattering rows by index is
-        # the cheaper of the two
-        (fi,), (ni,) = np.nonzero(far), np.nonzero(~far)
-        out = np.empty((flat.size, self.basis.shape[1]))
-        out[fi] = np.expm1(np.multiply.outer(flat[fi], self.b)) @ self.basis
-        out[ni] = self._taylor_sum(flat[ni])
-        return out.reshape(delta.shape + (-1,))
-
-    def _taylor_sum(self, delta):
-        d = delta[..., None]
-        out = np.empty(delta.shape + (self.basis.shape[1],))
-        out[...] = self.taylor[0]
-        for c in self.taylor[1:]:
-            out *= d
-            out += c
-        out *= d * d * d
-        return out
 
     def remainder_integrals(self, u: ULayer):
         """(R, T) along u: R[:, j], the integral of n_j/u'^2 from 0 to each
@@ -518,9 +487,9 @@ class _F0Terms:
             return R, np.zeros(0)
         speed_at = _speed_from_delta(u.density, u.phi_star)
         x, wq = gauss_panels(np.zeros(1), u.delta[-1:])
-        total = (np.abs(wq) / speed_at(x.ravel())).ravel() @ self.remainders(x.ravel())
+        total = (np.abs(wq) / speed_at(x.ravel())).ravel() @ self.n.from_delta(x.ravel())
         for panels, x, wq, speed in _panel_blocks(u.density, u.phi_star, u.delta):
-            n = self.remainders(x)
+            n = self.n.from_delta(x)
             R[panels.start + 1 : panels.stop + 1] = np.einsum(
                 "pg,pgj->pj", wq / (speed * speed * speed), n
             )
@@ -621,7 +590,7 @@ def solve_w(u: ULayer, f1: Nonlinearity) -> WLayer:
     if gamma.size:  # three or more species
         R, _ = terms.remainder_integrals(u)
         s += R @ gamma
-        dw += terms.remainders(u.delta) @ gamma / u.derivs
+        dw += terms.n.from_delta(u.delta) @ gamma / u.derivs
     w = u.derivs * s
     w += limit
     dw += u.second_derivs * s  # -f0(u) s

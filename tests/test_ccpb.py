@@ -59,6 +59,17 @@ class TestBulkPotential:
         with pytest.raises(AllBoundaryPotentialsEqual):
             solve_phi0(dom, msalt)
 
+    @pytest.mark.parametrize("slack", [5e-13, -5e-13])
+    def test_near_neutral_tail_speed(self, annulus_domain, slack):
+        # amounts (1, 1 + slack) pass check_neutrality, and f0(phi0*) is then
+        # off 0 by about the slack: kept as a linear term of F0 it put the
+        # last-node speed of u 18-51 % off mu |delta|
+        species = [IonSpecies(1.0, 1.0, "mass"), IonSpecies(-1.0, 1.0 + slack, "mass")]
+        for bundle in ccpb_constants(annulus_domain, species).profiles:
+            u = bundle["u"]
+            want = u.mu * abs(u.delta[-1])
+            assert abs(abs(u.derivs[-1]) - want) <= 1e-12 * want
+
     def test_flux_sum_evaluations(self, annulus_domain, msalt, monkeypatch):
         # Brent's method: a bisection to PHI0_TOL took 51 flux sums
         calls = []
@@ -75,13 +86,13 @@ class TestBulkPotential:
         # both roots by Brent's method: nested bisections took 5,377 scalar
         # antiderivative evaluations
         calls = []
-        from_delta = nonlinearity._ExpSumAntiderivative.from_delta
+        from_delta = nonlinearity._Expm1Sum.from_delta
 
         def counting(self, delta):
             calls.append(delta)
             return from_delta(self, delta)
 
-        monkeypatch.setattr(nonlinearity._ExpSumAntiderivative, "from_delta", counting)
+        monkeypatch.setattr(nonlinearity._Expm1Sum, "from_delta", counting)
         solve_phi0(annulus_domain, msalt)
         assert len(calls) <= 400
 
@@ -223,6 +234,15 @@ class TestClosedForms:
         for bundle in cc.profiles:
             for kind, p in bundle.items():
                 assert ode_residual(p, bundle["u"], cc.f1) <= 1e-10, kind
+
+    def test_tail_speed_is_mu_delta(self, multi_species):
+        # sum a0_i rounds to 1.39e-17 on the 3-D annulus of three species:
+        # kept as a linear term of F0, it put the last-node speed 1.2e-4 and
+        # 2.8e-5 off mu |delta|; F0 vanishes to second order at phi0*
+        for bundle in multi_species[2].profiles:
+            u = bundle["u"]
+            want = u.mu * abs(u.delta[-1])
+            assert abs(abs(u.derivs[-1]) - want) <= 1e-12 * want
 
     def test_excess_valence_outside_f0_rejected(self, annulus_constants):
         cc = annulus_constants

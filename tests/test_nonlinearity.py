@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,17 +14,20 @@ from pblayers.errors import (
     NonDecreasingDetected,
     UnsupportedProvenance,
 )
+from pblayers.geometry import make_annulus
 from pblayers.nonlinearity import (
     IonSpecies,
     _ExpSum,
-    _ExpSumAntiderivative,
+    _Expm1Sum,
     decay_rate,
     find_reference_potential,
     make_classical_pb,
     make_f0,
     make_f1,
     make_fhat1,
+    symmetric_salt,
 )
+from pblayers.profiles import RobinData, _F0Terms
 
 
 def bisect_zero(fn, lo, hi, n=200):
@@ -146,7 +150,7 @@ class TestExpSumArrayPath:
         d = np.array([800.0, -800.0, 1e4, -1e4])
         assert np.array_equal(salt.F.from_delta(d), np.full(4, -np.inf))
         # F = integral of exp(x) + exp(-2x) from 0: the leading term decides
-        anti = _ExpSumAntiderivative(_ExpSum([1.0, 1.0], [1.0, -2.0]), 0.0)
+        anti = _Expm1Sum([1.0, -2.0], [1.0, -0.5], 1, 0.0)
         assert np.array_equal(anti.from_delta(d), [np.inf, -np.inf, np.inf, -np.inf])
         assert [anti(x) for x in d.tolist()] == [np.inf, -np.inf, np.inf, -np.inf]
         assert not np.isnan(anti.from_delta(np.linspace(-1e3, 1e3, 2001))).any()
@@ -193,7 +197,7 @@ class TestScalarCalls:
     def test_scalar_antiderivative_matches_array_path(self, name):
         F = make_classical_pb(SCALAR_F_DENSITIES[name]).F
         rng = np.random.default_rng(len(name))
-        sw = F._switch
+        sw = F._window
         d = np.concatenate([
             rng.uniform(-sw, sw, 500), [sw, -sw],
             rng.uniform(-60.0, 60.0, 500), rng.uniform(-3 * sw, 3 * sw, 500),
@@ -255,8 +259,9 @@ class TestConservedChargeDensities:
             assert np.array_equal(fn(phi), np.zeros(phi.shape))
         for fn in (fh.f, fh.F):
             assert np.array_equal(fn.from_delta(phi - 0.3), np.zeros(phi.shape))
-        anti = _ExpSumAntiderivative(_ExpSum([0.0, -0.0], [-1.0, 1.0]), 0.0)
-        assert np.array_equal(anti.from_delta(phi), np.zeros(phi.shape))
+        for low in (1, 2, 3):
+            anti = _Expm1Sum([-1.0, 1.0], [0.0, -0.0], low, 0.0)
+            assert np.array_equal(anti.from_delta(phi), np.zeros(phi.shape))
 
     def test_fhat1_neutral_coefficients_vanish_at_reference(self, msalt):
         # sum mhat_i z_i = 0 for mhat = (1, 1) with z = (+1, -1)
@@ -345,6 +350,26 @@ class TestDecayRate:
             decay_rate(increasing, (-1, 1))
 
 
+# salts of three and four species (role mass), and the 3-D annulus whose
+# volume scales their f0 (tests/test_ccpb.py)
+MULTI_SPECIES_F0 = {
+    k: [IonSpecies(z, m, "mass") for z, m in zm]
+    for k, zm in {
+        3: ((2.0, 1.0), (1.0, 0.5), (-1.0, 2.5)),
+        4: ((2.0, 1.0), (1.0, 1.5), (-1.0, 2.0), (-3.0, 0.5)),
+    }.items()
+}
+ANNULUS_3D = make_annulus(3, 1.0, 2.0, RobinData(0.8, -1.7), RobinData(0.8, 1.9))
+README_ANNULUS = make_annulus(2, 1.0, 2.0, RobinData(0.1, 1.0), RobinData(0.1, -1.0))
+# the densities with a zero at phi* whose F is checked against mpmath; an f0
+# has a0_i / b_i as the coefficients of F whatever its phi0*
+SECOND_ORDER_DENSITIES = {
+    "1:1 f0": lambda: make_f0(symmetric_salt(1.0, "mass"), README_ANNULUS.volume, 0.1),
+    "2:1 classical": lambda: make_classical_pb([IonSpecies(2.0, 0.3), IonSpecies(-1.0, 1.7)]),
+    "3 species f0": lambda: make_f0(MULTI_SPECIES_F0[3], ANNULUS_3D.volume, 0.1),
+}
+
+
 class TestAntiderivative:
     def test_quadrature_agreement(self, salt):
         star = salt.phi_star
@@ -361,17 +386,68 @@ class TestAntiderivative:
 
     def test_offsets_keep_their_bits_in_any_batch(self, annulus_constants):
         # F0, Fhat1 and F1 at the offsets of both README-annulus layers, and a
-        # three-term F at offsets on both sides of the Taylor window: the
-        # whole array has the bits of one offset at a time (a matmul over the
-        # term columns rounded 339-770 of the 4,001 layer offsets differently)
+        # three-term F and the remainder columns of f0s of three and four
+        # species at offsets on both sides of the Taylor window: the whole
+        # array has the bits of one offset at a time (a matmul over the term
+        # columns rounded 339-770 of the 4,001 layer offsets differently)
         cc = annulus_constants
         cases = [(F, b["u"].delta) for b in cc.profiles for F in (cc.f0.F, cc.fhat1.F, cc.f1.F)]
-        three = make_classical_pb([IonSpecies(2.0, 1.0), IonSpecies(1.0, 0.5), IonSpecies(-1.0, 2.5)])
-        cases.append((three.F, np.random.default_rng(7).uniform(-3.0, 3.0, 2000)))
+        three = make_classical_pb(MULTI_SPECIES_F0[3])
+        d = np.random.default_rng(7).uniform(-3.0, 3.0, 2000)
+        cases.append((three.F, d))
+        for species in MULTI_SPECIES_F0.values():
+            cases.append((_F0Terms.of(make_f0(species, ANNULUS_3D.volume, 0.1)).n, d))
         for F, d in cases:
             whole = F.from_delta(d)
             one = np.array([F.from_delta(d[i : i + 1])[0] for i in range(len(d))])
             assert np.array_equal(whole.view(np.uint64), one.view(np.uint64))
+
+    @pytest.mark.parametrize("name", sorted(SECOND_ORDER_DENSITIES))
+    def test_against_mpmath(self, name):
+        # F of a density with a zero at phi*, against the 40-digit
+        # sum_i (w_i/b_i) (expm1(x_i) - x_i), x_i = b_i delta, of its float
+        # coefficients: its first moment, f(phi*), is 0 by definition, not
+        # the -2.2e-16 and 1.39e-17 that the 2:1 salt and the f0 of three
+        # species round to.  Offsets |b| delta in [1e-6, 3] on both sides,
+        # each exactly phi - phi*, so the float and the array path see the
+        # same delta.  Within 4 ulp relative, |error| <= 4 2**-52 |F|
+        # (measured 1.1, 2.2 and 2.6; 10.9, 1.1e6 and 1.0e6 when F kept
+        # f(phi*) as a linear term and its Taylor window was 0.05/max|b|)
+        f = SECOND_ORDER_DENSITIES[name]()
+        b = f.f.b.tolist()
+        star = mpmath.mpf(f.phi_star)
+        w = [mpmath.mpf(a) * mpmath.exp(mpmath.mpf(bi) * (star - mpmath.mpf(f.f.ref)))
+             for a, bi in zip(f.f.a.tolist(), b)]
+        g = np.geomspace(1e-6, 3.0, 300) / max(map(abs, b))
+        d = (f.phi_star + np.concatenate([g, -g])) - f.phi_star
+        with mpmath.workdps(40):
+            want = np.array([
+                float(sum(wi / bi * (mpmath.expm1(bi * mpmath.mpf(x)) - bi * mpmath.mpf(x))
+                          for wi, bi in zip(w, b)))
+                for x in d.tolist()
+            ])
+        scalar = np.array([f.F(x) for x in (f.phi_star + d).tolist()])
+        for got in (f.F.from_delta(d), scalar):
+            assert np.all(np.abs(got - want) <= 4 * 2.0**-52 * np.abs(want))
+
+    def test_remainders_against_mpmath(self):
+        # the remainder n_0 of the f0 of three species against the 40-digit
+        # sum_i basis_i0 (expm1(x_i) - x_i - x_i^2/2), x_i = b_i delta, over
+        # |b| delta in [1e-6, 3] on both sides: within 14 ulp relative
+        # (measured 10.0; 14.4 when its expm1 sum kept the rounding of the
+        # first two moments)
+        terms = _F0Terms.of(make_f0(MULTI_SPECIES_F0[3], ANNULUS_3D.volume, 0.1))
+        b, rho = terms.b.tolist(), terms.basis[:, 0].tolist()
+        g = np.geomspace(1e-6, 3.0, 300) / max(map(abs, b))
+        d = np.concatenate([g, -g])
+        with mpmath.workdps(40):
+            want = np.array([
+                float(sum(r * (mpmath.expm1(x) - x - x * x / 2)
+                          for r, x in ((r, bi * mpmath.mpf(di)) for r, bi in zip(rho, b))))
+                for di in d.tolist()
+            ])
+        got = terms.n.from_delta(d)[:, 0]
+        assert np.all(np.abs(got - want) <= 14 * 2.0**-52 * np.abs(want))
 
 
 @st.composite

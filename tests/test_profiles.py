@@ -169,16 +169,32 @@ class TestLayerProfile:
 
     def test_boundary_potential_asymmetric_salt_pinned(self):
         # 2:1 salt with phi* != 0, pinned exactly; the residual may not exceed
-        # the one at the values a 1e-15 bisection gave
+        # the one at the values a 1e-15 bisection gave.  Its f(phi*) rounds
+        # to -2.2e-16, which F once kept as a linear term: then phi_bd = 2
+        # gave 0.8989584906947277 (the record)
         f = make_classical_pb([IonSpecies(2.0, 0.3), IonSpecies(-1.0, 1.7)])
-        for phi_bd, want, bisected in (
-            (2.0, 0.8989584906947277, 0.8989584906947274),
-            (-2.0, -1.1174632701687042, -1.1174632701687042),
+        for phi_bd, want, record, bisected in (
+            (2.0, 0.8989584906947278, 0.8989584906947277, 0.8989584906947274),
+            (-2.0, -1.1174632701687042, -1.1174632701687042, -1.1174632701687042),
         ):
             got = boundary_potential(f, RobinData(0.5, phi_bd))
-            assert got == want
+            assert got == want and abs(got - record) <= 2 * math.ulp(record)
             g = compatibility(f, RobinData(0.5, phi_bd))
             assert abs(g(got)) <= abs(g(bisected))
+
+    @pytest.mark.parametrize("valences", [
+        ((2.0, 0.3), (-1.0, 1.7)), ((3.0, 0.7), (-2.0, 0.4), (-1.0, 1.3)),
+    ], ids=["2:1", "3:2:1"])
+    @pytest.mark.parametrize("phi_bd", [1.0, -1.7, 5.0])
+    def test_tail_speed_is_mu_delta(self, valences, phi_bd):
+        # f(phi*) rounds to -2.2e-16 and 4.4e-16 on these salts; F vanishes to
+        # second order at phi* all the same, so at the last node
+        # |u'| = sqrt(-2 F) = mu |delta| (1 + O(delta)).  Keeping f(phi*) as
+        # a linear term of F put it 1.5e-5 to 6.2e-5 off
+        f = make_classical_pb([IonSpecies(z, c) for z, c in valences])
+        u = solve_u(f, RobinData(0.1, phi_bd))
+        want = u.mu * abs(u.delta[-1])
+        assert abs(abs(u.derivs[-1]) - want) <= 1e-12 * want
 
     def test_boundary_potential_asymmetric_salt_residual(self):
         # 2:1 salt, either sign of phi_bd: a residual of the compatibility

@@ -329,6 +329,23 @@ class TestOneSolvePath:
         }
         assert got == self.SWEEP
 
+    # a 2:1 mass salt on the same annulus: its f has two unequal terms, so the
+    # oracle follows the last bits of f, f' and the zero of f (not of F)
+    SALT_2_1 = ((2.0, 1.0), (-1.0, 2.0))
+    SALT_2_1_SWEEP = {
+        1e-2: ((7.824897508929062, 12.075556379085581), 0.14462421232667755, 13, 22),
+        1e-3: ((6.971146720101354, 11.507522432590742), 0.16707373753441593, 17, 29),
+        1e-4: ((6.725571147311442, 11.330291909197438), 0.17385432937658477, 15, 24),
+    }
+
+    def test_ccpb_sweep_of_2_1_salt_unchanged(self, annulus_domain):
+        species = [IonSpecies(z, m, "mass") for z, m in self.SALT_2_1]
+        got = {}
+        for eps in self.SALT_2_1_SWEEP:
+            res = solve_radial_ccpb(annulus_domain, species, eps)
+            got[eps] = (res.normalizers, res.phi_eps_star, res.outer_iters, res.newton_iters)
+        assert got == self.SALT_2_1_SWEEP
+
     def test_ccpb_builds_one_grid(self, annulus_domain, msalt, monkeypatch):
         from pblayers import radial_oracle
 
