@@ -111,7 +111,8 @@ class RegionEmpty(ConfigError):
 # --- artifacts --------------------------------------------------------------
 
 class NonFiniteOutput(SolverError):
-    """A CSV artifact would carry NaN or inf; nothing is written."""
+    """A CSV artifact or an oracle result would carry NaN or inf; nothing is
+    written or returned."""
 
 
 # --- radial oracle ----------------------------------------------------------

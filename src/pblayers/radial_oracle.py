@@ -15,7 +15,9 @@ conserved-charge problem is an outer fixed point on the normalizer vector
 (the domain integrals of exp(-z_i phi)) with Anderson mixing as a fallback;
 each sweep reruns Newton on the same system with the sweep's frozen
 normalizers.  A solve may warm-start from an earlier result, which is
-sampled on the new grid (continuation in eps).
+sampled on the new grid by its not-a-knot cubic spline (continuation in eps).
+The spline's slopes are one tridiagonal solve by LAPACK's dgtsv; dgbsv and
+dgtsv are all the scipy the package loads, with the first solve.
 
 Every result carries its bulk reference potential as phi_eps_star.
 
@@ -37,7 +39,9 @@ from .errors import (
     FixedPointStall,
     GridTooCoarse,
     NewtonDivergence,
+    NonFiniteOutput,
     RegionEmpty,
+    SolverError,
 )
 from .geometry import DomainSpec, RegionParams, make_ball, unit_sphere_area
 from .nonlinearity import (
@@ -148,7 +152,8 @@ def graded_radial_grid(
 
 @dataclass
 class RadialSolveResult:
-    """Converged radial solve with diagnostics and spline accessors."""
+    """Converged radial solve with diagnostics; phi_at and dphi_at sample the
+    not-a-knot cubic through (r, phi).  A non-finite phi raises NonFiniteOutput."""
 
     model: str
     d: int
@@ -166,14 +171,15 @@ class RadialSolveResult:
     neutrality: float | None = None
 
     def __post_init__(self):
-        from scipy.interpolate import CubicSpline  # scipy loads with the first solve
-        self._spline = CubicSpline(self.r, self.phi)
+        if not np.isfinite(self.phi).all():
+            raise NonFiniteOutput(f"the {self.model} oracle's potential is not finite")
+        self._cubic = _not_a_knot(self.r, self.phi)
 
     def phi_at(self, r):
-        return self._spline(r)
+        return _cubic_eval(self.r, self._cubic, r)[0]
 
     def dphi_at(self, r):
-        return self._spline(r, 1)
+        return _cubic_eval(self.r, self._cubic, r)[1]
 
     def to_csv(self, path):
         write_csv(path, "r,phi", (self.r, self.phi))
@@ -333,6 +339,41 @@ class _RadialSystem:
         if self.inner is not None:
             total -= eps * flux[0]
         return abs(total) * unit_sphere_area(self.d)
+
+
+def _not_a_knot(x, y):
+    """Power-form coefficients (c0, c1, c2, c3) per panel of the not-a-knot cubic
+    through (x, y), n >= 4 (de Boor, ch. IV): SciPy 1.17's cubic spline operation
+    for operation, node slopes by the dgtsv it calls, so the bits are its bits."""
+    from scipy.linalg.lapack import dgtsv
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    w0, w1 = x[2] - x[0], x[-1] - x[-3]
+    diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+    rhs = np.empty(len(x))
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    rhs[0] = ((dx[0] + 2 * w0) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / w0
+    rhs[-1] = (dx[-1]**2 * slope[-2] + (2 * w1 + dx[-1]) * dx[-2] * slope[-1]) / w1
+    *_, s, info = dgtsv(np.append(dx[1:], w1), diag, np.append(w0, dx[:-1]), rhs, 1, 1, 1, 1)
+    if info != 0:
+        raise SolverError(f"the spline's slope system failed (dgtsv info {info})")
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
+
+
+def _panel(x, xq):
+    """Panel of each query (the end panels extend beyond the ends) and offset in it."""
+    i = np.clip(np.searchsorted(x, xq, "right") - 1, 0, len(x) - 2)
+    return i, xq - x[i]
+
+
+def _cubic_eval(x, c, xq):
+    """(value, slope) at xq of the piecewise cubic with breakpoints x and
+    coefficients c = _not_a_knot(x, y), summed as SciPy's PPoly sums them."""
+    i, s = _panel(x, np.asarray(xq, dtype=float))
+    c0, c1, c2, c3 = (ck[i] for ck in c)
+    s2 = s * s
+    return ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s), (c2 + c1 * s * 2) + c0 * s2 * 3
 
 
 def _damped_newton(system: _RadialSystem, phi0):
@@ -681,14 +722,16 @@ def band_charge_integral(
     params: RegionParams,
     region: str,
 ) -> float:
-    """Oracle-side total charge in Region I or II of component k, by spline
-    integration of f(phi) r^{d-1} over the band."""
-    from scipy.interpolate import CubicSpline
+    """Oracle-side total charge in Region I or II of component k: the exact
+    integral over the band of the not-a-knot cubic through f(phi) r^{d-1}."""
     comp = domain.components[k]
     d = domain.dimension
     depths = {"I": (0.0, params.inner_width), "II": (params.inner_width, params.outer_width)}
     lo, hi = sorted(comp.radius + comp.depth_sign * s for s in depths[region])
-    dens = CubicSpline(
-        oracle.r, np.asarray(f.f(oracle.phi), dtype=float) * oracle.r ** (d - 1)
-    )
-    return unit_sphere_area(d) * float(dens.integrate(lo, hi))
+    r = oracle.r
+    c0, c1, c2, c3 = _not_a_knot(r, np.asarray(f.f(oracle.phi), dtype=float) * r ** (d - 1))
+    def area(i, h):  # integral of panel i's cubic over [r_i, r_i + h]
+        return ((c0[i] * h / 4 + c1[i] / 3) * h + c2[i] / 2) * h * h + c3[i] * h
+    (i, j), (s_lo, s_hi) = _panel(r, np.array([lo, hi]))
+    total = np.sum(area(np.arange(i, j), np.diff(r)[i:j])) - area(i, s_lo) + area(j, s_hi)
+    return unit_sphere_area(d) * float(total)

@@ -5,17 +5,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 from scipy.linalg import LinAlgError, solve_banded
 
 from pblayers import radial_oracle
-from pblayers.errors import ConfigError, GridTooCoarse, RegionEmpty
-from pblayers.geometry import RegionParams, make_annulus, make_ball, make_disk
+from pblayers.errors import ConfigError, GridTooCoarse, NonFiniteOutput, RegionEmpty
+from pblayers.geometry import RegionParams, make_annulus, make_ball, make_disk, unit_sphere_area
 from pblayers.nonlinearity import IonSpecies
 from pblayers.profiles import RobinData
 from pblayers.radial_oracle import (
     GRID_GROWTH,
     _one_sided_coeffs,
     _radial_system,
+    _cubic_eval,
+    _not_a_knot,
     _RadialSystem,
     band_charge_integral,
     compare_expansion,
@@ -308,6 +311,83 @@ class TestBandCharges:
             for reg, formula in (("I", rep.region1), ("II", rep.region2)):
                 val = band_charge_integral(oracle, annulus_domain, k, f_eps, params, reg)
                 assert abs(val - formula) <= 0.1 * 1e-4
+
+
+@pytest.fixture(scope="module")
+def annulus_3d_2_1():
+    """A 3-D annulus on the 2:1 mass salt, solved at eps 1e-2 and 1e-3."""
+    domain = make_annulus(3, 1.0, 2.0, RobinData(0.1, 1.0), RobinData(0.1, -1.0))
+    species = [IonSpecies(2.0, 1.0, "mass"), IonSpecies(-1.0, 2.0, "mass")]
+    return {eps: solve_radial_ccpb(domain, species, eps) for eps in (1e-2, 1e-3)}
+
+
+class TestNotAKnotCubic:
+    """The oracle's spline transcribes SciPy's not-a-knot CubicSpline, which
+    stays the reference: values and slopes carry its bits, band integrals
+    agree to rounding."""
+
+    @pytest.mark.parametrize("sweep", ["pb_disk_sweep", "ccpb_sweep", "annulus_3d_2_1"])
+    def test_oracle_samples_bit_equal_to_cubic_spline(self, request, sweep):
+        rng = np.random.default_rng(7)
+        for res in request.getfixturevalue(sweep).values():
+            r = res.r
+            inner = res.radii[1] if len(res.radii) > 1 else None
+            queries = (
+                r,
+                graded_radial_grid(res.d, res.radii[0], inner, res.eps / 10),
+                rng.uniform(r[0], r[-1], 20_000),
+                np.array([r[0], r[-1], np.nextafter(r[0], -1.0), np.nextafter(r[-1], 9.0),
+                          r[0] - 0.3, r[-1] + 0.3, r[0] - 5.0, r[-1] + 5.0]),
+            )
+            spline = CubicSpline(r, res.phi)
+            for q in queries:
+                assert np.array_equal(res.phi_at(q), spline(q))
+                assert np.array_equal(res.dphi_at(q), spline(q, 1))
+
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    def test_uneven_random_grids_bit_equal_to_cubic_spline(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(200):
+            x = np.cumsum(rng.exponential(size=n)) - rng.uniform(0.0, 3.0)
+            y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+            spline = CubicSpline(x, y)
+            q = np.concatenate((x, rng.uniform(x[0] - 1.0, x[-1] + 1.0, 64)))
+            value, slope = _cubic_eval(x, _not_a_knot(x, y), q)
+            assert np.array_equal(value, spline(q))
+            assert np.array_equal(slope, spline(q, 1))
+
+    def test_band_integrals_match_cubic_spline(self, pb_disk_sweep, pb_disk_domain, salt,
+                                               ccpb_sweep, annulus_domain, msalt):
+        from pblayers.nonlinearity import _exp_terms_nonlinearity
+
+        oracle = ccpb_sweep[1e-4]
+        a = np.array([s.amount * s.z / A for s, A in zip(msalt, oracle.normalizers)])
+        f_eps = _exp_terms_nonlinearity(a, np.array([-s.z for s in msalt]), 0.0, "custom", msalt)
+        bands = RegionParams(eps=1e-4, beta=0.25, T=5.0)
+        # Region I of the disk's boundary at T sqrt(eps) = 1 is the whole disk
+        whole = RegionParams(eps=4.0, beta=0.25, T=0.5)
+        cases = [(pb_disk_sweep[eps], pb_disk_domain, 0, salt, params, reg)
+                 for eps in (1e-2, 1e-4) for params, reg in ((bands, "I"), (bands, "II"),
+                                                             (whole, "I"))]
+        cases += [(oracle, annulus_domain, k, f_eps, bands, reg) for k in (0, 1)
+                  for reg in ("I", "II")]
+        for res, domain, k, f, params, reg in cases:
+            comp = domain.components[k]
+            widths = {"I": (0.0, params.inner_width),
+                      "II": (params.inner_width, params.outer_width)}[reg]
+            lo, hi = sorted(comp.radius + comp.depth_sign * w for w in widths)
+            d = res.d
+            dens = np.asarray(f.f(res.phi), dtype=float) * res.r ** (d - 1)
+            want = unit_sphere_area(d) * float(CubicSpline(res.r, dens).integrate(lo, hi))
+            got = band_charge_integral(res, domain, k, f, params, reg)
+            assert abs(got - want) <= 1e-13 * abs(want), (reg, got, want)
+
+    def test_non_finite_potential_raises(self, pb_disk_sweep):
+        res = pb_disk_sweep[1e-2]
+        phi = res.phi.copy()
+        phi[len(phi) // 2] = np.nan
+        with pytest.raises(NonFiniteOutput):
+            replace(res, phi=phi)
 
 
 class TestOneSolvePath:
