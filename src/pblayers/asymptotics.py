@@ -150,10 +150,10 @@ def maxwell_traction(q: ExpansionQuery, profiles: dict) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class RegionChargeReport:
-    """Two-term band charges near one boundary component.
+    """Two-term band charges near one boundary component (Regions I and II).
 
-    region3 is an upper BOUND on the magnitude of the far-field charge, not
-    a value; it must never be summed with the band values.
+    Region III gets no entry: no bound on its charge with constants fixed by
+    the problem is known yet, and a bound the oracle can break is no bound.
     """
 
     model: str
@@ -163,7 +163,6 @@ class RegionChargeReport:
     T: float
     region1: float
     region2: float
-    region3_bound: float
     sign: int  # expected common sign of regions I and II
     terms: dict = field(default_factory=dict)
 
@@ -174,7 +173,6 @@ class RegionChargeReport:
             "inputs": {"eps": self.eps, "beta": self.beta, "T": self.T},
             "region1": {"value": self.region1},
             "region2": {"value": self.region2},
-            "region3": {"bound": self.region3_bound, "is_bound": True},
             "sign": self.sign,
             "terms": {k: v for k, v in sorted(self.terms.items())},
         }
@@ -186,7 +184,6 @@ def region_charge(
     params: RegionParams,
     profiles: dict,
     model: str = PB,
-    envelope: tuple[float, float] = (1.0, 1.0),
 ) -> RegionChargeReport:
     """Two-term total charge in the near-boundary bands of component k.
 
@@ -194,7 +191,6 @@ def region_charge(
                + eps[(d-1)(int H)(T u'(T) + v'(0) - v'(T)) (+ |bd|(w'(0)-w'(T)))]
     Region II: sqrt(eps)|bd| u'(T)
                + eps[(d-1)(int H)(-T u'(T) + v'(T)) (+ |bd| w'(T))]
-    Region III magnitude bound: sqrt(eps) M' exp(-M eps**(beta-1/2)).
     """
     comp = domain.components[k]
     u = profiles["u"]
@@ -224,13 +220,11 @@ def region_charge(
         r2 += eps * area * dwT
         terms["dw0"] = dw0
         terms["dwT"] = dwT
-    m_prime, m_rate = envelope
-    r3 = sq * m_prime * math.exp(-m_rate * params.stretched_outer)
     phi_bd = u.robin.phi_bd
     sign = 0 if phi_bd == u.phi_star else (-1 if phi_bd > u.phi_star else 1)
     return RegionChargeReport(
         model=model, k=k, eps=eps, beta=params.beta, T=T,
-        region1=r1, region2=r2, region3_bound=r3, sign=sign, terms=terms,
+        region1=r1, region2=r2, sign=sign, terms=terms,
     )
 
 

@@ -16,8 +16,9 @@ conserved-charge problem is an outer fixed point on the normalizer vector
 each sweep reruns Newton on the same system with the sweep's frozen
 normalizers.  A solve may warm-start from an earlier result, which is
 sampled on the new grid by its not-a-knot cubic spline (continuation in eps).
-The spline's slopes are one tridiagonal solve by LAPACK's dgtsv; dgbsv and
-dgtsv are all the scipy the package loads, with the first solve.
+The spline's slopes are one tridiagonal solve by LAPACK's dgtsv.  dgbsv and
+dgtsv come from SciPy's LAPACK extension, loaded alone with the first solve
+(_lapack): the scipy.linalg package itself is never imported here.
 
 Every result carries its bulk reference potential as phi_eps_star.
 
@@ -29,7 +30,12 @@ compare_expansion.
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -307,7 +313,7 @@ class _RadialSystem:
         numpy.linalg.LinAlgError on a singular Jacobian, as
         SciPy's solve_banded does.
         """
-        from scipy.linalg.lapack import dgbsv
+        dgbsv = _lapack().dgbsv
         lu = self._lu
         lu[...] = self._bands
         rows = self._df_rows
@@ -341,11 +347,44 @@ class _RadialSystem:
         return abs(total) * unit_sphere_area(self.d)
 
 
+_FLAPACK = "scipy.linalg._flapack"
+_FLAPACK_LOCK = threading.Lock()  # one load per process, whichever thread solves first
+
+
+def _lapack():
+    """SciPy's f2py LAPACK module, whose dgbsv and dgtsv are the very objects
+    scipy.linalg.lapack re-exports: the one in sys.modules if scipy.linalg (or
+    an earlier call) loaded it, else its extension file alone, which skips
+    scipy.linalg's __init__ (0.1 s, 322 modules, 26 MB in a fresh process)."""
+    with _FLAPACK_LOCK:
+        module = sys.modules.get(_FLAPACK)
+        if module is None:
+            import scipy
+
+            module = _load_extension(_FLAPACK, os.path.join(scipy.__path__[0], "linalg"))
+    return module
+
+
+def _load_extension(name, directory):
+    """Load the extension module `name` from `directory` and register it in
+    sys.modules, so a later import of its package reuses it."""
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        import scipy
+
+        raise ImportError(f"no {name} extension in {directory} (scipy {scipy.__version__})",
+                          name=name, path=directory)
+    module = module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def _not_a_knot(x, y):
     """Power-form coefficients (c0, c1, c2, c3) per panel of the not-a-knot cubic
     through (x, y), n >= 4 (de Boor, ch. IV): SciPy 1.17's cubic spline operation
     for operation, node slopes by the dgtsv it calls, so the bits are its bits."""
-    from scipy.linalg.lapack import dgtsv
+    dgtsv = _lapack().dgtsv
     dx = np.diff(x)
     slope = np.diff(y) / dx
     w0, w1 = x[2] - x[0], x[-1] - x[-3]

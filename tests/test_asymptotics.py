@@ -151,12 +151,15 @@ class TestRegionCharge:
         assert rep.region2 / rep.region1 == pytest.approx(target, rel=1e-3)
         assert rep.region2 / rep.region1 > 0
 
-    def test_region3_is_a_bound(self, std_bundle, pb_disk_domain):
+    def test_no_region3_entry(self, std_bundle, pb_disk_domain):
+        # no Region III bound with constants known in advance exists, so the
+        # report writes none
         params = RegionParams(eps=1e-4, beta=0.25, T=5.0)
         rep = region_charge(pb_disk_domain, 0, params, std_bundle, model="pb")
+        assert not hasattr(rep, "region3_bound")
         d = rep.to_json_dict()
-        assert d["region3"]["is_bound"] is True
-        assert "value" not in d["region3"]
+        assert "region3" not in d
+        assert sorted(d) == ["inputs", "k", "model", "region1", "region2", "sign", "terms"]
 
     def test_neutrality_mechanism(self, annulus_constants, annulus_domain):
         # summed over all boundaries, the two-term band totals cancel:

@@ -145,7 +145,8 @@ class TestExpandCommand:
         lines = csv.read_text().splitlines()
         assert lines[0] == "t,eps,value" and len(lines) == 52
         report = json.loads((out / "region_charge_k0_eps1e-04.json").read_text())
-        assert report["region3"]["is_bound"] is True
+        assert "region3" not in report
+        assert report["region1"]["value"] and report["region2"]["value"]
 
     def test_invalid_region_writes_nothing(self, tmp_path):
         # T sqrt(eps) = 0.5 exceeds eps**beta = 0.316 at eps = 1e-2 only, the

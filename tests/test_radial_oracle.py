@@ -1,7 +1,12 @@
 import functools
+import json
 import math
+import os
+import subprocess
+import sys
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -540,3 +545,110 @@ class TestNewtonStep:
             solve_banded((2, 2), _five_band_jacobian(system, phi), -res)
         with pytest.raises(LinAlgError):
             system.newton_step(phi, res)
+
+
+# run in a fresh interpreter: an oracle solve warm-started from another (dgbsv
+# and dgtsv) and one Newton step, then the scipy.linalg package, whose LAPACK
+# module must be the oracle's and whose solve_banded must give the step's bits
+_LOAD_ORDER_PROBE = """
+import json, sys
+import numpy as np
+from pblayers import radial_oracle
+from pblayers.geometry import make_annulus
+from pblayers.nonlinearity import IonSpecies, make_classical_pb
+from pblayers.profiles import RobinData
+salt = make_classical_pb([IonSpecies(1, 1.0), IonSpecies(-1, 1.0)])
+domain = make_annulus(2, 1.0, 2.0, RobinData(0.1, 1.0), RobinData(0.0, -0.5))
+coarse = radial_oracle.solve_radial_robin_pb(domain, salt, 1e-2)
+fine = radial_oracle.solve_radial_robin_pb(domain, salt, 1e-3, initial=coarse)
+system = radial_oracle._radial_system(domain, salt, 1e-3, {})
+phi = np.cos(7.0 * system.r)
+res, _ = system.residual(phi)
+step = system.newton_step(phi, res)
+linalg_before = "scipy.linalg" in sys.modules
+import scipy.linalg
+from test_radial_oracle import _five_band_jacobian
+want = scipy.linalg.solve_banded((2, 2), _five_band_jacobian(system, phi), -res)
+print(json.dumps({
+    "linalg_before": linalg_before,
+    "converged": bool(np.isfinite(fine.phi).all()),
+    "same_module": radial_oracle._lapack() is sys.modules["scipy.linalg._flapack"],
+    "same_dgbsv": scipy.linalg.lapack.dgbsv is radial_oracle._lapack().dgbsv,
+    "same_dgtsv": scipy.linalg.lapack.dgtsv is radial_oracle._lapack().dgtsv,
+    "step_bits": bool(np.array_equal(step, want)),
+}))
+"""
+
+
+# run in a fresh interpreter: eight threads make the process's first LAPACK
+# call at once, with a short switch interval and a load slowed by 20 ms so
+# that every thread arrives while the first one loads; one load must serve all
+_CONCURRENT_PROBE = """
+import json, sys, threading, time
+from pblayers import radial_oracle
+load, loads = radial_oracle._load_extension, []
+def slow_load(*args):
+    loads.append(args)
+    time.sleep(0.02)
+    return load(*args)
+radial_oracle._load_extension = slow_load
+sys.setswitchinterval(1e-6)
+barrier = threading.Barrier(8)
+got = []
+def first_call():
+    barrier.wait()
+    got.append(radial_oracle._lapack())
+threads = [threading.Thread(target=first_call) for _ in range(8)]
+try:
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+finally:
+    sys.setswitchinterval(0.005)
+print(json.dumps({"alive": sum(t.is_alive() for t in threads), "calls": len(got),
+                  "loads": len(loads), "modules": len({id(m) for m in got}),
+                  "registered": all(m is sys.modules[radial_oracle._FLAPACK] for m in got)}))
+"""
+
+
+def _fresh_interpreter(probe):
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root / "tests")])
+    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestLapackLoader:
+    def test_oracle_first_then_scipy_linalg(self):
+        assert _fresh_interpreter(_LOAD_ORDER_PROBE) == {
+            "linalg_before": False, "converged": True, "same_module": True,
+            "same_dgbsv": True, "same_dgtsv": True, "step_bits": True,
+        }
+
+    def test_concurrent_first_calls_load_once(self):
+        assert _fresh_interpreter(_CONCURRENT_PROBE) == {
+            "alive": 0, "calls": 8, "loads": 1, "modules": 1, "registered": True,
+        }
+
+    def test_scipy_linalg_first_is_reused(self, monkeypatch):
+        # this module imported scipy.linalg before any solve
+        import scipy.linalg.lapack
+
+        def forbidden(*args):
+            raise AssertionError("a second LAPACK module was loaded")
+
+        monkeypatch.setattr(radial_oracle, "_load_extension", forbidden)
+        assert radial_oracle._lapack() is scipy.linalg.lapack._flapack
+        assert radial_oracle._lapack().dgbsv is scipy.linalg.lapack.dgbsv
+
+    def test_missing_extension_raises_import_error(self, tmp_path):
+        import scipy
+
+        with pytest.raises(ImportError) as info:
+            radial_oracle._load_extension(radial_oracle._FLAPACK, str(tmp_path))
+        assert str(tmp_path) in str(info.value)
+        assert f"scipy {scipy.__version__}" in str(info.value)
+        assert sys.modules[radial_oracle._FLAPACK] is scipy.linalg.lapack._flapack

@@ -1,7 +1,7 @@
 """The benchmark's span tracer wraps package functions by name; a rename or
 deletion of any of them must fail here rather than in a traced benchmark run.
 The asymptotic commands must start without scipy, which only the oracle
-loads, and only its LAPACK."""
+loads, and of it only the LAPACK extension: never the scipy.linalg package."""
 
 import json
 import os
@@ -14,17 +14,17 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
 # run in a fresh interpreter: main() for each command in turn, then the
-# number of scipy modules loaded so far and their public subpackages, one
-# JSON line per command
+# number of scipy modules loaded so far and whether the scipy.linalg package
+# and the LAPACK extension are among them, one JSON line per command
 _SCIPY_PROBE = """
 import json, sys
 from pblayers import cli
 for command in sys.argv[2:]:
     rc = cli.main([command, "--config", sys.argv[1], "--output-dir", command])
     scipy = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
-    public = sorted({m.split(".")[1] for m in scipy if m.startswith("scipy.")
-                     and not m.split(".")[1].startswith("_")})
-    print(json.dumps({"command": command, "rc": rc, "scipy": len(scipy), "public": public}))
+    print(json.dumps({"command": command, "rc": rc, "scipy": len(scipy),
+                      "linalg": "scipy.linalg" in sys.modules,
+                      "flapack": "scipy.linalg._flapack" in sys.modules}))
 """
 
 
@@ -166,6 +166,9 @@ def test_asymptotic_commands_start_without_scipy(tmp_path):
     assert [r["command"] for r in rows] == commands
     assert all(r["rc"] == 0 for r in rows), rows
     assert [r["scipy"] for r in rows[:-1]] == [0, 0, 0, 0], rows
-    assert rows[-1]["scipy"] > 0, rows
-    # the oracle's LAPACK dgbsv and dgtsv; no interpolate, sparse or special
-    assert rows[-1]["public"] == ["linalg", "version"], rows[-1]
+    # the oracle's LAPACK extension (dgbsv, dgtsv) after scipy's own
+    # __init__ (11 modules), and not the scipy.linalg package
+    verify = rows[-1]
+    assert not verify["linalg"], verify
+    assert verify["flapack"], verify
+    assert 0 < verify["scipy"] <= 12, verify
