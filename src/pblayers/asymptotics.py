@@ -13,22 +13,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, InconsistentParams, ModelProfileMismatch
+from .errors import ConfigError, InconsistentParams
 from .geometry import DomainSpec, RegionParams
-from .nonlinearity import Nonlinearity
-from .profiles import profile_eval
-
-PB = "pb"
-CCPB = "ccpb"
+from .profiles import LayerBundle, profile_eval
 
 
 @dataclass(frozen=True)
 class ExpansionQuery:
-    """Where and what to evaluate: model, boundary index, mean curvature at
-    the boundary point, stretched depth t (a number or an array of depths),
-    eps, expansion order, dimension."""
+    """Where to evaluate: boundary index, mean curvature at the boundary
+    point, stretched depth t (a number or an array of depths), eps, expansion
+    order, dimension.  The model is that of the bundle evaluated."""
 
-    model: str
     k: int
     h: float  # mean curvature H(p)
     t: float | np.ndarray
@@ -37,8 +32,6 @@ class ExpansionQuery:
     d: int = 2
 
     def __post_init__(self):
-        if self.model not in (PB, CCPB):
-            raise ConfigError("model must be 'pb' or 'ccpb'")
         if self.order not in (1, 2):
             raise ConfigError("order must be 1 or 2")
         if not self.eps > 0:
@@ -47,17 +40,10 @@ class ExpansionQuery:
             raise ConfigError("t must be >= 0")
 
 
-def _require(profiles: dict, q: ExpansionQuery):
-    if "u" not in profiles or "v" not in profiles:
-        raise ModelProfileMismatch("profiles must contain 'u' and 'v'")
-    if q.model == CCPB and q.order == 2 and "w" not in profiles:
-        raise ModelProfileMismatch("conserved-charge queries need the 'w' profile")
-
-
 @dataclass(frozen=True)
 class _Layer:
     """Profile values and t-derivatives at the query depths; v and w are
-    None where the query's order and model do not use them."""
+    None where the query's order and the bundle do not use them."""
 
     u: float | np.ndarray
     du: float | np.ndarray
@@ -67,15 +53,14 @@ class _Layer:
     dw: float | np.ndarray | None = None
 
 
-def _sample(q: ExpansionQuery, profiles: dict) -> _Layer:
-    _require(profiles, q)
-    u, du = profile_eval(profiles["u"], q.t)
+def _sample(q: ExpansionQuery, bundle: LayerBundle) -> _Layer:
+    u, du = profile_eval(bundle.u, q.t)
     if q.order == 1:
         return _Layer(u, du)
-    v, dv = profile_eval(profiles["v"], q.t)
-    if q.model != CCPB:
+    v, dv = profile_eval(bundle.v, q.t)
+    if bundle.w is None:
         return _Layer(u, du, v, dv)
-    w, dw = profile_eval(profiles["w"], q.t)
+    w, dw = profile_eval(bundle.w, q.t)
     return _Layer(u, du, v, dv, w, dw)
 
 
@@ -88,7 +73,7 @@ def _potential(q: ExpansionQuery, s: _Layer):
     if q.order == 1:
         return s.u
     corr = (q.d - 1) * q.h * s.v
-    if q.model == CCPB:
+    if s.w is not None:
         corr = corr + s.w
     return s.u + math.sqrt(q.eps) * corr
 
@@ -97,55 +82,53 @@ def _field(q: ExpansionQuery, s: _Layer):
     if q.order == 1:
         return s.du / math.sqrt(q.eps)
     corr = (q.d - 1) * q.h * s.dv
-    if q.model == CCPB:
+    if s.w is not None:
         corr = corr + s.dw
     return s.du / math.sqrt(q.eps) + corr
 
 
-def _charge_density(q: ExpansionQuery, s: _Layer, f: Nonlinearity, f1: Nonlinearity | None):
+def _charge_density(q: ExpansionQuery, s: _Layer, bundle: LayerBundle):
+    f = bundle.u.density
     base = f.f(s.u)
     if q.order == 1:
         return base
     dfu = f.df(s.u)
     corr = (q.d - 1) * q.h * dfu * s.v
-    if q.model == CCPB:
-        if f1 is None:
-            raise ModelProfileMismatch("conserved-charge density needs f1")
-        corr = corr + (dfu * s.w + f1.f(s.u))
+    if s.w is not None:
+        corr = corr + (dfu * s.w + bundle.f1.f(s.u))
     return base + math.sqrt(q.eps) * corr
 
 
-def _traction(q: ExpansionQuery, s: _Layer, f: Nonlinearity):
-    base = -f.F(s.u)
+def _traction(q: ExpansionQuery, s: _Layer, bundle: LayerBundle):
+    base = -bundle.u.density.F(s.u)
     if q.order == 1:
         return base
     corr = (q.d - 1) * q.h * s.du * s.dv
-    if q.model == CCPB:
+    if s.w is not None:
         corr = corr + s.du * s.dw
     return base + math.sqrt(q.eps) * corr
 
 
-def potential(q: ExpansionQuery, profiles: dict) -> float | np.ndarray:
+def potential(q: ExpansionQuery, bundle: LayerBundle) -> float | np.ndarray:
     """u(t) [+ sqrt(eps)((d-1) H v(t) (+ w(t) for conserved charge))]."""
-    return _result(_potential(q, _sample(q, profiles)))
+    return _result(_potential(q, _sample(q, bundle)))
 
 
-def field_normal_component(q: ExpansionQuery, profiles: dict) -> float | np.ndarray:
+def field_normal_component(q: ExpansionQuery, bundle: LayerBundle) -> float | np.ndarray:
     """Coefficient of -nu_p in the gradient: u'/sqrt(eps) [+ (d-1)H v' + w']."""
-    return _result(_field(q, _sample(q, profiles)))
+    return _result(_field(q, _sample(q, bundle)))
 
 
-def charge_density(q: ExpansionQuery, profiles: dict,
-                   f1: Nonlinearity | None = None) -> float | np.ndarray:
+def charge_density(q: ExpansionQuery, bundle: LayerBundle) -> float | np.ndarray:
     """f(u) [+ sqrt(eps)((d-1)H f'(u) v  (+ f'(u) w + f1(u) for conserved
-    charge))], with f the density of u."""
-    return _result(_charge_density(q, _sample(q, profiles), profiles["u"].density, f1))
+    charge))], with f the density of u and f1 that of the bundle."""
+    return _result(_charge_density(q, _sample(q, bundle), bundle))
 
 
-def maxwell_traction(q: ExpansionQuery, profiles: dict) -> float | np.ndarray:
+def maxwell_traction(q: ExpansionQuery, bundle: LayerBundle) -> float | np.ndarray:
     """Normal-normal component of the electrostatic stress acting on nu_p:
     -F(u) [+ sqrt(eps) u' ((d-1)H v' (+ w'))], with F that of the density of u."""
-    return _result(_traction(q, _sample(q, profiles), profiles["u"].density))
+    return _result(_traction(q, _sample(q, bundle), bundle))
 
 
 @dataclass(frozen=True)
@@ -182,8 +165,7 @@ def region_charge(
     domain: DomainSpec,
     k: int,
     params: RegionParams,
-    profiles: dict,
-    model: str = PB,
+    bundle: LayerBundle,
 ) -> RegionChargeReport:
     """Two-term total charge in the near-boundary bands of component k.
 
@@ -193,8 +175,7 @@ def region_charge(
                + eps[(d-1)(int H)(-T u'(T) + v'(T)) (+ |bd| w'(T))]
     """
     comp = domain.components[k]
-    u = profiles["u"]
-    v = profiles["v"]
+    u, v, w = bundle.u, bundle.v, bundle.w
     d = domain.dimension
     T = params.T
     eps = params.eps
@@ -211,11 +192,9 @@ def region_charge(
         "du0": du0, "duT": duT, "dv0": dv0, "dvT": dvT,
         "area": area, "curvature_integral": hint,
     }
-    if model == CCPB:
-        if "w" not in profiles:
-            raise ModelProfileMismatch("conserved-charge region charges need 'w'")
-        _, dw0 = profile_eval(profiles["w"], 0.0)
-        _, dwT = profile_eval(profiles["w"], T)
+    if w is not None:
+        _, dw0 = profile_eval(w, 0.0)
+        _, dwT = profile_eval(w, T)
         r1 += eps * area * (dw0 - dwT)
         r2 += eps * area * dwT
         terms["dw0"] = dw0
@@ -223,7 +202,7 @@ def region_charge(
     phi_bd = u.robin.phi_bd
     sign = 0 if phi_bd == u.phi_star else (-1 if phi_bd > u.phi_star else 1)
     return RegionChargeReport(
-        model=model, k=k, eps=eps, beta=params.beta, T=T,
+        model=bundle.model, k=k, eps=eps, beta=params.beta, T=T,
         region1=r1, region2=r2, sign=sign, terms=terms,
     )
 
@@ -247,21 +226,20 @@ def decay_envelope(kind: str, m_prime: float, m_rate: float, *, t: float | None 
     raise ConfigError("kind must be 'regionII' or 'regionIII'")
 
 
-def grid_rows(q_template: ExpansionQuery, profiles: dict, ts, f1: Nonlinearity | None = None):
+def grid_rows(q_template: ExpansionQuery, bundle: LayerBundle, ts):
     """Values of the four pointwise evaluators on the grid ts, one array per
     evaluator name.
 
     Each profile is evaluated once over the whole grid ts, and each density
-    (that of u, and f1) once over the sampled u; q_template supplies
-    everything but t.
+    (that of u, and the bundle's f1) once over the sampled u; q_template
+    supplies everything but t.
     """
     ts = np.asarray(ts, dtype=float)
     q = replace(q_template, t=ts)
-    s = _sample(q, profiles)
-    f = profiles["u"].density
+    s = _sample(q, bundle)
     return {
         "potential": _potential(q, s),
         "field": _field(q, s),
-        "charge_density": _charge_density(q, s, f, f1),
-        "traction": _traction(q, s, f),
+        "charge_density": _charge_density(q, s, bundle),
+        "traction": _traction(q, s, bundle),
     }

@@ -43,6 +43,7 @@ from .nonlinearity import (
 )
 from .numerics import brent_root
 from .profiles import (
+    LayerBundle,
     ULayer,
     _denominator,
     _F0Terms,
@@ -66,7 +67,7 @@ class CcpbConstants:
     q: float
     mhat: tuple[float, ...]
     bulk_conc0: tuple[float, ...]
-    profiles: tuple[dict, ...]  # one {"u","v","theta","w"} per boundary
+    profiles: tuple[LayerBundle, ...]  # one per boundary, with theta, w and f1
     f0: Nonlinearity
     fhat1: Nonlinearity
     f1: Nonlinearity
@@ -88,11 +89,11 @@ class CcpbConstants:
                 {
                     "k": k,
                     "u0": self.u0_per_boundary[k],
-                    "u0_prime": b["u"].u0_prime,
-                    "v_prime0": b["v"].v_prime0,
-                    "theta_prime0": b["theta"].theta_prime0,
-                    "w0": b["w"].w0,
-                    "w_prime0": b["w"].w_prime0,
+                    "u0_prime": b.u.u0_prime,
+                    "v_prime0": b.v.v_prime0,
+                    "theta_prime0": b.theta.theta_prime0,
+                    "w0": b.w.w0,
+                    "w_prime0": b.w.w_prime0,
                 }
                 for k, b in enumerate(self.profiles)
             ],
@@ -219,10 +220,7 @@ def ccpb_constants(
     fhat1 = make_fhat1(species, domain.volume, phi0, mhat)
     q = compute_q(domain, fhat1, u_list)
     f1 = make_f1(f0, fhat1, q)
-    bundles = [
-        {"u": u, "v": solve_v(u), "theta": solve_theta(u), "w": solve_w(u, f1)}
-        for u in u_list
-    ]
+    bundles = [LayerBundle(u, solve_v(u), solve_theta(u), solve_w(u, f1), f1) for u in u_list]
 
     # diagnostics: compatibility residuals, flux balance, neutrality of the
     # corrections, and the independent balance identity for q
@@ -232,19 +230,19 @@ def ccpb_constants(
     balance_w = 0.0
     d = domain.dimension
     for comp, bundle in zip(domain.components, bundles):
-        u = bundle["u"]
+        u = bundle.u
         phi_bd, u0 = comp.robin.phi_bd, u.u0
         res_compat = max(
             res_compat,
             abs(phi_bd - u0 + comp.robin.gamma * boundary_slope(f0, phi0, phi_bd, u0)),
         )
         flux += comp.surface_area * u.u0_prime
-        balance_v += (d - 1) * comp.curvature_integral * bundle["v"].v_prime0
-        balance_w += comp.surface_area * bundle["w"].w_prime0
+        balance_v += (d - 1) * comp.curvature_integral * bundle.v.v_prime0
+        balance_w += comp.surface_area * bundle.w.w_prime0
     mhat_charge = sum(m * s.z for m, s in zip(mhat, species))
     mhat_scale = sum(abs(m * s.z) for m, s in zip(mhat, species)) or 1.0
     balance_scale = abs(balance_v) + abs(balance_w) or 1.0
-    area_scale = sum(c.surface_area * abs(b["u"].u0_prime) for c, b in zip(domain.components, bundles)) or 1.0
+    area_scale = sum(c.surface_area * abs(b.u.u0_prime) for c, b in zip(domain.components, bundles)) or 1.0
     diagnostics = {
         "compatibility_residual": res_compat,
         "flux_residual": abs(flux),
@@ -257,7 +255,7 @@ def ccpb_constants(
     bulk0 = [s.amount * math.exp(s.z * phi0) / domain.volume for s in species]
     return CcpbConstants(
         phi0_star=phi0,
-        u0_per_boundary=tuple(b["u"].u0 for b in bundles),
+        u0_per_boundary=tuple(u.u0 for u in u_list),
         q=q,
         mhat=tuple(mhat),
         bulk_conc0=tuple(bulk0),

@@ -16,16 +16,17 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import asymptotics
-from .ccpb import ccpb_constants
+from .ccpb import CcpbConstants, ccpb_constants
 from .errors import ConfigError, PBLayersError, SolverError
 from .geometry import DomainSpec, RegionParams, make_annulus, make_ball, make_disk
-from .nonlinearity import IonSpecies, make_classical_pb
+from .nonlinearity import IonSpecies, Nonlinearity, make_classical_pb
 from .numerics import write_csv
-from .profiles import RobinData, solve_u, solve_v
+from .profiles import LayerBundle, RobinData, solve_u, solve_v
 from .radial_oracle import (
     RadialSolveResult,
     compare_expansion,
@@ -177,25 +178,29 @@ def _write_json(path: Path, payload: dict):
         fh.write("\n")
 
 
-def _pb_bundles(domain, f, cfg):
-    kwargs = _grid_kwargs(cfg)
-    bundles = []
-    for comp in domain.components:
-        u = solve_u(f, comp.robin, **kwargs)
-        bundles.append({"u": u, "v": solve_v(u)})
-    return bundles
+def _pb_bundles(domain, f, cfg) -> list[LayerBundle]:
+    us = [solve_u(f, comp.robin, **_grid_kwargs(cfg)) for comp in domain.components]
+    return [LayerBundle(u, solve_v(u)) for u in us]
 
 
-def _build_model(cfg):
-    """Returns (domain, species, f, bundles, constants-or-None)."""
+class _Model(NamedTuple):
+    """What a config builds; constants is None for the pb model."""
+
+    domain: DomainSpec
+    species: list[IonSpecies]
+    f: Nonlinearity
+    bundles: list[LayerBundle]
+    constants: CcpbConstants | None
+
+
+def _build_model(cfg) -> _Model:
     species = _species(cfg)
     domain = _domain(cfg)
     if cfg["model"] == "pb":
         f = make_classical_pb(species)
-        bundles = _pb_bundles(domain, f, cfg)
-        return domain, species, f, bundles, None
+        return _Model(domain, species, f, _pb_bundles(domain, f, cfg), None)
     constants = ccpb_constants(domain, species, **_grid_kwargs(cfg))
-    return domain, species, constants.f0, list(constants.profiles), constants
+    return _Model(domain, species, constants.f0, list(constants.profiles), constants)
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +209,16 @@ def _build_model(cfg):
 
 
 def cmd_profiles(cfg, out: Path) -> int:
-    domain, species, f, bundles, constants = _build_model(cfg)
+    model = _build_model(cfg)
     meta = {"config": cfg, "boundaries": []}
-    for k, bundle in enumerate(bundles):
+    for k, bundle in enumerate(model.bundles):
         entry = {"k": k}
-        for kind, prof in sorted(bundle.items()):
-            prof.to_csv(out / f"{kind}_k{k}.csv")
-            entry[kind] = prof.to_json_dict()
+        for prof in bundle.layers():
+            prof.to_csv(out / f"{prof.kind}_k{k}.csv")
+            entry[prof.kind] = prof.to_json_dict()
         meta["boundaries"].append(entry)
-    if constants is not None:
-        meta["constants"] = constants.to_json_dict()
+    if model.constants is not None:
+        meta["constants"] = model.constants.to_json_dict()
     _write_json(out / "profiles_meta.json", meta)
     return 0
 
@@ -242,18 +247,15 @@ def cmd_expand(cfg, out: Path) -> int:
     plan = []
     for eps in _eps_list(cfg):
         queries = [
-            asymptotics.ExpansionQuery(
-                cfg["model"], k, comp.mean_curvature, ts, eps, order, domain.dimension,
-            )
+            asymptotics.ExpansionQuery(k, comp.mean_curvature, ts, eps, order, domain.dimension)
             for k, comp in enumerate(domain.components)
         ]
         plan.append((eps, queries, _region_params(cfg, eps)))
-    _, _, _, bundles, constants = _build_model(cfg)
-    f1 = constants.f1 if constants is not None else None
+    bundles = _build_model(cfg).bundles
     for eps, queries, params in plan:
         tag = _eps_tag(eps)
         for k, (q, bundle) in enumerate(zip(queries, bundles)):
-            values = asymptotics.grid_rows(q, bundle, ts=ts, f1=f1)
+            values = asymptotics.grid_rows(q, bundle, ts=ts)
             eps_col = np.full_like(ts, q.eps)
             for name, vals in sorted(values.items()):
                 write_csv(
@@ -261,9 +263,7 @@ def cmd_expand(cfg, out: Path) -> int:
                     "t,eps,value", (ts, eps_col, vals),
                 )
             if params is not None:
-                report = asymptotics.region_charge(
-                    domain, k, params, bundle, model=cfg["model"]
-                )
+                report = asymptotics.region_charge(domain, k, params, bundle)
                 _write_json(
                     out / f"region_charge_k{k}_eps{tag}.json",
                     report.to_json_dict(),
@@ -306,7 +306,8 @@ def cmd_verify(cfg, out: Path) -> int:
     flip = opts.get("flip_curvature", False)
     if not isinstance(flip, bool):
         raise ConfigError(f"verify.flip_curvature must be true or false, got {flip!r}")
-    domain, species, f, bundles, constants = _build_model(cfg)
+    model = _build_model(cfg)
+    domain = model.domain
     eps_list = sorted(_eps_list(cfg), reverse=True)
     if len(set(eps_list)) < 2:
         # the E2 checks compare the largest eps with the smallest
@@ -324,22 +325,18 @@ def cmd_verify(cfg, out: Path) -> int:
             ),
         )
     sweep = []
-    neutrality_scale = sum(abs(s.amount * s.z) for s in species)
+    neutrality_scale = sum(abs(s.amount * s.z) for s in model.species)
     res = None
     for eps in eps_list:
         # continuation: warm-start from the previous (larger) eps solve
-        res = _solve_oracle(cfg, domain, species, f, eps, initial=res)
-        rep = compare_expansion(
-            res, domain, bundles, cfg["model"], T=T, beta=beta,
-        )
+        res = _solve_oracle(cfg, domain, model.species, model.f, eps, initial=res)
+        rep = compare_expansion(res, domain, model.bundles, T=T, beta=beta)
         entry = {"eps": eps, "report": rep.to_json_dict()}
         if cfg["model"] == "ccpb":
             entry["neutrality_rel"] = abs(res.neutrality) / neutrality_scale
-            if constants is not None:
-                entry["drift_gap"] = abs(
-                    (res.phi_eps_star - constants.phi0_star) / math.sqrt(eps)
-                    - constants.q
-                )
+            entry["drift_gap"] = abs(
+                (res.phi_eps_star - model.constants.phi0_star) / math.sqrt(eps) - model.constants.q
+            )
         sweep.append(entry)
 
     def series(fn):

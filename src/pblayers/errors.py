@@ -74,6 +74,10 @@ class GridTooCoarse(ConfigError):
     """Too few nodes for the requested finite-difference operation."""
 
 
+class ModelProfileMismatch(ConfigError):
+    """A layer bundle carries w without f1, or f1 without w."""
+
+
 # --- geometry ---------------------------------------------------------------
 
 class BadRadii(ConfigError):
@@ -99,10 +103,6 @@ class DegenerateDenominator(SolverError):
 
 
 # --- asymptotics ------------------------------------------------------------
-
-class ModelProfileMismatch(ConfigError):
-    """Expansion query model does not match the supplied profiles."""
-
 
 class RegionEmpty(ConfigError):
     """No oracle grid points fall inside the requested region."""

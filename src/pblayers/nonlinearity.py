@@ -36,7 +36,7 @@ from .errors import (
 )
 from .numerics import bisect_root
 
-NEUTRALITY_TOL = 1e-12
+NEUTRALITY_TOL = 8 * 2.0**-53  # times sum |m_i z_i|: the rounding of neutral decimal amounts
 REFERENCE_RTOL = 1e-13  # bisection width of the reference potential
 DECAY_SAMPLES = 2048  # grid that brackets the maximum of f' in decay_rate
 _EXP_GUARD = 700.0  # exponents beyond this go through the stabilized path

@@ -55,6 +55,7 @@ from .errors import (
     DenominatorNearZero,
     GridTooCoarse,
     MismatchedReference,
+    ModelProfileMismatch,
     NegativeTime,
     RootBracketFailure,
 )
@@ -228,6 +229,29 @@ class WLayer(Profile):
     json_keys = ("w0", "w_prime0", "q", "limit")
     w_prime0 = property(lambda self: float(self.derivs[0]))
     limit = property(lambda self: None if self.flat else self.tail.limit)
+
+
+@dataclass(frozen=True)
+class LayerBundle:
+    """The profiles of one boundary, u + sqrt(eps)[(d-1) H v + w] in Region I.
+    The conserved-charge model has w and the f1 it was solved with, classical
+    PB neither: ModelProfileMismatch unless both or neither are given."""
+
+    u: ULayer
+    v: VLayer
+    theta: ThetaLayer | None = None
+    w: WLayer | None = None
+    f1: Nonlinearity | None = None
+
+    def __post_init__(self):
+        if (self.w is None) != (self.f1 is None):
+            raise ModelProfileMismatch("a layer bundle takes w and f1 together or neither")
+
+    model = property(lambda self: "pb" if self.w is None else "ccpb")  # its name in JSON
+
+    def layers(self) -> tuple[Profile, ...]:
+        """The profiles present, in the order u, v, theta, w."""
+        return tuple(p for p in (self.u, self.v, self.theta, self.w) if p is not None)
 
 
 def profile_eval(p: Profile, t):

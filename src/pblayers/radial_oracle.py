@@ -36,6 +36,7 @@ import threading
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
+from typing import Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -58,7 +59,7 @@ from .nonlinearity import (
     find_reference_potential,
 )
 from .numerics import write_csv
-from .profiles import RobinData, profile_eval
+from .profiles import LayerBundle, RobinData, profile_eval
 
 NEWTON_TOL = 1e-10
 MAX_NEWTON = 80
@@ -437,8 +438,6 @@ def _damped_newton(system: _RadialSystem, phi0):
                 break
             lam *= 0.5
         else:
-            if norm <= tol(phi, f_max):  # parked at the rounding floor
-                return phi, it, norm
             raise NewtonDivergence(
                 f"no residual decrease at iteration {it} (norm {norm:.3e})",
                 damping_history=history,
@@ -679,14 +678,14 @@ def _stretched_samples(oracle: RadialSolveResult, component, T):
     sq = math.sqrt(oracle.eps)
     t = np.linspace(0.0, T, STRETCHED_SAMPLES)
     rs = component.radius + component.depth_sign * (t * sq)
-    return t, oracle.phi_at(rs), component.depth_sign * oracle.dphi_at(rs)
+    phi, dphi = _cubic_eval(oracle.r, oracle._cubic, rs)
+    return t, phi, component.depth_sign * dphi
 
 
 def compare_expansion(
     oracle: RadialSolveResult,
     domain: DomainSpec,
-    bundles,
-    model: str,
+    bundles: Sequence[LayerBundle],
     T: float,
     beta: float | None = None,
 ) -> ExpansionErrorReport:
@@ -700,13 +699,13 @@ def compare_expansion(
     bands_ok = beta is not None and T * sq < eps**beta
     for comp, bundle in zip(domain.components, bundles):
         t, phi_or, coef_or = _stretched_samples(oracle, comp, T)
-        u, du = profile_eval(bundle["u"], t)
-        v, dv = profile_eval(bundle["v"], t)
+        u, du = profile_eval(bundle.u, t)
+        v, dv = profile_eval(bundle.v, t)
         hfac = (d - 1) * comp.mean_curvature
         pred2 = u + sq * hfac * v
         coef2 = du / sq + hfac * dv
-        if model == "ccpb":
-            w, dw = profile_eval(bundle["w"], t)
+        if bundle.w is not None:
+            w, dw = profile_eval(bundle.w, t)
             pred2 = pred2 + sq * w
             coef2 = coef2 + dw
         e1 = float(np.max(np.abs(phi_or - u)))
@@ -748,7 +747,7 @@ def compare_expansion(
             )
         )
     return ExpansionErrorReport(
-        model=model, eps=eps, T=T, beta=beta if bands_ok else None,
+        model=bundles[0].model, eps=eps, T=T, beta=beta if bands_ok else None,
         boundaries=tuple(results), phi_ref=float(phi_ref),
     )
 

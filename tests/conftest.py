@@ -6,6 +6,7 @@ from pblayers.geometry import make_annulus, make_disk
 from pblayers.nonlinearity import Nonlinearity, make_classical_pb, symmetric_salt
 from pblayers.numerics import GL5_PARTIAL, gauss_panels, panel_integrals
 from pblayers.profiles import (
+    LayerBundle,
     RobinData,
     _from_delta,
     _speed_from_delta,
@@ -164,7 +165,7 @@ def msalt():
 def std_bundle(salt):
     """gamma = 0.1, phi_bd = 1 profiles used across the suite."""
     u = solve_u(salt, RobinData(0.1, 1.0))
-    return {"u": u, "v": solve_v(u), "theta": solve_theta(u)}
+    return LayerBundle(u, solve_v(u), solve_theta(u))
 
 
 @pytest.fixture(scope="session")

@@ -66,21 +66,21 @@ def test_criterion_02_first_integral(profile_matrix, annulus_constants):
         for (gamma, phi_bd), (u, _) in profile_matrix.items():
             assert first_integral_drift(u) <= 1e-10 * (1 + u.u0_prime ** 2)
         for bundle in annulus_constants.profiles:
-            u = bundle["u"]
+            u = bundle.u
             assert first_integral_drift(u) <= 1e-10 * (1 + u.u0_prime ** 2)
 
 
 def test_criterion_03_ode_residuals(std_bundle, salt, annulus_constants):
     with criterion(3, "ODE residuals and the auxiliary-layer cross-check"):
-        u, v, theta = std_bundle["u"], std_bundle["v"], std_bundle["theta"]
+        u, v, theta = std_bundle.u, std_bundle.v, std_bundle.theta
         assert ode_residual(v, u) <= 1e-10
         assert ode_residual(theta, u) <= 1e-10
         cc = annulus_constants
         for comp_bundle in cc.profiles:
-            uu = comp_bundle["u"]
-            assert ode_residual(comp_bundle["v"], uu) <= 1e-10
-            assert ode_residual(comp_bundle["theta"], uu) <= 1e-10
-            assert ode_residual(comp_bundle["w"], uu, cc.f1) <= 1e-10
+            uu = comp_bundle.u
+            assert ode_residual(comp_bundle.v, uu) <= 1e-10
+            assert ode_residual(comp_bundle.theta, uu) <= 1e-10
+            assert ode_residual(comp_bundle.w, uu, cc.f1) <= 1e-10
 
         # independent linear boundary-value solve for the auxiliary layer
         t_cut = min(u.t_max, 30.0 / u.mu)
@@ -161,7 +161,7 @@ def test_criterion_07_pb_convergence(pb_disk_sweep, pb_disk_domain, std_bundle):
         e1, e2, fe = [], [], []
         for eps in (1e-2, 1e-3, 1e-4):
             rep = compare_expansion(
-                pb_disk_sweep[eps], pb_disk_domain, [std_bundle], "pb",
+                pb_disk_sweep[eps], pb_disk_domain, [std_bundle],
                 T=5.0, beta=0.25,
             )
             b = rep.boundaries[0]
@@ -185,8 +185,7 @@ def test_criterion_08_ccpb_convergence(ccpb_sweep, annulus_domain, annulus_const
         drift_gaps = []
         for eps in (1e-2, 1e-3, 1e-4):
             rep = compare_expansion(
-                ccpb_sweep[eps], annulus_domain, annulus_constants.profiles,
-                "ccpb", T=5.0,
+                ccpb_sweep[eps], annulus_domain, annulus_constants.profiles, T=5.0,
             )
             e2.append(max(b.e2 for b in rep.boundaries))
             drift = (
@@ -206,7 +205,7 @@ def test_criterion_09_region_charges(
     with criterion(9, "band charges, sign laws and the ratio law"):
         eps = 1e-4
         params_pb = RegionParams(eps=eps, beta=0.25, T=5.0)
-        rep = region_charge(pb_disk_domain, 0, params_pb, std_bundle, model="pb")
+        rep = region_charge(pb_disk_domain, 0, params_pb, std_bundle)
         oracle = pb_disk_sweep[eps]
         for reg, formula in (("I", rep.region1), ("II", rep.region2)):
             val = band_charge_integral(oracle, pb_disk_domain, 0, salt, params_pb, reg)
@@ -220,7 +219,7 @@ def test_criterion_09_region_charges(
         f_eps = _exp_terms_nonlinearity(a, b, 0.0, "custom", msalt)
         for k, expected_sign in ((0, -1), (1, 1)):
             rep_k = region_charge(
-                annulus_domain, k, params_cc, annulus_constants.profiles[k], model="ccpb"
+                annulus_domain, k, params_cc, annulus_constants.profiles[k]
             )
             for reg, formula in (("I", rep_k.region1), ("II", rep_k.region2)):
                 val = band_charge_integral(oc, annulus_domain, k, f_eps, params_cc, reg)
@@ -230,9 +229,9 @@ def test_criterion_09_region_charges(
 
         # ratio law at eps = 1e-6 from the formula side
         params_ratio = RegionParams(eps=1e-6, beta=0.25, T=1.0)
-        rr = region_charge(pb_disk_domain, 0, params_ratio, std_bundle, model="pb")
-        _, du0 = profile_eval(std_bundle["u"], 0.0)
-        _, duT = profile_eval(std_bundle["u"], 1.0)
+        rr = region_charge(pb_disk_domain, 0, params_ratio, std_bundle)
+        _, du0 = profile_eval(std_bundle.u, 0.0)
+        _, duT = profile_eval(std_bundle.u, 1.0)
         target = duT / (du0 - duT)
         assert rr.region2 / rr.region1 == pytest.approx(target, rel=1e-3)
         assert rr.region2 / rr.region1 > 0

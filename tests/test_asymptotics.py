@@ -14,13 +14,13 @@ from pblayers.asymptotics import (
     potential,
     region_charge,
 )
-from pblayers.errors import ConfigError, ModelProfileMismatch
+from pblayers.errors import ConfigError
 from pblayers.geometry import RegionParams, make_disk
-from pblayers.profiles import RobinData, profile_eval, solve_u, solve_v
+from pblayers.profiles import LayerBundle, RobinData, profile_eval, solve_u, solve_v
 
 
-def q_at(t, eps=1e-4, order=2, model="pb", h=1.0, d=2):
-    return ExpansionQuery(model, 0, h, t, eps, order, d)
+def q_at(t, eps=1e-4, order=2, h=1.0, d=2):
+    return ExpansionQuery(0, h, t, eps, order, d)
 
 
 class TestPointwiseEvaluators:
@@ -31,8 +31,8 @@ class TestPointwiseEvaluators:
     def test_potential_far_field_ccpb(self, annulus_constants):
         eps = 1e-4
         bundle = annulus_constants.profiles[0]
-        t = bundle["u"].t_max
-        q = ExpansionQuery("ccpb", 0, 0.5, t, eps, 2, 2)
+        t = bundle.u.t_max
+        q = ExpansionQuery(0, 0.5, t, eps, 2, 2)
         val = potential(q, bundle)
         expected = annulus_constants.phi0_star + math.sqrt(eps) * annulus_constants.q
         assert val == pytest.approx(expected, abs=1e-6)
@@ -41,21 +41,21 @@ class TestPointwiseEvaluators:
         # value(0) - gamma [u'(0) + sqrt(eps)(d-1)H v'(0)] recovers phi_bd
         eps = 1e-4
         val = potential(q_at(0.0, eps), std_bundle)
-        _, du = profile_eval(std_bundle["u"], 0.0)
-        _, dv = profile_eval(std_bundle["v"], 0.0)
+        _, du = profile_eval(std_bundle.u, 0.0)
+        _, dv = profile_eval(std_bundle.v, 0.0)
         recon = val - 0.1 * (du + math.sqrt(eps) * 1.0 * dv)
         assert recon == pytest.approx(1.0, abs=1e-9)
 
     def test_field_order1_value(self, salt):
         u = solve_u(salt, RobinData(0.0, 1.0))
         v = solve_v(u)
-        coef = field_normal_component(q_at(0.0, 1e-4, order=1), {"u": u, "v": v})
+        coef = field_normal_component(q_at(0.0, 1e-4, order=1), LayerBundle(u, v))
         assert coef == pytest.approx(-2 * math.sqrt(2) * math.sinh(0.5) / 1e-2, rel=1e-12)
 
     def test_field_constant_profile(self, salt):
         u = solve_u(salt, RobinData(0.1, 0.0))
         v = solve_v(u)
-        assert field_normal_component(q_at(1.0), {"u": u, "v": v}) == 0.0
+        assert field_normal_component(q_at(1.0), LayerBundle(u, v)) == 0.0
 
     def test_sqrt_eps_scaling_exact(self, std_bundle):
         # order-2 minus order-1 must be exactly sqrt(eps) times an
@@ -69,7 +69,7 @@ class TestPointwiseEvaluators:
 
     def test_charge_density_order1_is_density_of_u(self, std_bundle, salt):
         got = charge_density(q_at(0.0, order=1), std_bundle)
-        u0 = std_bundle["u"].u0
+        u0 = std_bundle.u.u0
         assert got == pytest.approx(float(salt.f(u0)), rel=1e-14)
 
     def test_charge_density_pb_far_field(self, std_bundle):
@@ -81,21 +81,12 @@ class TestPointwiseEvaluators:
         eps = 1e-4
         cc = annulus_constants
         bundle = cc.profiles[0]
-        t = bundle["u"].t_max
-        q = ExpansionQuery("ccpb", 0, 0.5, t, eps, 2, 2)
-        val = charge_density(q, bundle, cc.f1)
+        t = bundle.u.t_max
+        q = ExpansionQuery(0, 0.5, t, eps, 2, 2)
+        val = charge_density(q, bundle)
         lim = math.sqrt(eps) * (float(cc.f0.df(cc.phi0_star)) * cc.q + float(cc.f1.f(cc.phi0_star)))
         assert abs(lim) <= 1e-8 * math.sqrt(eps) * abs(float(cc.f0.df(cc.phi0_star)))
         assert abs(val) <= 1e-6 * math.sqrt(eps) + 1e-12
-
-    def test_ccpb_needs_w(self, std_bundle):
-        with pytest.raises(ModelProfileMismatch):
-            potential(ExpansionQuery("ccpb", 0, 1.0, 0.0, 1e-4, 2, 2), std_bundle)
-
-    def test_ccpb_density_needs_f1(self, annulus_constants):
-        q = ExpansionQuery("ccpb", 0, 0.5, 0.0, 1e-4, 2, 2)
-        with pytest.raises(ModelProfileMismatch):
-            charge_density(q, annulus_constants.profiles[0])
 
 
 class TestMaxwellTraction:
@@ -104,7 +95,7 @@ class TestMaxwellTraction:
         # traction formula rests on is re-asserted here
         from pblayers.profiles import first_integral_drift
 
-        u = std_bundle["u"]
+        u = std_bundle.u
         assert first_integral_drift(u) <= 1e-10 * (1 + u.u0_prime ** 2)
         for t in np.linspace(0, 10, 21):
             lead = maxwell_traction(q_at(t, order=1), std_bundle)
@@ -114,7 +105,7 @@ class TestMaxwellTraction:
 
     def test_dirichlet_boundary_value(self, salt):
         u = solve_u(salt, RobinData(0.0, 1.0))
-        lead = maxwell_traction(q_at(0.0, order=1), {"u": u, "v": solve_v(u)})
+        lead = maxwell_traction(q_at(0.0, order=1), LayerBundle(u, solve_v(u)))
         assert lead == pytest.approx(2 * (math.cosh(1.0) - 1.0), rel=1e-12)
 
     def test_far_field_vanishes(self, std_bundle):
@@ -127,7 +118,7 @@ class TestRegionCharge:
         v = solve_v(u)
         dom = make_disk(1.0, RobinData(0.1, 0.0))
         params = RegionParams(eps=1e-4, beta=0.25, T=5.0)
-        rep = region_charge(dom, 0, params, {"u": u, "v": v}, model="pb")
+        rep = region_charge(dom, 0, params, LayerBundle(u, v))
         assert rep.region1 == 0.0 and rep.region2 == 0.0 and rep.sign == 0
 
     def test_sign_laws(self, salt):
@@ -136,15 +127,15 @@ class TestRegionCharge:
             dom = make_disk(1.0, RobinData(0.1, phi_bd))
             u = solve_u(salt, RobinData(0.1, phi_bd))
             v = solve_v(u)
-            rep = region_charge(dom, 0, params, {"u": u, "v": v}, model="pb")
+            rep = region_charge(dom, 0, params, LayerBundle(u, v))
             assert rep.sign == expected
             assert math.copysign(1, rep.region1) == expected
             assert math.copysign(1, rep.region2) == expected
 
     def test_ratio_law(self, std_bundle, pb_disk_domain):
-        u = std_bundle["u"]
+        u = std_bundle.u
         params = RegionParams(eps=1e-6, beta=0.25, T=1.0)
-        rep = region_charge(pb_disk_domain, 0, params, std_bundle, model="pb")
+        rep = region_charge(pb_disk_domain, 0, params, std_bundle)
         _, du0 = profile_eval(u, 0.0)
         _, duT = profile_eval(u, 1.0)
         target = duT / (du0 - duT)
@@ -155,7 +146,7 @@ class TestRegionCharge:
         # no Region III bound with constants known in advance exists, so the
         # report writes none
         params = RegionParams(eps=1e-4, beta=0.25, T=5.0)
-        rep = region_charge(pb_disk_domain, 0, params, std_bundle, model="pb")
+        rep = region_charge(pb_disk_domain, 0, params, std_bundle)
         assert not hasattr(rep, "region3_bound")
         d = rep.to_json_dict()
         assert "region3" not in d
@@ -170,7 +161,7 @@ class TestRegionCharge:
         total = 0.0
         for k in range(2):
             rep = region_charge(
-                annulus_domain, k, params, annulus_constants.profiles[k], model="ccpb"
+                annulus_domain, k, params, annulus_constants.profiles[k]
             )
             total += rep.region1 + rep.region2
         assert abs(total) <= 1e-6 * eps
@@ -192,19 +183,15 @@ class TestDecayEnvelope:
 
 
 class TestQueryValidation:
-    def test_bad_model(self):
-        with pytest.raises(ConfigError):
-            ExpansionQuery("mpb", 0, 1.0, 0.0, 1e-4)
-
     def test_bad_order(self):
         with pytest.raises(ConfigError):
-            ExpansionQuery("pb", 0, 1.0, 0.0, 1e-4, 3)
+            ExpansionQuery(0, 1.0, 0.0, 1e-4, 3)
 
     def test_bad_eps_t(self):
         with pytest.raises(ConfigError):
-            ExpansionQuery("pb", 0, 1.0, 0.0, -1e-4)
+            ExpansionQuery(0, 1.0, 0.0, -1e-4)
         with pytest.raises(ConfigError):
-            ExpansionQuery("pb", 0, 1.0, -1.0, 1e-4)
+            ExpansionQuery(0, 1.0, -1.0, 1e-4)
 
 
 class TestArrayEvaluators:
@@ -216,25 +203,21 @@ class TestArrayEvaluators:
     """
 
     @pytest.fixture(params=["pb", "ccpb"])
-    def case(self, request, std_bundle, annulus_constants):
-        if request.param == "pb":
-            return "pb", std_bundle, None
-        return "ccpb", annulus_constants.profiles[0], annulus_constants.f1
+    def bundle(self, request, std_bundle, annulus_constants):
+        return std_bundle if request.param == "pb" else annulus_constants.profiles[0]
 
     @staticmethod
     def depths(bundle):
         # t = 0, interior points, t_max itself and the tail branch beyond it
-        t_max = bundle["u"].t_max
+        t_max = bundle.u.t_max
         return np.concatenate(([0.0], np.linspace(0.013, 9.0, 41), [t_max, 1.2 * t_max, t_max + 30.0]))
 
-    @staticmethod
-    def evaluators(f1):
-        return (
-            ("potential", potential, (), True),
-            ("field", field_normal_component, (), True),
-            ("charge_density", charge_density, (f1,), False),
-            ("traction", maxwell_traction, (), False),
-        )
+    EVALUATORS = (
+        ("potential", potential, True),
+        ("field", field_normal_component, True),
+        ("charge_density", charge_density, False),
+        ("traction", maxwell_traction, False),
+    )
 
     @staticmethod
     def assert_match(got, want, exact):
@@ -244,37 +227,33 @@ class TestArrayEvaluators:
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("order", [1, 2])
-    def test_array_matches_scalar(self, case, order):
-        model, bundle, f1 = case
+    def test_array_matches_scalar(self, bundle, order):
         ts = self.depths(bundle)
-        q = ExpansionQuery(model, 0, 0.5, ts, 1e-4, order, 2)
-        for _, fn, extra, exact in self.evaluators(f1):
-            got = fn(q, bundle, *extra)
-            want = np.array([fn(replace(q, t=float(t)), bundle, *extra) for t in ts])
+        q = ExpansionQuery(0, 0.5, ts, 1e-4, order, 2)
+        for _, fn, exact in self.EVALUATORS:
+            got = fn(q, bundle)
+            want = np.array([fn(replace(q, t=float(t)), bundle) for t in ts])
             assert isinstance(got, np.ndarray) and got.shape == ts.shape
             self.assert_match(got, want, exact)
 
     @pytest.mark.parametrize("order", [1, 2])
-    def test_grid_rows_matches_scalar(self, case, order):
-        model, bundle, f1 = case
+    def test_grid_rows_matches_scalar(self, bundle, order):
         ts = self.depths(bundle)
-        q = ExpansionQuery(model, 0, 0.5, 0.0, 1e-3, order, 3)
-        values = grid_rows(q, bundle, ts, f1)
-        for name, fn, extra, exact in self.evaluators(f1):
+        q = ExpansionQuery(0, 0.5, 0.0, 1e-3, order, 3)
+        values = grid_rows(q, bundle, ts)
+        for name, fn, exact in self.EVALUATORS:
             assert isinstance(values[name], np.ndarray) and values[name].shape == ts.shape
-            want = np.array([fn(replace(q, t=float(t)), bundle, *extra) for t in ts])
+            want = np.array([fn(replace(q, t=float(t)), bundle) for t in ts])
             self.assert_match(values[name], want, exact)
 
-    def test_scalar_query_returns_float(self, case):
-        model, bundle, f1 = case
-        q = ExpansionQuery(model, 0, 0.5, 0.7, 1e-4, 2, 2)
-        for _, fn, extra, _ in self.evaluators(f1):
-            assert type(fn(q, bundle, *extra)) is float
+    def test_scalar_query_returns_float(self, bundle):
+        q = ExpansionQuery(0, 0.5, 0.7, 1e-4, 2, 2)
+        for _, fn, _ in self.EVALUATORS:
+            assert type(fn(q, bundle)) is float
 
-    def test_negative_t_rejected(self, case):
-        model, bundle, f1 = case
+    def test_negative_t_rejected(self, bundle):
         ts = np.array([0.0, 1.0, -1e-12])
         with pytest.raises(ConfigError):
-            ExpansionQuery(model, 0, 0.5, ts, 1e-4, 2, 2)
+            ExpansionQuery(0, 0.5, ts, 1e-4, 2, 2)
         with pytest.raises(ConfigError):
-            grid_rows(ExpansionQuery(model, 0, 0.5, 0.0, 1e-4, 2, 2), bundle, ts, f1)
+            grid_rows(ExpansionQuery(0, 0.5, 0.0, 1e-4, 2, 2), bundle, ts)

@@ -59,16 +59,25 @@ class TestBulkPotential:
         with pytest.raises(AllBoundaryPotentialsEqual):
             solve_phi0(dom, msalt)
 
-    @pytest.mark.parametrize("slack", [5e-13, -5e-13])
+    @pytest.mark.parametrize("slack", [4e-16, -4e-16])
     def test_near_neutral_tail_speed(self, annulus_domain, slack):
-        # amounts (1, 1 + slack) pass check_neutrality, and f0(phi0*) is then
-        # off 0 by about the slack: kept as a linear term of F0 it put the
+        # amounts (1, 1 + slack) pass check_neutrality (2 ulp of 1, within its
+        # 8 ulp of sum |m_i z_i|), and f0(phi0*) is then off 0 by about the
+        # slack: kept as a linear term of F0, a slack of 5e-13 put the
         # last-node speed of u 18-51 % off mu |delta|
         species = [IonSpecies(1.0, 1.0, "mass"), IonSpecies(-1.0, 1.0 + slack, "mass")]
         for bundle in ccpb_constants(annulus_domain, species).profiles:
-            u = bundle["u"]
+            u = bundle.u
             want = u.mu * abs(u.delta[-1])
             assert abs(abs(u.derivs[-1]) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("slack", [5e-13, -5e-13])
+    def test_off_neutral_beyond_rounding_rejected(self, annulus_domain, slack):
+        # with a slack of 1e-12 these passed, and drift_balance_rel read
+        # 8.5e-14 against 0.0 at exact neutrality
+        species = [IonSpecies(1.0, 1.0, "mass"), IonSpecies(-1.0, 1.0 + slack, "mass")]
+        with pytest.raises(NeutralityViolated):
+            ccpb_constants(annulus_domain, species)
 
     def test_flux_sum_evaluations(self, annulus_domain, msalt, monkeypatch):
         # Brent's method: a bisection to PHI0_TOL took 51 flux sums
@@ -141,7 +150,7 @@ class TestConstants:
     def test_mhat_against_dense_time_quadrature(self, annulus_constants, annulus_domain, msalt):
         mh_oracle = np.zeros(2)
         for comp, bundle in zip(annulus_domain.components, annulus_constants.profiles):
-            u = bundle["u"]
+            u = bundle.u
             tt = np.linspace(0, u.t_max, 200001)
             uv, _ = profile_eval(u, tt)
             for i, s in enumerate(msalt):
@@ -162,7 +171,7 @@ class TestConstants:
 
     def test_w_profiles_reach_drift_constant(self, annulus_constants):
         for bundle in annulus_constants.profiles:
-            w = bundle["w"]
+            w = bundle.w
             assert w.tail.limit == pytest.approx(annulus_constants.q, abs=1e-9)
             assert w.values[-1] == pytest.approx(annulus_constants.q, abs=1e-7)
 
@@ -190,7 +199,7 @@ class TestClosedForms:
         cc = annulus_constants
         zs = [s.z for s in msalt]
         for bundle in cc.profiles:
-            assert excess_close(bundle["u"], zs)
+            assert excess_close(bundle.u, zs)
         # the classical 1:1 salt has the terms of the f0 of unit volume at
         # phi* = 0
         for key, (u, _) in profile_matrix.items():
@@ -203,7 +212,7 @@ class TestClosedForms:
         _, species, cc = multi_species
         zs = [s.z for s in species]
         for bundle in cc.profiles:
-            u, w = bundle["u"], bundle["w"]
+            u, w = bundle.u, bundle.w
             body = np.abs(u.delta) >= 1e-2 * abs(u.delta[0])
             want = whole_array_w(u, cc.f1)
             for name, a, b in zip(("w", "w'"), (w.values, w.derivs), want):
@@ -222,7 +231,7 @@ class TestClosedForms:
         # annulus of four
         domain, species, cc = multi_species
         for bundle in cc.profiles:
-            w = bundle["w"]
+            w = bundle.w
             assert abs(w.values[-1] - w.tail.limit) <= 1e-9
             assert w.tail.limit == pytest.approx(cc.q, abs=1e-12)
 
@@ -232,22 +241,22 @@ class TestClosedForms:
         # 3-D annulus of four species)
         _, _, cc = multi_species
         for bundle in cc.profiles:
-            for kind, p in bundle.items():
-                assert ode_residual(p, bundle["u"], cc.f1) <= 1e-10, kind
+            for p in bundle.layers():
+                assert ode_residual(p, bundle.u, cc.f1) <= 1e-10, p.kind
 
     def test_tail_speed_is_mu_delta(self, multi_species):
         # sum a0_i rounds to 1.39e-17 on the 3-D annulus of three species:
         # kept as a linear term of F0, it put the last-node speed 1.2e-4 and
         # 2.8e-5 off mu |delta|; F0 vanishes to second order at phi0*
         for bundle in multi_species[2].profiles:
-            u = bundle["u"]
+            u = bundle.u
             want = u.mu * abs(u.delta[-1])
             assert abs(abs(u.derivs[-1]) - want) <= 1e-12 * want
 
     def test_excess_valence_outside_f0_rejected(self, annulus_constants):
         cc = annulus_constants
         with pytest.raises(ConfigError):
-            layer_excess_integrals(cc.profiles[0]["u"], [2.0])
+            layer_excess_integrals(cc.profiles[0].u, [2.0])
 
 
 class TestBulkExpansion:
@@ -370,9 +379,8 @@ class TestConstantsPipeline:
     def test_profiles_equal_standalone_solves(self, annulus_constants):
         cc = annulus_constants
         for bundle in cc.profiles:
-            alone = {"v": solve_v(bundle["u"]), "w": solve_w(bundle["u"], cc.f1)}
-            for kind, want in alone.items():
-                got = bundle[kind]
+            for want in (solve_v(bundle.u), solve_w(bundle.u, cc.f1)):
+                got = getattr(bundle, want.kind)
                 assert np.array_equal(got.values, want.values)
                 assert np.array_equal(got.derivs, want.derivs)
                 assert got.tail == want.tail

@@ -298,6 +298,14 @@ def test_readme_example_config_runs(tmp_path):
                          id=f"species-row-{command}")
             for command in ("profiles", "constants", "expand", "oracle", "verify", "figures")
         ),
+        # masses off neutral by more than rounding
+        *(
+            pytest.param("constants", CCPB_BASE, "species",
+                         [{"z": 1, "amount": 1, "role": "mass"},
+                          {"z": -1, "amount": 1 + slack, "role": "mass"}],
+                         "neutral", id=f"species-off-neutral-{slack}")
+            for slack in (5e-13, -5e-13)
+        ),
         pytest.param("oracle", PB_BASE, "oracle", 3, "oracle", id="oracle-not-object"),
         pytest.param("oracle", PB_BASE, "eps", 5, "eps", id="eps-not-list"),
         pytest.param("oracle", PB_BASE, "eps", ["x"], "eps", id="eps-not-a-number"),

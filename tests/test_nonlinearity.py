@@ -19,6 +19,7 @@ from pblayers.nonlinearity import (
     IonSpecies,
     _ExpSum,
     _Expm1Sum,
+    check_neutrality,
     decay_rate,
     find_reference_potential,
     make_classical_pb,
@@ -247,6 +248,13 @@ class TestConservedChargeDensities:
         with pytest.raises(NeutralityViolated):
             make_f0([IonSpecies(1, 1, "mass")], 1.0, 0.0)
 
+    @pytest.mark.parametrize("amounts", [(0.1, 0.2, 0.3), (0.2, 0.1, 0.3), (0.7, 0.1, 0.8)])
+    def test_neutral_decimal_amounts_pass(self, amounts):
+        # 0.1 + 0.2 - 0.3 is 5.6e-17 in floats, 0.8 ulp of the scale 0.6
+        m1, m2, m3 = amounts
+        check_neutrality([IonSpecies(1, m1, "mass"), IonSpecies(1, m2, "mass"),
+                          IonSpecies(-1, m3, "mass")])
+
     def test_fhat1_zero_coefficients(self, msalt):
         # an exp sum with zero coefficients: exactly 0 everywhere, also past
         # the overflow guard
@@ -290,7 +298,7 @@ class TestConservedChargeDensities:
         cc = annulus_constants
         new, old = cc.f1, closure_f1(cc.f0, cc.fhat1, cc.q)
         tiny = np.geomspace(1e-300, 3.0, 2000)
-        d = np.concatenate([tiny, -tiny, *(b["u"].delta for b in cc.profiles)])
+        d = np.concatenate([tiny, -tiny, *(b.u.delta for b in cc.profiles)])
         phi = cc.f0.phi_star + d
         q, f0, fh = abs(cc.q), cc.f0, cc.fhat1
         d2f0 = f0.df.derivative()
@@ -391,7 +399,7 @@ class TestAntiderivative:
         # array has the bits of one offset at a time (a matmul over the term
         # columns rounded 339-770 of the 4,001 layer offsets differently)
         cc = annulus_constants
-        cases = [(F, b["u"].delta) for b in cc.profiles for F in (cc.f0.F, cc.fhat1.F, cc.f1.F)]
+        cases = [(F, b.u.delta) for b in cc.profiles for F in (cc.f0.F, cc.fhat1.F, cc.f1.F)]
         three = make_classical_pb(MULTI_SPECIES_F0[3])
         d = np.random.default_rng(7).uniform(-3.0, 3.0, 2000)
         cases.append((three.F, d))

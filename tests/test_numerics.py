@@ -87,7 +87,7 @@ def test_one_and_two_columns(tmp_path, header):
 
 
 def test_real_profile_reloads_bit_equal(tmp_path, std_bundle):
-    u = std_bundle["u"]
+    u = std_bundle.u
     assert len(u.t) == DEFAULT_NODES
     compare(tmp_path, "t,value,derivative", (u.t, u.values, u.derivs))
 
@@ -99,7 +99,7 @@ def test_single_row(tmp_path, row):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_profile_writes_nothing(tmp_path, std_bundle, bad):
-    u = std_bundle["u"]
+    u = std_bundle.u
     values = u.values.copy()
     values[len(values) // 2] = bad
     prof = Profile("u", u.t, values, u.derivs, u.second_derivs, u.tail, u.robin)

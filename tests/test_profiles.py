@@ -10,6 +10,7 @@ from pblayers.errors import (
     DegenerateTimeMap,
     GridTooCoarse,
     MismatchedReference,
+    ModelProfileMismatch,
     NegativeTime,
 )
 from pblayers.nonlinearity import (
@@ -26,6 +27,7 @@ from pblayers.profiles import (
     DEFAULT_NODES,
     MIN_NODES,
     PANEL_BLOCK,
+    LayerBundle,
     Profile,
     RobinData,
     Tail,
@@ -134,7 +136,7 @@ class TestLayerProfile:
         volume = mpmath.mpf(cc.domain.volume)
         with mpmath.workdps(30):
             for bundle, recorded in zip(cc.profiles, self.INT_USQ_ANNULUS):
-                u = bundle["u"]
+                u = bundle.u
                 star = mpmath.mpf(u.phi_star)
 
                 def F0(x):
@@ -308,7 +310,7 @@ class TestLayerProfile:
             lambda x: -2.0 * np.sinh(x), lambda x: -2.0 * np.cosh(x),
             lambda x: -4.0 * np.sinh(np.asarray(x) / 2.0) ** 2,
         )
-        u, want = solve_u(f, RobinData(0.1, 1.0)), std_bundle["u"]
+        u, want = solve_u(f, RobinData(0.1, 1.0)), std_bundle.u
         assert np.max(np.abs(u.t - want.t)) <= 1e-15 * want.t_max
         assert np.max(np.abs(u.values - want.values)) <= 1e-15
         assert np.max(np.abs(u.derivs - want.derivs)) <= 1e-15
@@ -332,7 +334,7 @@ class TestCurvatureProfile:
         assert v.v0 == 0.0
 
     def test_frozen_robin_values(self, std_bundle):
-        v = std_bundle["v"]
+        v = std_bundle.v
         assert v.v0 == pytest.approx(V0_ROBIN, rel=1e-11)
         assert v.v_prime0 == pytest.approx(VPRIME0_ROBIN, rel=1e-11)
 
@@ -365,7 +367,7 @@ class TestCurvatureProfile:
             assert np.max(np.abs(dv_fd - v.derivs)) < 1e-7
 
     def test_ode_residual(self, std_bundle):
-        res = ode_residual(std_bundle["v"], std_bundle["u"])
+        res = ode_residual(std_bundle.v, std_bundle.u)
         assert res <= 1e-10
 
     def test_matches_gauss_point_quadrature(self, profile_matrix):
@@ -440,24 +442,24 @@ class TestAuxiliaryLayer:
         assert np.all(th.values == 1.0)
 
     def test_limit_is_one(self, std_bundle):
-        th = std_bundle["theta"]
+        th = std_bundle.theta
         assert th.tail.limit == 1.0
         assert th.values[-1] == pytest.approx(1.0, abs=1e-9)
 
     def test_boundary_slope_formula_vs_fd(self, std_bundle, stencil_derivative):
-        th = std_bundle["theta"]
+        th = std_bundle.theta
         assert th.theta_prime0 == pytest.approx(THETA_PRIME0, rel=1e-11)
         d_fd = stencil_derivative(th.t[:7], th.values[:7])[0]
         assert d_fd == pytest.approx(th.theta_prime0, abs=1e-8)
 
     def test_positive_boundary_slope(self, std_bundle):
-        assert std_bundle["theta"].theta_prime0 > 0
+        assert std_bundle.theta.theta_prime0 > 0
 
     def test_matches_direct_linear_bvp(self, salt, std_bundle):
         from scipy.integrate import solve_bvp
 
-        u = std_bundle["u"]
-        th = std_bundle["theta"]
+        u = std_bundle.u
+        th = std_bundle.theta
         t_cut = min(u.t_max, 30.0 / u.mu)
 
         def rhs(t, y):
@@ -476,7 +478,7 @@ class TestAuxiliaryLayer:
         assert np.max(np.abs(mine - sol.sol(tq)[0])) < 1e-7
 
     def test_ode_residual(self, std_bundle):
-        res = ode_residual(std_bundle["theta"], std_bundle["u"])
+        res = ode_residual(std_bundle.theta, std_bundle.u)
         assert res <= 1e-10
 
 
@@ -537,13 +539,13 @@ class TestConservationProfile:
         cc = annulus_constants
         old = closure_f1(cc.f0, cc.fhat1, cc.q)
         for bundle in cc.profiles:
-            got, want = bundle["w"], whole_array_w(bundle["u"], old)
+            got, want = bundle.w, whole_array_w(bundle.u, old)
             for a, b in zip((got.values, got.derivs), want):
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
             limit = -float(old.f(cc.phi0_star)) / float(cc.f0.df(cc.phi0_star))
             assert got.tail.limit == pytest.approx(limit, rel=0, abs=1e-13)
             with pytest.raises(MismatchedReference):
-                solve_w(bundle["u"], old)
+                solve_w(bundle.u, old)
 
     @pytest.mark.parametrize("n_nodes", NODE_COUNTS)
     def test_blocked_sweep_matches_whole_array(self, annulus_constants, annulus_domain, n_nodes):
@@ -601,7 +603,7 @@ class TestConservationProfile:
         # README annulus, boundary 0: a move of w's last value by up to 1e-13
         # of max|w| moves the tail by no more than that, up to the rounding of
         # the limit, anywhere on [t_max, t_max + 50]
-        w = annulus_constants.profiles[0]["w"]
+        w = annulus_constants.profiles[0].w
         limit, s = w.tail.limit, np.linspace(0.0, 50.0, 5001)
         want, _ = w.tail(s)
         scale = 1e-13 * np.max(np.abs(w.values))
@@ -633,7 +635,23 @@ def flat_bundle(msalt):
     f0 = make_f0(msalt, 1.0, 0.0)
     f1 = make_f1(f0, make_fhat1(msalt, 1.0, 0.0, [0.0, 0.0]), 2.5)
     u = solve_u(f0, RobinData(0.1, 0.0))
-    return {"u": u, "v": solve_v(u), "theta": solve_theta(u), "w": solve_w(u, f1)}
+    return LayerBundle(u, solve_v(u), solve_theta(u), solve_w(u, f1), f1)
+
+
+class TestLayerBundle:
+    def test_w_and_f1_come_together(self, std_bundle, annulus_constants):
+        # the model is whether w is there: a bundle never holds w without
+        # the f1 it was solved with, nor f1 without w
+        cc = annulus_constants
+        u, v, w = cc.profiles[0].u, cc.profiles[0].v, cc.profiles[0].w
+        assert cc.profiles[0].f1 is cc.f1
+        assert (std_bundle.model, cc.profiles[0].model) == ("pb", "ccpb")
+        with pytest.raises(ModelProfileMismatch):
+            LayerBundle(u, v, w=w)
+        with pytest.raises(ModelProfileMismatch):
+            LayerBundle(u, v, f1=cc.f1)
+        assert [p.kind for p in LayerBundle(u, v, w=w, f1=cc.f1).layers()] == ["u", "v", "w"]
+        assert [p.kind for p in std_bundle.layers()] == ["u", "v", "theta"]
 
 
 class TestJsonMeta:
@@ -650,11 +668,11 @@ class TestJsonMeta:
 
     def test_layer_keys(self, std_bundle, annulus_constants):
         bundles = [std_bundle, *annulus_constants.profiles]
-        assert {kind for b in bundles for kind in b} == set(self.KEYS)
+        assert {p.kind for b in bundles for p in b.layers()} == set(self.KEYS)
         for bundle in bundles:
-            for kind, p in bundle.items():
+            for p in bundle.layers():
                 meta = p.to_json_dict()["meta"]
-                assert set(meta) == self.KEYS[kind]
+                assert set(meta) == self.KEYS[p.kind]
                 assert all(meta[k] == getattr(p, k) for k in meta)
                 assert not p.flat
 
@@ -666,14 +684,14 @@ class TestJsonMeta:
             "theta": {"theta_prime0": 0.0},
             "w": {"w0": 2.5, "w_prime0": 0.0, "q": 2.5},
         }
-        for kind, p in flat_bundle.items():
+        for p in flat_bundle.layers():
             assert p.flat
-            assert p.to_json_dict()["meta"] == dict(want[kind], degenerate=True)
+            assert p.to_json_dict()["meta"] == dict(want[p.kind], degenerate=True)
 
 
 class TestEvaluation:
     def test_nodes_exact(self, std_bundle):
-        u = std_bundle["u"]
+        u = std_bundle.u
         val, der = u(u.t[1234])
         assert val == u.values[1234] and der == u.derivs[1234]
 
@@ -697,12 +715,12 @@ class TestEvaluation:
 
     def test_fixed_rate_tails_pinned(self, std_bundle):
         # pinned exactly: the anchored tails must not move a bit
-        assert std_bundle["u"].tail == Tail(0.0, 1.4142135623730951, 8.726373409076226e-13, 0.0)
-        assert std_bundle["theta"].tail == Tail(
+        assert std_bundle.u.tail == Tail(0.0, 1.4142135623730951, 8.726373409076226e-13, 0.0)
+        assert std_bundle.theta.tail == Tail(
             1.0, 1.4142135623730951, -8.388570049006286e-13, -2.0194839173657902e-28
         )
         for kind, amplitudes in self.FITTED_AMPLITUDES.items():
-            p = std_bundle[kind]
+            p = getattr(std_bundle, kind)
             for old in amplitudes:
                 assert p.tail.a * math.exp(p.tail.rate * p.t_max) == pytest.approx(old, rel=1e-6)
 
@@ -710,13 +728,13 @@ class TestEvaluation:
         # the tail gives the last node's value and slope to within 4 ulp
         bundles = [*annulus_constants.profiles, flat_bundle]
         for u, v in profile_matrix.values():
-            bundles.append({"u": u, "v": v, "theta": solve_theta(u)})
+            bundles.append(LayerBundle(u, v, solve_theta(u)))
         for bundle in bundles:
-            for kind, p in bundle.items():
+            for p in bundle.layers():
                 val, der = p.tail(0.0)
                 scale = max(abs(p.tail.limit), abs(p.values[-1]))
-                assert abs(val - p.values[-1]) <= 4 * np.spacing(scale), kind
-                assert abs(der - p.derivs[-1]) <= 4 * np.spacing(abs(p.derivs[-1])), kind
+                assert abs(val - p.values[-1]) <= 4 * np.spacing(scale), p.kind
+                assert abs(der - p.derivs[-1]) <= 4 * np.spacing(abs(p.derivs[-1])), p.kind
 
     def test_tail_predicts_interior(self, annulus_constants):
         # README annulus: v and w cut at the node nearest 0.6 t_max and
@@ -725,7 +743,7 @@ class TestEvaluation:
         # rounding of w - q against |q| = 0.61)
         for bundle in annulus_constants.profiles:
             for kind, bound in (("v", 1e-11), ("w", 1e-5)):
-                p = bundle[kind]
+                p = getattr(bundle, kind)
                 j, k = (int(np.argmin(np.abs(p.t - x * p.t_max))) for x in (0.6, 0.9))
                 limit = p.tail.limit
                 cut = replace(
@@ -738,7 +756,7 @@ class TestEvaluation:
 
     def test_negative_time(self, std_bundle):
         with pytest.raises(NegativeTime):
-            std_bundle["u"](-0.5)
+            std_bundle.u(-0.5)
 
     def test_interpolation_between_nodes(self, salt):
         u = solve_u(salt, RobinData(0.0, 1.0))

@@ -17,7 +17,7 @@ from pblayers import radial_oracle
 from pblayers.errors import ConfigError, GridTooCoarse, NonFiniteOutput, RegionEmpty
 from pblayers.geometry import RegionParams, make_annulus, make_ball, make_disk, unit_sphere_area
 from pblayers.nonlinearity import IonSpecies
-from pblayers.profiles import RobinData
+from pblayers.profiles import LayerBundle, RobinData
 from pblayers.radial_oracle import (
     GRID_GROWTH,
     _one_sided_coeffs,
@@ -148,7 +148,7 @@ class TestRobin:
         assert values[0] > values[1] > values[2]
 
     def test_boundary_value_approaches_layer_value(self, salt, pb_disk_sweep, std_bundle):
-        u0 = std_bundle["u"].u0
+        u0 = std_bundle.u.u0
         gaps = [abs(pb_disk_sweep[eps].phi[-1] - u0) for eps in (1e-3, 1e-4)]
         assert gaps[0] <= 10 * math.sqrt(1e-3)
         assert gaps[1] <= 10 * math.sqrt(1e-4)
@@ -169,7 +169,7 @@ class TestRobin:
 class TestComparison:
     def test_pb_disk_sweep_patterns(self, pb_disk_sweep, pb_disk_domain, std_bundle):
         reports = {
-            eps: compare_expansion(res, pb_disk_domain, [std_bundle], "pb", T=5.0, beta=0.25)
+            eps: compare_expansion(res, pb_disk_domain, [std_bundle], T=5.0, beta=0.25)
             for eps, res in pb_disk_sweep.items()
         }
         e1 = [reports[eps].boundaries[0].e1 for eps in (1e-2, 1e-3, 1e-4)]
@@ -182,7 +182,7 @@ class TestComparison:
 
     def test_envelope_fit_bounds_all_grid_points(self, pb_disk_sweep, pb_disk_domain, std_bundle):
         res = pb_disk_sweep[1e-4]
-        rep = compare_expansion(res, pb_disk_domain, [std_bundle], "pb", T=5.0, beta=0.25)
+        rep = compare_expansion(res, pb_disk_domain, [std_bundle], T=5.0, beta=0.25)
         b = rep.boundaries[0]
         m_prime, m_rate = b.envelope
         t_all = (1.0 - res.r) / math.sqrt(1e-4)
@@ -198,14 +198,14 @@ class TestComparison:
 
         u = solve_u(salt, RobinData(0.1, 0.0))
         v = solve_v(u)
-        rep = compare_expansion(res, dom, [{"u": u, "v": v}], "pb", T=5.0)
+        rep = compare_expansion(res, dom, [LayerBundle(u, v)], T=5.0)
         assert rep.boundaries[0].e1 == 0.0 and rep.boundaries[0].e2 == 0.0
 
     def test_region_empty(self, salt, pb_disk_domain, std_bundle):
         res = solve_radial_robin_pb(pb_disk_domain, salt, 1e-4, points_per_layer=16)
         with pytest.raises(RegionEmpty):
             compare_expansion(
-                res, pb_disk_domain, [std_bundle], "pb", T=9.99, beta=0.25
+                res, pb_disk_domain, [std_bundle], T=9.99, beta=0.25
             )
 
 
@@ -242,8 +242,7 @@ class TestConservedCharge:
         e2 = []
         for eps in (1e-2, 1e-3, 1e-4):
             rep = compare_expansion(
-                ccpb_sweep[eps], annulus_domain, annulus_constants.profiles,
-                "ccpb", T=5.0,
+                ccpb_sweep[eps], annulus_domain, annulus_constants.profiles, T=5.0,
             )
             e2.append(max(b.e2 for b in rep.boundaries))
         assert e2[0] > e2[1] > e2[2]
@@ -281,7 +280,7 @@ class TestGenerality:
         e2 = []
         for eps in (1e-2, 1e-3, 1e-4):
             res = solve_radial_robin_pb(dom, f, eps)
-            rep = compare_expansion(res, dom, [{"u": u, "v": v}], "pb", T=5.0)
+            rep = compare_expansion(res, dom, [LayerBundle(u, v)], T=5.0)
             e2.append(rep.boundaries[0].e2)
         assert e2[0] > e2[1] > e2[2]
         assert e2[2] <= 0.5 * e2[0]
@@ -292,7 +291,7 @@ class TestBandCharges:
         from pblayers.asymptotics import region_charge
 
         params = RegionParams(eps=1e-4, beta=0.25, T=5.0)
-        rep = region_charge(pb_disk_domain, 0, params, std_bundle, model="pb")
+        rep = region_charge(pb_disk_domain, 0, params, std_bundle)
         oracle = pb_disk_sweep[1e-4]
         for reg, formula in (("I", rep.region1), ("II", rep.region2)):
             val = band_charge_integral(oracle, pb_disk_domain, 0, salt, params, reg)
@@ -311,7 +310,7 @@ class TestBandCharges:
         f_eps = _exp_terms_nonlinearity(a, b, 0.0, "custom", msalt)
         for k in (0, 1):
             rep = region_charge(
-                annulus_domain, k, params, annulus_constants.profiles[k], model="ccpb"
+                annulus_domain, k, params, annulus_constants.profiles[k]
             )
             for reg, formula in (("I", rep.region1), ("II", rep.region2)):
                 val = band_charge_integral(oracle, annulus_domain, k, f_eps, params, reg)

@@ -1,8 +1,12 @@
 """The benchmark's span tracer wraps package functions by name; a rename or
 deletion of any of them must fail here rather than in a traced benchmark run.
 The asymptotic commands must start without scipy, which only the oracle
-loads, and of it only the LAPACK extension: never the scipy.linalg package."""
+loads, and of it only the LAPACK extension: never the scipy.linalg package.
+Profiles travel as LayerBundle attributes, and the model is whether a bundle
+has w, so the package neither keys profiles by string nor branches on a model
+string outside config handling and JSON output."""
 
+import ast
 import json
 import os
 import re
@@ -172,3 +176,40 @@ def test_asymptotic_commands_start_without_scipy(tmp_path):
     assert not verify["linalg"], verify
     assert verify["flapack"], verify
     assert 0 < verify["scipy"] <= 12, verify
+
+
+# where "pb"/"ccpb" may appear outside cli.py, which parses the config: the
+# JSON names of the model of a bundle and of an oracle result
+_MODEL_NAME_SCOPES = {
+    ("profiles", "LayerBundle"),
+    ("radial_oracle", "RadialSolveResult.to_json_dict"),
+    ("radial_oracle", "solve_radial_robin_pb"),
+    ("radial_oracle", "solve_radial_ccpb"),
+}
+
+
+def _model_name_scopes(tree):
+    """The enclosing def or class path of each "pb"/"ccpb" literal in tree."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Constant) and child.value in ("pb", "ccpb"):
+                found.add(scope or "<module>")
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_profiles_are_attributes_and_model_strings_stay_in_config_and_json():
+    for path in sorted((ROOT / "src" / "pblayers").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        keyed = re.findall(r'\["(?:u|v|theta|w)"\]', text)
+        assert not keyed, (path.name, keyed)
+        if path.stem != "cli":
+            scopes = {(path.stem, s) for s in _model_name_scopes(ast.parse(text))}
+            assert scopes <= _MODEL_NAME_SCOPES, sorted(scopes - _MODEL_NAME_SCOPES)
