@@ -102,8 +102,8 @@ def test_traced_constants_run_records_correction_spans(monkeypatch, tmp_path):
 
 
 def test_traced_expand_run_counts_grid_points(monkeypatch, tmp_path):
-    # the grid_rows counter reads ts by keyword, or as the third positional
-    # argument after the query and the profiles; on the README annulus,
+    # the grid_rows counter reads ts by keyword (its positional branch reads
+    # args[3], one past grid_rows(q, bundle, ts)); on the README annulus,
     # expand evaluates its 201 depths on 2 boundaries at 3 eps
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import pblayers.cli as cli
