@@ -14,7 +14,7 @@ from pblayers.asymptotics import (
     potential,
     region_charge,
 )
-from pblayers.errors import ConfigError
+from pblayers.errors import ConfigError, ModelProfileMismatch
 from pblayers.geometry import RegionParams, make_disk
 from pblayers.profiles import LayerBundle, RobinData, profile_eval, solve_u, solve_v
 
@@ -87,6 +87,32 @@ class TestPointwiseEvaluators:
         lim = math.sqrt(eps) * (float(cc.f0.df(cc.phi0_star)) * cc.q + float(cc.f1.f(cc.phi0_star)))
         assert abs(lim) <= 1e-8 * math.sqrt(eps) * abs(float(cc.f0.df(cc.phi0_star)))
         assert abs(val) <= 1e-6 * math.sqrt(eps) + 1e-12
+
+    def test_ccpb_needs_w(self, annulus_constants):
+        # the conserved-charge potential is the PB one plus sqrt(eps) w(t),
+        # and a bundle holding f1 without its w is refused
+        bundle = annulus_constants.profiles[0]
+        q = ExpansionQuery(0, 0.5, 0.0, 1e-4, 2, 2)
+        w0, _ = profile_eval(bundle.w, 0.0)
+        extra = potential(q, bundle) - potential(q, replace(bundle, w=None, f1=None))
+        assert extra == pytest.approx(1e-2 * w0, rel=1e-9, abs=1e-15)
+        with pytest.raises(ModelProfileMismatch):
+            replace(bundle, w=None)
+
+    def test_ccpb_density_needs_f1(self, annulus_constants):
+        # the conserved-charge density adds sqrt(eps)[f'(u) w + f1(u)] with
+        # the bundle's own f1, and a bundle holding w without f1 is refused
+        cc = annulus_constants
+        bundle = cc.profiles[0]
+        assert bundle.f1 is cc.f1
+        q = ExpansionQuery(0, 0.5, 0.0, 1e-4, 2, 2)
+        u0, _ = profile_eval(bundle.u, 0.0)
+        w0, _ = profile_eval(bundle.w, 0.0)
+        extra = charge_density(q, bundle) - charge_density(q, replace(bundle, w=None, f1=None))
+        expected = 1e-2 * (float(bundle.u.density.df(u0)) * w0 + float(cc.f1.f(u0)))
+        assert extra == pytest.approx(expected, rel=1e-9, abs=1e-15)
+        with pytest.raises(ModelProfileMismatch):
+            replace(bundle, f1=None)
 
 
 class TestMaxwellTraction:
