@@ -16,14 +16,18 @@ conserved-charge problem is an outer fixed point on the normalizer vector
 each sweep reruns Newton on the same system with the sweep's frozen
 normalizers.  A solve may warm-start from an earlier result, which is
 sampled on the new grid by its not-a-knot cubic spline (continuation in eps).
-The spline's slopes are one tridiagonal solve by LAPACK's dgtsv.  dgbsv and
-dgtsv come from SciPy's LAPACK extension, loaded alone with the first solve
-(_lapack): the scipy.linalg package itself is never imported here.
+A local (PB) solve samples it at the same stretched depth |r - r_k|/sqrt(eps)
+from the nearest boundary, and starts cold from phi* plus the linearized
+(Debye-Huckel) Robin layer of each boundary.  The spline's slopes are one
+tridiagonal solve by LAPACK's dgtsv.  dgbsv and dgtsv come from SciPy's
+LAPACK extension, loaded alone with the first solve (_lapack): the
+scipy.linalg package itself is never imported here.
 
 Every result carries its bulk reference potential as phi_eps_star.
 
 Nothing here consults the asymptotic machinery: initial guesses are
-constants or earlier oracle results, and all comparisons happen in
+constants, the linearized layer built from the oracle's own f'(phi*) and
+Robin data, or earlier oracle results, and all comparisons happen in
 compare_expansion.
 """
 
@@ -484,6 +488,41 @@ def _initial_on(initial, r):
     return np.asarray(initial, dtype=float)
 
 
+def _linearized_layers(system: _RadialSystem, f: Nonlinearity, phi_star: float):
+    """phi* + sum_k A_k exp(-mu |r - r_k| / sqrt(eps)), with mu = sqrt(-f'(phi*))
+    and A_k = (phi_bd,k - phi*) / (1 + gamma_k mu): the linearized Robin layer
+    of each boundary.  Flat phi* when mu is not a finite positive rate."""
+    r = system.r
+    phi = np.full(system.n, phi_star)
+    slope = -float(f.df(phi_star))
+    if not 0.0 < slope < math.inf:
+        return phi
+    mu = math.sqrt(slope)
+    layers = [(r[-1], system.outer)] + ([] if system.inner is None else [(r[0], system.inner)])
+    for r_k, robin in layers:
+        amp = (robin.phi_bd - phi_star) / (1.0 + robin.gamma * mu)
+        phi += amp * np.exp(-mu / system.sq_eps * np.abs(r - r_k))
+    return phi
+
+
+def _stretched_start(system: _RadialSystem, initial: RadialSolveResult):
+    """The earlier solve sampled at the same stretched depth |r - r_k|/sqrt(eps)
+    from the nearest boundary r_k, so a layer solved at a larger eps narrows to
+    this one.  Sample points stop at the center of a ball or the midpoint of
+    an annulus; at equal eps they are r itself."""
+    r = system.r
+    stretch = math.sqrt(initial.eps / system.eps) - 1.0
+
+    def mapped(r_k):  # r_k + sqrt(initial.eps / eps) (r - r_k), exact when stretch = 0
+        return r + stretch * (r - r_k)
+
+    if system.inner is None:
+        return initial.phi_at(np.maximum(mapped(r[-1]), r[0]))
+    mid = 0.5 * (r[0] + r[-1])
+    return initial.phi_at(np.where(r >= mid, np.maximum(mapped(r[-1]), mid),
+                                   np.minimum(mapped(r[0]), mid)))
+
+
 def _boundary_data(domain: DomainSpec):
     """(robin, radii) of a result: (gamma, phi_bd) pairs and radii, outer first."""
     return (
@@ -516,22 +555,28 @@ def solve_radial_robin_pb(
 ) -> RadialSolveResult:
     """Robin problem on a ball or annulus with the local charge density f.
 
-    `initial` is None (start from phi*), an array on the solver's grid, or an
-    earlier RadialSolveResult, which is sampled on this solve's grid.
+    `initial` is None (start from phi* plus the linearized layer of each
+    boundary), an array on the solver's grid, or an earlier RadialSolveResult,
+    which is sampled at the same stretched depth from the nearest boundary
+    (continuation in eps).
     """
     if not f.monotone:
         raise ConfigError("the oracle requires a monotone charge density")
     system = _radial_system(domain, f, eps, grid_opts)
-    r = system.r
-    phi_star = f.phi_star if f.phi_star is not None else find_reference_potential(f)
-    phi0 = np.full(len(r), float(phi_star)) if initial is None else _initial_on(initial, r)
+    phi_star = float(f.phi_star if f.phi_star is not None else find_reference_potential(f))
+    if initial is None:
+        phi0 = _linearized_layers(system, f, phi_star)
+    elif isinstance(initial, RadialSolveResult):
+        phi0 = _stretched_start(system, initial)
+    else:
+        phi0 = np.asarray(initial, dtype=float)
     phi, iters, norm = _damped_newton(system, phi0)
     robin, radii = _boundary_data(domain)
     return RadialSolveResult(
-        model="pb", d=domain.dimension, eps=eps, r=r, phi=phi, newton_iters=iters,
+        model="pb", d=domain.dimension, eps=eps, r=system.r, phi=phi, newton_iters=iters,
         residual_norm=norm,
         conservation_residual=system.conservation_residual(phi),
-        robin=robin, radii=radii, phi_eps_star=float(phi_star),
+        robin=robin, radii=radii, phi_eps_star=phi_star,
     )
 
 
@@ -563,6 +608,8 @@ def solve_radial_ccpb(
     r, d = system.r, system.d
     weight = unit_sphere_area(d) * r ** (d - 1)
     norms = np.full(len(species), domain.volume)
+    # this start pins the sweep trajectory bit for bit (TestOneSolvePath and the
+    # benchmark reference) until the reference is regenerated
     phi = np.zeros(len(r)) if initial is None else _initial_on(initial, r)
     history_x = []
     history_g = []

@@ -454,15 +454,142 @@ class TestOneSolvePath:
         if model == "pb":
             prev, radii = pb_disk_sweep[1e-2], (1.0, None)
             solve = functools.partial(solve_radial_robin_pb, pb_disk_domain, salt, 1e-3)
+
+            def start(r):
+                # equal stretched depth 1 - r: sqrt(10) times deeper at eps 1e-2,
+                # no deeper than the center
+                return prev.phi_at(np.maximum(r + (math.sqrt(1e-2 / 1e-3) - 1.0) * (r - 1.0), 0.0))
         else:
             prev, radii = ccpb_sweep[1e-2], (2.0, 1.0)
             solve = functools.partial(solve_radial_ccpb, annulus_domain, msalt, 1e-3)
+            start = prev.phi_at
         r = graded_radial_grid(2, *radii, 1e-3)
         from_result = solve(initial=prev)
-        from_array = solve(initial=prev.phi_at(r))
+        from_array = solve(initial=start(r))
         assert np.array_equal(from_result.r, r)
         assert np.array_equal(from_result.phi, from_array.phi)
         assert from_result.newton_iters == from_array.newton_iters
+
+    def test_pb_warm_start_at_equal_eps_samples_at_r(self, salt, pb_disk_sweep, pb_disk_domain):
+        prev = pb_disk_sweep[1e-3]
+        from_result = solve_radial_robin_pb(pb_disk_domain, salt, 1e-3, initial=prev)
+        from_array = solve_radial_robin_pb(pb_disk_domain, salt, 1e-3, initial=prev.phi_at(prev.r))
+        assert np.array_equal(from_result.phi, from_array.phi)
+        assert from_result.newton_iters == from_array.newton_iters
+
+
+class TestPbStart:
+    """The local solve starts cold from the linearized Robin layer of each
+    boundary and continues in eps at equal stretched depth."""
+
+    # Newton iterations of the README PB disk (gamma 0.1, phi_bd 1, 1:1 salt),
+    # cold at eps 1e-2, then continued to 1e-3 and 1e-4; a flat start and
+    # sampling at equal r took 3, 3 and 3
+    README_DISK_ITERS = (2, 2, 2)
+
+    def test_readme_disk_continuation_newton_counts(self, salt, pb_disk_domain):
+        res, iters = None, []
+        for eps in (1e-2, 1e-3, 1e-4):
+            res = solve_radial_robin_pb(pb_disk_domain, salt, eps, initial=res)
+            iters.append(res.newton_iters)
+        assert tuple(iters) == self.README_DISK_ITERS
+
+    def test_cold_start_is_the_linearized_layer(self, salt, monkeypatch):
+        dom = make_annulus(2, 1.0, 2.0, RobinData(0.5, 1.0), RobinData(0.0, -2.0))
+        starts = []
+
+        def first_iterate(system, phi0):
+            starts.append((system.r, phi0))
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(radial_oracle, "_damped_newton", first_iterate)
+        with pytest.raises(RuntimeError, match="stop"):
+            solve_radial_robin_pb(dom, salt, 1e-3)
+        (r, phi0), = starts
+        mu = math.sqrt(2.0)  # f = -2 sinh(phi), f'(0) = -2
+        want = (1.0 / (1.0 + 0.5 * mu) * np.exp(-mu * (2.0 - r) / math.sqrt(1e-3))
+                - 2.0 * np.exp(-mu * (r - 1.0) / math.sqrt(1e-3)))
+        assert np.allclose(phi0, want, rtol=0.0, atol=1e-15)
+
+    def test_flat_start_without_a_decay_rate(self, monkeypatch):
+        # a custom density whose f'(phi*) is 0 has no linearized layer
+        from pblayers.nonlinearity import make_custom
+
+        f = make_custom(lambda p: -np.asarray(p, dtype=float) ** 3,
+                        lambda p: -3.0 * np.asarray(p, dtype=float) ** 2,
+                        lambda p: np.asarray(p, dtype=float) ** 4 / 4, phi_star=0.0)
+        starts = []
+
+        def first_iterate(system, phi0):
+            starts.append(phi0)
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(radial_oracle, "_damped_newton", first_iterate)
+        with pytest.raises(RuntimeError, match="stop"):
+            solve_radial_robin_pb(make_disk(1.0, RobinData(0.1, 1.0)), f, 1e-2)
+        assert np.all(starts[0] == 0.0)
+
+    def test_annulus_samples_stop_at_the_midpoint(self):
+        dom = make_annulus(2, 1.0, 2.0, RobinData(0.1, 1.0), RobinData(0.1, -1.0))
+        coarse = graded_radial_grid(2, 2.0, 1.0, 1e-2)
+        # an earlier "solve" whose potential is its radius, so a sample shows where it was taken
+        prev = radial_oracle.RadialSolveResult(
+            model="pb", d=2, eps=1e-2, r=coarse, phi=coarse.copy(), newton_iters=0,
+            residual_norm=0.0, conservation_residual=0.0, robin=(), radii=(2.0, 1.0),
+            phi_eps_star=0.0,
+        )
+        system = _radial_system(dom, None, 1e-4, {})
+        got = radial_oracle._stretched_start(system, prev)
+        r = system.r
+        outer = r >= 1.5
+        want = np.where(outer, np.maximum(2.0 - 10.0 * (2.0 - r), 1.5),
+                        np.minimum(1.0 + 10.0 * (r - 1.0), 1.5))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        assert got[0] == 1.0 and got[-1] == 2.0
+
+
+# PB configs on which the parent's flat start and equal-r continuation raised
+# NewtonDivergence at every eps: (domain, (valence, amount) pairs, eps)
+LARGE_DROPS = {
+    "ball-1:1-40": (make_ball(3, 1.0, RobinData(0.1, 40.0)), ((1, 1), (-1, 1)), 1e-3),
+    "annulus-2:1-40": (make_annulus(2, 1.0, 2.0, RobinData(0.0, -40.0), RobinData(0.0, 20.0)),
+                       ((2, 1), (-1, 2)), 1e-3),
+    "annulus-1:2-40": (make_annulus(3, 1.0, 2.0, RobinData(0.1, 40.0), RobinData(0.1, -20.0)),
+                       ((1, 2), (-2, 1)), 1e-3),
+}
+
+
+def _assert_converged(res, f):
+    """Residual and conservation residual bounded as TestDirichlet bounds
+    them, relative to 1 + max |f(phi)|."""
+    scale = 1.0 + float(np.max(np.abs(f.f(res.phi))))
+    assert res.residual_norm <= 1e-9 * scale
+    assert res.conservation_residual <= 1e-9 * scale
+
+
+class TestLargeBoundaryPotentials:
+    def test_phi_bd_10_disk_converges(self, salt):
+        dom = make_disk(1.0, RobinData(0.1, 10.0))
+        res = None
+        for eps in (1e-2, 1e-3, 1e-4):
+            cold = solve_radial_robin_pb(dom, salt, eps)
+            res = solve_radial_robin_pb(dom, salt, eps, initial=res)
+            for sol in (cold, res):
+                _assert_converged(sol, salt)
+                assert np.all(np.diff(sol.phi) >= -1e-14)
+            assert np.max(np.abs(cold.phi - res.phi)) <= 1e-8
+
+    @pytest.mark.parametrize("name", sorted(LARGE_DROPS))
+    def test_phi_bd_40_converges(self, name):
+        from pblayers.nonlinearity import make_classical_pb
+
+        dom, pairs, eps = LARGE_DROPS[name]
+        f = make_classical_pb([IonSpecies(z, a, "bulk") for z, a in pairs])
+        res = solve_radial_robin_pb(dom, f, eps)
+        _assert_converged(res, f)
+        # the layers decay to phi* at the center of a ball or the midpoint of an annulus
+        mid = res.phi_at(0.5 * (res.r[0] + res.r[-1])) if len(dom.components) > 1 else res.phi[0]
+        assert abs(mid - res.phi_eps_star) <= 1e-6
 
 
 def _five_band_jacobian(system, phi):
