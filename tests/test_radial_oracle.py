@@ -494,8 +494,9 @@ class TestPbStart:
             iters.append(res.newton_iters)
         assert tuple(iters) == self.README_DISK_ITERS
 
-    def test_cold_start_is_the_linearized_layer(self, salt, monkeypatch):
-        dom = make_annulus(2, 1.0, 2.0, RobinData(0.5, 1.0), RobinData(0.0, -2.0))
+    @staticmethod
+    def _start(monkeypatch, domain, f, eps):
+        """(grid, Newton's first iterate) of a cold local solve."""
         starts = []
 
         def first_iterate(system, phi0):
@@ -504,8 +505,12 @@ class TestPbStart:
 
         monkeypatch.setattr(radial_oracle, "_damped_newton", first_iterate)
         with pytest.raises(RuntimeError, match="stop"):
-            solve_radial_robin_pb(dom, salt, 1e-3)
-        (r, phi0), = starts
+            solve_radial_robin_pb(domain, f, eps)
+        return starts[0]
+
+    def test_cold_start_is_the_linearized_layer(self, salt, monkeypatch):
+        dom = make_annulus(2, 1.0, 2.0, RobinData(0.5, 1.0), RobinData(0.0, -2.0))
+        r, phi0 = self._start(monkeypatch, dom, salt, 1e-3)
         mu = math.sqrt(2.0)  # f = -2 sinh(phi), f'(0) = -2
         want = (1.0 / (1.0 + 0.5 * mu) * np.exp(-mu * (2.0 - r) / math.sqrt(1e-3))
                 - 2.0 * np.exp(-mu * (r - 1.0) / math.sqrt(1e-3)))
@@ -518,16 +523,8 @@ class TestPbStart:
         f = make_custom(lambda p: -np.asarray(p, dtype=float) ** 3,
                         lambda p: -3.0 * np.asarray(p, dtype=float) ** 2,
                         lambda p: np.asarray(p, dtype=float) ** 4 / 4, phi_star=0.0)
-        starts = []
-
-        def first_iterate(system, phi0):
-            starts.append(phi0)
-            raise RuntimeError("stop")
-
-        monkeypatch.setattr(radial_oracle, "_damped_newton", first_iterate)
-        with pytest.raises(RuntimeError, match="stop"):
-            solve_radial_robin_pb(make_disk(1.0, RobinData(0.1, 1.0)), f, 1e-2)
-        assert np.all(starts[0] == 0.0)
+        _, phi0 = self._start(monkeypatch, make_disk(1.0, RobinData(0.1, 1.0)), f, 1e-2)
+        assert np.all(phi0 == 0.0)
 
     def test_annulus_samples_stop_at_the_midpoint(self):
         dom = make_annulus(2, 1.0, 2.0, RobinData(0.1, 1.0), RobinData(0.1, -1.0))
@@ -548,8 +545,8 @@ class TestPbStart:
         assert got[0] == 1.0 and got[-1] == 2.0
 
 
-# PB configs on which the parent's flat start and equal-r continuation raised
-# NewtonDivergence at every eps: (domain, (valence, amount) pairs, eps)
+# PB configs on which a flat start raised NewtonDivergence at eps 1e-2, 1e-3
+# and 1e-4: (domain, (valence, amount) pairs, eps)
 LARGE_DROPS = {
     "ball-1:1-40": (make_ball(3, 1.0, RobinData(0.1, 40.0)), ((1, 1), (-1, 1)), 1e-3),
     "annulus-2:1-40": (make_annulus(2, 1.0, 2.0, RobinData(0.0, -40.0), RobinData(0.0, 20.0)),
