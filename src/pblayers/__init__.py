@@ -41,7 +41,6 @@ from .asymptotics import (
     ExpansionQuery,
     RegionChargeReport,
     charge_density,
-    decay_envelope,
     field_normal_component,
     maxwell_traction,
     potential,
@@ -53,7 +52,6 @@ from .radial_oracle import (
     band_charge_integral,
     compare_expansion,
     solve_radial_ccpb,
-    solve_radial_dirichlet,
     solve_radial_robin_pb,
 )
 

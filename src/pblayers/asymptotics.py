@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, InconsistentParams
+from .errors import ConfigError
 from .geometry import DomainSpec, RegionParams
 from .profiles import LayerBundle, profile_eval
 
@@ -205,25 +205,6 @@ def region_charge(
         model=bundle.model, k=k, eps=eps, beta=params.beta, T=T,
         region1=r1, region2=r2, sign=sign, terms=terms,
     )
-
-
-def decay_envelope(kind: str, m_prime: float, m_rate: float, *, t: float | None = None,
-                   eps: float | None = None, beta: float | None = None) -> float:
-    """Exponential bound M' exp(-M t) (Region II, per stretched depth t) or
-    M' exp(-M eps**(beta-1/2)) (Region III, per eps and beta)."""
-    if not (m_prime > 0 and m_rate > 0):
-        raise ConfigError("envelope constants must be positive")
-    if kind == "regionII":
-        if t is None or t < 0:
-            raise ConfigError("Region II envelope needs t >= 0")
-        return m_prime * math.exp(-m_rate * t)
-    if kind == "regionIII":
-        if eps is None or beta is None:
-            raise ConfigError("Region III envelope needs eps and beta")
-        if not 0 < beta < 0.5:
-            raise InconsistentParams("beta must lie in (0, 1/2)")
-        return m_prime * math.exp(-m_rate * eps ** (beta - 0.5))
-    raise ConfigError("kind must be 'regionII' or 'regionIII'")
 
 
 def grid_rows(q_template: ExpansionQuery, bundle: LayerBundle, ts):

@@ -303,6 +303,8 @@ def cmd_verify(cfg, out: Path) -> int:
     if T <= 0:
         raise ConfigError(f"verify.T must be positive, got {T!r}")
     beta = _number(region, "beta", "region") if "beta" in region else None
+    if beta is not None and not 0 < beta < 0.5:
+        raise ConfigError(f"region.beta must lie in (0, 1/2), got {beta!r}")
     flip = opts.get("flip_curvature", False)
     if not isinstance(flip, bool):
         raise ConfigError(f"verify.flip_curvature must be true or false, got {flip!r}")

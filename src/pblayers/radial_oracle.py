@@ -7,8 +7,7 @@ other bands once, and a Newton step adds f'(phi) to the diagonal of a copy
 and factors it with LAPACK's dgbsv.  Cell-centered conservative fluxes make
 the discrete divergence identity hold to solver tolerance.  Every boundary
 row is a Robin row (gamma = 0 is the Dirichlet limit), and the center of a
-ball is a symmetric flux row; the Dirichlet solver is the Robin solver on a
-ball with gamma = 0.
+ball is a symmetric flux row.
 
 Each solve builds its grid and assembled system once.  The nonlocal
 conserved-charge problem is an outer fixed point on the normalizer vector
@@ -25,10 +24,10 @@ scipy.linalg package itself is never imported here.
 
 Every result carries its bulk reference potential as phi_eps_star.
 
-Nothing here consults the asymptotic machinery: initial guesses are
+The solvers never consult the asymptotic machinery: initial guesses are
 constants, the linearized layer built from the oracle's own f'(phi*) and
-Robin data, or earlier oracle results, and all comparisons happen in
-compare_expansion.
+Robin data, or earlier oracle results.  Only compare_expansion does, to
+evaluate the expansion it compares the oracle with.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ from typing import Sequence
 import numpy as np
 from numpy.linalg import LinAlgError
 
+from . import asymptotics
 from .errors import (
     ConfigError,
     FixedPointStall,
@@ -54,7 +54,7 @@ from .errors import (
     RegionEmpty,
     SolverError,
 )
-from .geometry import DomainSpec, RegionParams, make_ball, unit_sphere_area
+from .geometry import DomainSpec, RegionParams, unit_sphere_area
 from .nonlinearity import (
     IonSpecies,
     Nonlinearity,
@@ -63,7 +63,7 @@ from .nonlinearity import (
     find_reference_potential,
 )
 from .numerics import write_csv
-from .profiles import LayerBundle, RobinData, profile_eval
+from .profiles import LayerBundle, RobinData
 
 NEWTON_TOL = 1e-10
 MAX_NEWTON = 80
@@ -480,14 +480,6 @@ def _radial_system(domain: DomainSpec, f: Nonlinearity | None, eps: float,
     )
 
 
-def _initial_on(initial, r):
-    """An initial guess on grid r: an array given on r, or an earlier result
-    sampled at r."""
-    if isinstance(initial, RadialSolveResult):
-        return initial.phi_at(r)
-    return np.asarray(initial, dtype=float)
-
-
 def _linearized_layers(system: _RadialSystem, f: Nonlinearity, phi_star: float):
     """phi* + sum_k A_k exp(-mu |r - r_k| / sqrt(eps)), with mu = sqrt(-f'(phi*))
     and A_k = (phi_bd,k - phi*) / (1 + gamma_k mu): the linearized Robin layer
@@ -528,21 +520,6 @@ def _boundary_data(domain: DomainSpec):
     return (
         tuple((c.robin.gamma, c.robin.phi_bd) for c in domain.components),
         tuple(c.radius for c in domain.components),
-    )
-
-
-def solve_radial_dirichlet(
-    f: Nonlinearity,
-    radius: float,
-    phi_bd: float,
-    eps: float,
-    d: int = 2,
-    initial=None,
-    **grid_opts,
-) -> RadialSolveResult:
-    """Dirichlet problem on the ball: the Robin problem with gamma = 0."""
-    return solve_radial_robin_pb(
-        make_ball(d, radius, RobinData(0.0, phi_bd)), f, eps, initial=initial, **grid_opts
     )
 
 
@@ -610,7 +587,12 @@ def solve_radial_ccpb(
     norms = np.full(len(species), domain.volume)
     # this start pins the sweep trajectory bit for bit (TestOneSolvePath and the
     # benchmark reference) until the reference is regenerated
-    phi = np.zeros(len(r)) if initial is None else _initial_on(initial, r)
+    if initial is None:
+        phi = np.zeros(len(r))
+    elif isinstance(initial, RadialSolveResult):
+        phi = initial.phi_at(r)
+    else:
+        phi = np.asarray(initial, dtype=float)
     history_x = []
     history_g = []
     total_newton = 0
@@ -681,10 +663,10 @@ class BoundaryErrors:
     e1: float
     e2: float
     field_err: float
-    envelope: tuple | None  # fitted (M', M) over Region II, or None
+    # max |phi - phi_eps_star| over the oracle nodes in Region II of this
+    # boundary and in Region III; None when the bands are not ordered
     region2_max_dev: float | None
     region3_max_dev: float | None
-    region3_bound_ok: bool | None
 
 
 @dataclass(frozen=True)
@@ -709,11 +691,8 @@ class ExpansionErrorReport:
                     "E1": b.e1,
                     "E2": b.e2,
                     "field_err": b.field_err,
-                    "envelope": None if b.envelope is None else
-                    {"m_prime": b.envelope[0], "m_rate": b.envelope[1]},
                     "region2_max_dev": b.region2_max_dev,
                     "region3_max_dev": b.region3_max_dev,
-                    "region3_bound_ok": b.region3_bound_ok,
                 }
                 for b in self.boundaries
             ],
@@ -737,64 +716,46 @@ def compare_expansion(
     beta: float | None = None,
 ) -> ExpansionErrorReport:
     """Sup errors of the one- and two-term expansions on the stretched grid,
-    plus Region II envelope fits when the band parameters are orderable."""
+    the expansion evaluated by asymptotics.  When the bands are ordered
+    (T sqrt(eps) < eps**beta), also the oracle's largest deviation from
+    phi_eps_star over its nodes in Region II of each boundary and in Region III."""
     eps = oracle.eps
     sq = math.sqrt(eps)
-    d = domain.dimension
     phi_ref = oracle.phi_eps_star
+    bands = RegionParams(eps, beta, T) if beta is not None and T * sq < eps**beta else None
+    r3_max = None
+    if bands is not None:
+        # Region III: distance to the full boundary beyond eps**beta
+        dist_all = np.min(
+            [c.depth_sign * (oracle.r - c.radius) for c in domain.components], axis=0
+        )
+        far = dist_all > bands.outer_width
+        if far.any():
+            r3_max = float(np.max(np.abs(oracle.phi[far] - phi_ref)))
     results = []
-    bands_ok = beta is not None and T * sq < eps**beta
     for comp, bundle in zip(domain.components, bundles):
         t, phi_or, coef_or = _stretched_samples(oracle, comp, T)
-        u, du = profile_eval(bundle.u, t)
-        v, dv = profile_eval(bundle.v, t)
-        hfac = (d - 1) * comp.mean_curvature
-        pred2 = u + sq * hfac * v
-        coef2 = du / sq + hfac * dv
-        if bundle.w is not None:
-            w, dw = profile_eval(bundle.w, t)
-            pred2 = pred2 + sq * w
-            coef2 = coef2 + dw
-        e1 = float(np.max(np.abs(phi_or - u)))
-        e2 = float(np.max(np.abs(phi_or - pred2))) / sq
-        field_err = float(np.max(np.abs(coef_or - coef2)))
-        envelope = None
-        r2_max = r3_max = None
-        r3_ok = None
-        if bands_ok:
-            t_hi = eps ** (beta - 0.5)
+        q = asymptotics.ExpansionQuery(comp.index, comp.mean_curvature, t, eps, 2,
+                                       domain.dimension)
+        layer = asymptotics._sample(q, bundle)
+        e1 = float(np.max(np.abs(phi_or - layer.u)))
+        e2 = float(np.max(np.abs(phi_or - asymptotics._potential(q, layer)))) / sq
+        field_err = float(np.max(np.abs(coef_or - asymptotics._field(q, layer))))
+        r2_max = None
+        if bands is not None:
             t_all = comp.depth_sign * (oracle.r - comp.radius) / sq
-            band = (t_all >= T) & (t_all <= t_hi)
+            band = (t_all >= T) & (t_all <= bands.stretched_outer)
             if not band.any():
                 raise RegionEmpty(f"no oracle nodes in Region II of component {comp.index}")
-            dev = np.abs(oracle.phi[band] - phi_ref)
-            tb = t_all[band]
-            keep = dev > 1e-250
-            if np.count_nonzero(keep) >= 4:
-                slope, _ = np.polyfit(tb[keep], np.log(dev[keep]), 1)
-                m_rate = max(-float(slope), 1e-12)
-            else:
-                m_rate = 1.0
-            m_prime = float(np.max(dev * np.exp(m_rate * tb)))
-            envelope = (m_prime, m_rate)
-            r2_max = float(np.max(dev))
-            # Region III: distance to the full boundary beyond eps**beta
-            dist_all = np.min(
-                [c.depth_sign * (oracle.r - c.radius) for c in domain.components], axis=0
-            )
-            far = dist_all > eps**beta
-            if far.any():
-                r3_max = float(np.max(np.abs(oracle.phi[far] - phi_ref)))
-                r3_ok = bool(r3_max <= m_prime * math.exp(-m_rate * t_hi) * (1 + 1e-9) + 1e-300)
+            r2_max = float(np.max(np.abs(oracle.phi[band] - phi_ref)))
         results.append(
             BoundaryErrors(
                 k=comp.index, e1=e1, e2=e2, field_err=field_err,
-                envelope=envelope, region2_max_dev=r2_max,
-                region3_max_dev=r3_max, region3_bound_ok=r3_ok,
+                region2_max_dev=r2_max, region3_max_dev=r3_max,
             )
         )
     return ExpansionErrorReport(
-        model=bundles[0].model, eps=eps, T=T, beta=beta if bands_ok else None,
+        model=bundles[0].model, eps=eps, T=T, beta=None if bands is None else beta,
         boundaries=tuple(results), phi_ref=float(phi_ref),
     )
 

@@ -20,7 +20,7 @@ from scipy.integrate import solve_bvp
 from pblayers.asymptotics import region_charge
 from pblayers.ccpb import ccpb_constants, solve_phi0
 from pblayers.cli import main as cli_main
-from pblayers.geometry import BoundaryComponent, DomainSpec, RegionParams
+from pblayers.geometry import BoundaryComponent, DomainSpec, RegionParams, make_disk
 from pblayers.nonlinearity import _exp_terms_nonlinearity
 from pblayers.profiles import (
     RobinData,
@@ -33,7 +33,7 @@ from pblayers.profiles import (
 from pblayers.radial_oracle import (
     band_charge_integral,
     compare_expansion,
-    solve_radial_dirichlet,
+    solve_radial_robin_pb,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -148,7 +148,7 @@ def test_criterion_05_ccpb_constants(annulus_domain, msalt):
 def test_criterion_06_dirichlet_oracle_bound(salt, eps):
     with criterion(6, f"radial Dirichlet bound at eps={eps:g}"):
         start = time.perf_counter()
-        res = solve_radial_dirichlet(salt, 1.0, 1.0, eps, d=2)
+        res = solve_radial_robin_pb(make_disk(1.0, RobinData(0.0, 1.0)), salt, eps)
         m_f = math.sqrt(2 * math.cosh(1.0))
         bound = 2.0 * np.exp(-m_f * (1.0 - res.r) / (8.0 * math.sqrt(eps)))
         assert np.all(np.abs(res.phi) <= bound + 1e-15)

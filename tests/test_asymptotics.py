@@ -7,7 +7,6 @@ import pytest
 from pblayers.asymptotics import (
     ExpansionQuery,
     charge_density,
-    decay_envelope,
     field_normal_component,
     grid_rows,
     maxwell_traction,
@@ -191,21 +190,6 @@ class TestRegionCharge:
             )
             total += rep.region1 + rep.region2
         assert abs(total) <= 1e-6 * eps
-
-
-class TestDecayEnvelope:
-    def test_trivials(self):
-        assert decay_envelope("regionII", 2.0, 1.5, t=0.0) == 2.0
-        near_half = decay_envelope("regionIII", 2.0, 1.5, eps=1e-8, beta=0.499999)
-        assert near_half == pytest.approx(2.0 * math.exp(-1.5), rel=1e-3)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            decay_envelope("regionII", -1.0, 1.0, t=0.0)
-        with pytest.raises(ConfigError):
-            decay_envelope("regionII", 1.0, 1.0)
-        with pytest.raises(ConfigError):
-            decay_envelope("elsewhere", 1.0, 1.0, t=0.0)
 
 
 class TestQueryValidation:

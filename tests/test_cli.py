@@ -337,6 +337,13 @@ def test_readme_example_config_runs(tmp_path):
         pytest.param("verify", PB_BASE, "verify", {"T": 0}, "T", id="verify-T-zero"),
         pytest.param("verify", PB_BASE, "region", {"T": 0.0, "beta": 0.25}, "T",
                      id="verify-region-T-zero"),
+        # beta outside (0, 1/2), which expand rejects through RegionParams; T is
+        # small enough that the bands would be ordered
+        *(
+            pytest.param("verify", PB_BASE, "region", {"T": 0.01, "beta": beta}, "beta",
+                         id=f"verify-region-beta-{beta}")
+            for beta in (0.0, 0.5, 0.7)
+        ),
         pytest.param("oracle", PB_BASE, "oracle", {"points_per_layer": 0}, "points_per_layer",
                      id="oracle-points_per_layer-zero"),
         pytest.param("oracle", PB_BASE, "oracle", {"layer_widths": 0}, "layer_widths",

@@ -14,12 +14,14 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import LinAlgError, solve_banded
 
 from pblayers import radial_oracle
+from pblayers.asymptotics import ExpansionQuery, field_normal_component, potential
 from pblayers.errors import ConfigError, GridTooCoarse, NonFiniteOutput, RegionEmpty
 from pblayers.geometry import RegionParams, make_annulus, make_ball, make_disk, unit_sphere_area
 from pblayers.nonlinearity import IonSpecies
 from pblayers.profiles import LayerBundle, RobinData
 from pblayers.radial_oracle import (
     GRID_GROWTH,
+    STRETCHED_SAMPLES,
     _one_sided_coeffs,
     _radial_system,
     _cubic_eval,
@@ -29,7 +31,6 @@ from pblayers.radial_oracle import (
     compare_expansion,
     graded_radial_grid,
     solve_radial_ccpb,
-    solve_radial_dirichlet,
     solve_radial_robin_pb,
 )
 
@@ -98,47 +99,39 @@ def test_grid_offsets_match_node_by_node_loop(monkeypatch, shape, eps, points_pe
 
 class TestDirichlet:
     def test_trivial_boundary_value(self, salt):
-        res = solve_radial_dirichlet(salt, 1.0, 0.0, 1e-3)
+        res = solve_radial_robin_pb(make_disk(1.0, RobinData(0.0, 0.0)), salt, 1e-3)
         assert res.newton_iters == 0
         assert np.max(np.abs(res.phi)) == 0.0
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-4])
     def test_exponential_bound(self, salt, eps):
-        res = solve_radial_dirichlet(salt, 1.0, 1.0, eps)
+        res = solve_radial_robin_pb(make_disk(1.0, RobinData(0.0, 1.0)), salt, eps)
         m_f = math.sqrt(2 * math.cosh(1.0))
         bound = 2.0 * np.exp(-m_f * (1.0 - res.r) / (8 * math.sqrt(eps)))
         assert np.all(np.abs(res.phi) <= bound + 1e-15)
 
     def test_monotone_both_signs(self, salt):
-        up = solve_radial_dirichlet(salt, 1.0, 1.0, 1e-3)
+        up = solve_radial_robin_pb(make_disk(1.0, RobinData(0.0, 1.0)), salt, 1e-3)
         assert np.all(np.diff(up.phi) >= 0)
-        dn = solve_radial_dirichlet(salt, 1.0, -1.0, 1e-3)
+        dn = solve_radial_robin_pb(make_disk(1.0, RobinData(0.0, -1.0)), salt, 1e-3)
         assert np.all(np.diff(dn.phi) <= 0)
 
     def test_grid_refinement_second_order(self, salt):
         rr = np.linspace(0.9, 1.0, 401)
-        sols = [
-            solve_radial_dirichlet(salt, 1.0, 1.0, 1e-3, points_per_layer=p)
-            for p in (200, 400, 800)
-        ]
+        dom = make_disk(1.0, RobinData(0.0, 1.0))
+        sols = [solve_radial_robin_pb(dom, salt, 1e-3, points_per_layer=p) for p in (200, 400, 800)]
         e_coarse = np.max(np.abs(sols[0].phi_at(rr) - sols[2].phi_at(rr)))
         e_fine = np.max(np.abs(sols[1].phi_at(rr) - sols[2].phi_at(rr)))
         assert 3.0 <= e_coarse / e_fine <= 7.0
 
     def test_residual_and_conservation(self, salt):
-        res = solve_radial_dirichlet(salt, 1.0, 1.0, 1e-3)
+        res = solve_radial_robin_pb(make_disk(1.0, RobinData(0.0, 1.0)), salt, 1e-3)
         scale = 1.0 + 2 * math.sinh(1.0)
         assert res.residual_norm <= 1e-9 * scale
         assert res.conservation_residual <= 1e-9
 
 
 class TestRobin:
-    def test_gamma_zero_equals_dirichlet(self, salt):
-        dom = make_disk(1.0, RobinData(0.0, 1.0))
-        robin = solve_radial_robin_pb(dom, salt, 1e-3)
-        diri = solve_radial_dirichlet(salt, 1.0, 1.0, 1e-3)
-        assert np.max(np.abs(robin.phi - diri.phi)) <= 1e-10
-
     def test_large_gamma_suppresses_boundary_value(self, salt):
         values = []
         for g in (0.1, 1.0, 10.0):
@@ -180,16 +173,37 @@ class TestComparison:
         assert fe[0] > fe[1] > fe[2]
         assert e2[2] <= 0.5 * e2[0]
 
-    def test_envelope_fit_bounds_all_grid_points(self, pb_disk_sweep, pb_disk_domain, std_bundle):
+    def test_band_deviations_are_node_maxima(self, pb_disk_sweep, pb_disk_domain, std_bundle):
+        # Region II: stretched depth in [T, eps**(beta - 1/2)] = [5, 10];
+        # Region III: depth beyond eps**beta = 0.1
         res = pb_disk_sweep[1e-4]
         rep = compare_expansion(res, pb_disk_domain, [std_bundle], T=5.0, beta=0.25)
         b = rep.boundaries[0]
-        m_prime, m_rate = b.envelope
-        t_all = (1.0 - res.r) / math.sqrt(1e-4)
-        band = (t_all >= 5.0) & (t_all <= 10.0)
-        dev = np.abs(res.phi[band])
-        assert np.all(dev <= m_prime * np.exp(-m_rate * t_all[band]) * (1 + 1e-9))
-        assert b.region3_bound_ok
+        depth = 1.0 - res.r
+        dev = np.abs(res.phi - res.phi_eps_star)
+        t = depth / math.sqrt(1e-4)
+        band = (t >= 5.0) & (t <= 1e-4 ** (0.25 - 0.5))
+        assert band.sum() > 100
+        assert b.region2_max_dev == np.max(dev[band])
+        assert b.region3_max_dev == np.max(dev[depth > 1e-4 ** 0.25])
+        assert rep.to_json_dict()["boundaries"][0].keys() == {
+            "k", "E1", "E2", "field_err", "region2_max_dev", "region3_max_dev"}
+
+    def test_errors_are_maxima_of_the_public_evaluators(
+        self, ccpb_sweep, annulus_domain, annulus_constants
+    ):
+        eps = 1e-3
+        res = ccpb_sweep[eps]
+        rep = compare_expansion(res, annulus_domain, annulus_constants.profiles, T=5.0)
+        t = np.linspace(0.0, 5.0, STRETCHED_SAMPLES)
+        for comp, bundle, b in zip(annulus_domain.components, annulus_constants.profiles,
+                                   rep.boundaries):
+            rs = comp.radius + comp.depth_sign * (t * math.sqrt(eps))
+            phi, coef = res.phi_at(rs), comp.depth_sign * res.dphi_at(rs)
+            q = ExpansionQuery(comp.index, comp.mean_curvature, t, eps, 2, 2)
+            assert b.e1 == np.max(np.abs(phi - potential(replace(q, order=1), bundle)))
+            assert b.e2 == np.max(np.abs(phi - potential(q, bundle))) / math.sqrt(eps)
+            assert b.field_err == np.max(np.abs(coef - field_normal_component(q, bundle)))
 
     def test_trivial_configuration_zero_errors(self, salt):
         dom = make_disk(1.0, RobinData(0.1, 0.0))
