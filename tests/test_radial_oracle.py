@@ -119,7 +119,9 @@ class TestDirichlet:
     def test_grid_refinement_second_order(self, salt):
         rr = np.linspace(0.9, 1.0, 401)
         dom = make_disk(1.0, RobinData(0.0, 1.0))
-        sols = [solve_radial_robin_pb(dom, salt, 1e-3, points_per_layer=p) for p in (200, 400, 800)]
+        sols = [
+            solve_radial_robin_pb(dom, salt, 1e-3, points_per_layer=p) for p in (200, 400, 800)
+        ]
         e_coarse = np.max(np.abs(sols[0].phi_at(rr) - sols[2].phi_at(rr)))
         e_fine = np.max(np.abs(sols[1].phi_at(rr) - sols[2].phi_at(rr)))
         assert 3.0 <= e_coarse / e_fine <= 7.0
