@@ -3,16 +3,7 @@ Robin boundary conditions, with a brute-force radial oracle for
 verification."""
 
 from .ccpb import CcpbConstants, bulk_expansion, ccpb_constants, compute_mhat, compute_q, solve_phi0
-from .geometry import (
-    BoundaryComponent,
-    DomainSpec,
-    RegionParams,
-    classify_point,
-    make_annulus,
-    make_ball,
-    make_disk,
-    steiner_factor,
-)
+from .geometry import BoundaryComponent, DomainSpec, RegionParams, make_annulus, make_ball, make_disk
 from .nonlinearity import (
     IonSpecies,
     Nonlinearity,

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BracketFailure, ConfigError, DegenerateDenominator
+from .errors import ConfigError, DegenerateDenominator
 from .geometry import DomainSpec
 from .nonlinearity import (
     IonSpecies,
@@ -123,13 +123,9 @@ def solve_phi0(domain: DomainSpec, species: Sequence[IonSpecies]) -> float:
     span = hi - lo
     a = lo + 1e-12 * span
     b = hi - 1e-12 * span
-    ra = _flux_sum(domain, species, a)
-    rb = _flux_sum(domain, species, b)
-    if not (ra < 0 < rb):
-        raise BracketFailure(
-            f"flux sum does not change sign on ({lo}, {hi}): R({a})={ra:.3e}, R({b})={rb:.3e}"
-        )
-    return brent_root(lambda s: _flux_sum(domain, species, s), a, b, PHI0_TOL, PHI0_TOL)
+    return brent_root(
+        lambda s: _flux_sum(domain, species, s), a, b, PHI0_TOL, PHI0_TOL, "the flux sum"
+    )
 
 
 def layer_excess_integrals(u: ULayer, zs: Sequence[float]):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import asymptotics
 from .ccpb import CcpbConstants, ccpb_constants
-from .errors import ConfigError, PBLayersError, SolverError
+from .errors import ConfigError, InconsistentParams, PBLayersError, SolverError
 from .geometry import DomainSpec, RegionParams, make_annulus, make_ball, make_disk
 from .nonlinearity import IonSpecies, Nonlinearity, make_classical_pb
 from .numerics import write_csv
@@ -193,9 +193,7 @@ class _Model(NamedTuple):
     constants: CcpbConstants | None
 
 
-def _build_model(cfg) -> _Model:
-    species = _species(cfg)
-    domain = _domain(cfg)
+def _build_model(cfg, species, domain) -> _Model:
     if cfg["model"] == "pb":
         f = make_classical_pb(species)
         return _Model(domain, species, f, _pb_bundles(domain, f, cfg), None)
@@ -209,7 +207,7 @@ def _build_model(cfg) -> _Model:
 
 
 def cmd_profiles(cfg, out: Path) -> int:
-    model = _build_model(cfg)
+    model = _build_model(cfg, _species(cfg), _domain(cfg))
     meta = {"config": cfg, "boundaries": []}
     for k, bundle in enumerate(model.bundles):
         entry = {"k": k}
@@ -251,7 +249,7 @@ def cmd_expand(cfg, out: Path) -> int:
             for k, comp in enumerate(domain.components)
         ]
         plan.append((eps, queries, _region_params(cfg, eps)))
-    bundles = _build_model(cfg).bundles
+    bundles = _build_model(cfg, _species(cfg), domain).bundles
     for eps, queries, params in plan:
         tag = _eps_tag(eps)
         for k, (q, bundle) in enumerate(zip(queries, bundles)):
@@ -303,17 +301,25 @@ def cmd_verify(cfg, out: Path) -> int:
     if T <= 0:
         raise ConfigError(f"verify.T must be positive, got {T!r}")
     beta = _number(region, "beta", "region") if "beta" in region else None
-    if beta is not None and not 0 < beta < 0.5:
-        raise ConfigError(f"region.beta must lie in (0, 1/2), got {beta!r}")
     flip = opts.get("flip_curvature", False)
     if not isinstance(flip, bool):
         raise ConfigError(f"verify.flip_curvature must be true or false, got {flip!r}")
-    model = _build_model(cfg)
-    domain = model.domain
+    species, domain = _species(cfg), _domain(cfg)
     eps_list = sorted(_eps_list(cfg), reverse=True)
+    # eps**beta / (T sqrt(eps)) grows as eps falls, so bands unordered at the
+    # smallest eps are unordered at every eps: a config error.  At a larger
+    # eps, unordered bands only drop the band deviations from the report.
+    bands = [None] * len(eps_list)
+    for i, eps in enumerate(eps_list if beta is not None else ()):
+        try:
+            bands[i] = RegionParams(eps, beta, T)
+        except InconsistentParams:
+            if eps == eps_list[-1]:
+                raise
     if len(set(eps_list)) < 2:
         # the E2 checks compare the largest eps with the smallest
         raise ConfigError(f"verify needs at least two distinct eps values, got {eps_list}")
+    model = _build_model(cfg, species, domain)
     if flip:
         # negative control: corrupt the curvature sign in the expansion side
         from dataclasses import replace
@@ -329,10 +335,10 @@ def cmd_verify(cfg, out: Path) -> int:
     sweep = []
     neutrality_scale = sum(abs(s.amount * s.z) for s in model.species)
     res = None
-    for eps in eps_list:
+    for eps, eps_bands in zip(eps_list, bands):
         # continuation: warm-start from the previous (larger) eps solve
         res = _solve_oracle(cfg, domain, model.species, model.f, eps, initial=res)
-        rep = compare_expansion(res, domain, model.bundles, T=T, beta=beta)
+        rep = compare_expansion(res, domain, model.bundles, T, eps_bands)
         entry = {"eps": eps, "report": rep.to_json_dict()}
         if cfg["model"] == "ccpb":
             entry["neutrality_rel"] = abs(res.neutrality) / neutrality_scale

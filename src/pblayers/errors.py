@@ -54,16 +54,8 @@ class NonDecreasingDetected(SolverError):
 
 # --- profiles ---------------------------------------------------------------
 
-class RootBracketFailure(SolverError):
-    """The boundary-value compatibility equation could not be bracketed."""
-
-
 class DegenerateTimeMap(SolverError):
     """The time map of u is not finite and strictly increasing (|u'| vanished)."""
-
-
-class DenominatorNearZero(SolverError):
-    """u'(0) + gamma*f(u(0)) vanished; impossible for valid inputs."""
 
 
 class NegativeTime(ConfigError):
@@ -94,12 +86,9 @@ class AllBoundaryPotentialsEqual(ConfigError):
     """The conserved-charge constants need not-all-equal boundary potentials."""
 
 
-class BracketFailure(SolverError):
-    """The bulk-potential scan found no sign change."""
-
-
 class DegenerateDenominator(SolverError):
-    """The denominator of the drift-constant quotient vanished."""
+    """A denominator of the drift constant vanished: a layer's
+    u'(0) + gamma*f(u(0)), or the boundary sum of the quotient."""
 
 
 # --- asymptotics ------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Admissible domains: an outer shell minus separated holes.
 
 Builders cover disks, balls and spherical annuli with analytic volume,
-surface areas and mean curvature.  The curvature sign convention follows the
-distance function: the Laplacian of dist(x, boundary k) approaches
--(d-1) H at that boundary, which makes H = 1/R on a sphere of radius R seen
-from inside and H = -1/a on a spherical hole of radius a.
+surface areas and mean curvature; RegionParams splits a domain into its
+three bands by distance from the boundary.  The curvature sign convention
+follows the distance function: the Laplacian of dist(x, boundary k)
+approaches -(d-1) H at that boundary, which makes H = 1/R on a sphere of
+radius R seen from inside and H = -1/a on a spherical hole of radius a.
 """
 
 from __future__ import annotations
@@ -12,12 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import AllBoundaryPotentialsEqual, BadRadii, ConfigError, InconsistentParams
 from .profiles import RobinData
-
-REGION_I = "I"
-REGION_II = "II"
-REGION_III = "III"
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ class RegionParams:
         if not self.eps > 0:
             raise ConfigError("eps must be positive")
         if not 0 < self.beta < 0.5:
-            raise ConfigError("beta must lie in (0, 1/2)")
+            raise ConfigError(f"beta must lie in (0, 1/2), got {self.beta!r}")
         if not self.T > 0:
             raise ConfigError("T must be positive")
         if self.inner_width >= self.outer_width:
@@ -104,6 +103,19 @@ class RegionParams:
     def stretched_outer(self) -> float:
         """Region II upper limit in the stretched coordinate, eps**(beta-1/2)."""
         return self.eps ** (self.beta - 0.5)
+
+    def band(self, distance):
+        """Region (1, 2 or 3) of each point at the given distance from a
+        boundary: Region I below T sqrt(eps), Region II up to and including
+        eps**beta, Region III beyond."""
+        distance = np.asarray(distance, dtype=float)
+        return 1 + (distance >= self.inner_width) + (distance > self.outer_width)
+
+    def depths(self, band: int) -> tuple[float, float]:
+        """Depth range [lo, hi] of Region I (band 1) or Region II (band 2)."""
+        if band not in (1, 2):
+            raise ConfigError(f"band must be 1 or 2, got {band!r}")
+        return (0.0, self.inner_width) if band == 1 else (self.inner_width, self.outer_width)
 
 
 def _ball_volume(d: int, r: float) -> float:
@@ -167,31 +179,3 @@ def make_annulus(
         volume=_ball_volume(d, outer_radius) - _ball_volume(d, inner_radius),
         components=(outer, inner),
     )
-
-
-def classify_point(
-    domain: DomainSpec, k: int, distance: float, params: RegionParams
-) -> str:
-    """Region of a point at the given distance from boundary component k.
-
-    Region I: distance < T sqrt(eps); Region II: up to and including
-    eps**beta; Region III: beyond.  The distance is to component k; Region
-    III additionally presumes it is the distance to the full boundary.
-    """
-    if k < 0 or k >= len(domain.components):
-        raise ConfigError(f"no boundary component {k}")
-    if distance < 0:
-        raise ConfigError("distance must be >= 0")
-    if distance < params.inner_width:
-        return REGION_I
-    if distance <= params.outer_width:
-        return REGION_II
-    return REGION_III
-
-
-def steiner_factor(h: float, t: float, eps: float, d: int) -> float:
-    """Leading-order area ratio of the surface parallel at depth t sqrt(eps):
-    1 - t sqrt(eps) (d-1) H."""
-    if t < 0:
-        raise ConfigError("t must be >= 0")
-    return 1.0 - t * math.sqrt(eps) * (d - 1) * h

@@ -131,12 +131,13 @@ def bisect_root(left_of_root, lo: float, hi: float, rtol: float) -> float:
 # Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
 # All rights reserved.  Used under the BSD 3-Clause License, whose conditions
 # and disclaimer are in LICENSES/SciPy-BSD-3-Clause.txt of this repository.
-def brent_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
+def brent_root(f, a: float, b: float, xtol: float, rtol: float, what: str = "f") -> float:
     """Root of f between a and b by Brent's method, operation for operation
     SciPy's brentq: the same evaluation points and bits.  Stops when f is 0
     or half the bracket is below (xtol + rtol |x|) / 2.  Raises
-    NaNFunctionValue on a NaN value of f, NoSignChange when f(a) and f(b)
-    share a sign, RootNotConverged after BRENT_MAXITER iterations."""
+    NaNFunctionValue on a NaN value of f, NoSignChange (naming f `what`) when
+    f(a) and f(b) share a sign, RootNotConverged after BRENT_MAXITER
+    iterations."""
 
     def fn(x):
         fx = float(f(x))
@@ -154,7 +155,9 @@ def brent_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
     if fcur == 0:
         return xcur
     if (fpre < 0) == (fcur < 0):
-        raise NoSignChange(f"f({xpre!r}) = {fpre!r} and f({xcur!r}) = {fcur!r} share a sign")
+        raise NoSignChange(
+            f"{what} does not change sign on [{xpre!r}, {xcur!r}]: {fpre!r} and {fcur!r}"
+        )
     for _ in range(BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre

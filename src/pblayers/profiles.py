@@ -51,13 +51,12 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DegenerateDenominator,
     DegenerateTimeMap,
-    DenominatorNearZero,
     GridTooCoarse,
     MismatchedReference,
     ModelProfileMismatch,
     NegativeTime,
-    RootBracketFailure,
 )
 from .nonlinearity import _ExpSum, _Expm1Sum, Nonlinearity, decay_rate, find_reference_potential
 from .numerics import (
@@ -306,17 +305,8 @@ def boundary_potential(f: Nonlinearity, robin: RobinData) -> float:
         return phi_bd - x + robin.gamma * boundary_slope(f, phi_star, phi_bd, x)
 
     lo, hi = (phi_star, phi_bd) if phi_bd > phi_star else (phi_bd, phi_star)
-    glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if glo * ghi > 0:
-        raise RootBracketFailure(
-            f"no sign change for the boundary value on [{lo}, {hi}]"
-        )
     # g is strictly decreasing between phi* and phi_bd
-    return brent_root(g, lo, hi, BOUNDARY_RTOL, BOUNDARY_RTOL)
+    return brent_root(g, lo, hi, BOUNDARY_RTOL, BOUNDARY_RTOL, "the boundary-value equation")
 
 
 def _from_delta(fn, phi_star, delta):
@@ -452,7 +442,7 @@ def _denominator(u: ULayer) -> float:
     """u'(0) + gamma f(u(0)), with u's own gamma and density."""
     d = u.u0_prime + u.robin.gamma * float(u.density.f(u.u0))
     if abs(d) <= 1e-300:
-        raise DenominatorNearZero("u'(0) + gamma f(u(0)) vanished")
+        raise DegenerateDenominator("u'(0) + gamma f(u(0)) vanished")
     return d
 
 

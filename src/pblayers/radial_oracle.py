@@ -713,27 +713,26 @@ def compare_expansion(
     domain: DomainSpec,
     bundles: Sequence[LayerBundle],
     T: float,
-    beta: float | None = None,
+    bands: RegionParams | None = None,
 ) -> ExpansionErrorReport:
     """Sup errors of the one- and two-term expansions on the stretched grid,
-    the expansion evaluated by asymptotics.  When the bands are ordered
-    (T sqrt(eps) < eps**beta), also the oracle's largest deviation from
-    phi_eps_star over its nodes in Region II of each boundary and in Region III."""
+    the expansion evaluated by asymptotics.  Given bands at the oracle's eps
+    and this T, also the oracle's largest deviation from phi_eps_star over
+    its nodes in Region II of each boundary and in Region III."""
     eps = oracle.eps
     sq = math.sqrt(eps)
     phi_ref = oracle.phi_eps_star
-    bands = RegionParams(eps, beta, T) if beta is not None and T * sq < eps**beta else None
+    if bands is not None and (bands.eps, bands.T) != (eps, T):
+        raise ConfigError(f"bands at (eps, T) = {(bands.eps, bands.T)}, oracle at {(eps, T)}")
+    depths = [c.depth_sign * (oracle.r - c.radius) for c in domain.components]
     r3_max = None
     if bands is not None:
         # Region III: distance to the full boundary beyond eps**beta
-        dist_all = np.min(
-            [c.depth_sign * (oracle.r - c.radius) for c in domain.components], axis=0
-        )
-        far = dist_all > bands.outer_width
+        far = bands.band(np.min(depths, axis=0)) == 3
         if far.any():
             r3_max = float(np.max(np.abs(oracle.phi[far] - phi_ref)))
     results = []
-    for comp, bundle in zip(domain.components, bundles):
+    for comp, bundle, depth in zip(domain.components, bundles, depths):
         t, phi_or, coef_or = _stretched_samples(oracle, comp, T)
         q = asymptotics.ExpansionQuery(comp.index, comp.mean_curvature, t, eps, 2,
                                        domain.dimension)
@@ -743,8 +742,7 @@ def compare_expansion(
         field_err = float(np.max(np.abs(coef_or - asymptotics._field(q, layer))))
         r2_max = None
         if bands is not None:
-            t_all = comp.depth_sign * (oracle.r - comp.radius) / sq
-            band = (t_all >= T) & (t_all <= bands.stretched_outer)
+            band = bands.band(depth) == 2
             if not band.any():
                 raise RegionEmpty(f"no oracle nodes in Region II of component {comp.index}")
             r2_max = float(np.max(np.abs(oracle.phi[band] - phi_ref)))
@@ -755,7 +753,7 @@ def compare_expansion(
             )
         )
     return ExpansionErrorReport(
-        model=bundles[0].model, eps=eps, T=T, beta=None if bands is None else beta,
+        model=bundles[0].model, eps=eps, T=T, beta=None if bands is None else bands.beta,
         boundaries=tuple(results), phi_ref=float(phi_ref),
     )
 
@@ -766,14 +764,14 @@ def band_charge_integral(
     k: int,
     f: Nonlinearity,
     params: RegionParams,
-    region: str,
+    band: int,
 ) -> float:
-    """Oracle-side total charge in Region I or II of component k: the exact
-    integral over the band of the not-a-knot cubic through f(phi) r^{d-1}."""
+    """Oracle-side total charge in Region I (band 1) or II (band 2) of
+    component k: the exact integral over the band of the not-a-knot cubic
+    through f(phi) r^{d-1}."""
     comp = domain.components[k]
     d = domain.dimension
-    depths = {"I": (0.0, params.inner_width), "II": (params.inner_width, params.outer_width)}
-    lo, hi = sorted(comp.radius + comp.depth_sign * s for s in depths[region])
+    lo, hi = sorted(comp.radius + comp.depth_sign * s for s in params.depths(band))
     r = oracle.r
     c0, c1, c2, c3 = _not_a_knot(r, np.asarray(f.f(oracle.phi), dtype=float) * r ** (d - 1))
     def area(i, h):  # integral of panel i's cubic over [r_i, r_i + h]

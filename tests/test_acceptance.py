@@ -161,8 +161,7 @@ def test_criterion_07_pb_convergence(pb_disk_sweep, pb_disk_domain, std_bundle):
         e1, e2, fe = [], [], []
         for eps in (1e-2, 1e-3, 1e-4):
             rep = compare_expansion(
-                pb_disk_sweep[eps], pb_disk_domain, [std_bundle],
-                T=5.0, beta=0.25,
+                pb_disk_sweep[eps], pb_disk_domain, [std_bundle], T=5.0,
             )
             b = rep.boundaries[0]
             e1.append(b.e1)
@@ -207,7 +206,7 @@ def test_criterion_09_region_charges(
         params_pb = RegionParams(eps=eps, beta=0.25, T=5.0)
         rep = region_charge(pb_disk_domain, 0, params_pb, std_bundle)
         oracle = pb_disk_sweep[eps]
-        for reg, formula in (("I", rep.region1), ("II", rep.region2)):
+        for reg, formula in ((1, rep.region1), (2, rep.region2)):
             val = band_charge_integral(oracle, pb_disk_domain, 0, salt, params_pb, reg)
             assert abs(val - formula) <= 0.1 * eps
         assert rep.region1 < 0 and rep.region2 < 0  # phi_bd > reference
@@ -221,7 +220,7 @@ def test_criterion_09_region_charges(
             rep_k = region_charge(
                 annulus_domain, k, params_cc, annulus_constants.profiles[k]
             )
-            for reg, formula in (("I", rep_k.region1), ("II", rep_k.region2)):
+            for reg, formula in ((1, rep_k.region1), (2, rep_k.region2)):
                 val = band_charge_integral(oc, annulus_domain, k, f_eps, params_cc, reg)
                 assert abs(val - formula) <= 0.1 * eps
             assert math.copysign(1, rep_k.region1) == expected_sign

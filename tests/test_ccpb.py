@@ -12,7 +12,12 @@ from pblayers.ccpb import (
     layer_excess_integrals,
     solve_phi0,
 )
-from pblayers.errors import AllBoundaryPotentialsEqual, ConfigError, NeutralityViolated
+from pblayers.errors import (
+    AllBoundaryPotentialsEqual,
+    ConfigError,
+    NeutralityViolated,
+    NoSignChange,
+)
 from pblayers.geometry import BoundaryComponent, DomainSpec, make_annulus
 from pblayers.nonlinearity import IonSpecies
 from pblayers import ccpb, nonlinearity
@@ -90,6 +95,20 @@ class TestBulkPotential:
         monkeypatch.setattr(ccpb, "_flux_sum", counting)
         solve_phi0(annulus_domain, msalt)
         assert len(calls) <= 16
+
+    def test_flux_sum_without_sign_change(self, annulus_domain, msalt, monkeypatch):
+        # brent_root's bracket check is the only one: two flux sums at the
+        # bracket ends, then NoSignChange naming the flux sum
+        calls = []
+
+        def positive(*args):
+            calls.append(args[2])
+            return 1.0 + abs(_flux_sum(*args))
+
+        monkeypatch.setattr(ccpb, "_flux_sum", positive)
+        with pytest.raises(NoSignChange, match="flux sum"):
+            solve_phi0(annulus_domain, msalt)
+        assert len(calls) == 2
 
     def test_antiderivative_evaluations(self, annulus_domain, msalt, monkeypatch):
         # both roots by Brent's method: nested bisections took 5,377 scalar

@@ -209,6 +209,26 @@ class TestVerifyCommand:
         assert mismatch == [] and errors == []
 
 
+    def test_bands_unordered_at_smallest_eps_rejected(self, tmp_path, capsys):
+        # T sqrt(eps) = 0.05 exceeds eps**beta = 0.025 at eps = 1e-4, so at
+        # every eps: exit 2 before any solve
+        cfg = write_cfg(tmp_path, dict(PB_BASE, grid={"n_nodes": 2001}, eps=[1e-2, 1e-3, 1e-4],
+                                       region={"T": 5.0, "beta": 0.4}))
+        out = tmp_path / "out"
+        assert run("verify", cfg, out) == 2
+        assert "eps**beta" in json.loads(capsys.readouterr().err)["message"]
+        assert not (out / "verify_summary.json").exists()
+        # beta = 0.25 orders the bands at eps 1e-3 and 1e-4 but not at 1e-2,
+        # whose report carries no beta and no band deviations
+        cfg = write_cfg(tmp_path, dict(PB_BASE, grid={"n_nodes": 2001}, eps=[1e-2, 1e-3, 1e-4],
+                                       region={"T": 5.0, "beta": 0.25}))
+        assert run("verify", cfg, out) == 0
+        sweep = json.loads((out / "verify_summary.json").read_text())["sweep"]
+        assert [e["report"]["beta"] for e in sweep] == [None, 0.25, 0.25]
+        assert sweep[0]["report"]["boundaries"][0]["region2_max_dev"] is None
+        assert sweep[2]["report"]["boundaries"][0]["region2_max_dev"] is not None
+
+
 class TestFiguresCommand:
     def test_sign_corrected_curves(self, tmp_path):
         cfg = write_cfg(tmp_path, dict(PB_BASE, grid={"n_nodes": 2001}, figures={"preset": "both"}))

@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pblayers.errors import BadRadii, ConfigError, InconsistentParams
-from pblayers.geometry import (
-    RegionParams,
-    classify_point,
-    make_annulus,
-    make_ball,
-    make_disk,
-    steiner_factor,
-)
+from pblayers.geometry import RegionParams, make_annulus, make_ball, make_disk
 from pblayers.profiles import RobinData
 
 
@@ -51,18 +44,6 @@ class TestBuilders:
         with pytest.raises(BadRadii):
             make_ball(2, -1.0)
 
-    def test_steiner_tube_recovers_planar_volume(self):
-        # in d = 2 the parallel-curve length is exact: integrate the factor
-        # across the annulus gap and recover the area
-        dom = make_annulus(2, 1.0, 2.0)
-        outer = dom.components[0]
-        eps = 1e-4
-        depths = np.linspace(0.0, 1.0, 20001)  # physical distance inward from R
-        lengths = outer.surface_area * np.array(
-            [steiner_factor(outer.mean_curvature, s / math.sqrt(eps), eps, 2) for s in depths]
-        )
-        assert np.trapezoid(lengths, depths) == pytest.approx(dom.volume, rel=1e-8)
-
 
 class TestRegions:
     def test_params_validation(self):
@@ -72,54 +53,45 @@ class TestRegions:
             RegionParams(eps=1e-4, beta=0.7, T=1.0)
 
     def test_classification_examples(self):
-        dom = make_disk(1.0)
         params = RegionParams(eps=1e-4, beta=0.25, T=5.0)
-        assert classify_point(dom, 0, 0.0, params) == "I"
-        assert classify_point(dom, 0, params.outer_width, params) == "II"
-        assert classify_point(dom, 0, 0.2, params) == "III"  # 0.2 > 1e-1
+        assert params.band(0.0) == 1
+        assert params.band(params.outer_width) == 2
+        assert params.band(0.2) == 3  # 0.2 > 1e-1
 
     def test_band_edges(self):
-        dom = make_disk(1.0)
         params = RegionParams(eps=1e-4, beta=0.25, T=5.0)
-        assert classify_point(dom, 0, params.inner_width, params) == "II"
+        assert params.band(params.inner_width) == 2
         w = params.inner_width
-        assert classify_point(dom, 0, w * (1 - 1e-12), params) == "I"
+        assert params.band(w * (1 - 1e-12)) == 1
+        assert params.band(np.nextafter(params.outer_width, 1.0)) == 3
+
+    def test_band_depths(self):
+        params = RegionParams(eps=1e-4, beta=0.25, T=5.0)
+        assert params.depths(1) == (0.0, params.inner_width)
+        assert params.depths(2) == (params.inner_width, params.outer_width)
+        for band in (0, 3):
+            with pytest.raises(ConfigError):
+                params.depths(band)
 
     def test_stretched_outer_limit(self):
         params = RegionParams(eps=1e-4, beta=0.25, T=5.0)
         assert params.stretched_outer == pytest.approx(10.0)
 
-    @given(st.floats(0, 1e3), st.floats(1e-8, 1e-2), st.floats(0.05, 0.45), st.floats(0.1, 10.0))
+    @given(st.lists(st.floats(0, 1e3), min_size=1, max_size=20), st.floats(1e-8, 1e-2),
+           st.floats(0.05, 0.45), st.floats(0.1, 10.0))
     @settings(max_examples=150, deadline=None)
-    def test_partition(self, dist, eps, beta, T):
+    def test_partition(self, dists, eps, beta, T):
         try:
             params = RegionParams(eps=eps, beta=beta, T=T)
         except InconsistentParams:
             return
-        dom = make_disk(1.0)
-        region = classify_point(dom, 0, dist, params)
-        if dist < params.inner_width:
-            assert region == "I"
-        elif dist <= params.outer_width:
-            assert region == "II"
-        else:
-            assert region == "III"
-
-    def test_bad_component(self):
-        dom = make_disk(1.0)
-        params = RegionParams(eps=1e-4, beta=0.25, T=5.0)
-        with pytest.raises(ConfigError):
-            classify_point(dom, 3, 0.0, params)
-
-
-class TestSteiner:
-    def test_trivials(self):
-        assert steiner_factor(1.0, 0.0, 1e-4, 2) == 1.0
-        assert steiner_factor(0.0, 7.3, 1e-4, 2) == 1.0
-
-    def test_arithmetic(self):
-        assert steiner_factor(1.0, 5.0, 1e-4, 2) == pytest.approx(0.95)
-
-    def test_negative_depth_rejected(self):
-        with pytest.raises(ConfigError):
-            steiner_factor(1.0, -1.0, 1e-4, 2)
+        regions = params.band(np.array(dists))
+        assert regions.shape == (len(dists),)
+        for dist, region in zip(dists, regions):
+            assert region == params.band(dist)
+            if dist < params.inner_width:
+                assert region == 1
+            elif dist <= params.outer_width:
+                assert region == 2
+            else:
+                assert region == 3

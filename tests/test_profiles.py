@@ -12,6 +12,7 @@ from pblayers.errors import (
     MismatchedReference,
     ModelProfileMismatch,
     NegativeTime,
+    NoSignChange,
 )
 from pblayers.nonlinearity import (
     IonSpecies,
@@ -22,6 +23,7 @@ from pblayers.nonlinearity import (
     make_fhat1,
     symmetric_salt,
 )
+from pblayers import profiles
 from pblayers.numerics import boundary_clustered_nodes
 from pblayers.profiles import (
     DEFAULT_NODES,
@@ -238,6 +240,13 @@ class TestLayerProfile:
             else:
                 hi = mid
         assert got == pytest.approx(0.5 * (lo + hi), abs=1e-12)
+
+    def test_boundary_potential_without_sign_change(self, salt, monkeypatch):
+        # a slope that overwhelms phi_bd - U0 keeps the compatibility
+        # equation positive; brent_root's bracket check names it
+        monkeypatch.setattr(profiles, "boundary_slope", lambda *args: 1e9)
+        with pytest.raises(NoSignChange, match="boundary-value equation"):
+            boundary_potential(salt, RobinData(0.1, 1.0))
 
     def test_sign_law_negative_boundary(self, salt):
         u = solve_u(salt, RobinData(0.0, -1.0))

@@ -164,7 +164,7 @@ class TestRobin:
 class TestComparison:
     def test_pb_disk_sweep_patterns(self, pb_disk_sweep, pb_disk_domain, std_bundle):
         reports = {
-            eps: compare_expansion(res, pb_disk_domain, [std_bundle], T=5.0, beta=0.25)
+            eps: compare_expansion(res, pb_disk_domain, [std_bundle], T=5.0)
             for eps, res in pb_disk_sweep.items()
         }
         e1 = [reports[eps].boundaries[0].e1 for eps in (1e-2, 1e-3, 1e-4)]
@@ -179,7 +179,8 @@ class TestComparison:
         # Region II: stretched depth in [T, eps**(beta - 1/2)] = [5, 10];
         # Region III: depth beyond eps**beta = 0.1
         res = pb_disk_sweep[1e-4]
-        rep = compare_expansion(res, pb_disk_domain, [std_bundle], T=5.0, beta=0.25)
+        bands = RegionParams(eps=1e-4, beta=0.25, T=5.0)
+        rep = compare_expansion(res, pb_disk_domain, [std_bundle], T=5.0, bands=bands)
         b = rep.boundaries[0]
         depth = 1.0 - res.r
         dev = np.abs(res.phi - res.phi_eps_star)
@@ -221,8 +222,16 @@ class TestComparison:
         res = solve_radial_robin_pb(pb_disk_domain, salt, 1e-4, points_per_layer=16)
         with pytest.raises(RegionEmpty):
             compare_expansion(
-                res, pb_disk_domain, [std_bundle], T=9.99, beta=0.25
+                res, pb_disk_domain, [std_bundle], T=9.99,
+                bands=RegionParams(eps=1e-4, beta=0.25, T=9.99),
             )
+
+    def test_bands_of_another_eps_or_T_rejected(self, pb_disk_sweep, pb_disk_domain, std_bundle):
+        res = pb_disk_sweep[1e-4]
+        for bands in (RegionParams(eps=1e-3, beta=0.25, T=5.0),
+                      RegionParams(eps=1e-4, beta=0.25, T=4.0)):
+            with pytest.raises(ConfigError):
+                compare_expansion(res, pb_disk_domain, [std_bundle], T=5.0, bands=bands)
 
 
 class TestConservedCharge:
@@ -309,7 +318,7 @@ class TestBandCharges:
         params = RegionParams(eps=1e-4, beta=0.25, T=5.0)
         rep = region_charge(pb_disk_domain, 0, params, std_bundle)
         oracle = pb_disk_sweep[1e-4]
-        for reg, formula in (("I", rep.region1), ("II", rep.region2)):
+        for reg, formula in ((1, rep.region1), (2, rep.region2)):
             val = band_charge_integral(oracle, pb_disk_domain, 0, salt, params, reg)
             assert abs(val - formula) <= 0.1 * 1e-4
 
@@ -328,7 +337,7 @@ class TestBandCharges:
             rep = region_charge(
                 annulus_domain, k, params, annulus_constants.profiles[k]
             )
-            for reg, formula in (("I", rep.region1), ("II", rep.region2)):
+            for reg, formula in ((1, rep.region1), (2, rep.region2)):
                 val = band_charge_integral(oracle, annulus_domain, k, f_eps, params, reg)
                 assert abs(val - formula) <= 0.1 * 1e-4
 
@@ -387,14 +396,14 @@ class TestNotAKnotCubic:
         # Region I of the disk's boundary at T sqrt(eps) = 1 is the whole disk
         whole = RegionParams(eps=4.0, beta=0.25, T=0.5)
         cases = [(pb_disk_sweep[eps], pb_disk_domain, 0, salt, params, reg)
-                 for eps in (1e-2, 1e-4) for params, reg in ((bands, "I"), (bands, "II"),
-                                                             (whole, "I"))]
+                 for eps in (1e-2, 1e-4) for params, reg in ((bands, 1), (bands, 2),
+                                                             (whole, 1))]
         cases += [(oracle, annulus_domain, k, f_eps, bands, reg) for k in (0, 1)
-                  for reg in ("I", "II")]
+                  for reg in (1, 2)]
         for res, domain, k, f, params, reg in cases:
             comp = domain.components[k]
-            widths = {"I": (0.0, params.inner_width),
-                      "II": (params.inner_width, params.outer_width)}[reg]
+            widths = {1: (0.0, params.inner_width),
+                      2: (params.inner_width, params.outer_width)}[reg]
             lo, hi = sorted(comp.radius + comp.depth_sign * w for w in widths)
             d = res.d
             dens = np.asarray(f.f(res.phi), dtype=float) * res.r ** (d - 1)
