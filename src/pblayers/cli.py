@@ -310,9 +310,9 @@ def cmd_verify(cfg, out: Path) -> int:
     # smallest eps are unordered at every eps: a config error.  At a larger
     # eps, unordered bands only drop the band deviations from the report.
     bands = [None] * len(eps_list)
-    for i, eps in enumerate(eps_list if beta is not None else ()):
+    for i, eps in enumerate(eps_list):
         try:
-            bands[i] = RegionParams(eps, beta, T)
+            bands[i] = None if beta is None else RegionParams(eps, beta, T)
         except InconsistentParams:
             if eps == eps_list[-1]:
                 raise
