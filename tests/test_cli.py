@@ -208,7 +208,6 @@ class TestVerifyCommand:
         match, mismatch, errors = filecmp.cmpfiles(out1, out2, names, shallow=False)
         assert mismatch == [] and errors == []
 
-
     def test_bands_unordered_at_smallest_eps_rejected(self, tmp_path, capsys):
         # T sqrt(eps) = 0.05 exceeds eps**beta = 0.025 at eps = 1e-4, so at
         # every eps: exit 2 before any solve
