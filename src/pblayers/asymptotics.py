@@ -20,11 +20,10 @@ from .profiles import LayerBundle, profile_eval
 
 @dataclass(frozen=True)
 class ExpansionQuery:
-    """Where to evaluate: boundary index, mean curvature at the boundary
-    point, stretched depth t (a number or an array of depths), eps, expansion
-    order, dimension.  The model is that of the bundle evaluated."""
+    """Where to evaluate: mean curvature at the boundary point, stretched
+    depth t (a number or an array of depths), eps, expansion order,
+    dimension.  The model is that of the bundle evaluated."""
 
-    k: int
     h: float  # mean curvature H(p)
     t: float | np.ndarray
     eps: float

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -34,10 +35,24 @@ from .radial_oracle import (
     solve_radial_robin_pb,
 )
 
-_TOP_KEYS = {
-    "model", "species", "domain", "robin", "grid", "eps", "region",
-    "oracle", "expand", "verify", "figures", "output_dir",
+# the keys each config section allows; model, eps and output_dir are plain
+# values at the top level
+_SECTION_KEYS = {
+    "species": {"z", "amount", "role"},
+    "domain": {"type", "d", "radius", "inner_radius", "outer_radius"},
+    "robin": {"gamma", "phi_bd"},
+    "grid": {"n_nodes"},
+    "region": {"T", "beta"},
+    "oracle": {"points_per_layer", "layer_widths"},
+    "expand": {"t_max", "n_t", "order"},
+    "verify": {"flip_curvature"},
+    "figures": {"gamma"},
 }
+_TOP_KEYS = {"model", "eps", "output_dir", *_SECTION_KEYS}
+
+# verify fails unless the worst E2 and field error at the smallest eps are at
+# most this fraction of those at the largest eps
+E2_HALVING = 0.5
 
 
 def _object(value, allowed: set, where: str) -> dict:
@@ -50,18 +65,18 @@ def _object(value, allowed: set, where: str) -> dict:
     return value
 
 
-def _section(cfg: dict, key: str, allowed: set) -> dict:
+def _section(cfg: dict, key: str) -> dict:
     """The optional section `key` of the config; {} when absent or null."""
     value = cfg.get(key)
-    return {} if value is None else _object(value, allowed, key)
+    return {} if value is None else _object(value, _SECTION_KEYS[key], key)
 
 
-def _rows(cfg: dict, key: str, allowed: set) -> list[dict]:
+def _rows(cfg: dict, key: str) -> list[dict]:
     """The section `key` of the config: a nonempty list of JSON objects."""
     rows = cfg.get(key)
     if not isinstance(rows, list) or not rows:
         raise ConfigError(f"{key} must be a nonempty list of JSON objects")
-    return [_object(row, allowed, f"{key}[{i}]") for i, row in enumerate(rows)]
+    return [_object(row, _SECTION_KEYS[key], f"{key}[{i}]") for i, row in enumerate(rows)]
 
 
 def _float(value, where: str) -> float:
@@ -108,7 +123,7 @@ def load_config(path) -> dict:
 
 def _species(cfg) -> list[IonSpecies]:
     out = []
-    for i, row in enumerate(_rows(cfg, "species", {"z", "amount", "role"})):
+    for i, row in enumerate(_rows(cfg, "species")):
         where = f"species[{i}]"
         role = row.get("role", "mass" if cfg["model"] == "ccpb" else "bulk")
         out.append(IonSpecies(_number(row, "z", where), _number(row, "amount", where), role))
@@ -116,7 +131,7 @@ def _species(cfg) -> list[IonSpecies]:
 
 
 def _robin_list(cfg, n_components) -> list[RobinData]:
-    rows = _rows(cfg, "robin", {"gamma", "phi_bd"})
+    rows = _rows(cfg, "robin")
     if len(rows) != n_components:
         raise ConfigError(f"robin must list exactly {n_components} boundary entries")
     out = []
@@ -127,12 +142,12 @@ def _robin_list(cfg, n_components) -> list[RobinData]:
 
 
 def _domain(cfg) -> DomainSpec:
-    dom = _object(
-        cfg.get("domain"), {"type", "d", "radius", "inner_radius", "outer_radius"}, "domain"
-    )
+    dom = _object(cfg.get("domain"), _SECTION_KEYS["domain"], "domain")
     kind = dom.get("type")
     d = _integer(dom, "d", "domain", 2)
     if kind == "disk":
+        if d != 2:
+            raise ConfigError(f"domain.d of a disk must be 2, got {d}")
         robin = _robin_list(cfg, 1)
         return make_disk(_number(dom, "radius", "domain"), robin[0])
     if kind == "ball":
@@ -148,14 +163,14 @@ def _domain(cfg) -> DomainSpec:
 
 
 def _grid_kwargs(cfg) -> dict:
-    grid = _section(cfg, "grid", {"n_nodes"})
+    grid = _section(cfg, "grid")
     return {"n_nodes": _integer(grid, "n_nodes", "grid")} if "n_nodes" in grid else {}
 
 
 def _region_params(cfg, eps) -> RegionParams | None:
     if cfg.get("region") is None:
         return None
-    reg = _section(cfg, "region", {"T", "beta"})
+    reg = _section(cfg, "region")
     return RegionParams(
         eps=eps, beta=_number(reg, "beta", "region"), T=_number(reg, "T", "region")
     )
@@ -186,8 +201,6 @@ def _pb_bundles(domain, f, cfg) -> list[LayerBundle]:
 class _Model(NamedTuple):
     """What a config builds; constants is None for the pb model."""
 
-    domain: DomainSpec
-    species: list[IonSpecies]
     f: Nonlinearity
     bundles: list[LayerBundle]
     constants: CcpbConstants | None
@@ -196,9 +209,9 @@ class _Model(NamedTuple):
 def _build_model(cfg, species, domain) -> _Model:
     if cfg["model"] == "pb":
         f = make_classical_pb(species)
-        return _Model(domain, species, f, _pb_bundles(domain, f, cfg), None)
+        return _Model(f, _pb_bundles(domain, f, cfg), None)
     constants = ccpb_constants(domain, species, **_grid_kwargs(cfg))
-    return _Model(domain, species, constants.f0, list(constants.profiles), constants)
+    return _Model(constants.f0, list(constants.profiles), constants)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +245,7 @@ def cmd_constants(cfg, out: Path) -> int:
 
 
 def cmd_expand(cfg, out: Path) -> int:
-    opts = _section(cfg, "expand", {"t_max", "n_t", "order"})
+    opts = _section(cfg, "expand")
     t_max = _number(opts, "t_max", "expand", 5.0)
     n_t = _integer(opts, "n_t", "expand", 201)
     if n_t < 1:
@@ -245,8 +258,8 @@ def cmd_expand(cfg, out: Path) -> int:
     plan = []
     for eps in _eps_list(cfg):
         queries = [
-            asymptotics.ExpansionQuery(k, comp.mean_curvature, ts, eps, order, domain.dimension)
-            for k, comp in enumerate(domain.components)
+            asymptotics.ExpansionQuery(comp.mean_curvature, ts, eps, order, domain.dimension)
+            for comp in domain.components
         ]
         plan.append((eps, queries, _region_params(cfg, eps)))
     bundles = _build_model(cfg, _species(cfg), domain).bundles
@@ -270,7 +283,7 @@ def cmd_expand(cfg, out: Path) -> int:
 
 
 def _solve_oracle(cfg, domain, species, f, eps, initial=None) -> RadialSolveResult:
-    opts = _section(cfg, "oracle", {"points_per_layer", "layer_widths"})
+    opts = _section(cfg, "oracle")
     opts = {key: _number(opts, key, "oracle") for key in opts}
     if cfg["model"] == "pb":
         return solve_radial_robin_pb(domain, f, eps, initial=initial, **opts)
@@ -289,21 +302,20 @@ def cmd_oracle(cfg, out: Path) -> int:
     return 0
 
 
+def _decreasing(series) -> bool:
+    return all(a > b for a, b in zip(series, series[1:]))
+
+
 def cmd_verify(cfg, out: Path) -> int:
-    opts = _section(cfg, "verify", {"e2_halving", "flip_curvature", "T"})
-    region = _section(cfg, "region", {"T", "beta"})
-    halving = _number(opts, "e2_halving", "verify", 0.5)
-    T = _number(opts, "T", "verify", _number(region, "T", "region", 5.0))
-    # e2_halving <= 0 fails every model; T = 0 puts every stretched sample at
-    # the boundary point
-    if halving <= 0:
-        raise ConfigError(f"verify.e2_halving must be positive, got {halving!r}")
-    if T <= 0:
-        raise ConfigError(f"verify.T must be positive, got {T!r}")
-    beta = _number(region, "beta", "region") if "beta" in region else None
-    flip = opts.get("flip_curvature", False)
+    flip = _section(cfg, "verify").get("flip_curvature", False)
     if not isinstance(flip, bool):
         raise ConfigError(f"verify.flip_curvature must be true or false, got {flip!r}")
+    region = _section(cfg, "region")
+    T = _number(region, "T", "region", 5.0)
+    # T = 0 puts every stretched sample at the boundary point
+    if T <= 0:
+        raise ConfigError(f"region.T must be positive, got {T!r}")
+    beta = _number(region, "beta", "region") if "beta" in region else None
     species, domain = _species(cfg), _domain(cfg)
     eps_list = sorted(_eps_list(cfg), reverse=True)
     # eps**beta / (T sqrt(eps)) grows as eps falls, so bands unordered at the
@@ -320,58 +332,50 @@ def cmd_verify(cfg, out: Path) -> int:
         # the E2 checks compare the largest eps with the smallest
         raise ConfigError(f"verify needs at least two distinct eps values, got {eps_list}")
     model = _build_model(cfg, species, domain)
+    expanded = domain
     if flip:
-        # negative control: corrupt the curvature sign in the expansion side
-        from dataclasses import replace
-
-        domain = DomainSpec(
-            dimension=domain.dimension, volume=domain.volume,
-            components=tuple(
-                replace(c, mean_curvature=-c.mean_curvature,
-                        curvature_integral=-c.curvature_integral)
-                for c in domain.components
-            ),
-        )
-    sweep = []
-    neutrality_scale = sum(abs(s.amount * s.z) for s in model.species)
+        # negative control: corrupt the curvature sign on the expansion side
+        expanded = replace(domain, components=tuple(
+            replace(c, mean_curvature=-c.mean_curvature,
+                    curvature_integral=-c.curvature_integral)
+            for c in domain.components
+        ))
+    sweep, reports = [], []
+    neutrality_scale = sum(abs(s.amount * s.z) for s in species)
     res = None
     for eps, eps_bands in zip(eps_list, bands):
         # continuation: warm-start from the previous (larger) eps solve
-        res = _solve_oracle(cfg, domain, model.species, model.f, eps, initial=res)
-        rep = compare_expansion(res, domain, model.bundles, T, eps_bands)
+        res = _solve_oracle(cfg, domain, species, model.f, eps, initial=res)
+        rep = compare_expansion(res, expanded, model.bundles, T, eps_bands)
+        reports.append(rep)
         entry = {"eps": eps, "report": rep.to_json_dict()}
-        if cfg["model"] == "ccpb":
+        if model.constants is not None:
             entry["neutrality_rel"] = abs(res.neutrality) / neutrality_scale
             entry["drift_gap"] = abs(
                 (res.phi_eps_star - model.constants.phi0_star) / math.sqrt(eps) - model.constants.q
             )
         sweep.append(entry)
 
-    def series(fn):
-        return [fn(e) for e in sweep]
-
-    e2 = series(lambda e: max(b["E2"] for b in e["report"]["boundaries"]))
-    e1 = series(lambda e: max(b["E1"] for b in e["report"]["boundaries"]))
-    fe = series(lambda e: max(b["field_err"] for b in e["report"]["boundaries"]))
-    c1 = [v / math.sqrt(e["eps"]) for v, e in zip(e1, sweep)]
+    e2 = [max(b.e2 for b in rep.boundaries) for rep in reports]
+    e1 = [max(b.e1 for b in rep.boundaries) for rep in reports]
+    fe = [max(b.field_err for b in rep.boundaries) for rep in reports]
+    c1 = [v / math.sqrt(eps) for v, eps in zip(e1, eps_list)]
     checks = {
-        "e2_strictly_decreasing": all(a > b for a, b in zip(e2, e2[1:])),
-        "e2_halving": e2[-1] <= halving * e2[0],
+        "e2_strictly_decreasing": _decreasing(e2),
+        "e2_halving": e2[-1] <= E2_HALVING * e2[0],
     }
-    if cfg["model"] == "pb":
+    if model.constants is None:
         # the first-order coefficient and field patterns are PB assertions;
         # layer overlap at large eps makes them meaningless on small annuli
         checks.update(
-            e1_decreasing=all(a > b for a, b in zip(e1, e1[1:])),
+            e1_decreasing=_decreasing(e1),
             e1_coefficient_stable=max(c1) <= 2.0 * min(c1),
-            field_strictly_decreasing=all(a > b for a, b in zip(fe, fe[1:])),
-            field_halving=fe[-1] <= halving * fe[0],
+            field_strictly_decreasing=_decreasing(fe),
+            field_halving=fe[-1] <= E2_HALVING * fe[0],
         )
     else:
-        drifts = series(lambda e: e["drift_gap"])
-        neut = series(lambda e: e["neutrality_rel"])
-        checks["drift_gap_decreasing"] = all(a > b for a, b in zip(drifts, drifts[1:]))
-        checks["neutrality"] = max(neut) <= 1e-8
+        checks["drift_gap_decreasing"] = _decreasing([e["drift_gap"] for e in sweep])
+        checks["neutrality"] = max(e["neutrality_rel"] for e in sweep) <= 1e-8
     passed = all(checks.values())
     summary = {
         "config": cfg,
@@ -390,40 +394,26 @@ def cmd_verify(cfg, out: Path) -> int:
     return 0 if passed else 1
 
 
-_FIGURE_PRESETS = ("figure-U", "figure-V", "both")
-
-
 def cmd_figures(cfg, out: Path) -> int:
-    opts = _section(cfg, "figures", {"preset", "gamma"})
-    preset = opts.get("preset", "both")
-    if preset not in _FIGURE_PRESETS:
-        raise ConfigError(f"figures.preset must be one of {_FIGURE_PRESETS}")
-    gamma = _number(opts, "gamma", "figures", 0.1)
+    gamma = _number(_section(cfg, "figures"), "gamma", "figures", 0.1)
     grid = _grid_kwargs(cfg)
-    species = _species(cfg)
-    f = make_classical_pb(species)
+    f = make_classical_pb(_species(cfg))
     meta = {"config": cfg, "curves": [], "verdicts": {}}
-    want_u = preset in ("figure-U", "both")
-    want_v = preset in ("figure-V", "both")
     for label, phi_bd in (("plus", 1.0), ("minus", -1.0)):
         u = solve_u(f, RobinData(gamma, phi_bd), **grid)
         v = solve_v(u)
-        if want_u:
-            u.to_csv(out / f"figure_u_{label}.csv")
-            meta["curves"].append({"name": f"u_{label}", "phi_bd": phi_bd})
-            mono = bool(np.all(np.diff(u.values) < 0)) if phi_bd > 0 else bool(
-                np.all(np.diff(u.values) > 0)
-            )
-            meta["verdicts"][f"u_{label}_monotone"] = mono
-        if want_v:
-            v.to_csv(out / f"figure_v_{label}.csv")
-            meta["curves"].append({"name": f"v_{label}", "phi_bd": phi_bd})
-            sgn = 1.0 if phi_bd > 0 else -1.0
-            signed = sgn * v.values
-            interior = v.derivs[np.abs(v.derivs) > 1e-12]
-            flips = int(np.sum(np.diff(np.sign(interior)) != 0))
-            meta["verdicts"][f"v_{label}_signed_positive"] = bool(np.all(signed[1:] > 0))
-            meta["verdicts"][f"v_{label}_unimodal"] = flips == 1
+        for prof in (u, v):
+            prof.to_csv(out / f"figure_{prof.kind}_{label}.csv")
+            meta["curves"].append({"name": f"{prof.kind}_{label}", "phi_bd": phi_bd})
+        # u falls monotonically for phi_bd = 1 and rises for phi_bd = -1, and
+        # phi_bd * v is positive past t = 0 with one peak
+        interior = v.derivs[np.abs(v.derivs) > 1e-12]
+        flips = int(np.sum(np.diff(np.sign(interior)) != 0))
+        meta["verdicts"].update({
+            f"u_{label}_monotone": bool(np.all(phi_bd * np.diff(u.values) < 0)),
+            f"v_{label}_signed_positive": bool(np.all(phi_bd * v.values[1:] > 0)),
+            f"v_{label}_unimodal": flips == 1,
+        })
     ok = all(meta["verdicts"].values())
     meta["passed"] = ok
     _write_json(out / "figures_meta.json", meta)

@@ -99,11 +99,6 @@ class RegionParams:
     def outer_width(self) -> float:
         return self.eps**self.beta
 
-    @property
-    def stretched_outer(self) -> float:
-        """Region II upper limit in the stretched coordinate, eps**(beta-1/2)."""
-        return self.eps ** (self.beta - 0.5)
-
     def band(self, distance):
         """Region (1, 2 or 3) of each point at the given distance from a
         boundary: Region I below T sqrt(eps), Region II up to and including

@@ -734,8 +734,7 @@ def compare_expansion(
     results = []
     for comp, bundle, depth in zip(domain.components, bundles, depths):
         t, phi_or, coef_or = _stretched_samples(oracle, comp, T)
-        q = asymptotics.ExpansionQuery(comp.index, comp.mean_curvature, t, eps, 2,
-                                       domain.dimension)
+        q = asymptotics.ExpansionQuery(comp.mean_curvature, t, eps, 2, domain.dimension)
         layer = asymptotics._sample(q, bundle)
         e1 = float(np.max(np.abs(phi_or - layer.u)))
         e2 = float(np.max(np.abs(phi_or - asymptotics._potential(q, layer)))) / sq

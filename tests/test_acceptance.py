@@ -250,7 +250,7 @@ def test_criterion_11_figures_reproduction(tmp_path):
             "species": [{"z": 1, "amount": 1}, {"z": -1, "amount": 1}],
             "domain": {"type": "disk", "d": 2, "radius": 1.0},
             "robin": [{"gamma": 0.1, "phi_bd": 1.0}],
-            "figures": {"preset": "both", "gamma": 0.1},
+            "figures": {"gamma": 0.1},
             "grid": {"n_nodes": 4001},
         }
         cfg_path = tmp_path / "fig.json"
@@ -273,7 +273,7 @@ def test_criterion_12_determinism(tmp_path):
             "species": [{"z": 1, "amount": 1}, {"z": -1, "amount": 1}],
             "domain": {"type": "disk", "d": 2, "radius": 1.0},
             "robin": [{"gamma": 0.1, "phi_bd": 1.0}],
-            "figures": {"preset": "both", "gamma": 0.1},
+            "figures": {"gamma": 0.1},
             "grid": {"n_nodes": 4001},
             "eps": [1e-3],
             "region": {"T": 5.0, "beta": 0.25},

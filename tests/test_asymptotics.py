@@ -19,7 +19,7 @@ from pblayers.profiles import LayerBundle, RobinData, profile_eval, solve_u, sol
 
 
 def q_at(t, eps=1e-4, order=2, h=1.0, d=2):
-    return ExpansionQuery(0, h, t, eps, order, d)
+    return ExpansionQuery(h, t, eps, order, d)
 
 
 class TestPointwiseEvaluators:
@@ -31,7 +31,7 @@ class TestPointwiseEvaluators:
         eps = 1e-4
         bundle = annulus_constants.profiles[0]
         t = bundle.u.t_max
-        q = ExpansionQuery(0, 0.5, t, eps, 2, 2)
+        q = ExpansionQuery(0.5, t, eps, 2, 2)
         val = potential(q, bundle)
         expected = annulus_constants.phi0_star + math.sqrt(eps) * annulus_constants.q
         assert val == pytest.approx(expected, abs=1e-6)
@@ -81,7 +81,7 @@ class TestPointwiseEvaluators:
         cc = annulus_constants
         bundle = cc.profiles[0]
         t = bundle.u.t_max
-        q = ExpansionQuery(0, 0.5, t, eps, 2, 2)
+        q = ExpansionQuery(0.5, t, eps, 2, 2)
         val = charge_density(q, bundle)
         lim = math.sqrt(eps) * (float(cc.f0.df(cc.phi0_star)) * cc.q + float(cc.f1.f(cc.phi0_star)))
         assert abs(lim) <= 1e-8 * math.sqrt(eps) * abs(float(cc.f0.df(cc.phi0_star)))
@@ -91,7 +91,7 @@ class TestPointwiseEvaluators:
         # the conserved-charge potential is the PB one plus sqrt(eps) w(t),
         # and a bundle holding f1 without its w is refused
         bundle = annulus_constants.profiles[0]
-        q = ExpansionQuery(0, 0.5, 0.0, 1e-4, 2, 2)
+        q = ExpansionQuery(0.5, 0.0, 1e-4, 2, 2)
         w0, _ = profile_eval(bundle.w, 0.0)
         extra = potential(q, bundle) - potential(q, replace(bundle, w=None, f1=None))
         assert extra == pytest.approx(1e-2 * w0, rel=1e-9, abs=1e-15)
@@ -104,7 +104,7 @@ class TestPointwiseEvaluators:
         cc = annulus_constants
         bundle = cc.profiles[0]
         assert bundle.f1 is cc.f1
-        q = ExpansionQuery(0, 0.5, 0.0, 1e-4, 2, 2)
+        q = ExpansionQuery(0.5, 0.0, 1e-4, 2, 2)
         u0, _ = profile_eval(bundle.u, 0.0)
         w0, _ = profile_eval(bundle.w, 0.0)
         extra = charge_density(q, bundle) - charge_density(q, replace(bundle, w=None, f1=None))
@@ -195,13 +195,13 @@ class TestRegionCharge:
 class TestQueryValidation:
     def test_bad_order(self):
         with pytest.raises(ConfigError):
-            ExpansionQuery(0, 1.0, 0.0, 1e-4, 3)
+            ExpansionQuery(1.0, 0.0, 1e-4, 3)
 
     def test_bad_eps_t(self):
         with pytest.raises(ConfigError):
-            ExpansionQuery(0, 1.0, 0.0, -1e-4)
+            ExpansionQuery(1.0, 0.0, -1e-4)
         with pytest.raises(ConfigError):
-            ExpansionQuery(0, 1.0, -1.0, 1e-4)
+            ExpansionQuery(1.0, -1.0, 1e-4)
 
 
 class TestArrayEvaluators:
@@ -239,7 +239,7 @@ class TestArrayEvaluators:
     @pytest.mark.parametrize("order", [1, 2])
     def test_array_matches_scalar(self, bundle, order):
         ts = self.depths(bundle)
-        q = ExpansionQuery(0, 0.5, ts, 1e-4, order, 2)
+        q = ExpansionQuery(0.5, ts, 1e-4, order, 2)
         for _, fn, exact in self.EVALUATORS:
             got = fn(q, bundle)
             want = np.array([fn(replace(q, t=float(t)), bundle) for t in ts])
@@ -249,7 +249,7 @@ class TestArrayEvaluators:
     @pytest.mark.parametrize("order", [1, 2])
     def test_grid_rows_matches_scalar(self, bundle, order):
         ts = self.depths(bundle)
-        q = ExpansionQuery(0, 0.5, 0.0, 1e-3, order, 3)
+        q = ExpansionQuery(0.5, 0.0, 1e-3, order, 3)
         values = grid_rows(q, bundle, ts)
         for name, fn, exact in self.EVALUATORS:
             assert isinstance(values[name], np.ndarray) and values[name].shape == ts.shape
@@ -257,13 +257,13 @@ class TestArrayEvaluators:
             self.assert_match(values[name], want, exact)
 
     def test_scalar_query_returns_float(self, bundle):
-        q = ExpansionQuery(0, 0.5, 0.7, 1e-4, 2, 2)
+        q = ExpansionQuery(0.5, 0.7, 1e-4, 2, 2)
         for _, fn, _ in self.EVALUATORS:
             assert type(fn(q, bundle)) is float
 
     def test_negative_t_rejected(self, bundle):
         ts = np.array([0.0, 1.0, -1e-12])
         with pytest.raises(ConfigError):
-            ExpansionQuery(0, 0.5, ts, 1e-4, 2, 2)
+            ExpansionQuery(0.5, ts, 1e-4, 2, 2)
         with pytest.raises(ConfigError):
-            grid_rows(ExpansionQuery(0, 0.5, 0.0, 1e-4, 2, 2), bundle, ts)
+            grid_rows(ExpansionQuery(0.5, 0.0, 1e-4, 2, 2), bundle, ts)

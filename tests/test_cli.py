@@ -230,7 +230,7 @@ class TestVerifyCommand:
 
 class TestFiguresCommand:
     def test_sign_corrected_curves(self, tmp_path):
-        cfg = write_cfg(tmp_path, dict(PB_BASE, grid={"n_nodes": 2001}, figures={"preset": "both"}))
+        cfg = write_cfg(tmp_path, dict(PB_BASE, grid={"n_nodes": 2001}))
         out = tmp_path / "out"
         assert run("figures", cfg, out) == 0
         meta = json.loads((out / "figures_meta.json").read_text())
@@ -292,6 +292,8 @@ def test_readme_example_config_runs(tmp_path):
                      id="disk-radius"),
         pytest.param("profiles", PB_BASE, "domain", {"type": "ball", "d": 3}, "radius",
                      id="ball-radius"),
+        pytest.param("oracle", PB_BASE, "domain", {"type": "disk", "d": 3, "radius": 1.0},
+                     "domain.d", id="disk-d-3"),
         pytest.param("profiles", CCPB_BASE, "domain",
                      {"type": "annulus", "d": 2, "outer_radius": 2.0}, "inner_radius",
                      id="annulus-inner_radius"),
@@ -347,15 +349,24 @@ def test_readme_example_config_runs(tmp_path):
         pytest.param("figures", PB_BASE, "grid", {"n_nodes": 4}, "n_nodes",
                      id="grid-n_nodes-4-figures"),
         pytest.param("expand", PB_BASE, "expand", {"order": 1.5}, "order", id="expand-order"),
-        pytest.param("verify", PB_BASE, "verify", {"T": "x"}, "T", id="verify-T"),
-        # an e2_halving <= 0 fails every model; T = 0 compares one point
-        pytest.param("verify", PB_BASE, "verify", {"e2_halving": 0}, "e2_halving",
-                     id="verify-e2_halving-zero"),
-        pytest.param("verify", PB_BASE, "verify", {"e2_halving": -1}, "e2_halving",
-                     id="verify-e2_halving-negative"),
-        pytest.param("verify", PB_BASE, "verify", {"T": 0}, "T", id="verify-T-zero"),
-        pytest.param("verify", PB_BASE, "region", {"T": 0.0, "beta": 0.25}, "T",
+        # removed options: verify takes T from region, as expand does, and
+        # halves E2 and the field error by the fixed E2_HALVING; figures
+        # always writes u and v
+        pytest.param("verify", PB_BASE, "verify", {"T": "x"}, "unknown keys in verify: T",
+                     id="verify-T"),
+        pytest.param("verify", PB_BASE, "verify", {"e2_halving": 0},
+                     "unknown keys in verify: e2_halving", id="verify-e2_halving-zero"),
+        pytest.param("verify", PB_BASE, "verify", {"e2_halving": -1},
+                     "unknown keys in verify: e2_halving", id="verify-e2_halving-negative"),
+        pytest.param("verify", PB_BASE, "verify", {"T": 0}, "unknown keys in verify: T",
+                     id="verify-T-zero"),
+        pytest.param("figures", PB_BASE, "figures", {"preset": "both"},
+                     "unknown keys in figures: preset", id="figures-preset"),
+        # T = 0 compares one point; without beta, only the CLI checks T
+        pytest.param("verify", PB_BASE, "region", {"T": 0.0, "beta": 0.25}, "region.T",
                      id="verify-region-T-zero"),
+        pytest.param("verify", PB_BASE, "region", {"T": 0}, "region.T",
+                     id="verify-region-T-zero-no-beta"),
         # beta outside (0, 1/2), which expand rejects through RegionParams; T is
         # small enough that the bands would be ordered
         *(

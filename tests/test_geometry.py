@@ -73,10 +73,6 @@ class TestRegions:
             with pytest.raises(ConfigError):
                 params.depths(band)
 
-    def test_stretched_outer_limit(self):
-        params = RegionParams(eps=1e-4, beta=0.25, T=5.0)
-        assert params.stretched_outer == pytest.approx(10.0)
-
     @given(st.lists(st.floats(0, 1e3), min_size=1, max_size=20), st.floats(1e-8, 1e-2),
            st.floats(0.05, 0.45), st.floats(0.1, 10.0))
     @settings(max_examples=150, deadline=None)

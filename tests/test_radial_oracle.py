@@ -203,7 +203,7 @@ class TestComparison:
                                    rep.boundaries):
             rs = comp.radius + comp.depth_sign * (t * math.sqrt(eps))
             phi, coef = res.phi_at(rs), comp.depth_sign * res.dphi_at(rs)
-            q = ExpansionQuery(comp.index, comp.mean_curvature, t, eps, 2, 2)
+            q = ExpansionQuery(comp.mean_curvature, t, eps, 2, 2)
             assert b.e1 == np.max(np.abs(phi - potential(replace(q, order=1), bundle)))
             assert b.e2 == np.max(np.abs(phi - potential(q, bundle))) / math.sqrt(eps)
             assert b.field_err == np.max(np.abs(coef - field_normal_component(q, bundle)))

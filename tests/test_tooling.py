@@ -213,3 +213,18 @@ def test_profiles_are_attributes_and_model_strings_stay_in_config_and_json():
         if path.stem != "cli":
             scopes = {(path.stem, s) for s in _model_name_scopes(ast.parse(text))}
             assert scopes <= _MODEL_NAME_SCOPES, sorted(scopes - _MODEL_NAME_SCOPES)
+
+
+def test_readme_config_keys_table_matches_cli():
+    # one row per (section, key) the config parser allows, "—" for the
+    # top-level values, so an option added or removed shows in the docs
+    from pblayers import cli
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (table,) = re.findall(r"^#+ Config keys\n(.*?)(?=^#)", readme, flags=re.S | re.M)
+    rows = [line.split("|")[1:3] for line in table.splitlines() if line.startswith("| ")]
+    listed = [(s.strip().strip("`"), k.strip().strip("`")) for s, k in rows[2:]]
+    expected = {(section, key) for section, keys in cli._SECTION_KEYS.items() for key in keys}
+    expected |= {("—", key) for key in cli._TOP_KEYS - set(cli._SECTION_KEYS)}
+    assert len(listed) == len(set(listed)), listed
+    assert set(listed) == expected, sorted(set(listed) ^ expected)
