@@ -30,12 +30,10 @@ from .profiles import (
 )
 from .asymptotics import (
     ExpansionQuery,
+    LayerSample,
     RegionChargeReport,
-    charge_density,
-    field_normal_component,
-    maxwell_traction,
-    potential,
     region_charge,
+    sample,
 )
 from .radial_oracle import (
     ExpansionErrorReport,

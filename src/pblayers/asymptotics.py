@@ -1,15 +1,17 @@
 """Expansion formulas in the boundary layer.
 
-Evaluators return the displayed finite terms of the small-eps expansions:
-potential, normal field coefficient, charge density, Maxwell traction, and
-the band-wise total charge.  Remainder behavior is not modeled here; it is
-checked against the radial oracle.
+`sample` evaluates a bundle's profiles once over an array of stretched
+depths; the LayerSample it returns gives the displayed finite terms of the
+small-eps expansions there: potential, normal field coefficient, charge
+density and Maxwell traction.  `region_charge` gives the band-wise total
+charge.  Remainder behavior is not modeled here; it is checked against the
+radial oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,12 +22,11 @@ from .profiles import LayerBundle, profile_eval
 
 @dataclass(frozen=True)
 class ExpansionQuery:
-    """Where to evaluate: mean curvature at the boundary point, stretched
-    depth t (a number or an array of depths), eps, expansion order,
-    dimension.  The model is that of the bundle evaluated."""
+    """What to evaluate: mean curvature at the boundary point, eps,
+    expansion order, dimension.  The depths are given to `sample`, and the
+    model is that of the bundle evaluated."""
 
     h: float  # mean curvature H(p)
-    t: float | np.ndarray
     eps: float
     order: int = 2
     d: int = 2
@@ -35,99 +36,82 @@ class ExpansionQuery:
             raise ConfigError("order must be 1 or 2")
         if not self.eps > 0:
             raise ConfigError("eps must be positive")
-        if np.any(np.asarray(self.t) < 0):
-            raise ConfigError("t must be >= 0")
 
 
 @dataclass(frozen=True)
-class _Layer:
-    """Profile values and t-derivatives at the query depths; v and w are
-    None where the query's order and the bundle do not use them."""
+class LayerSample:
+    """Profile values and t-derivatives of a bundle at the depths given to
+    `sample`; v and w are None where the query's order and the bundle do not
+    use them.  Each method returns one expansion term per depth."""
 
-    u: float | np.ndarray
-    du: float | np.ndarray
-    v: float | np.ndarray | None = None
-    dv: float | np.ndarray | None = None
-    w: float | np.ndarray | None = None
-    dw: float | np.ndarray | None = None
+    q: ExpansionQuery
+    bundle: LayerBundle
+    u: np.ndarray
+    du: np.ndarray
+    v: np.ndarray | None = None
+    dv: np.ndarray | None = None
+    w: np.ndarray | None = None
+    dw: np.ndarray | None = None
 
+    def potential(self):
+        """u(t) [+ sqrt(eps)((d-1) H v(t) (+ w(t) for conserved charge))]."""
+        q = self.q
+        if q.order == 1:
+            return self.u
+        corr = (q.d - 1) * q.h * self.v
+        if self.w is not None:
+            corr = corr + self.w
+        return self.u + math.sqrt(q.eps) * corr
 
-def _sample(q: ExpansionQuery, bundle: LayerBundle) -> _Layer:
-    u, du = profile_eval(bundle.u, q.t)
-    if q.order == 1:
-        return _Layer(u, du)
-    v, dv = profile_eval(bundle.v, q.t)
-    if bundle.w is None:
-        return _Layer(u, du, v, dv)
-    w, dw = profile_eval(bundle.w, q.t)
-    return _Layer(u, du, v, dv, w, dw)
+    def field(self):
+        """Coefficient of -nu_p in the gradient: u'/sqrt(eps) [+ (d-1)H v' + w']."""
+        q = self.q
+        if q.order == 1:
+            return self.du / math.sqrt(q.eps)
+        corr = (q.d - 1) * q.h * self.dv
+        if self.w is not None:
+            corr = corr + self.dw
+        return self.du / math.sqrt(q.eps) + corr
 
+    def charge_density(self):
+        """f(u) [+ sqrt(eps)((d-1)H f'(u) v  (+ f'(u) w + f1(u) for conserved
+        charge))], with f the density of u and f1 that of the bundle."""
+        q = self.q
+        f = self.bundle.u.density
+        base = f.f(self.u)
+        if q.order == 1:
+            return base
+        dfu = f.df(self.u)
+        corr = (q.d - 1) * q.h * dfu * self.v
+        if self.w is not None:
+            corr = corr + (dfu * self.w + self.bundle.f1.f(self.u))
+        return base + math.sqrt(q.eps) * corr
 
-def _result(value):
-    """A float for a scalar query, an array for an array query."""
-    return float(value) if np.ndim(value) == 0 else value
-
-
-def _potential(q: ExpansionQuery, s: _Layer):
-    if q.order == 1:
-        return s.u
-    corr = (q.d - 1) * q.h * s.v
-    if s.w is not None:
-        corr = corr + s.w
-    return s.u + math.sqrt(q.eps) * corr
-
-
-def _field(q: ExpansionQuery, s: _Layer):
-    if q.order == 1:
-        return s.du / math.sqrt(q.eps)
-    corr = (q.d - 1) * q.h * s.dv
-    if s.w is not None:
-        corr = corr + s.dw
-    return s.du / math.sqrt(q.eps) + corr
-
-
-def _charge_density(q: ExpansionQuery, s: _Layer, bundle: LayerBundle):
-    f = bundle.u.density
-    base = f.f(s.u)
-    if q.order == 1:
-        return base
-    dfu = f.df(s.u)
-    corr = (q.d - 1) * q.h * dfu * s.v
-    if s.w is not None:
-        corr = corr + (dfu * s.w + bundle.f1.f(s.u))
-    return base + math.sqrt(q.eps) * corr
-
-
-def _traction(q: ExpansionQuery, s: _Layer, bundle: LayerBundle):
-    base = -bundle.u.density.F(s.u)
-    if q.order == 1:
-        return base
-    corr = (q.d - 1) * q.h * s.du * s.dv
-    if s.w is not None:
-        corr = corr + s.du * s.dw
-    return base + math.sqrt(q.eps) * corr
+    def traction(self):
+        """Normal-normal component of the electrostatic stress acting on nu_p:
+        -F(u) [+ sqrt(eps) u' ((d-1)H v' (+ w'))], with F that of the density
+        of u."""
+        q = self.q
+        base = -self.bundle.u.density.F(self.u)
+        if q.order == 1:
+            return base
+        corr = (q.d - 1) * q.h * self.du * self.dv
+        if self.w is not None:
+            corr = corr + self.du * self.dw
+        return base + math.sqrt(q.eps) * corr
 
 
-def potential(q: ExpansionQuery, bundle: LayerBundle) -> float | np.ndarray:
-    """u(t) [+ sqrt(eps)((d-1) H v(t) (+ w(t) for conserved charge))]."""
-    return _result(_potential(q, _sample(q, bundle)))
-
-
-def field_normal_component(q: ExpansionQuery, bundle: LayerBundle) -> float | np.ndarray:
-    """Coefficient of -nu_p in the gradient: u'/sqrt(eps) [+ (d-1)H v' + w']."""
-    return _result(_field(q, _sample(q, bundle)))
-
-
-def charge_density(q: ExpansionQuery, bundle: LayerBundle) -> float | np.ndarray:
-    """f(u) [+ sqrt(eps)((d-1)H f'(u) v  (+ f'(u) w + f1(u) for conserved
-    charge))], with f the density of u and f1 that of the bundle."""
-    return _result(_charge_density(q, _sample(q, bundle), bundle))
-
-
-def maxwell_traction(q: ExpansionQuery, bundle: LayerBundle) -> float | np.ndarray:
-    """Normal-normal component of the electrostatic stress acting on nu_p:
-    -F(u) [+ sqrt(eps) u' ((d-1)H v' (+ w'))], with F that of the density of u."""
-    return _result(_traction(q, _sample(q, bundle), bundle))
+def sample(q: ExpansionQuery, bundle: LayerBundle, ts) -> LayerSample:
+    """The profiles that q's order uses, each evaluated once over the array
+    of depths ts >= 0 (a negative depth raises NegativeTime)."""
+    ts = np.asarray(ts, dtype=float)
+    u, du = profile_eval(bundle.u, ts)
+    v = dv = w = dw = None
+    if q.order == 2:
+        v, dv = profile_eval(bundle.v, ts)
+        if bundle.w is not None:
+            w, dw = profile_eval(bundle.w, ts)
+    return LayerSample(q, bundle, u, du, v, dv, w, dw)
 
 
 @dataclass(frozen=True)
@@ -174,15 +158,13 @@ def region_charge(
                + eps[(d-1)(int H)(-T u'(T) + v'(T)) (+ |bd| w'(T))]
     """
     comp = domain.components[k]
-    u, v, w = bundle.u, bundle.v, bundle.w
     d = domain.dimension
     T = params.T
     eps = params.eps
     sq = math.sqrt(eps)
-    _, du0 = profile_eval(u, 0.0)
-    _, duT = profile_eval(u, T)
-    _, dv0 = profile_eval(v, 0.0)
-    _, dvT = profile_eval(v, T)
+    s = sample(ExpansionQuery(comp.mean_curvature, eps, 2, d), bundle, [0.0, T])
+    du0, duT = s.du.tolist()
+    dv0, dvT = s.dv.tolist()
     area = comp.surface_area
     hint = comp.curvature_integral
     r1 = sq * area * (du0 - duT) + eps * (d - 1) * hint * (T * duT + dv0 - dvT)
@@ -191,13 +173,13 @@ def region_charge(
         "du0": du0, "duT": duT, "dv0": dv0, "dvT": dvT,
         "area": area, "curvature_integral": hint,
     }
-    if w is not None:
-        _, dw0 = profile_eval(w, 0.0)
-        _, dwT = profile_eval(w, T)
+    if s.w is not None:
+        dw0, dwT = s.dw.tolist()
         r1 += eps * area * (dw0 - dwT)
         r2 += eps * area * dwT
         terms["dw0"] = dw0
         terms["dwT"] = dwT
+    u = bundle.u
     phi_bd = u.robin.phi_bd
     sign = 0 if phi_bd == u.phi_star else (-1 if phi_bd > u.phi_star else 1)
     return RegionChargeReport(
@@ -206,20 +188,13 @@ def region_charge(
     )
 
 
-def grid_rows(q_template: ExpansionQuery, bundle: LayerBundle, ts):
-    """Values of the four pointwise evaluators on the grid ts, one array per
-    evaluator name.
-
-    Each profile is evaluated once over the whole grid ts, and each density
-    (that of u, and the bundle's f1) once over the sampled u; q_template
-    supplies everything but t.
-    """
-    ts = np.asarray(ts, dtype=float)
-    q = replace(q_template, t=ts)
-    s = _sample(q, bundle)
+def grid_rows(q: ExpansionQuery, bundle: LayerBundle, ts) -> dict:
+    """The four expansion terms over the depths ts, one array per name:
+    `sample` once, then each LayerSample method."""
+    s = sample(q, bundle, ts)
     return {
-        "potential": _potential(q, s),
-        "field": _field(q, s),
-        "charge_density": _charge_density(q, s, bundle),
-        "traction": _traction(q, s, bundle),
+        "potential": s.potential(),
+        "field": s.field(),
+        "charge_density": s.charge_density(),
+        "traction": s.traction(),
     }

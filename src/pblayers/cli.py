@@ -177,10 +177,17 @@ def _region_params(cfg, eps) -> RegionParams | None:
 
 
 def _eps_list(cfg) -> list[float]:
+    """The config's eps values: distinct positive numbers."""
     eps = cfg.get("eps")
     if not isinstance(eps, list) or not eps:
         raise ConfigError("eps must be a nonempty list of numbers for this command")
-    return [_float(e, f"eps[{i}]") for i, e in enumerate(eps)]
+    values = [_float(e, f"eps[{i}]") for i, e in enumerate(eps)]
+    for i, x in enumerate(values):
+        if not x > 0:
+            raise ConfigError(f"eps[{i}] must be positive, got {eps[i]!r}")
+        if x in values[:i]:
+            raise ConfigError(f"eps[{i}] = {eps[i]!r} repeats eps[{values.index(x)}]")
+    return values
 
 
 def _eps_tag(eps: float) -> str:
@@ -250,6 +257,8 @@ def cmd_expand(cfg, out: Path) -> int:
     n_t = _integer(opts, "n_t", "expand", 201)
     if n_t < 1:
         raise ConfigError(f"expand.n_t must be at least 1, got {n_t}")
+    if t_max < 0:
+        raise ConfigError(f"expand.t_max must be at least 0, got {t_max!r}")
     order = _integer(opts, "order", "expand", 2)
     ts = np.linspace(0.0, t_max, n_t)
     # every query and band is validated before the model solve, so a bad
@@ -258,7 +267,7 @@ def cmd_expand(cfg, out: Path) -> int:
     plan = []
     for eps in _eps_list(cfg):
         queries = [
-            asymptotics.ExpansionQuery(comp.mean_curvature, ts, eps, order, domain.dimension)
+            asymptotics.ExpansionQuery(comp.mean_curvature, eps, order, domain.dimension)
             for comp in domain.components
         ]
         plan.append((eps, queries, _region_params(cfg, eps)))
@@ -328,9 +337,9 @@ def cmd_verify(cfg, out: Path) -> int:
         except InconsistentParams:
             if eps == eps_list[-1]:
                 raise
-    if len(set(eps_list)) < 2:
+    if len(eps_list) < 2:
         # the E2 checks compare the largest eps with the smallest
-        raise ConfigError(f"verify needs at least two distinct eps values, got {eps_list}")
+        raise ConfigError(f"verify needs at least two eps values, got {eps_list}")
     model = _build_model(cfg, species, domain)
     expanded = domain
     if flip:

@@ -155,9 +155,6 @@ class Profile:
         """Whether the profile is constant (u(0) = phi*, so there is no layer)."""
         return not self.derivs.any()
 
-    def __call__(self, t):
-        return profile_eval(self, t)
-
     def to_csv(self, path):
         write_csv(path, "t,value,derivative", (self.t, self.values, self.derivs))
 

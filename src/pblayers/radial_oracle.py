@@ -734,11 +734,11 @@ def compare_expansion(
     results = []
     for comp, bundle, depth in zip(domain.components, bundles, depths):
         t, phi_or, coef_or = _stretched_samples(oracle, comp, T)
-        q = asymptotics.ExpansionQuery(comp.mean_curvature, t, eps, 2, domain.dimension)
-        layer = asymptotics._sample(q, bundle)
+        q = asymptotics.ExpansionQuery(comp.mean_curvature, eps, 2, domain.dimension)
+        layer = asymptotics.sample(q, bundle, t)
         e1 = float(np.max(np.abs(phi_or - layer.u)))
-        e2 = float(np.max(np.abs(phi_or - asymptotics._potential(q, layer)))) / sq
-        field_err = float(np.max(np.abs(coef_or - asymptotics._field(q, layer))))
+        e2 = float(np.max(np.abs(phi_or - layer.potential()))) / sq
+        field_err = float(np.max(np.abs(coef_or - layer.field())))
         r2_max = None
         if bands is not None:
             band = bands.band(depth) == 2

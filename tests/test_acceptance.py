@@ -55,7 +55,7 @@ def test_criterion_01_gouy_chapman_equivalence(salt):
         tq = np.linspace(0.0, 20.0, 4001)
         for phi_bd in (1.0, -1.0, 2.0, -2.0):
             u = solve_u(salt, RobinData(0.0, phi_bd))
-            val, _ = u(tq)
+            val, _ = profile_eval(u, tq)
             exact = 4 * np.arctanh(np.tanh(phi_bd / 4) * np.exp(-SQRT2 * tq))
             assert np.max(np.abs(val - exact)) <= 1e-8
         assert time.perf_counter() - start < 1.0

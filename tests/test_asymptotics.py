@@ -4,42 +4,33 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pblayers.asymptotics import (
-    ExpansionQuery,
-    charge_density,
-    field_normal_component,
-    grid_rows,
-    maxwell_traction,
-    potential,
-    region_charge,
-)
-from pblayers.errors import ConfigError, ModelProfileMismatch
+from pblayers.asymptotics import ExpansionQuery, grid_rows, region_charge, sample
+from pblayers.errors import ConfigError, ModelProfileMismatch, NegativeTime
 from pblayers.geometry import RegionParams, make_disk
 from pblayers.profiles import LayerBundle, RobinData, profile_eval, solve_u, solve_v
 
 
-def q_at(t, eps=1e-4, order=2, h=1.0, d=2):
-    return ExpansionQuery(h, t, eps, order, d)
+def at(bundle, t, eps=1e-4, order=2, h=1.0, d=2):
+    """The LayerSample of bundle at the one depth t."""
+    return sample(ExpansionQuery(h, eps, order, d), bundle, [t])
 
 
 class TestPointwiseEvaluators:
     def test_potential_far_field_pb(self, std_bundle):
-        val = potential(q_at(40.0), std_bundle)
+        val = at(std_bundle, 40.0).potential()[0]
         assert val == pytest.approx(0.0, abs=1e-10)  # tends to the reference
 
     def test_potential_far_field_ccpb(self, annulus_constants):
         eps = 1e-4
         bundle = annulus_constants.profiles[0]
-        t = bundle.u.t_max
-        q = ExpansionQuery(0.5, t, eps, 2, 2)
-        val = potential(q, bundle)
+        val = at(bundle, bundle.u.t_max, eps, h=0.5).potential()[0]
         expected = annulus_constants.phi0_star + math.sqrt(eps) * annulus_constants.q
         assert val == pytest.approx(expected, abs=1e-6)
 
     def test_robin_consistency(self, std_bundle):
         # value(0) - gamma [u'(0) + sqrt(eps)(d-1)H v'(0)] recovers phi_bd
         eps = 1e-4
-        val = potential(q_at(0.0, eps), std_bundle)
+        val = at(std_bundle, 0.0, eps).potential()[0]
         _, du = profile_eval(std_bundle.u, 0.0)
         _, dv = profile_eval(std_bundle.v, 0.0)
         recon = val - 0.1 * (du + math.sqrt(eps) * 1.0 * dv)
@@ -48,31 +39,34 @@ class TestPointwiseEvaluators:
     def test_field_order1_value(self, salt):
         u = solve_u(salt, RobinData(0.0, 1.0))
         v = solve_v(u)
-        coef = field_normal_component(q_at(0.0, 1e-4, order=1), LayerBundle(u, v))
+        coef = at(LayerBundle(u, v), 0.0, 1e-4, order=1).field()[0]
         assert coef == pytest.approx(-2 * math.sqrt(2) * math.sinh(0.5) / 1e-2, rel=1e-12)
 
     def test_field_constant_profile(self, salt):
         u = solve_u(salt, RobinData(0.1, 0.0))
         v = solve_v(u)
-        assert field_normal_component(q_at(1.0), LayerBundle(u, v)) == 0.0
+        assert at(LayerBundle(u, v), 1.0).field()[0] == 0.0
 
     def test_sqrt_eps_scaling_exact(self, std_bundle):
         # order-2 minus order-1 must be exactly sqrt(eps) times an
         # eps-independent function of t
-        for fn in (potential, charge_density, maxwell_traction):
-            d1 = fn(q_at(0.7, 1e-4, 2), std_bundle) - fn(q_at(0.7, 1e-4, 1), std_bundle)
-            d2 = fn(q_at(0.7, 1e-6, 2), std_bundle) - fn(q_at(0.7, 1e-6, 1), std_bundle)
+        def value(name, eps, order):
+            return getattr(at(std_bundle, 0.7, eps, order), name)()[0]
+
+        for name in ("potential", "charge_density", "traction"):
+            d1 = value(name, 1e-4, 2) - value(name, 1e-4, 1)
+            d2 = value(name, 1e-6, 2) - value(name, 1e-6, 1)
             assert d1 / math.sqrt(1e-4) == pytest.approx(
                 d2 / math.sqrt(1e-6), rel=1e-12
             )
 
     def test_charge_density_order1_is_density_of_u(self, std_bundle, salt):
-        got = charge_density(q_at(0.0, order=1), std_bundle)
+        got = at(std_bundle, 0.0, order=1).charge_density()[0]
         u0 = std_bundle.u.u0
         assert got == pytest.approx(float(salt.f(u0)), rel=1e-14)
 
     def test_charge_density_pb_far_field(self, std_bundle):
-        assert charge_density(q_at(40.0), std_bundle) == pytest.approx(0.0, abs=1e-9)
+        assert at(std_bundle, 40.0).charge_density()[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_charge_density_ccpb_far_field_subleading(self, annulus_constants):
         # sqrt(eps)[f0'(phi0*) Q + f1(phi0*)] collapses to the neutral
@@ -80,9 +74,7 @@ class TestPointwiseEvaluators:
         eps = 1e-4
         cc = annulus_constants
         bundle = cc.profiles[0]
-        t = bundle.u.t_max
-        q = ExpansionQuery(0.5, t, eps, 2, 2)
-        val = charge_density(q, bundle)
+        val = at(bundle, bundle.u.t_max, eps, h=0.5).charge_density()[0]
         lim = math.sqrt(eps) * (float(cc.f0.df(cc.phi0_star)) * cc.q + float(cc.f1.f(cc.phi0_star)))
         assert abs(lim) <= 1e-8 * math.sqrt(eps) * abs(float(cc.f0.df(cc.phi0_star)))
         assert abs(val) <= 1e-6 * math.sqrt(eps) + 1e-12
@@ -91,9 +83,9 @@ class TestPointwiseEvaluators:
         # the conserved-charge potential is the PB one plus sqrt(eps) w(t),
         # and a bundle holding f1 without its w is refused
         bundle = annulus_constants.profiles[0]
-        q = ExpansionQuery(0.5, 0.0, 1e-4, 2, 2)
         w0, _ = profile_eval(bundle.w, 0.0)
-        extra = potential(q, bundle) - potential(q, replace(bundle, w=None, f1=None))
+        pb = replace(bundle, w=None, f1=None)
+        extra = at(bundle, 0.0, h=0.5).potential()[0] - at(pb, 0.0, h=0.5).potential()[0]
         assert extra == pytest.approx(1e-2 * w0, rel=1e-9, abs=1e-15)
         with pytest.raises(ModelProfileMismatch):
             replace(bundle, w=None)
@@ -104,10 +96,10 @@ class TestPointwiseEvaluators:
         cc = annulus_constants
         bundle = cc.profiles[0]
         assert bundle.f1 is cc.f1
-        q = ExpansionQuery(0.5, 0.0, 1e-4, 2, 2)
         u0, _ = profile_eval(bundle.u, 0.0)
         w0, _ = profile_eval(bundle.w, 0.0)
-        extra = charge_density(q, bundle) - charge_density(q, replace(bundle, w=None, f1=None))
+        pb = replace(bundle, w=None, f1=None)
+        extra = at(bundle, 0.0, h=0.5).charge_density()[0] - at(pb, 0.0, h=0.5).charge_density()[0]
         expected = 1e-2 * (float(bundle.u.density.df(u0)) * w0 + float(cc.f1.f(u0)))
         assert extra == pytest.approx(expected, rel=1e-9, abs=1e-15)
         with pytest.raises(ModelProfileMismatch):
@@ -123,18 +115,18 @@ class TestMaxwellTraction:
         u = std_bundle.u
         assert first_integral_drift(u) <= 1e-10 * (1 + u.u0_prime ** 2)
         for t in np.linspace(0, 10, 21):
-            lead = maxwell_traction(q_at(t, order=1), std_bundle)
+            lead = at(std_bundle, t, order=1).traction()[0]
             _, du = profile_eval(u, t)
             assert lead == pytest.approx(du * du / 2, rel=1e-10, abs=1e-14)
             assert lead >= 0
 
     def test_dirichlet_boundary_value(self, salt):
         u = solve_u(salt, RobinData(0.0, 1.0))
-        lead = maxwell_traction(q_at(0.0, order=1), LayerBundle(u, solve_v(u)))
+        lead = at(LayerBundle(u, solve_v(u)), 0.0, order=1).traction()[0]
         assert lead == pytest.approx(2 * (math.cosh(1.0) - 1.0), rel=1e-12)
 
     def test_far_field_vanishes(self, std_bundle):
-        assert maxwell_traction(q_at(40.0), std_bundle) == pytest.approx(0.0, abs=1e-12)
+        assert at(std_bundle, 40.0).traction()[0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestRegionCharge:
@@ -195,21 +187,21 @@ class TestRegionCharge:
 class TestQueryValidation:
     def test_bad_order(self):
         with pytest.raises(ConfigError):
-            ExpansionQuery(1.0, 0.0, 1e-4, 3)
+            ExpansionQuery(1.0, 1e-4, 3)
 
-    def test_bad_eps_t(self):
+    def test_bad_eps_t(self, std_bundle):
         with pytest.raises(ConfigError):
-            ExpansionQuery(1.0, 0.0, -1e-4)
-        with pytest.raises(ConfigError):
-            ExpansionQuery(1.0, -1.0, 1e-4)
+            ExpansionQuery(1.0, -1e-4)
+        with pytest.raises(NegativeTime):
+            sample(ExpansionQuery(1.0, 1e-4), std_bundle, [-1.0])
 
 
 class TestArrayEvaluators:
-    """One call over an array of t against one scalar call per point.
+    """grid_rows over an array of depths against sample at each depth alone.
 
     Potential and field are the same arithmetic either way, so they must be
-    equal; charge density and traction evaluate the densities on an array
-    rather than through their scalar path, so they may differ by rounding.
+    equal; charge density and traction evaluate density kernels that may round
+    a one-element array differently from a longer one.
     """
 
     @pytest.fixture(params=["pb", "ccpb"])
@@ -222,48 +214,28 @@ class TestArrayEvaluators:
         t_max = bundle.u.t_max
         return np.concatenate(([0.0], np.linspace(0.013, 9.0, 41), [t_max, 1.2 * t_max, t_max + 30.0]))
 
-    EVALUATORS = (
-        ("potential", potential, True),
-        ("field", field_normal_component, True),
-        ("charge_density", charge_density, False),
-        ("traction", maxwell_traction, False),
-    )
-
-    @staticmethod
-    def assert_match(got, want, exact):
-        if exact:
-            assert np.array_equal(got, want)
-        else:
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
-
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_array_matches_scalar(self, bundle, order):
-        ts = self.depths(bundle)
-        q = ExpansionQuery(0.5, ts, 1e-4, order, 2)
-        for _, fn, exact in self.EVALUATORS:
-            got = fn(q, bundle)
-            want = np.array([fn(replace(q, t=float(t)), bundle) for t in ts])
-            assert isinstance(got, np.ndarray) and got.shape == ts.shape
-            self.assert_match(got, want, exact)
+    # (name, whether the batch and the one-depth values are equal)
+    TERMS = (("potential", True), ("field", True), ("charge_density", False), ("traction", False))
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_grid_rows_matches_scalar(self, bundle, order):
         ts = self.depths(bundle)
-        q = ExpansionQuery(0.5, 0.0, 1e-3, order, 3)
+        q = ExpansionQuery(0.5, 1e-3, order, 3)
         values = grid_rows(q, bundle, ts)
-        for name, fn, exact in self.EVALUATORS:
-            assert isinstance(values[name], np.ndarray) and values[name].shape == ts.shape
-            want = np.array([fn(replace(q, t=float(t)), bundle) for t in ts])
-            self.assert_match(values[name], want, exact)
-
-    def test_scalar_query_returns_float(self, bundle):
-        q = ExpansionQuery(0.5, 0.7, 1e-4, 2, 2)
-        for _, fn, _ in self.EVALUATORS:
-            assert type(fn(q, bundle)) is float
+        assert sorted(values) == sorted(name for name, _ in self.TERMS)
+        for name, exact in self.TERMS:
+            got = values[name]
+            assert isinstance(got, np.ndarray) and got.shape == ts.shape
+            want = np.concatenate([getattr(sample(q, bundle, [t]), name)() for t in ts])
+            if exact:
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
     def test_negative_t_rejected(self, bundle):
         ts = np.array([0.0, 1.0, -1e-12])
-        with pytest.raises(ConfigError):
-            ExpansionQuery(0.5, ts, 1e-4, 2, 2)
-        with pytest.raises(ConfigError):
-            grid_rows(ExpansionQuery(0.5, 0.0, 1e-4, 2, 2), bundle, ts)
+        q = ExpansionQuery(0.5, 1e-4, 2, 2)
+        with pytest.raises(NegativeTime):
+            sample(q, bundle, ts)
+        with pytest.raises(NegativeTime):
+            grid_rows(q, bundle, ts)

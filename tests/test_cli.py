@@ -388,6 +388,13 @@ def test_readme_example_config_runs(tmp_path):
         # the E2 checks need a largest and a smallest eps
         pytest.param("verify", PB_BASE, "eps", [1e-2], "eps", id="verify-one-eps"),
         pytest.param("verify", PB_BASE, "eps", [1e-3, 1e-3], "eps", id="verify-repeated-eps"),
+        # every command takes distinct positive eps, checked before any solve
+        pytest.param("verify", PB_BASE, "eps", [1e-2, 1e-3, 1e-3], "eps[2]",
+                     id="verify-repeated-last-eps"),
+        pytest.param("expand", PB_BASE, "eps", [1e-3, 1e-3], "eps[1]", id="expand-repeated-eps"),
+        pytest.param("verify", PB_BASE, "eps", [1e-2, 0.0], "eps[1]", id="verify-zero-eps"),
+        pytest.param("expand", PB_BASE, "expand", {"t_max": -1}, "expand.t_max",
+                     id="expand-t_max-negative"),
         # json.load reads NaN and Infinity as floats
         pytest.param("expand", PB_BASE, "expand", {"t_max": math.nan}, "t_max",
                      id="expand-t_max-nan"),

@@ -122,7 +122,7 @@ class TestLayerProfile:
             # t where u = phi_bd / 2: the inner sublayer, exp(-phi_bd / 4) thin
             t_half = math.log(math.tanh(phi_bd / 4) / math.tanh(phi_bd / 8)) / SQRT2
             tq = np.concatenate((np.linspace(0, 20, 20001), np.linspace(0, 2 * t_half, 2001)))
-            val, der = solve_u(salt, RobinData(0.0, phi_bd))(tq)
+            val, der = profile_eval(solve_u(salt, RobinData(0.0, phi_bd)), tq)
             want, want_der = gouy_chapman(tq, phi_bd, slope=True)
             assert np.max(np.abs(val - want)) <= value_err, phi_bd
             assert np.max(np.abs(der - want_der)) <= slope_err * np.max(np.abs(want_der)), phi_bd
@@ -156,7 +156,7 @@ class TestLayerProfile:
 
     def test_value_at_one(self, salt):
         u = solve_u(salt, RobinData(0.0, 1.0))
-        val, _ = u(1.0)
+        val, _ = profile_eval(u, 1.0)
         assert val == pytest.approx(float(gouy_chapman(1.0, 1.0)), abs=1e-11)
 
     def test_constant_profile_at_reference(self, salt):
@@ -701,7 +701,7 @@ class TestJsonMeta:
 class TestEvaluation:
     def test_nodes_exact(self, std_bundle):
         u = std_bundle.u
-        val, der = u(u.t[1234])
+        val, der = profile_eval(u, u.t[1234])
         assert val == u.values[1234] and der == u.derivs[1234]
 
     def test_tail_model(self, salt):
@@ -711,7 +711,7 @@ class TestEvaluation:
             u = solve_u(salt, RobinData(0.0, phi_bd))
             tq = u.t_max + np.array([0.5, 1.0, 5.0, 10.0, 30.0])
             y = math.tanh(phi_bd / 4) * np.exp(-SQRT2 * tq)
-            val, der = u(tq)
+            val, der = profile_eval(u, tq)
             assert np.max(np.abs(val / (4 * np.arctanh(y)) - 1)) <= 1e-12, phi_bd
             assert np.max(np.abs(der / (-4 * SQRT2 * y / (1 - y * y)) - 1)) <= 1e-12, phi_bd
 
@@ -760,17 +760,17 @@ class TestEvaluation:
                     second_derivs=p.second_derivs[: j + 1],
                     tail=Tail.anchored(limit, p.tail.rate, p.values[j] - limit, p.derivs[j]),
                 )
-                val, _ = cut(p.t[k])
+                val, _ = profile_eval(cut, p.t[k])
                 assert abs(val - p.values[k]) <= bound * abs(p.values[k] - limit), kind
 
     def test_negative_time(self, std_bundle):
         with pytest.raises(NegativeTime):
-            std_bundle.u(-0.5)
+            profile_eval(std_bundle.u, -0.5)
 
     def test_interpolation_between_nodes(self, salt):
         u = solve_u(salt, RobinData(0.0, 1.0))
         tq = 0.5 * (u.t[100] + u.t[101])
-        val, _ = u(tq)
+        val, _ = profile_eval(u, tq)
         assert val == pytest.approx(float(gouy_chapman(tq, 1.0)), abs=1e-11)
 
 

@@ -14,7 +14,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import LinAlgError, solve_banded
 
 from pblayers import radial_oracle
-from pblayers.asymptotics import ExpansionQuery, field_normal_component, potential
+from pblayers.asymptotics import ExpansionQuery, grid_rows, sample
 from pblayers.errors import ConfigError, GridTooCoarse, NonFiniteOutput, RegionEmpty
 from pblayers.geometry import RegionParams, make_annulus, make_ball, make_disk, unit_sphere_area
 from pblayers.nonlinearity import IonSpecies
@@ -203,10 +203,11 @@ class TestComparison:
                                    rep.boundaries):
             rs = comp.radius + comp.depth_sign * (t * math.sqrt(eps))
             phi, coef = res.phi_at(rs), comp.depth_sign * res.dphi_at(rs)
-            q = ExpansionQuery(comp.mean_curvature, t, eps, 2, 2)
-            assert b.e1 == np.max(np.abs(phi - potential(replace(q, order=1), bundle)))
-            assert b.e2 == np.max(np.abs(phi - potential(q, bundle))) / math.sqrt(eps)
-            assert b.field_err == np.max(np.abs(coef - field_normal_component(q, bundle)))
+            q = ExpansionQuery(comp.mean_curvature, eps, 2, 2)
+            rows = grid_rows(q, bundle, t)
+            assert b.e1 == np.max(np.abs(phi - sample(replace(q, order=1), bundle, t).potential()))
+            assert b.e2 == np.max(np.abs(phi - rows["potential"])) / math.sqrt(eps)
+            assert b.field_err == np.max(np.abs(coef - rows["field"]))
 
     def test_trivial_configuration_zero_errors(self, salt):
         dom = make_disk(1.0, RobinData(0.1, 0.0))

@@ -215,6 +215,15 @@ def test_profiles_are_attributes_and_model_strings_stay_in_config_and_json():
             assert scopes <= _MODEL_NAME_SCOPES, sorted(scopes - _MODEL_NAME_SCOPES)
 
 
+def test_expansion_is_read_through_the_public_asymptotics_interface():
+    # the oracle comparison and the CLI evaluate the expansion through
+    # sample, grid_rows and region_charge, never through a private helper
+    for path in sorted((ROOT / "src" / "pblayers").glob("*.py")):
+        if path.stem != "asymptotics":
+            text = path.read_text(encoding="utf-8")
+            assert "asymptotics._" not in text, path.name
+
+
 def test_readme_config_keys_table_matches_cli():
     # one row per (section, key) the config parser allows, "—" for the
     # top-level values, so an option added or removed shows in the docs
