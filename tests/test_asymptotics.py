@@ -197,7 +197,7 @@ class TestQueryValidation:
 
 
 class TestArrayEvaluators:
-    """grid_rows over an array of depths against sample at each depth alone.
+    """sample and grid_rows over an array of depths against sample at each depth alone.
 
     Potential and field are the same arithmetic either way, so they must be
     equal; charge density and traction evaluate density kernels that may round
@@ -217,12 +217,7 @@ class TestArrayEvaluators:
     # (name, whether the batch and the one-depth values are equal)
     TERMS = (("potential", True), ("field", True), ("charge_density", False), ("traction", False))
 
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_grid_rows_matches_scalar(self, bundle, order):
-        ts = self.depths(bundle)
-        q = ExpansionQuery(0.5, 1e-3, order, 3)
-        values = grid_rows(q, bundle, ts)
-        assert sorted(values) == sorted(name for name, _ in self.TERMS)
+    def assert_matches_one_depth(self, values, q, bundle, ts):
         for name, exact in self.TERMS:
             got = values[name]
             assert isinstance(got, np.ndarray) and got.shape == ts.shape
@@ -231,6 +226,21 @@ class TestArrayEvaluators:
                 assert np.array_equal(got, want)
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_array_matches_scalar(self, bundle, order):
+        ts = self.depths(bundle)
+        q = ExpansionQuery(0.5, 1e-4, order, 2)
+        s = sample(q, bundle, ts)
+        self.assert_matches_one_depth({name: getattr(s, name)() for name, _ in self.TERMS}, q, bundle, ts)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_grid_rows_matches_scalar(self, bundle, order):
+        ts = self.depths(bundle)
+        q = ExpansionQuery(0.5, 1e-3, order, 3)
+        values = grid_rows(q, bundle, ts)
+        assert sorted(values) == sorted(name for name, _ in self.TERMS)
+        self.assert_matches_one_depth(values, q, bundle, ts)
 
     def test_negative_t_rejected(self, bundle):
         ts = np.array([0.0, 1.0, -1e-12])
