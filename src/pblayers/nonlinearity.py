@@ -34,7 +34,7 @@ from .errors import (
     NoSignChange,
     UnsupportedProvenance,
 )
-from .numerics import bisect_root
+from .numerics import bisect_root, is_scalar
 
 NEUTRALITY_TOL = 8 * 2.0**-53  # times sum |m_i z_i|: the rounding of neutral decimal amounts
 REFERENCE_RTOL = 1e-13  # bisection width of the reference potential
@@ -111,7 +111,7 @@ class _ExpSum:
         self._terms = tuple(zip(self.a.tolist(), self.b.tolist()))  # (a_i, b_i) floats
 
     def __call__(self, phi):
-        if np.isscalar(phi) or getattr(phi, "ndim", 0) == 0:
+        if is_scalar(phi):
             return self._scalar(float(phi))
         t, m = _exponents(np.asarray(phi, dtype=float) - self.ref, self.b)
         big = m > _EXP_GUARD
@@ -147,7 +147,7 @@ class _ExpSum:
 
 def _call_from_delta(self, phi):
     """Evaluate at phi through self.from_delta(phi - self.anchor)."""
-    scalar = np.isscalar(phi) or getattr(phi, "ndim", 0) == 0
+    scalar = is_scalar(phi)
     d = np.atleast_1d(np.asarray(phi, dtype=float)) - self.anchor
     out = self.from_delta(d)
     return float(out[0]) if scalar else out.reshape(np.shape(phi))

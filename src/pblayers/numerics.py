@@ -1,7 +1,7 @@
 """Small shared numerical kernels: panel quadrature, quintic Hermite
 evaluation, the bisection behind the reference potential, the Brent root
-finder of the bulk potential and the Robin boundary values, and the CSV
-writer of every artifact."""
+finder of the bulk potential and the Robin boundary values, the CSV
+writer of every artifact, and the scalar test of the evaluators."""
 
 from __future__ import annotations
 
@@ -29,6 +29,15 @@ _GL5_W = np.array([
 CLUSTER_BLEND = 0.9  # weight of the cosine map in boundary_clustered_nodes
 BISECT_STEPS = 200
 BRENT_MAXITER = 100  # iterations of brent_root, the default of SciPy's brentq
+
+
+_REAL_SCALARS = (float, int, np.floating, np.integer)
+
+
+def is_scalar(x) -> bool:
+    """A Python or numpy real number, or a 0-d array: what an evaluator
+    answers with a float.  Lists, tuples and other arrays are arrays."""
+    return isinstance(x, _REAL_SCALARS) or (isinstance(x, np.ndarray) and x.ndim == 0)
 
 
 def gauss_panels(a: np.ndarray, b: np.ndarray):

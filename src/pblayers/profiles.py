@@ -65,6 +65,7 @@ from .numerics import (
     brent_root,
     gauss_panels,
     hermite_eval,
+    is_scalar,
     panel_integrals,
     write_csv,
 )
@@ -256,7 +257,7 @@ def profile_eval(p: Profile, t):
     Quintic Hermite interpolation on the values, slopes and second
     derivatives at the nodes; the tail model takes over beyond t_max.
     """
-    scalar = np.isscalar(t) or getattr(t, "ndim", 0) == 0
+    scalar = is_scalar(t)
     tq = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(tq < 0):
         raise NegativeTime("profiles are defined for t >= 0")

@@ -1,13 +1,19 @@
 """Brute-force radial ground truth.
 
 Finite-volume discretization of -eps (r^{d-1} phi')' = r^{d-1} f(phi) on a
-boundary-graded grid, solved by damped Newton with an exact (2,2)-banded
-Jacobian.  Only its diagonal depends on phi, so each system assembles the
-other bands once, and a Newton step adds f'(phi) to the diagonal of a copy
-and factors it with LAPACK's dgbsv.  Cell-centered conservative fluxes make
-the discrete divergence identity hold to solver tolerance.  Every boundary
-row is a Robin row (gamma = 0 is the Dirichlet limit), and the center of a
-ball is a symmetric flux row.
+boundary-graded grid, solved by damped Newton with the exact Jacobian.  It
+is tridiagonal but for the third entry of each Robin row, from the one-sided
+3-point stencil of phi'.  Only its diagonal depends on phi, so each system
+assembles the three bands and the two third entries once.  A local (PB)
+Newton step adds f'(phi) to the diagonal of a copy, eliminates each Robin
+row's third entry against its neighbouring flux row and solves the
+tridiagonal system with LAPACK's dgtsv.  The conserved-charge sweeps solve
+the same entries as five bands with dgbsv, bit for bit as before: the
+benchmark's reference values pin their trajectory, and the tridiagonal step
+moves one of them beyond its tolerance.  Cell-centered conservative fluxes
+make the discrete divergence identity hold to solver tolerance.  Every
+boundary row is a Robin row (gamma = 0 is the Dirichlet limit), and the
+center of a ball is a symmetric flux row.
 
 Each solve builds its grid and assembled system once.  The nonlocal
 conserved-charge problem is an outer fixed point on the normalizer vector
@@ -18,7 +24,7 @@ sampled on the new grid by its not-a-knot cubic spline (continuation in eps).
 A local (PB) solve samples it at the same stretched depth |r - r_k|/sqrt(eps)
 from the nearest boundary, and starts cold from phi* plus the linearized
 (Debye-Huckel) Robin layer of each boundary.  The spline's slopes are one
-tridiagonal solve by LAPACK's dgtsv.  dgbsv and dgtsv come from SciPy's
+tridiagonal solve by dgtsv too.  dgtsv and dgbsv come from SciPy's
 LAPACK extension, loaded alone with the first solve (_lapack): the
 scipy.linalg package itself is never imported here.
 
@@ -237,11 +243,11 @@ class _RadialSystem:
     balance.  A Robin row with gamma = 0 is the Dirichlet row.  `f` may be
     replaced between solves on the same grid.
 
-    The Jacobian is (2,2)-banded, and only its diagonal depends on phi (through
-    f'(phi) on the flux rows).  The phi-independent bands are assembled once,
-    in LAPACK's gbsv storage (two fill-in rows above the five bands), and each
-    Newton step copies them into a reused Fortran-order buffer, adds f'(phi)
-    to the diagonal and factors it in place.
+    The Jacobian is tridiagonal but for J[0, 2] and J[n-1, n-3], the third
+    entries gamma sqrt(eps) c2 of the Robin rows (zero at gamma = 0 and at
+    the center of a ball).  Only its diagonal depends on phi, through
+    f'(phi) on the flux rows, so the bands and the third entries are
+    assembled once.
     """
 
     def __init__(self, r, d, eps, f: Nonlinearity | None, inner: RobinData | None,
@@ -262,36 +268,36 @@ class _RadialSystem:
         self.n = n
         self.h = h
         self.sq_eps = math.sqrt(eps)
-        # gbsv band storage: ab[4 + i - j, j] = J[i, j]; rows 0-1 are LU fill-in
-        ab = np.zeros((7, n), order="F")
+        # dgtsv's bands: lower[i] = J[i + 1, i], diag[i] = J[i, i], upper[i] = J[i, i + 1]
+        lower, diag, upper = np.empty(n - 1), np.empty(n), np.empty(n - 1)
         a_up = eps * self.face_coef[1:] / self.vol[1:-1]
         a_dn = eps * self.face_coef[:-1] / self.vol[1:-1]
-        ab[3, 2:] = a_up
-        ab[5, :-2] = a_dn
-        ab[4, 1:-1] = -(a_up + a_dn)
+        upper[1:] = a_up
+        lower[:-1] = a_dn
+        diag[1:-1] = -(a_up + a_dn)
         # rounding floor: flux differences amplify value rounding by this factor
         self._floor_scale = float(np.max(eps * (self.face_coef[:-1] + self.face_coef[1:])
                                          / self.vol[1:-1]))
         if inner is None:
             c = eps * self.face_coef[0] / self.vol[0]
-            ab[4, 0] = -c
-            ab[3, 1] = c
+            diag[0] = -c
+            upper[0] = c
+            third_in = 0.0
             self._floor_scale = max(self._floor_scale, c)
             self._df_rows = slice(0, -1)
         else:
             g = inner.gamma * self.sq_eps
             c0, c1, c2 = _one_sided_coeffs(h[0], h[1])
-            ab[4, 0] = 1.0 + g * c0
-            ab[3, 1] = g * c1
-            ab[2, 2] = g * c2
+            diag[0] = 1.0 + g * c0
+            upper[0] = g * c1
+            third_in = g * c2
             self._df_rows = slice(1, -1)
         g = outer.gamma * self.sq_eps
         c0, c1, c2 = _one_sided_coeffs(h[-1], h[-2])
-        ab[4, -1] = 1.0 + g * c0
-        ab[5, -2] = g * c1
-        ab[6, -3] = g * c2
-        self._bands = ab
-        self._lu = np.empty_like(ab, order="F")
+        diag[-1] = 1.0 + g * c0
+        lower[-1] = g * c1
+        self._bands = (lower, diag, upper)
+        self._thirds = (third_in, g * c2)  # J[0, 2], J[n-1, n-3]
 
     def residual(self, phi):
         """(residual vector, max |f(phi)| over the nodes)."""
@@ -312,26 +318,34 @@ class _RadialSystem:
         return res, float(np.max(np.abs(fvals)))
 
     def newton_step(self, phi, res):
-        """The step s solving J(phi) s = -res.
+        """The step s solving J(phi) s = -res, by dgtsv on a copy of the bands.
 
-        Raises ValueError on a non-finite f'(phi) or residual and
-        numpy.linalg.LinAlgError on a singular Jacobian, as
-        SciPy's solve_banded does.
+        Each Robin row's third entry is first eliminated by one row operation
+        against its neighbouring flux row, whose coupling to that column is
+        positive.  The rewritten row is about 1 + gamma sqrt(eps)/h on the
+        diagonal and -gamma sqrt(eps)/h off it, so it does not cancel even at
+        large gamma.  Raises ValueError on a non-finite f'(phi) or residual
+        and numpy.linalg.LinAlgError on a singular Jacobian, as SciPy's
+        solve_banded does.
         """
-        dgbsv = _lapack().dgbsv
-        lu = self._lu
-        lu[...] = self._bands
+        lower, diag, upper = (band.copy() for band in self._bands)
         rows = self._df_rows
-        lu[4, rows] += np.asarray(self.f.df(phi), dtype=float)[rows]
+        diag[rows] += np.asarray(self.f.df(phi), dtype=float)[rows]
         rhs = -res
-        if not (np.isfinite(lu[4]).all() and np.isfinite(rhs).all()):
-            raise ValueError("Newton system must not contain infs or NaNs")
-        _, _, step, info = dgbsv(2, 2, lu, rhs, overwrite_ab=1, overwrite_b=1)
-        if info > 0:
-            raise LinAlgError("singular matrix")
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dgbsv")
-        return step
+        _check_finite(diag, rhs)
+        third_in, third_out = self._thirds
+        if third_in:  # row 0 less (J[0, 2] / J[1, 2]) row 1
+            m = third_in / upper[1]
+            diag[0] -= m * lower[0]
+            upper[0] -= m * diag[1]
+            rhs[0] -= m * rhs[1]
+        if third_out:  # row n-1 less (J[n-1, n-3] / J[n-2, n-3]) row n-2
+            m = third_out / lower[-2]
+            diag[-1] -= m * upper[-1]
+            lower[-1] -= m * diag[-2]
+            rhs[-1] -= m * rhs[-2]
+        *_, step, info = _lapack().dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
+        return _solved(step, info, "dgtsv")
 
     def rounding_floor(self, phi):
         """Attainable residual level: flux differences amplify value rounding
@@ -350,6 +364,54 @@ class _RadialSystem:
         if self.inner is not None:
             total -= eps * flux[0]
         return abs(total) * unit_sphere_area(self.d)
+
+
+class _BandedSystem(_RadialSystem):
+    """The conserved-charge sweeps' system: the same entries, each Newton
+    step solved whole as five bands by dgbsv.
+
+    Its steps, and so the sweeps' trajectory, are bit for bit those that
+    perfbench/reference.json and TestOneSolvePath pin; the tridiagonal step
+    moves one reference value beyond its tolerance.  It goes when the
+    reference is regenerated from converged solves (ROADMAP item 1(a)).
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        # gbsv storage: ab[4 + i - j, j] = J[i, j]; rows 0-1 are LU fill-in
+        lower, diag, upper = self._bands
+        ab = np.zeros((7, self.n), order="F")
+        ab[3, 1:] = upper
+        ab[4] = diag
+        ab[5, :-1] = lower
+        ab[2, 2], ab[6, -3] = self._thirds
+        self._gb = ab
+        self._lu = np.empty_like(ab, order="F")
+
+    def newton_step(self, phi, res):
+        """The step s solving J(phi) s = -res, errors as _RadialSystem's."""
+        lu = self._lu
+        lu[...] = self._gb
+        rows = self._df_rows
+        lu[4, rows] += np.asarray(self.f.df(phi), dtype=float)[rows]
+        rhs = -res
+        _check_finite(lu[4], rhs)
+        _, _, step, info = _lapack().dgbsv(2, 2, lu, rhs, overwrite_ab=1, overwrite_b=1)
+        return _solved(step, info, "dgbsv")
+
+
+def _check_finite(diag, rhs):
+    if not (np.isfinite(diag).all() and np.isfinite(rhs).all()):
+        raise ValueError("Newton system must not contain infs or NaNs")
+
+
+def _solved(step, info, routine):
+    """The step of a LAPACK solve, or the error its info code reports."""
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+    return step
 
 
 _FLAPACK = "scipy.linalg._flapack"
@@ -461,8 +523,8 @@ def _damped_newton(system: _RadialSystem, phi0):
 
 
 def _radial_system(domain: DomainSpec, f: Nonlinearity | None, eps: float,
-                   grid_opts) -> _RadialSystem:
-    """The graded grid and assembled system of a ball or one annulus."""
+                   grid_opts, system=_RadialSystem) -> _RadialSystem:
+    """The graded grid and assembled `system` of a ball or one annulus."""
     outer = domain.components[0]
     if outer.radius is None:
         raise ConfigError("the oracle needs spherical boundary components")
@@ -475,7 +537,7 @@ def _radial_system(domain: DomainSpec, f: Nonlinearity | None, eps: float,
         domain.dimension, outer.radius, None if inner is None else inner.radius,
         eps, **grid_opts,
     )
-    return _RadialSystem(
+    return system(
         r, domain.dimension, eps, f, None if inner is None else inner.robin, outer.robin
     )
 
@@ -581,7 +643,7 @@ def solve_radial_ccpb(
     domain.require_ccpb_admissible()
     if len(domain.components) != 2:
         raise ConfigError("the conserved-charge oracle needs an annulus")
-    system = _radial_system(domain, None, eps, grid_opts)
+    system = _radial_system(domain, None, eps, grid_opts, _BandedSystem)
     r, d = system.r, system.d
     weight = unit_sphere_area(d) * r ** (d - 1)
     norms = np.full(len(species), domain.volume)

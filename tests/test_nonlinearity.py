@@ -218,6 +218,18 @@ class TestScalarCalls:
             want = F(np.array([F.anchor + x]))[0]
             assert F(F.anchor + x) == want and math.isinf(want)
 
+    @pytest.mark.parametrize("seq", [list, tuple])
+    @pytest.mark.parametrize("name", ["f", "df", "F"])
+    def test_sequence_takes_the_array_path(self, name, seq):
+        # a list or tuple of potentials is an array, not a scalar
+        fn = getattr(make_classical_pb(symmetric_salt()), name)
+        phi = [0.5, 1.0, -40.0]
+        want = fn(np.array(phi))
+        got = fn(seq(phi))
+        assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+        for scalar in (0.5, np.float64(0.5), np.array(0.5), 1, np.int64(1)):
+            assert type(fn(scalar)) is float
+
 
 class TestSpecies:
     def test_invalid_species(self):

@@ -767,6 +767,17 @@ class TestEvaluation:
         with pytest.raises(NegativeTime):
             profile_eval(std_bundle.u, -0.5)
 
+    @pytest.mark.parametrize("seq", [list, tuple])
+    def test_sequence_of_depths_is_an_array(self, std_bundle, seq):
+        u = std_bundle.u
+        ts = [0.0, 1.0, u.t_max + 1.0]  # nodes, interior and tail
+        want = profile_eval(u, np.array(ts))
+        got = profile_eval(u, seq(ts))
+        for g, w in zip(got, want):
+            assert isinstance(g, np.ndarray) and g.tobytes() == w.tobytes()
+        for t in (1.0, np.float64(1.0), np.array(1.0), 1):
+            assert all(type(x) is float for x in profile_eval(u, t))
+
     def test_interpolation_between_nodes(self, salt):
         u = solve_u(salt, RobinData(0.0, 1.0))
         tq = 0.5 * (u.t[100] + u.t[101])

@@ -23,6 +23,7 @@ from pblayers.radial_oracle import (
     GRID_GROWTH,
     STRETCHED_SAMPLES,
     _one_sided_coeffs,
+    _BandedSystem,
     _radial_system,
     _cubic_eval,
     _not_a_knot,
@@ -643,28 +644,67 @@ def _five_band_jacobian(system, phi):
     return ab
 
 
+def _backward_error(ab, step, res):
+    """||J s + res|| / (||J|| ||s|| + ||res||) in the max norm, J in
+    solve_banded's (2,2) layout ab[2 + i - j, j] = J[i, j]."""
+    n = len(step)
+    product, row_sums = res.copy(), np.zeros(n)
+    for k in range(5):
+        lo, hi = max(0, 2 - k), min(n, n + 2 - k)  # columns j with 0 <= j + k - 2 < n
+        product[lo + k - 2:hi + k - 2] += ab[k, lo:hi] * step[lo:hi]
+        row_sums[lo + k - 2:hi + k - 2] += np.abs(ab[k, lo:hi])
+    norm = np.max(np.abs(product))
+    return norm / (np.max(row_sums) * np.max(np.abs(step)) + np.max(np.abs(res)))
+
+
 NEWTON_DOMAINS = {
     "ball": make_ball(2, 1.0, RobinData(0.3, 1.5)),
     # (outer, inner) Robin data: gamma > 0 outside and Dirichlet inside, then swapped
     "annulus": make_annulus(3, 1.0, 2.0, RobinData(0.7, -1.0), RobinData(0.0, 2.0)),
     "annulus-robin-inside": make_annulus(2, 1.0, 2.0, RobinData(0.0, 0.5), RobinData(2.0, -1.5)),
 }
+# both Robin rows nearly Neumann: the eliminated third entries are 1e6 times the diagonal
+STIFF_ROBIN = {"annulus-gamma-1e6": make_annulus(3, 1.0, 2.0, RobinData(1e6, 1.0),
+                                                 RobinData(1e6, -0.5))}
+
+
+def _newton_cases(system, salt):
+    """(phi, res) pairs on the system's grid; the last one after its density
+    is swapped, as it may be between solves on the same system."""
+    r = system.r
+    for phi in (np.zeros(len(r)), np.cos(7.0 * r) * np.exp(-r), np.linspace(-2.0, 3.0, len(r))):
+        yield phi, system.residual(phi)[0]
+    system.f = replace(salt, df=lambda p: 3.0 * salt.df(p))
+    yield phi, system.residual(phi)[0]
 
 
 class TestNewtonStep:
     @pytest.mark.parametrize("name", sorted(NEWTON_DOMAINS))
     def test_bit_equal_to_solve_banded(self, salt, name):
-        system = _radial_system(NEWTON_DOMAINS[name], salt, 1e-3, {})
-        r = system.r
-        for phi in (np.zeros(len(r)), np.cos(7.0 * r) * np.exp(-r), np.linspace(-2.0, 3.0, len(r))):
-            res, _ = system.residual(phi)
+        # the conserved-charge sweeps' five-band step
+        system = _radial_system(NEWTON_DOMAINS[name], salt, 1e-3, {}, _BandedSystem)
+        for phi, res in _newton_cases(system, salt):
             want = solve_banded((2, 2), _five_band_jacobian(system, phi), -res)
             assert system.newton_step(phi, res).tobytes() == want.tobytes()
-        # the density may be swapped between solves on the same system
-        system.f = replace(salt, df=lambda p: 3.0 * salt.df(p))
-        res, _ = system.residual(phi)
-        want = solve_banded((2, 2), _five_band_jacobian(system, phi), -res)
-        assert system.newton_step(phi, res).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(NEWTON_DOMAINS) + sorted(STIFF_ROBIN))
+    def test_tridiagonal_step_is_backward_stable(self, salt, name):
+        system = _radial_system({**NEWTON_DOMAINS, **STIFF_ROBIN}[name], salt, 1e-3, {})
+        for phi, res in _newton_cases(system, salt):
+            step = system.newton_step(phi, res)
+            assert _backward_error(_five_band_jacobian(system, phi), step, res) <= 1e-15
+
+    def test_pb_solve_never_calls_dgbsv(self, salt, monkeypatch):
+        lapack = radial_oracle._lapack()
+
+        def dgbsv(*args, **kwargs):
+            raise AssertionError("a PB solve called dgbsv")
+
+        stand_in = type("Lapack", (), {"dgtsv": lapack.dgtsv, "dgbsv": staticmethod(dgbsv)})
+        monkeypatch.setattr(radial_oracle, "_lapack", stand_in)
+        for name in sorted(NEWTON_DOMAINS):
+            res = solve_radial_robin_pb(NEWTON_DOMAINS[name], salt, 1e-3)
+            _assert_converged(res, salt)
 
     def test_nan_derivative_raises_value_error(self, salt):
         system = _radial_system(NEWTON_DOMAINS["ball"], salt, 1e-3, {})
@@ -696,9 +736,10 @@ class TestNewtonStep:
             system.newton_step(phi, res)
 
 
-# run in a fresh interpreter: an oracle solve warm-started from another (dgbsv
-# and dgtsv) and one Newton step, then the scipy.linalg package, whose LAPACK
-# module must be the oracle's and whose solve_banded must give the step's bits
+# run in a fresh interpreter: an oracle solve warm-started from another (dgtsv)
+# and one five-band Newton step (dgbsv), then the scipy.linalg package, whose
+# LAPACK module must be the oracle's and whose solve_banded must give the
+# step's bits
 _LOAD_ORDER_PROBE = """
 import json, sys
 import numpy as np
@@ -710,7 +751,7 @@ salt = make_classical_pb([IonSpecies(1, 1.0), IonSpecies(-1, 1.0)])
 domain = make_annulus(2, 1.0, 2.0, RobinData(0.1, 1.0), RobinData(0.0, -0.5))
 coarse = radial_oracle.solve_radial_robin_pb(domain, salt, 1e-2)
 fine = radial_oracle.solve_radial_robin_pb(domain, salt, 1e-3, initial=coarse)
-system = radial_oracle._radial_system(domain, salt, 1e-3, {})
+system = radial_oracle._radial_system(domain, salt, 1e-3, {}, radial_oracle._BandedSystem)
 phi = np.cos(7.0 * system.r)
 res, _ = system.residual(phi)
 step = system.newton_step(phi, res)
