@@ -7,6 +7,7 @@ import sys
 
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -695,13 +696,11 @@ class TestNewtonStep:
             assert _backward_error(_five_band_jacobian(system, phi), step, res) <= 1e-15
 
     def test_pb_solve_never_calls_dgbsv(self, salt, monkeypatch):
-        lapack = radial_oracle._lapack()
-
         def dgbsv(*args, **kwargs):
             raise AssertionError("a PB solve called dgbsv")
 
-        stand_in = type("Lapack", (), {"dgtsv": lapack.dgtsv, "dgbsv": staticmethod(dgbsv)})
-        monkeypatch.setattr(radial_oracle, "_lapack", stand_in)
+        stand_in = SimpleNamespace(dgtsv=radial_oracle._lapack().dgtsv, dgbsv=dgbsv)
+        monkeypatch.setattr(radial_oracle, "_lapack", lambda: stand_in)
         for name in sorted(NEWTON_DOMAINS):
             res = solve_radial_robin_pb(NEWTON_DOMAINS[name], salt, 1e-3)
             _assert_converged(res, salt)
