@@ -103,7 +103,8 @@ class LayerSample:
 
 def sample(q: ExpansionQuery, bundle: LayerBundle, ts) -> LayerSample:
     """The profiles that q's order uses, each evaluated once over the array
-    of depths ts >= 0 (a negative depth raises NegativeTime)."""
+    of depths ts >= 0 (a negative, NaN or infinite depth raises
+    NegativeTime)."""
     ts = np.asarray(ts, dtype=float)
     u, du = profile_eval(bundle.u, ts)
     v = dv = w = dw = None

@@ -80,10 +80,14 @@ def _rows(cfg: dict, key: str) -> list[dict]:
 
 
 def _float(value, where: str) -> float:
+    """A JSON number as a finite float: no bool (a subclass of int) and no
+    numeric string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
         x = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    except OverflowError:  # an integer beyond the range of a float
+        x = math.inf
     if not math.isfinite(x):
         # json.load accepts NaN, Infinity and -Infinity
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
@@ -167,13 +171,16 @@ def _grid_kwargs(cfg) -> dict:
     return {"n_nodes": _integer(grid, "n_nodes", "grid")} if "n_nodes" in grid else {}
 
 
-def _region_params(cfg, eps) -> RegionParams | None:
-    if cfg.get("region") is None:
-        return None
-    reg = _section(cfg, "region")
-    return RegionParams(
-        eps=eps, beta=_number(reg, "beta", "region"), T=_number(reg, "T", "region")
-    )
+def _region(cfg, need_beta: bool) -> tuple[float, float | None]:
+    """(T, beta) of the region section: T defaults to 5.0 and must be
+    positive; beta is None when absent, a config error if need_beta."""
+    region = _section(cfg, "region")
+    T = _number(region, "T", "region", 5.0)
+    # T = 0 puts every stretched sample at the boundary point
+    if T <= 0:
+        raise ConfigError(f"region.T must be positive, got {T!r}")
+    beta = _number(region, "beta", "region") if need_beta or "beta" in region else None
+    return T, beta
 
 
 def _eps_list(cfg) -> list[float]:
@@ -264,13 +271,16 @@ def cmd_expand(cfg, out: Path) -> int:
     # every query and band is validated before the model solve, so a bad
     # (T, beta, eps) writes nothing
     domain = _domain(cfg)
+    # a region section asks for the region charges, which need beta
+    has_region = cfg.get("region") is not None
+    T, beta = _region(cfg, need_beta=has_region)
     plan = []
     for eps in _eps_list(cfg):
         queries = [
             asymptotics.ExpansionQuery(comp.mean_curvature, eps, order, domain.dimension)
             for comp in domain.components
         ]
-        plan.append((eps, queries, _region_params(cfg, eps)))
+        plan.append((eps, queries, RegionParams(eps, beta, T) if has_region else None))
     bundles = _build_model(cfg, _species(cfg), domain).bundles
     for eps, queries, params in plan:
         tag = _eps_tag(eps)
@@ -319,12 +329,7 @@ def cmd_verify(cfg, out: Path) -> int:
     flip = _section(cfg, "verify").get("flip_curvature", False)
     if not isinstance(flip, bool):
         raise ConfigError(f"verify.flip_curvature must be true or false, got {flip!r}")
-    region = _section(cfg, "region")
-    T = _number(region, "T", "region", 5.0)
-    # T = 0 puts every stretched sample at the boundary point
-    if T <= 0:
-        raise ConfigError(f"region.T must be positive, got {T!r}")
-    beta = _number(region, "beta", "region") if "beta" in region else None
+    T, beta = _region(cfg, need_beta=False)
     species, domain = _species(cfg), _domain(cfg)
     eps_list = sorted(_eps_list(cfg), reverse=True)
     # eps**beta / (T sqrt(eps)) grows as eps falls, so bands unordered at the

@@ -67,12 +67,6 @@ def _gl5_partial_matrix():
 GL5_PARTIAL = _gl5_partial_matrix()
 
 
-def panel_integrals(fn, a, b):
-    """Integral of fn over each panel [a_i, b_i] by 5-point Gauss."""
-    x, w = gauss_panels(a, b)
-    return np.sum(fn(x.ravel()).reshape(x.shape) * w, axis=1)
-
-
 def hermite_eval(tq, t, y, dy, d2y):
     """Evaluate the piecewise quintic Hermite interpolant of (t, y, dy, d2y)
     at tq: on each panel [t_j, t_j+1] the quintic that matches value, slope

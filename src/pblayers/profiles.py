@@ -23,17 +23,13 @@ reduced to Gauss quadratures over the offsets u - phi* of the nodes of u (no
 tail truncation, no interpolation of u between nodes): the energy
 I(t) = integral of u'^2 from t to infinity and A(t) = integral of I/u'^2
 from 0 to t come from the Gauss speeds of u, so solve_u keeps them on the
-ULayer and solve_v is arithmetic at the nodes.  The Gauss-point sweep of
-solve_u runs PANEL_BLOCK panels at a time (loop tiling), so its temporaries
-stay in cache instead of being mapped afresh on every call; each step is
-element-wise or per panel, and the running sums carry across blocks in
-order, so the result has the bits of one sweep over all panels.  w is in
-closed form: on the terms of f0 its forcing splits into multiples of f0 and
-F0, whose integrals along u follow from u'' = -f0(u) and u'^2 = -2 F0(u),
-and a remainder O((u - phi*)^3) that only salts of three or more species
-have and that one more such sweep integrates.  So w = limit + u' s with s
-growing at most linearly: its limit is added, not recovered from u' times
-an integral that grows as 1/u'.  Beyond the last node every profile decays
+ULayer and solve_v is arithmetic at the nodes.  w is in closed form: on the
+terms of f0 its forcing splits into multiples of f0 and F0, whose integrals
+along u follow from u'' = -f0(u) and u'^2 = -2 F0(u), and a remainder
+O((u - phi*)^3) that only salts of three or more species have and that one
+more such sweep integrates.  So w = limit + u' s with s growing at most
+linearly: its limit is added, not recovered from u' times an integral that
+grows as 1/u'.  Beyond the last node every profile decays
 at the known rate mu = sqrt(-f'(phi*)), u and theta as exp(-mu t) and v and
 w as (a + b t) exp(-mu t), so each continues as that two-term exponential
 through its last node's value and slope: no tail fit.  Each solver also sets
@@ -66,7 +62,6 @@ from .numerics import (
     gauss_panels,
     hermite_eval,
     is_scalar,
-    panel_integrals,
     write_csv,
 )
 
@@ -75,7 +70,6 @@ MIN_NODES = 5  # fewest nodes solve_u and ode_residual accept
 TMAX_CAP_FACTOR = 40.0  # m_f * t_max of the flat profile
 TAIL_REL_THRESHOLD = 1e-12
 BOUNDARY_RTOL = 1e-15  # Brent tolerance (xtol = rtol) of the Robin boundary value
-PANEL_BLOCK = 4096  # offset panels per block of the Gauss-point sweeps (20,480 points)
 W_LIMIT_RTOL = 1e-9  # solve_w rejects an f1 whose w(inf) is off f1.q by more, times max(1, |q|)
 
 
@@ -252,15 +246,17 @@ class LayerBundle:
 
 
 def profile_eval(p: Profile, t):
-    """Evaluate (value, derivative) at t >= 0.
+    """Evaluate (value, derivative) at t, a depth or an array of depths.
 
     Quintic Hermite interpolation on the values, slopes and second
     derivatives at the nodes; the tail model takes over beyond t_max.
+    Raises NegativeTime unless every depth is finite and >= 0: a NaN or
+    infinite depth has no value.
     """
     scalar = is_scalar(t)
     tq = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(tq < 0):
-        raise NegativeTime("profiles are defined for t >= 0")
+    if not np.all((tq >= 0) & (tq < math.inf)):
+        raise NegativeTime("profiles are defined for finite t >= 0")
     val = np.empty(tq.shape)
     der = np.empty(tq.shape)
     inside = tq <= p.t[-1]
@@ -323,21 +319,15 @@ def _speed_from_delta(f: Nonlinearity, phi_star: float):
     return speed
 
 
-def _panel_blocks(f: Nonlinearity, phi_star: float, delta: np.ndarray, reverse=False):
-    """Yield (panels, x, |wq|, speed) for PANEL_BLOCK offset panels
-    [delta_{j+1}, delta_j] at a time, last block first when reverse: the
-    slice of panel indices, the Gauss points x and weights |wq| of shape
-    (len(panels), 5), and the layer speed |u'| at x.  Since
+def _gauss_speeds(f: Nonlinearity, phi_star: float, delta: np.ndarray):
+    """(x, |wq|, speed) on the n offset panels of the nodes delta: the Gauss
+    points x and weights |wq| of shape (n, 5) and the layer speed |u'| at x.
+    Panel j < n - 1 is [delta_{j+1}, delta_j], between nodes j and j + 1;
+    the last is the tail panel [0, delta_{n-1}] beyond the last node.  Since
     dt = |d delta| / speed, a t-integral of g over a panel is the sum of
-    wq g / speed.  Every value is computed element by element or per panel,
-    so it has the bits of one whole-array sweep, at a working set that stays
-    in cache."""
-    speed = _speed_from_delta(f, phi_star)
-    starts = range(0, len(delta) - 1, PANEL_BLOCK)
-    for lo in reversed(starts) if reverse else starts:
-        hi = min(lo + PANEL_BLOCK, len(delta) - 1)
-        x, wq = gauss_panels(delta[lo + 1 : hi + 1], delta[lo:hi])
-        yield slice(lo, hi), x, np.abs(wq), speed(x.ravel()).reshape(x.shape)
+    wq g / speed."""
+    x, wq = gauss_panels(np.append(delta[1:], 0.0), delta)
+    return x, np.abs(wq), _speed_from_delta(f, phi_star)(x.ravel()).reshape(x.shape)
 
 
 def _constant_profile(cls, kind, level, t_max, n_nodes, robin, rate, **fields):
@@ -361,8 +351,8 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
     u - phi* from u(0) - phi* down to TAIL_REL_THRESHOLD of it, and each node
     gets its t from the time map; the first-integral identity
     u'^2 + 2F(u) = 0 holds at every node by construction.  One sweep over
-    the Gauss points, PANEL_BLOCK panels at a time from the tail inward, sums
-    the time map, the energy I and the A of solve_v.
+    the Gauss points of all panels sums the time map, the energy I and the
+    A of solve_v.
     """
     if n_nodes < MIN_NODES:
         raise GridTooCoarse(f"n_nodes = {n_nodes}: a profile needs at least {MIN_NODES} nodes")
@@ -387,31 +377,27 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
     # offset so that the exponentially small tail keeps full relative accuracy
     decades = -math.log10(TAIL_REL_THRESHOLD)
     delta = delta0 * 10.0 ** -boundary_clustered_nodes(n_nodes, decades)
-    speed_at = _speed_from_delta(f, phi_star)
-    node_speed = speed_at(delta)
+    node_speed = _speed_from_delta(f, phi_star)(delta)
     du = sgn_du * node_speed
-    # one sweep from the tail inward, PANEL_BLOCK panels at a time: panel j
-    # (nodes j and j + 1) puts its integrals of 1/speed and I/speed^3 into
-    # entry j + 1 of t and A (the A of solve_v), which are then summed from
-    # node 0, and adds its integral of the speed to the running suffix sum
-    # that gives I at node j.  I at the Gauss points comes from the degree-6
-    # interpolant through the two node speeds and the five Gauss speeds of
-    # the panel, and I at the last node from the panel from offset 0 to it.
-    t = np.zeros(n_nodes)
+    # panel j (nodes j and j + 1) puts its integrals of 1/speed and
+    # I/speed^3 into entry j + 1 of t and A, which are then summed from
+    # node 0; I at node j is the suffix sum of the integrals of the speed
+    # over the panels from j on, the tail panel included.  I at the Gauss
+    # points comes from the degree-6 interpolant through the two node speeds
+    # and the five Gauss speeds of the panel
+    _, wq, speed = _gauss_speeds(f, phi_star, delta)
+    sums = np.sum(speed * wq, axis=1)
     energy = np.empty(n_nodes)
+    energy[-1] = sums[-1]
+    energy[:-1] = sums[-1] + np.cumsum(sums[-2::-1])[::-1]
+    wq, speed = wq[:-1], speed[:-1]  # the panels between nodes
+    t = np.zeros(n_nodes)
+    t[1:] = np.sum(1.0 / speed * wq, axis=1)
+    y = np.column_stack((node_speed[1:], speed, node_speed[:-1]))
+    half = 0.5 * np.abs(delta[:-1] - delta[1:])
+    energy_gauss = energy[1:, None] + half[:, None] * (y @ GL5_PARTIAL.T)
     energy_integral = np.zeros(n_nodes)
-    energy[-1] = abs(panel_integrals(speed_at, [0.0], delta[-1:])[0])
-    suffix = 0.0  # integral of the speed over the panels already swept
-    for panels, x, wq, speed in _panel_blocks(f, phi_star, delta, reverse=True):
-        ahead = slice(panels.start + 1, panels.stop + 1)  # node j + 1 of panel j
-        t[ahead] = np.sum(1.0 / speed * wq, axis=1)
-        sums = np.cumsum(np.concatenate(([suffix], np.sum(speed * wq, axis=1)[::-1])))
-        suffix = sums[-1]
-        energy[panels] = energy[-1] + sums[:0:-1]
-        y = np.column_stack((node_speed[ahead], speed, node_speed[panels]))
-        half = 0.5 * np.abs(delta[panels] - delta[ahead])
-        energy_gauss = energy[ahead, None] + half[:, None] * (y @ GL5_PARTIAL.T)
-        energy_integral[ahead] = np.sum(energy_gauss / speed**3 * wq, axis=1)
+    energy_integral[1:] = np.sum(energy_gauss / speed**3 * wq, axis=1)
     np.cumsum(t[1:], out=t[1:])
     np.cumsum(energy_integral[1:], out=energy_integral[1:])
     # an F of the wrong sign, or one that cancels to 0 near phi*, gives a
@@ -497,15 +483,12 @@ class _F0Terms:
         R = np.zeros((len(u.t), self.basis.shape[1]))
         if not self.basis.size:
             return R, np.zeros(0)
-        speed_at = _speed_from_delta(u.density, u.phi_star)
-        x, wq = gauss_panels(np.zeros(1), u.delta[-1:])
-        total = (np.abs(wq) / speed_at(x.ravel())).ravel() @ self.n.from_delta(x.ravel())
-        for panels, x, wq, speed in _panel_blocks(u.density, u.phi_star, u.delta):
-            n = self.n.from_delta(x)
-            R[panels.start + 1 : panels.stop + 1] = np.einsum(
-                "pg,pgj->pj", wq / (speed * speed * speed), n
-            )
-            total += np.einsum("pg,pgj->j", wq / speed, n)
+        x, wq, speed = _gauss_speeds(u.density, u.phi_star, u.delta)
+        n = self.n.from_delta(x)
+        total = wq[-1] / speed[-1] @ n[-1]  # the tail panel, then the body
+        wq, speed, n = wq[:-1], speed[:-1], n[:-1]
+        R[1:] = np.einsum("pg,pgj->pj", wq / (speed * speed * speed), n)
+        total += np.einsum("pg,pgj->j", wq / speed, n)
         np.cumsum(R[1:], axis=0, out=R[1:])
         return R, total
 

@@ -4,7 +4,7 @@ import pytest
 from pblayers.ccpb import ccpb_constants
 from pblayers.geometry import make_annulus, make_disk
 from pblayers.nonlinearity import Nonlinearity, make_classical_pb, symmetric_salt
-from pblayers.numerics import GL5_PARTIAL, gauss_panels, panel_integrals
+from pblayers.numerics import GL5_PARTIAL, gauss_panels
 from pblayers.profiles import (
     LayerBundle,
     RobinData,
@@ -73,10 +73,9 @@ def closure_f1():
     return _closure_f1
 
 
-# The Gauss-point sweeps of solve_u and solve_w over all panels at once, as
-# they ran before profiles._panel_blocks: the reference the blocked sweep of
-# solve_u matches bit for bit, and the quadrature the closed form of solve_w
-# is checked against.
+# The Gauss-point sweeps of solve_u and solve_w over all panels at once: the
+# reference the sweep of solve_u matches bit for bit, and the quadrature the
+# closed form of solve_w is checked against.
 
 
 def panel_quadrature(f, phi_star, delta):
@@ -102,7 +101,8 @@ def energy(f, phi_star, delta, node_speed, wq, speed):
     points (partial integrals of the degree-6 interpolant through the two node
     speeds and the five Gauss speeds of a panel)."""
     nodes = np.empty(len(delta))
-    nodes[-1] = abs(panel_integrals(_speed_from_delta(f, phi_star), [0.0], delta[-1:])[0])
+    x, w = gauss_panels([0.0], delta[-1:])
+    nodes[-1] = abs(np.sum(_speed_from_delta(f, phi_star)(x.ravel()).reshape(x.shape) * w))
     nodes[:-1] = nodes[-1] + np.cumsum(np.sum(speed * wq, axis=1)[::-1])[::-1]
     y = np.column_stack((node_speed[1:], speed, node_speed[:-1]))
     half = 0.5 * np.abs(delta[:-1] - delta[1:])

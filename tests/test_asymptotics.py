@@ -194,6 +194,9 @@ class TestQueryValidation:
             ExpansionQuery(1.0, -1e-4)
         with pytest.raises(NegativeTime):
             sample(ExpansionQuery(1.0, 1e-4), std_bundle, [-1.0])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(NegativeTime):
+                sample(ExpansionQuery(1.0, 1e-4), std_bundle, [bad])
 
 
 class TestArrayEvaluators:

@@ -287,7 +287,9 @@ def test_readme_example_config_runs(tmp_path):
     "command, base, section, value, key",
     [
         pytest.param("expand", PB_BASE, "region", {"T": 3.0}, "beta", id="region-beta"),
-        pytest.param("expand", PB_BASE, "region", {"beta": 0.2}, "T", id="region-T"),
+        # T defaults to 5.0 in expand and verify alike; a given T must be positive
+        pytest.param("expand", PB_BASE, "region", {"T": 0, "beta": 0.2}, "region.T",
+                     id="region-T"),
         pytest.param("profiles", PB_BASE, "domain", {"type": "disk"}, "radius",
                      id="disk-radius"),
         pytest.param("profiles", PB_BASE, "domain", {"type": "ball", "d": 3}, "radius",
@@ -306,6 +308,19 @@ def test_readme_example_config_runs(tmp_path):
                      id="robin-phi_bd"),
         pytest.param("profiles", PB_BASE, "robin", [{"gamma": "x", "phi_bd": 1.0}], "gamma",
                      id="robin-gamma-not-a-number"),
+        # only JSON numbers are numbers: no booleans, no numeric strings
+        pytest.param("expand", PB_BASE, "eps", [True, 1e-3], "eps[0]", id="eps-true"),
+        pytest.param("expand", PB_BASE, "eps", [1e-2, "1e-3"], "eps[1]", id="eps-string"),
+        pytest.param("profiles", PB_BASE, "robin", [{"gamma": "0.1", "phi_bd": 1.0}],
+                     "robin[0].gamma", id="robin-gamma-string"),
+        pytest.param("profiles", PB_BASE, "robin", [{"gamma": False, "phi_bd": 1.0}],
+                     "robin[0].gamma", id="robin-gamma-false"),
+        pytest.param("profiles", PB_BASE, "robin", [{"gamma": 0.1, "phi_bd": True}],
+                     "robin[0].phi_bd", id="robin-phi_bd-true"),
+        pytest.param("profiles", PB_BASE, "grid", {"n_nodes": "401"}, "grid.n_nodes",
+                     id="grid-n_nodes-string"),
+        pytest.param("profiles", PB_BASE, "robin", [{"gamma": 10**400, "phi_bd": 1.0}],
+                     "robin[0].gamma", id="robin-gamma-huge-int"),
         # sections of the wrong shape
         pytest.param("expand", PB_BASE, "region", 3, "region", id="region-not-object-expand"),
         pytest.param("verify", PB_BASE, "region", 3, "region", id="region-not-object-verify"),

@@ -28,7 +28,6 @@ from pblayers.numerics import boundary_clustered_nodes
 from pblayers.profiles import (
     DEFAULT_NODES,
     MIN_NODES,
-    PANEL_BLOCK,
     LayerBundle,
     Profile,
     RobinData,
@@ -78,13 +77,9 @@ def quadrature_v(u):
     return u.derivs * c, dv, energy, a_int
 
 
-# node counts around the block size of the Gauss-point sweeps: one partial
-# block, one full block, one block and one panel, two full blocks, the
-# default, and the former default of 20,001 nodes (five blocks)
-NODE_COUNTS = (
-    MIN_NODES, PANEL_BLOCK, PANEL_BLOCK + 1, PANEL_BLOCK + 2, 2 * PANEL_BLOCK + 1, DEFAULT_NODES,
-    20001,
-)
+# node counts of the Gauss-point sweep: the fewest, around 2^12 and 2^13
+# panels, the default, and the former default of 20,001 nodes
+NODE_COUNTS = (5, 4096, 4097, 4098, 8193, 4001, 20001)
 
 
 def bits(x):
@@ -291,7 +286,8 @@ class TestLayerProfile:
 
     @pytest.mark.parametrize("n_nodes", NODE_COUNTS)
     def test_blocked_sweep_matches_whole_array(self, profile_matrix, salt, n_nodes):
-        # summing PANEL_BLOCK panels at a time changes no bit of t, u', I or A
+        # the sweep over all panels has every bit of the reference's t, u',
+        # I and A
         for gamma, phi_bd in profile_matrix:
             u = solve_u(salt, RobinData(gamma, phi_bd), n_nodes)
             got = (u.t, u.derivs, u.energy, u.energy_integral)
@@ -559,14 +555,14 @@ class TestConservationProfile:
     @pytest.mark.parametrize("n_nodes", NODE_COUNTS)
     def test_blocked_sweep_matches_whole_array(self, annulus_constants, annulus_domain, n_nodes):
         # on both README-annulus boundaries, the u that w rests on keeps every
-        # bit of the sweep over all panels at once.  At every node count, w'(0)
-        # has the bits of that sweep's w'(0) and w(0) is within 1e-15 of
-        # max|w| of its w(0) (limit + u'(0) s(0) rounds at the scale of the
+        # bit of the reference sweep over all panels.  At every node count,
+        # w'(0) has the bits of the reference's w'(0) and w(0) is within 1e-15
+        # of max|w| of its w(0) (limit + u'(0) s(0) rounds at the scale of the
         # limit), neither of which reads the quadrature, and w settles on the
-        # limit -f1(phi*)/f0'(phi*).  From one block of panels up, w and w'
-        # match the quadrature to 1e-13 of max|w| and max|w'| at every node;
-        # with five nodes its panels are decades of offset wide and it misses
-        # w by the order of w itself, so the body is not compared there
+        # limit -f1(phi*)/f0'(phi*).  From 4,001 nodes up, w and w' match the
+        # quadrature to 1e-13 of max|w| and max|w'| at every node; with five
+        # nodes its panels are decades of offset wide and it misses w by the
+        # order of w itself, so the body is not compared there
         cc = annulus_constants
         for k, comp in enumerate(annulus_domain.components):
             u = solve_u(cc.f0, comp.robin, n_nodes)
@@ -581,7 +577,7 @@ class TestConservationProfile:
             assert w.derivs[0] == want[1][0], k
             assert w.tail.limit == limit, k
             assert abs(w.values[-1] - limit) <= 1e-9 * scale, k
-            if n_nodes < PANEL_BLOCK:
+            if n_nodes == MIN_NODES:
                 continue
             for name, a, b in zip(("w", "w'"), (w.values, w.derivs), want):
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), (k, name)
@@ -766,6 +762,13 @@ class TestEvaluation:
     def test_negative_time(self, std_bundle):
         with pytest.raises(NegativeTime):
             profile_eval(std_bundle.u, -0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time(self, std_bundle, bad):
+        # no value at a NaN or infinite depth, alone or in an array
+        for t in (bad, [0.0, bad, 1.0]):
+            with pytest.raises(NegativeTime):
+                profile_eval(std_bundle.u, t)
 
     @pytest.mark.parametrize("seq", [list, tuple])
     def test_sequence_of_depths_is_an_array(self, std_bundle, seq):

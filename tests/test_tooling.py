@@ -4,7 +4,8 @@ The asymptotic commands must start without scipy, which only the oracle
 loads, and of it only the LAPACK extension: never the scipy.linalg package.
 Profiles travel as LayerBundle attributes, and the model is whether a bundle
 has w, so the package neither keys profiles by string nor branches on a model
-string outside config handling and JSON output."""
+string outside config handling and JSON output.  Every module constant of the
+package is read somewhere in it."""
 
 import ast
 import json
@@ -237,3 +238,31 @@ def test_readme_config_keys_table_matches_cli():
     expected |= {("—", key) for key in cli._TOP_KEYS - set(cli._SECTION_KEYS)}
     assert len(listed) == len(set(listed)), listed
     assert set(listed) == expected, sorted(set(listed) ^ expected)
+
+
+def test_module_constants_are_read():
+    # an UPPER_CASE constant at module level that no code of the package
+    # reads, apart from its own assignment, is left over from code that went
+    constant = re.compile(r"_*[A-Z][A-Z0-9_]*")
+    assigned, read = {}, set()
+    for path in sorted((ROOT / "src" / "pblayers").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = set()
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            )
+            for target in targets:
+                if isinstance(target, ast.Name) and constant.fullmatch(target.id):
+                    assigned[target.id] = path.name
+                    own.update(ast.walk(node))
+        for node in ast.walk(tree):
+            if node in own:
+                continue
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert len(assigned) > 10
+    unread = sorted((module, name) for name, module in assigned.items() if name not in read)
+    assert not unread, unread
