@@ -42,6 +42,7 @@ from .radial_oracle import (
     compare_expansion,
     solve_radial_ccpb,
     solve_radial_robin_pb,
+    stretched_layers,
 )
 
 __version__ = "0.1.0"

@@ -1,11 +1,11 @@
 """Expansion formulas in the boundary layer.
 
 `sample` evaluates a bundle's profiles once over an array of stretched
-depths; the LayerSample it returns gives the displayed finite terms of the
-small-eps expansions there: potential, normal field coefficient, charge
-density and Maxwell traction.  `region_charge` gives the band-wise total
-charge.  Remainder behavior is not modeled here; it is checked against the
-radial oracle.
+depths; the LayerSample it returns gives, for any curvature and eps, the
+displayed finite terms of the small-eps expansions there: potential, normal
+field coefficient, charge density and Maxwell traction.  `region_charge`
+gives the band-wise total charge.  Remainder behavior is not modeled here;
+it is checked against the radial oracle.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .profiles import LayerBundle, profile_eval
 @dataclass(frozen=True)
 class ExpansionQuery:
     """What to evaluate: mean curvature at the boundary point, eps,
-    expansion order, dimension.  The depths are given to `sample`, and the
-    model is that of the bundle evaluated."""
+    expansion order, dimension.  The depths and the model are those of the
+    LayerSample evaluated."""
 
     h: float  # mean curvature H(p)
     eps: float
@@ -40,12 +40,14 @@ class ExpansionQuery:
 
 @dataclass(frozen=True)
 class LayerSample:
-    """Profile values and t-derivatives of a bundle at the depths given to
-    `sample`; v and w are None where the query's order and the bundle do not
-    use them.  Each method returns one expansion term per depth."""
+    """Profile values and t-derivatives of a bundle at the depths t given to
+    `sample`; v and w are None where the order sampled and the bundle do not
+    use them.  The expansion depends on eps and H only through the weights
+    of the profiles, so one sample serves every query: each method returns
+    one expansion term per depth for the query q."""
 
-    q: ExpansionQuery
     bundle: LayerBundle
+    t: np.ndarray
     u: np.ndarray
     du: np.ndarray
     v: np.ndarray | None = None
@@ -53,33 +55,39 @@ class LayerSample:
     w: np.ndarray | None = None
     dw: np.ndarray | None = None
 
-    def potential(self):
-        """u(t) [+ sqrt(eps)((d-1) H v(t) (+ w(t) for conserved charge))]."""
-        q = self.q
+    def _one_term(self, q: ExpansionQuery) -> bool:
+        """Whether q asks for the one-term expansion; a two-term query of a
+        one-term sample is a ConfigError."""
         if q.order == 1:
+            return True
+        if self.v is None:
+            raise ConfigError("a sample of order 1 has no second-order terms")
+        return False
+
+    def potential(self, q: ExpansionQuery):
+        """u(t) [+ sqrt(eps)((d-1) H v(t) (+ w(t) for conserved charge))]."""
+        if self._one_term(q):
             return self.u
         corr = (q.d - 1) * q.h * self.v
         if self.w is not None:
             corr = corr + self.w
         return self.u + math.sqrt(q.eps) * corr
 
-    def field(self):
+    def field(self, q: ExpansionQuery):
         """Coefficient of -nu_p in the gradient: u'/sqrt(eps) [+ (d-1)H v' + w']."""
-        q = self.q
-        if q.order == 1:
+        if self._one_term(q):
             return self.du / math.sqrt(q.eps)
         corr = (q.d - 1) * q.h * self.dv
         if self.w is not None:
             corr = corr + self.dw
         return self.du / math.sqrt(q.eps) + corr
 
-    def charge_density(self):
+    def charge_density(self, q: ExpansionQuery):
         """f(u) [+ sqrt(eps)((d-1)H f'(u) v  (+ f'(u) w + f1(u) for conserved
         charge))], with f the density of u and f1 that of the bundle."""
-        q = self.q
         f = self.bundle.u.density
         base = f.f(self.u)
-        if q.order == 1:
+        if self._one_term(q):
             return base
         dfu = f.df(self.u)
         corr = (q.d - 1) * q.h * dfu * self.v
@@ -87,13 +95,12 @@ class LayerSample:
             corr = corr + (dfu * self.w + self.bundle.f1.f(self.u))
         return base + math.sqrt(q.eps) * corr
 
-    def traction(self):
+    def traction(self, q: ExpansionQuery):
         """Normal-normal component of the electrostatic stress acting on nu_p:
         -F(u) [+ sqrt(eps) u' ((d-1)H v' (+ w'))], with F that of the density
         of u."""
-        q = self.q
         base = -self.bundle.u.density.F(self.u)
-        if q.order == 1:
+        if self._one_term(q):
             return base
         corr = (q.d - 1) * q.h * self.du * self.dv
         if self.w is not None:
@@ -101,18 +108,18 @@ class LayerSample:
         return base + math.sqrt(q.eps) * corr
 
 
-def sample(q: ExpansionQuery, bundle: LayerBundle, ts) -> LayerSample:
-    """The profiles that q's order uses, each evaluated once over the array
-    of depths ts >= 0 (a negative, NaN or infinite depth raises
-    NegativeTime)."""
+def sample(bundle: LayerBundle, ts, order: int = 2) -> LayerSample:
+    """The profiles that an expansion of this order uses, each evaluated
+    once over the array of depths ts >= 0 (a negative, NaN or infinite depth
+    raises NegativeTime)."""
     ts = np.asarray(ts, dtype=float)
     u, du = profile_eval(bundle.u, ts)
     v = dv = w = dw = None
-    if q.order == 2:
+    if order == 2:
         v, dv = profile_eval(bundle.v, ts)
         if bundle.w is not None:
             w, dw = profile_eval(bundle.w, ts)
-    return LayerSample(q, bundle, u, du, v, dv, w, dw)
+    return LayerSample(bundle, ts, u, du, v, dv, w, dw)
 
 
 @dataclass(frozen=True)
@@ -163,7 +170,7 @@ def region_charge(
     T = params.T
     eps = params.eps
     sq = math.sqrt(eps)
-    s = sample(ExpansionQuery(comp.mean_curvature, eps, 2, d), bundle, [0.0, T])
+    s = sample(bundle, [0.0, T])
     du0, duT = s.du.tolist()
     dv0, dvT = s.dv.tolist()
     area = comp.surface_area
@@ -190,12 +197,12 @@ def region_charge(
 
 
 def grid_rows(q: ExpansionQuery, bundle: LayerBundle, ts) -> dict:
-    """The four expansion terms over the depths ts, one array per name:
-    `sample` once, then each LayerSample method."""
-    s = sample(q, bundle, ts)
+    """The four expansion terms of q over the depths ts, one array per
+    name: `sample` once, then each LayerSample method."""
+    s = sample(bundle, ts, q.order)
     return {
-        "potential": s.potential(),
-        "field": s.field(),
-        "charge_density": s.charge_density(),
-        "traction": s.traction(),
+        "potential": s.potential(q),
+        "field": s.field(q),
+        "charge_density": s.charge_density(q),
+        "traction": s.traction(q),
     }

@@ -33,6 +33,7 @@ from .radial_oracle import (
     compare_expansion,
     solve_radial_ccpb,
     solve_radial_robin_pb,
+    stretched_layers,
 )
 
 # the keys each config section allows; model, eps and output_dir are plain
@@ -202,9 +203,8 @@ def _eps_tag(eps: float) -> str:
 
 
 def _write_json(path: Path, payload: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _pb_bundles(domain, f, cfg) -> list[LayerBundle]:
@@ -303,7 +303,8 @@ def cmd_expand(cfg, out: Path) -> int:
 
 def _solve_oracle(cfg, domain, species, f, eps, initial=None) -> RadialSolveResult:
     opts = _section(cfg, "oracle")
-    opts = {key: _number(opts, key, "oracle") for key in opts}
+    read = {"points_per_layer": _integer, "layer_widths": _number}
+    opts = {key: read[key](opts, key, "oracle") for key in opts}
     if cfg["model"] == "pb":
         return solve_radial_robin_pb(domain, f, eps, initial=initial, **opts)
     return solve_radial_ccpb(domain, species, eps, initial=initial, **opts)
@@ -354,13 +355,15 @@ def cmd_verify(cfg, out: Path) -> int:
                     curvature_integral=-c.curvature_integral)
             for c in domain.components
         ))
+    # the profiles at the compared depths, which are the same at every eps
+    layers = stretched_layers(model.bundles, T)
     sweep, reports = [], []
     neutrality_scale = sum(abs(s.amount * s.z) for s in species)
     res = None
     for eps, eps_bands in zip(eps_list, bands):
         # continuation: warm-start from the previous (larger) eps solve
         res = _solve_oracle(cfg, domain, species, model.f, eps, initial=res)
-        rep = compare_expansion(res, expanded, model.bundles, T, eps_bands)
+        rep = compare_expansion(res, expanded, layers, eps_bands)
         reports.append(rep)
         entry = {"eps": eps, "report": rep.to_json_dict()}
         if model.constants is not None:

@@ -67,7 +67,7 @@ def _gl5_partial_matrix():
 GL5_PARTIAL = _gl5_partial_matrix()
 
 
-def hermite_eval(tq, t, y, dy, d2y):
+def hermite_eval(tq, t, y, dy, d2y, second: bool = False):
     """Evaluate the piecewise quintic Hermite interpolant of (t, y, dy, d2y)
     at tq: on each panel [t_j, t_j+1] the quintic that matches value, slope
     and second derivative at both ends, O(h^6) in value and O(h^5) in slope.
@@ -78,9 +78,9 @@ def hermite_eval(tq, t, y, dy, d2y):
     at s = 1 of the Taylor part, y_j+1 - y_j - h y'_j - h^2 y''_j / 2,
     h (y'_j+1 - y'_j) - h^2 y''_j and h^2 (y''_j+1 - y''_j).  The slope
     then carries the rounding of y_j+1 - y_j, not the eps |y| / h of a sum
-    y_j H_0(s) + y_j+1 H_5(s).  Returns (value, slope, second derivative)
-    arrays of tq's shape, exact at the left node of each panel.  tq must lie
-    inside [t[0], t[-1]].
+    y_j H_0(s) + y_j+1 H_5(s).  Returns (value, slope) arrays of tq's shape,
+    and the second derivative third when `second` is set, exact at the left
+    node of each panel.  tq must lie inside [t[0], t[-1]].
     """
     tq = np.asarray(tq, dtype=float)
     idx = np.clip(np.searchsorted(t, tq, side="right") - 1, 0, len(t) - 2)
@@ -97,6 +97,8 @@ def hermite_eval(tq, t, y, dy, d2y):
     a5 = 6.0 * miss - 3.0 * miss_slope + 0.5 * miss_curv
     val = y0 + s * (slope + s * (0.5 * curv + s * (a3 + s * (a4 + s * a5))))
     der = d0 + s * (curv + s * (3.0 * a3 + s * (4.0 * a4 + s * (5.0 * a5)))) / h
+    if not second:
+        return val, der
     sec = c0 + s * (6.0 * a3 + s * (12.0 * a4 + s * (20.0 * a5))) / (h * h)
     return val, der, sec
 

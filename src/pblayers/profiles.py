@@ -261,7 +261,7 @@ def profile_eval(p: Profile, t):
     der = np.empty(tq.shape)
     inside = tq <= p.t[-1]
     if inside.any():
-        v, d, _ = hermite_eval(tq[inside], p.t, p.values, p.derivs, p.second_derivs)
+        v, d = hermite_eval(tq[inside], p.t, p.values, p.derivs, p.second_derivs)
         val[inside] = v
         der[inside] = d
     if (~inside).any():
@@ -618,7 +618,7 @@ def ode_residual(p: Profile, u: ULayer | None = None, f1: Nonlinearity | None = 
         raise ConfigError("background u profile required")
     f = u.density
     mid = 0.5 * (p.t[:-1] + p.t[1:])
-    y, _, d2 = hermite_eval(mid, p.t, p.values, p.derivs, p.second_derivs)
+    y, _, d2 = hermite_eval(mid, p.t, p.values, p.derivs, p.second_derivs, second=True)
     if p.kind == "u":
         rhs = -np.asarray(f.f(y), dtype=float)
     else:
@@ -649,6 +649,6 @@ def time_integral_usq(u: ULayer) -> float:
     potential-space value u.int_usq."""
     t = u.t
     xg, wg = gauss_panels(t[:-1], t[1:])
-    _, dug, _ = hermite_eval(xg.ravel(), t, u.values, u.derivs, u.second_derivs)
+    _, dug = hermite_eval(xg.ravel(), t, u.values, u.derivs, u.second_derivs)
     body = float(np.sum(dug.reshape(xg.shape) ** 2 * wg))
     return body + float(u.derivs[-1]) ** 2 / (2.0 * u.mu)

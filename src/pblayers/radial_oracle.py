@@ -32,8 +32,8 @@ Every result carries its bulk reference potential as phi_eps_star.
 
 The solvers never consult the asymptotic machinery: initial guesses are
 constants, the linearized layer built from the oracle's own f'(phi*) and
-Robin data, or earlier oracle results.  Only compare_expansion does, to
-evaluate the expansion it compares the oracle with.
+Robin data, or earlier oracle results.  Only stretched_layers and
+compare_expansion do, to evaluate the expansion the oracle is compared with.
 """
 
 from __future__ import annotations
@@ -300,7 +300,7 @@ class _RadialSystem:
         self._thirds = (third_in, g * c2)  # J[0, 2], J[n-1, n-3]
 
     def residual(self, phi):
-        """(residual vector, max |f(phi)| over the nodes)."""
+        """(residual vector, f(phi) at the nodes)."""
         eps = self.eps
         flux = self.face_coef * np.diff(phi)
         fvals = np.asarray(self.f.f(phi), dtype=float)
@@ -315,7 +315,7 @@ class _RadialSystem:
         c0, c1, c2 = _one_sided_coeffs(self.h[-1], self.h[-2])
         dphi = c0 * phi[-1] + c1 * phi[-2] + c2 * phi[-3]
         res[-1] = phi[-1] + self.outer.gamma * self.sq_eps * dphi - self.outer.phi_bd
-        return res, float(np.max(np.abs(fvals)))
+        return res, fvals
 
     def newton_step(self, phi, res):
         """The step s solving J(phi) s = -res, by dgtsv on a copy of the bands.
@@ -353,12 +353,12 @@ class _RadialSystem:
         noise = 2.0**-50 * max(1.0, float(np.max(np.abs(phi))))
         return self._floor_scale * noise
 
-    def conservation_residual(self, phi):
+    def conservation_residual(self, phi, fvals):
         """Discrete divergence identity: boundary face fluxes balance the
-        cell integrals of f over the interior control volumes."""
+        cell integrals of f over the interior control volumes, given
+        fvals = f(phi) at the nodes."""
         eps = self.eps
         flux = self.face_coef * np.diff(phi)
-        fvals = np.asarray(self.f.f(phi), dtype=float)
         lo = 0 if self.inner is None else 1
         total = eps * flux[-1] + float(np.sum(self.vol[lo:-1] * fvals[lo:-1]))
         if self.inner is not None:
@@ -483,22 +483,24 @@ def _cubic_eval(x, c, xq):
 
 
 def _damped_newton(system: _RadialSystem, phi0):
+    """(phi, iterations, residual norm, f(phi) at the nodes) of the damped
+    Newton solve from phi0."""
     phi = np.array(phi0, dtype=float)
-    res, f_max = system.residual(phi)
+    res, fvals = system.residual(phi)
     norm = float(np.max(np.abs(res)))
     history = []
 
-    def tol(p, f_max):
-        return NEWTON_TOL * (1.0 + f_max) + system.rounding_floor(p)
+    def tol(p, fvals):
+        return NEWTON_TOL * (1.0 + float(np.max(np.abs(fvals)))) + system.rounding_floor(p)
 
     for it in range(MAX_NEWTON):
-        if norm <= tol(phi, f_max):
-            return phi, it, norm
+        if norm <= tol(phi, fvals):
+            return phi, it, norm, fvals
         step = system.newton_step(phi, res)
         lam = 1.0
         for _ in range(MAX_DAMPING + 1):
             cand = phi + lam * step
-            cres, cf_max = system.residual(cand)
+            cres, cfvals = system.residual(cand)
             cnorm = float(np.max(np.abs(cres)))
             if np.isfinite(cnorm) and cnorm < norm:
                 break
@@ -509,9 +511,9 @@ def _damped_newton(system: _RadialSystem, phi0):
                 damping_history=history,
             )
         history.append(lam)
-        phi, res, norm, f_max = cand, cres, cnorm, cf_max
-    if norm <= tol(phi, f_max):
-        return phi, MAX_NEWTON, norm
+        phi, res, norm, fvals = cand, cres, cnorm, cfvals
+    if norm <= tol(phi, fvals):
+        return phi, MAX_NEWTON, norm, fvals
     raise NewtonDivergence(
         f"Newton did not converge: final norm {norm:.3e}", damping_history=history
     )
@@ -609,12 +611,12 @@ def solve_radial_robin_pb(
         phi0 = _stretched_start(system, initial)
     else:
         phi0 = np.asarray(initial, dtype=float)
-    phi, iters, norm = _damped_newton(system, phi0)
+    phi, iters, norm, fvals = _damped_newton(system, phi0)
     robin, radii = _boundary_data(domain)
     return RadialSolveResult(
         model="pb", d=domain.dimension, eps=eps, r=system.r, phi=phi, newton_iters=iters,
         residual_norm=norm,
-        conservation_residual=system.conservation_residual(phi),
+        conservation_residual=system.conservation_residual(phi, fvals),
         robin=robin, radii=radii, phi_eps_star=phi_star,
     )
 
@@ -660,7 +662,7 @@ def solve_radial_ccpb(
     total_newton = 0
     for outer_it in range(1, MAX_OUTER + 1):
         system.f = _density_from_normalizers(species, norms)
-        phi, iters, residual_norm = _damped_newton(system, phi)
+        phi, iters, residual_norm, fvals = _damped_newton(system, phi)
         total_newton += iters
         new_norms = np.array(
             [np.trapezoid(np.exp(-s.z * phi) * weight, r) for s in species]
@@ -693,8 +695,8 @@ def solve_radial_ccpb(
             f"normalizer iteration did not converge in {MAX_OUTER} sweeps "
             f"(last relative change {change:.3e})"
         )
-    # residuals of the last sweep, whose density system.f still holds
-    conservation = system.conservation_residual(phi)
+    # residuals of the last sweep, whose density gave fvals
+    conservation = system.conservation_residual(phi, fvals)
     f_eps = _density_from_normalizers(species, norms)
     phi_eps_star = find_reference_potential(f_eps)
     neutrality = float(
@@ -761,29 +763,36 @@ class ExpansionErrorReport:
         }
 
 
-def _stretched_samples(oracle: RadialSolveResult, component, T):
-    """(t, phi, dphi-along-(-nu)) on the stretched grid of one boundary."""
-    sq = math.sqrt(oracle.eps)
+def stretched_layers(bundles: Sequence[LayerBundle], T: float) -> list[asymptotics.LayerSample]:
+    """The order-2 sample of each bundle at the STRETCHED_SAMPLES depths on
+    [0, T] where compare_expansion compares; one serves every eps."""
     t = np.linspace(0.0, T, STRETCHED_SAMPLES)
-    rs = component.radius + component.depth_sign * (t * sq)
+    return [asymptotics.sample(bundle, t) for bundle in bundles]
+
+
+def _stretched_samples(oracle: RadialSolveResult, component, t):
+    """(phi, dphi-along-(-nu)) at the stretched depths t of one boundary."""
+    rs = component.radius + component.depth_sign * (t * math.sqrt(oracle.eps))
     phi, dphi = _cubic_eval(oracle.r, oracle._cubic, rs)
-    return t, phi, component.depth_sign * dphi
+    return phi, component.depth_sign * dphi
 
 
 def compare_expansion(
     oracle: RadialSolveResult,
     domain: DomainSpec,
-    bundles: Sequence[LayerBundle],
-    T: float,
+    layers: Sequence[asymptotics.LayerSample],
     bands: RegionParams | None = None,
 ) -> ExpansionErrorReport:
-    """Sup errors of the one- and two-term expansions on the stretched grid,
-    the expansion evaluated by asymptotics.  Given bands at the oracle's eps
-    and this T, also the oracle's largest deviation from phi_eps_star over
-    its nodes in Region II of each boundary and in Region III."""
+    """Sup errors of the one- and two-term expansions at the depths of
+    layers, one order-2 sample per boundary at the same depths from 0 to T
+    (stretched_layers), each read through the query of its boundary at the
+    oracle's eps.  Given bands at the oracle's eps and this T, also the
+    oracle's largest deviation from phi_eps_star over its nodes in Region II
+    of each boundary and in Region III."""
     eps = oracle.eps
     sq = math.sqrt(eps)
     phi_ref = oracle.phi_eps_star
+    T = float(layers[0].t[-1])
     if bands is not None and (bands.eps, bands.T) != (eps, T):
         raise ConfigError(f"bands at (eps, T) = {(bands.eps, bands.T)}, oracle at {(eps, T)}")
     depths = [c.depth_sign * (oracle.r - c.radius) for c in domain.components]
@@ -794,13 +803,12 @@ def compare_expansion(
         if far.any():
             r3_max = float(np.max(np.abs(oracle.phi[far] - phi_ref)))
     results = []
-    for comp, bundle, depth in zip(domain.components, bundles, depths):
-        t, phi_or, coef_or = _stretched_samples(oracle, comp, T)
+    for comp, layer, depth in zip(domain.components, layers, depths):
+        phi_or, coef_or = _stretched_samples(oracle, comp, layer.t)
         q = asymptotics.ExpansionQuery(comp.mean_curvature, eps, 2, domain.dimension)
-        layer = asymptotics.sample(q, bundle, t)
         e1 = float(np.max(np.abs(phi_or - layer.u)))
-        e2 = float(np.max(np.abs(phi_or - layer.potential()))) / sq
-        field_err = float(np.max(np.abs(coef_or - layer.field())))
+        e2 = float(np.max(np.abs(phi_or - layer.potential(q)))) / sq
+        field_err = float(np.max(np.abs(coef_or - layer.field(q))))
         r2_max = None
         if bands is not None:
             band = bands.band(depth) == 2
@@ -814,7 +822,7 @@ def compare_expansion(
             )
         )
     return ExpansionErrorReport(
-        model=bundles[0].model, eps=eps, T=T, beta=None if bands is None else bands.beta,
+        model=layers[0].bundle.model, eps=eps, T=T, beta=None if bands is None else bands.beta,
         boundaries=tuple(results), phi_ref=float(phi_ref),
     )
 

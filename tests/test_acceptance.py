@@ -34,6 +34,7 @@ from pblayers.radial_oracle import (
     band_charge_integral,
     compare_expansion,
     solve_radial_robin_pb,
+    stretched_layers,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -159,10 +160,9 @@ def test_criterion_07_pb_convergence(pb_disk_sweep, pb_disk_domain, std_bundle):
     with criterion(7, "local-model convergence on the disk"):
         start = time.perf_counter()
         e1, e2, fe = [], [], []
+        layers = stretched_layers([std_bundle], 5.0)
         for eps in (1e-2, 1e-3, 1e-4):
-            rep = compare_expansion(
-                pb_disk_sweep[eps], pb_disk_domain, [std_bundle], T=5.0,
-            )
+            rep = compare_expansion(pb_disk_sweep[eps], pb_disk_domain, layers)
             b = rep.boundaries[0]
             e1.append(b.e1)
             e2.append(b.e2)
@@ -182,10 +182,9 @@ def test_criterion_08_ccpb_convergence(ccpb_sweep, annulus_domain, annulus_const
         start = time.perf_counter()
         e2 = []
         drift_gaps = []
+        layers = stretched_layers(annulus_constants.profiles, 5.0)
         for eps in (1e-2, 1e-3, 1e-4):
-            rep = compare_expansion(
-                ccpb_sweep[eps], annulus_domain, annulus_constants.profiles, T=5.0,
-            )
+            rep = compare_expansion(ccpb_sweep[eps], annulus_domain, layers)
             e2.append(max(b.e2 for b in rep.boundaries))
             drift = (
                 ccpb_sweep[eps].phi_eps_star - annulus_constants.phi0_star

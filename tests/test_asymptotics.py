@@ -10,27 +10,27 @@ from pblayers.geometry import RegionParams, make_disk
 from pblayers.profiles import LayerBundle, RobinData, profile_eval, solve_u, solve_v
 
 
-def at(bundle, t, eps=1e-4, order=2, h=1.0, d=2):
-    """The LayerSample of bundle at the one depth t."""
-    return sample(ExpansionQuery(h, eps, order, d), bundle, [t])
+def at(name, bundle, t, eps=1e-4, order=2, h=1.0, d=2):
+    """The expansion term `name` of bundle at the one depth t."""
+    return getattr(sample(bundle, [t], order), name)(ExpansionQuery(h, eps, order, d))[0]
 
 
 class TestPointwiseEvaluators:
     def test_potential_far_field_pb(self, std_bundle):
-        val = at(std_bundle, 40.0).potential()[0]
+        val = at("potential", std_bundle, 40.0)
         assert val == pytest.approx(0.0, abs=1e-10)  # tends to the reference
 
     def test_potential_far_field_ccpb(self, annulus_constants):
         eps = 1e-4
         bundle = annulus_constants.profiles[0]
-        val = at(bundle, bundle.u.t_max, eps, h=0.5).potential()[0]
+        val = at("potential", bundle, bundle.u.t_max, eps, h=0.5)
         expected = annulus_constants.phi0_star + math.sqrt(eps) * annulus_constants.q
         assert val == pytest.approx(expected, abs=1e-6)
 
     def test_robin_consistency(self, std_bundle):
         # value(0) - gamma [u'(0) + sqrt(eps)(d-1)H v'(0)] recovers phi_bd
         eps = 1e-4
-        val = at(std_bundle, 0.0, eps).potential()[0]
+        val = at("potential", std_bundle, 0.0, eps)
         _, du = profile_eval(std_bundle.u, 0.0)
         _, dv = profile_eval(std_bundle.v, 0.0)
         recon = val - 0.1 * (du + math.sqrt(eps) * 1.0 * dv)
@@ -39,19 +39,19 @@ class TestPointwiseEvaluators:
     def test_field_order1_value(self, salt):
         u = solve_u(salt, RobinData(0.0, 1.0))
         v = solve_v(u)
-        coef = at(LayerBundle(u, v), 0.0, 1e-4, order=1).field()[0]
+        coef = at("field", LayerBundle(u, v), 0.0, 1e-4, order=1)
         assert coef == pytest.approx(-2 * math.sqrt(2) * math.sinh(0.5) / 1e-2, rel=1e-12)
 
     def test_field_constant_profile(self, salt):
         u = solve_u(salt, RobinData(0.1, 0.0))
         v = solve_v(u)
-        assert at(LayerBundle(u, v), 1.0).field()[0] == 0.0
+        assert at("field", LayerBundle(u, v), 1.0) == 0.0
 
     def test_sqrt_eps_scaling_exact(self, std_bundle):
         # order-2 minus order-1 must be exactly sqrt(eps) times an
         # eps-independent function of t
         def value(name, eps, order):
-            return getattr(at(std_bundle, 0.7, eps, order), name)()[0]
+            return at(name, std_bundle, 0.7, eps, order)
 
         for name in ("potential", "charge_density", "traction"):
             d1 = value(name, 1e-4, 2) - value(name, 1e-4, 1)
@@ -61,12 +61,12 @@ class TestPointwiseEvaluators:
             )
 
     def test_charge_density_order1_is_density_of_u(self, std_bundle, salt):
-        got = at(std_bundle, 0.0, order=1).charge_density()[0]
+        got = at("charge_density", std_bundle, 0.0, order=1)
         u0 = std_bundle.u.u0
         assert got == pytest.approx(float(salt.f(u0)), rel=1e-14)
 
     def test_charge_density_pb_far_field(self, std_bundle):
-        assert at(std_bundle, 40.0).charge_density()[0] == pytest.approx(0.0, abs=1e-9)
+        assert at("charge_density", std_bundle, 40.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_charge_density_ccpb_far_field_subleading(self, annulus_constants):
         # sqrt(eps)[f0'(phi0*) Q + f1(phi0*)] collapses to the neutral
@@ -74,7 +74,7 @@ class TestPointwiseEvaluators:
         eps = 1e-4
         cc = annulus_constants
         bundle = cc.profiles[0]
-        val = at(bundle, bundle.u.t_max, eps, h=0.5).charge_density()[0]
+        val = at("charge_density", bundle, bundle.u.t_max, eps, h=0.5)
         lim = math.sqrt(eps) * (float(cc.f0.df(cc.phi0_star)) * cc.q + float(cc.f1.f(cc.phi0_star)))
         assert abs(lim) <= 1e-8 * math.sqrt(eps) * abs(float(cc.f0.df(cc.phi0_star)))
         assert abs(val) <= 1e-6 * math.sqrt(eps) + 1e-12
@@ -85,7 +85,7 @@ class TestPointwiseEvaluators:
         bundle = annulus_constants.profiles[0]
         w0, _ = profile_eval(bundle.w, 0.0)
         pb = replace(bundle, w=None, f1=None)
-        extra = at(bundle, 0.0, h=0.5).potential()[0] - at(pb, 0.0, h=0.5).potential()[0]
+        extra = at("potential", bundle, 0.0, h=0.5) - at("potential", pb, 0.0, h=0.5)
         assert extra == pytest.approx(1e-2 * w0, rel=1e-9, abs=1e-15)
         with pytest.raises(ModelProfileMismatch):
             replace(bundle, w=None)
@@ -99,7 +99,7 @@ class TestPointwiseEvaluators:
         u0, _ = profile_eval(bundle.u, 0.0)
         w0, _ = profile_eval(bundle.w, 0.0)
         pb = replace(bundle, w=None, f1=None)
-        extra = at(bundle, 0.0, h=0.5).charge_density()[0] - at(pb, 0.0, h=0.5).charge_density()[0]
+        extra = at("charge_density", bundle, 0.0, h=0.5) - at("charge_density", pb, 0.0, h=0.5)
         expected = 1e-2 * (float(bundle.u.density.df(u0)) * w0 + float(cc.f1.f(u0)))
         assert extra == pytest.approx(expected, rel=1e-9, abs=1e-15)
         with pytest.raises(ModelProfileMismatch):
@@ -115,18 +115,18 @@ class TestMaxwellTraction:
         u = std_bundle.u
         assert first_integral_drift(u) <= 1e-10 * (1 + u.u0_prime ** 2)
         for t in np.linspace(0, 10, 21):
-            lead = at(std_bundle, t, order=1).traction()[0]
+            lead = at("traction", std_bundle, t, order=1)
             _, du = profile_eval(u, t)
             assert lead == pytest.approx(du * du / 2, rel=1e-10, abs=1e-14)
             assert lead >= 0
 
     def test_dirichlet_boundary_value(self, salt):
         u = solve_u(salt, RobinData(0.0, 1.0))
-        lead = at(LayerBundle(u, solve_v(u)), 0.0, order=1).traction()[0]
+        lead = at("traction", LayerBundle(u, solve_v(u)), 0.0, order=1)
         assert lead == pytest.approx(2 * (math.cosh(1.0) - 1.0), rel=1e-12)
 
     def test_far_field_vanishes(self, std_bundle):
-        assert at(std_bundle, 40.0).traction()[0] == pytest.approx(0.0, abs=1e-12)
+        assert at("traction", std_bundle, 40.0) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestRegionCharge:
@@ -193,10 +193,30 @@ class TestQueryValidation:
         with pytest.raises(ConfigError):
             ExpansionQuery(1.0, -1e-4)
         with pytest.raises(NegativeTime):
-            sample(ExpansionQuery(1.0, 1e-4), std_bundle, [-1.0])
+            sample(std_bundle, [-1.0])
         for bad in (math.nan, math.inf):
             with pytest.raises(NegativeTime):
-                sample(ExpansionQuery(1.0, 1e-4), std_bundle, [bad])
+                sample(std_bundle, [bad])
+
+
+class TestOneSampleEveryQuery:
+    def test_sample_serves_every_eps_and_curvature(self, annulus_constants):
+        # the profiles do not depend on eps or H, so one sample read through
+        # each query gives what grid_rows evaluates afresh for it
+        bundle = annulus_constants.profiles[1]
+        ts = np.linspace(0.0, 6.0, 37)
+        s = sample(bundle, ts)
+        for eps, h, d in ((1e-2, 0.5, 2), (1e-4, -1.0, 3)):
+            q = ExpansionQuery(h, eps, 2, d)
+            rows = grid_rows(q, bundle, ts)
+            for name in rows:
+                assert np.array_equal(getattr(s, name)(q), rows[name]), name
+
+    def test_two_term_query_of_one_term_sample_rejected(self, std_bundle):
+        s = sample(std_bundle, [0.0, 1.0], order=1)
+        assert s.v is None
+        with pytest.raises(ConfigError, match="order 1"):
+            s.potential(ExpansionQuery(1.0, 1e-4, 2))
 
 
 class TestArrayEvaluators:
@@ -224,7 +244,7 @@ class TestArrayEvaluators:
         for name, exact in self.TERMS:
             got = values[name]
             assert isinstance(got, np.ndarray) and got.shape == ts.shape
-            want = np.concatenate([getattr(sample(q, bundle, [t]), name)() for t in ts])
+            want = np.concatenate([getattr(sample(bundle, [t], q.order), name)(q) for t in ts])
             if exact:
                 assert np.array_equal(got, want)
             else:
@@ -234,8 +254,8 @@ class TestArrayEvaluators:
     def test_array_matches_scalar(self, bundle, order):
         ts = self.depths(bundle)
         q = ExpansionQuery(0.5, 1e-4, order, 2)
-        s = sample(q, bundle, ts)
-        self.assert_matches_one_depth({name: getattr(s, name)() for name, _ in self.TERMS}, q, bundle, ts)
+        s = sample(bundle, ts, order)
+        self.assert_matches_one_depth({name: getattr(s, name)(q) for name, _ in self.TERMS}, q, bundle, ts)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_grid_rows_matches_scalar(self, bundle, order):
@@ -249,6 +269,6 @@ class TestArrayEvaluators:
         ts = np.array([0.0, 1.0, -1e-12])
         q = ExpansionQuery(0.5, 1e-4, 2, 2)
         with pytest.raises(NegativeTime):
-            sample(q, bundle, ts)
+            sample(bundle, ts)
         with pytest.raises(NegativeTime):
             grid_rows(q, bundle, ts)

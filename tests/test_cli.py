@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from pblayers.cli import main
-from pblayers.profiles import Tail
+from pblayers.profiles import Tail, profile_eval
 
 PB_BASE = {
     "model": "pb",
@@ -208,6 +208,24 @@ class TestVerifyCommand:
         match, mismatch, errors = filecmp.cmpfiles(out1, out2, names, shallow=False)
         assert mismatch == [] and errors == []
 
+    @pytest.mark.parametrize("base, n_profiles", [(PB_BASE, 2), (CCPB_BASE, 6)],
+                             ids=["pb-disk", "ccpb-annulus"])
+    def test_each_profile_sampled_once(self, tmp_path, monkeypatch, base, n_profiles):
+        # the compared depths are the same at every eps, so a verify over three
+        # eps evaluates each profile of each boundary (u, v; and w for ccpb) once
+        from pblayers import asymptotics
+
+        sampled = []
+
+        def counting(p, t):
+            sampled.append(id(p))
+            return profile_eval(p, t)
+
+        monkeypatch.setattr(asymptotics, "profile_eval", counting)
+        cfg = write_cfg(tmp_path, dict(base, eps=[1e-2, 1e-3, 1e-4]))
+        assert run("verify", cfg, tmp_path / "out") == 0
+        assert len(sampled) == len(set(sampled)) == n_profiles
+
     def test_bands_unordered_at_smallest_eps_rejected(self, tmp_path, capsys):
         # T sqrt(eps) = 0.05 exceeds eps**beta = 0.025 at eps = 1e-4, so at
         # every eps: exit 2 before any solve
@@ -391,6 +409,9 @@ def test_readme_example_config_runs(tmp_path):
         ),
         pytest.param("oracle", PB_BASE, "oracle", {"points_per_layer": 0}, "points_per_layer",
                      id="oracle-points_per_layer-zero"),
+        # a fraction of a node per layer is no grid
+        pytest.param("oracle", PB_BASE, "oracle", {"points_per_layer": 100.5},
+                     "oracle.points_per_layer", id="oracle-points_per_layer-fraction"),
         pytest.param("oracle", PB_BASE, "oracle", {"layer_widths": 0}, "layer_widths",
                      id="oracle-layer_widths-zero"),
         pytest.param("oracle", PB_BASE, "oracle", {"layer_widths": -1}, "layer_widths",

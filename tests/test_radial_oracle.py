@@ -34,6 +34,7 @@ from pblayers.radial_oracle import (
     graded_radial_grid,
     solve_radial_ccpb,
     solve_radial_robin_pb,
+    stretched_layers,
 )
 
 
@@ -165,8 +166,9 @@ class TestRobin:
 
 class TestComparison:
     def test_pb_disk_sweep_patterns(self, pb_disk_sweep, pb_disk_domain, std_bundle):
+        layers = stretched_layers([std_bundle], 5.0)
         reports = {
-            eps: compare_expansion(res, pb_disk_domain, [std_bundle], T=5.0)
+            eps: compare_expansion(res, pb_disk_domain, layers)
             for eps, res in pb_disk_sweep.items()
         }
         e1 = [reports[eps].boundaries[0].e1 for eps in (1e-2, 1e-3, 1e-4)]
@@ -182,7 +184,7 @@ class TestComparison:
         # Region III: depth beyond eps**beta = 0.1
         res = pb_disk_sweep[1e-4]
         bands = RegionParams(eps=1e-4, beta=0.25, T=5.0)
-        rep = compare_expansion(res, pb_disk_domain, [std_bundle], T=5.0, bands=bands)
+        rep = compare_expansion(res, pb_disk_domain, stretched_layers([std_bundle], 5.0), bands)
         b = rep.boundaries[0]
         depth = 1.0 - res.r
         dev = np.abs(res.phi - res.phi_eps_star)
@@ -199,7 +201,8 @@ class TestComparison:
     ):
         eps = 1e-3
         res = ccpb_sweep[eps]
-        rep = compare_expansion(res, annulus_domain, annulus_constants.profiles, T=5.0)
+        layers = stretched_layers(annulus_constants.profiles, 5.0)
+        rep = compare_expansion(res, annulus_domain, layers)
         t = np.linspace(0.0, 5.0, STRETCHED_SAMPLES)
         for comp, bundle, b in zip(annulus_domain.components, annulus_constants.profiles,
                                    rep.boundaries):
@@ -207,7 +210,7 @@ class TestComparison:
             phi, coef = res.phi_at(rs), comp.depth_sign * res.dphi_at(rs)
             q = ExpansionQuery(comp.mean_curvature, eps, 2, 2)
             rows = grid_rows(q, bundle, t)
-            assert b.e1 == np.max(np.abs(phi - sample(replace(q, order=1), bundle, t).potential()))
+            assert b.e1 == np.max(np.abs(phi - sample(bundle, t, 1).potential(replace(q, order=1))))
             assert b.e2 == np.max(np.abs(phi - rows["potential"])) / math.sqrt(eps)
             assert b.field_err == np.max(np.abs(coef - rows["field"]))
 
@@ -218,23 +221,24 @@ class TestComparison:
 
         u = solve_u(salt, RobinData(0.1, 0.0))
         v = solve_v(u)
-        rep = compare_expansion(res, dom, [LayerBundle(u, v)], T=5.0)
+        rep = compare_expansion(res, dom, stretched_layers([LayerBundle(u, v)], 5.0))
         assert rep.boundaries[0].e1 == 0.0 and rep.boundaries[0].e2 == 0.0
 
     def test_region_empty(self, salt, pb_disk_domain, std_bundle):
         res = solve_radial_robin_pb(pb_disk_domain, salt, 1e-4, points_per_layer=16)
         with pytest.raises(RegionEmpty):
             compare_expansion(
-                res, pb_disk_domain, [std_bundle], T=9.99,
+                res, pb_disk_domain, stretched_layers([std_bundle], 9.99),
                 bands=RegionParams(eps=1e-4, beta=0.25, T=9.99),
             )
 
     def test_bands_of_another_eps_or_T_rejected(self, pb_disk_sweep, pb_disk_domain, std_bundle):
         res = pb_disk_sweep[1e-4]
+        layers = stretched_layers([std_bundle], 5.0)
         for bands in (RegionParams(eps=1e-3, beta=0.25, T=5.0),
                       RegionParams(eps=1e-4, beta=0.25, T=4.0)):
             with pytest.raises(ConfigError):
-                compare_expansion(res, pb_disk_domain, [std_bundle], T=5.0, bands=bands)
+                compare_expansion(res, pb_disk_domain, layers, bands=bands)
 
 
 class TestConservedCharge:
@@ -268,10 +272,9 @@ class TestConservedCharge:
 
     def test_expansion_sweep(self, ccpb_sweep, annulus_domain, annulus_constants):
         e2 = []
+        layers = stretched_layers(annulus_constants.profiles, 5.0)
         for eps in (1e-2, 1e-3, 1e-4):
-            rep = compare_expansion(
-                ccpb_sweep[eps], annulus_domain, annulus_constants.profiles, T=5.0,
-            )
+            rep = compare_expansion(ccpb_sweep[eps], annulus_domain, layers)
             e2.append(max(b.e2 for b in rep.boundaries))
         assert e2[0] > e2[1] > e2[2]
         assert e2[2] <= 0.5 * e2[0]
@@ -306,9 +309,10 @@ class TestGenerality:
         u = solve_u(f, RobinData(0.1, 1.0))
         v = solve_v(u)
         e2 = []
+        layers = stretched_layers([LayerBundle(u, v)], 5.0)
         for eps in (1e-2, 1e-3, 1e-4):
             res = solve_radial_robin_pb(dom, f, eps)
-            rep = compare_expansion(res, dom, [LayerBundle(u, v)], T=5.0)
+            rep = compare_expansion(res, dom, layers)
             e2.append(rep.boundaries[0].e2)
         assert e2[0] > e2[1] > e2[2]
         assert e2[2] <= 0.5 * e2[0]
