@@ -1,9 +1,9 @@
 """Expansion formulas in the boundary layer.
 
 `sample` evaluates a bundle's profiles once over an array of stretched
-depths; the LayerSample it returns gives, for any curvature and eps, the
-displayed finite terms of the small-eps expansions there: potential, normal
-field coefficient, charge density and Maxwell traction.  `region_charge`
+depths; the LayerSample it returns gives, for any curvature, eps and order,
+the displayed finite terms of the small-eps expansions there: potential,
+normal field coefficient, charge density and Maxwell traction.  `region_charge`
 gives the band-wise total charge.  Remainder behavior is not modeled here;
 it is checked against the radial oracle.
 """
@@ -11,7 +11,7 @@ it is checked against the radial oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,32 +41,23 @@ class ExpansionQuery:
 @dataclass(frozen=True)
 class LayerSample:
     """Profile values and t-derivatives of a bundle at the depths t given to
-    `sample`; v and w are None where the order sampled and the bundle do not
-    use them.  The expansion depends on eps and H only through the weights
-    of the profiles, so one sample serves every query: each method returns
-    one expansion term per depth for the query q."""
+    `sample`; w is None where the bundle has none.  The expansion depends on
+    eps and H only through the weights of the profiles, so one sample serves
+    every query: each method returns one expansion term per depth for the
+    query q, of the order q asks for."""
 
     bundle: LayerBundle
     t: np.ndarray
     u: np.ndarray
     du: np.ndarray
-    v: np.ndarray | None = None
-    dv: np.ndarray | None = None
+    v: np.ndarray
+    dv: np.ndarray
     w: np.ndarray | None = None
     dw: np.ndarray | None = None
 
-    def _one_term(self, q: ExpansionQuery) -> bool:
-        """Whether q asks for the one-term expansion; a two-term query of a
-        one-term sample is a ConfigError."""
-        if q.order == 1:
-            return True
-        if self.v is None:
-            raise ConfigError("a sample of order 1 has no second-order terms")
-        return False
-
     def potential(self, q: ExpansionQuery):
         """u(t) [+ sqrt(eps)((d-1) H v(t) (+ w(t) for conserved charge))]."""
-        if self._one_term(q):
+        if q.order == 1:
             return self.u
         corr = (q.d - 1) * q.h * self.v
         if self.w is not None:
@@ -75,7 +66,7 @@ class LayerSample:
 
     def field(self, q: ExpansionQuery):
         """Coefficient of -nu_p in the gradient: u'/sqrt(eps) [+ (d-1)H v' + w']."""
-        if self._one_term(q):
+        if q.order == 1:
             return self.du / math.sqrt(q.eps)
         corr = (q.d - 1) * q.h * self.dv
         if self.w is not None:
@@ -87,7 +78,7 @@ class LayerSample:
         charge))], with f the density of u and f1 that of the bundle."""
         f = self.bundle.u.density
         base = f.f(self.u)
-        if self._one_term(q):
+        if q.order == 1:
             return base
         dfu = f.df(self.u)
         corr = (q.d - 1) * q.h * dfu * self.v
@@ -100,7 +91,7 @@ class LayerSample:
         -F(u) [+ sqrt(eps) u' ((d-1)H v' (+ w'))], with F that of the density
         of u."""
         base = -self.bundle.u.density.F(self.u)
-        if self._one_term(q):
+        if q.order == 1:
             return base
         corr = (q.d - 1) * q.h * self.du * self.dv
         if self.w is not None:
@@ -108,17 +99,15 @@ class LayerSample:
         return base + math.sqrt(q.eps) * corr
 
 
-def sample(bundle: LayerBundle, ts, order: int = 2) -> LayerSample:
-    """The profiles that an expansion of this order uses, each evaluated
-    once over the array of depths ts >= 0 (a negative, NaN or infinite depth
-    raises NegativeTime)."""
+def sample(bundle: LayerBundle, ts) -> LayerSample:
+    """Every profile of the bundle, each evaluated once over the array of
+    depths ts >= 0 (a negative, NaN or infinite depth raises NegativeTime)."""
     ts = np.asarray(ts, dtype=float)
     u, du = profile_eval(bundle.u, ts)
-    v = dv = w = dw = None
-    if order == 2:
-        v, dv = profile_eval(bundle.v, ts)
-        if bundle.w is not None:
-            w, dw = profile_eval(bundle.w, ts)
+    v, dv = profile_eval(bundle.v, ts)
+    w = dw = None
+    if bundle.w is not None:
+        w, dw = profile_eval(bundle.w, ts)
     return LayerSample(bundle, ts, u, du, v, dv, w, dw)
 
 
@@ -132,9 +121,7 @@ class RegionChargeReport:
 
     model: str
     k: int
-    eps: float
-    beta: float
-    T: float
+    params: RegionParams
     region1: float
     region2: float
     sign: int  # expected common sign of regions I and II
@@ -144,7 +131,7 @@ class RegionChargeReport:
         return {
             "model": self.model,
             "k": self.k,
-            "inputs": {"eps": self.eps, "beta": self.beta, "T": self.T},
+            "inputs": asdict(self.params),
             "region1": {"value": self.region1},
             "region2": {"value": self.region2},
             "sign": self.sign,
@@ -191,15 +178,14 @@ def region_charge(
     phi_bd = u.robin.phi_bd
     sign = 0 if phi_bd == u.phi_star else (-1 if phi_bd > u.phi_star else 1)
     return RegionChargeReport(
-        model=bundle.model, k=k, eps=eps, beta=params.beta, T=T,
-        region1=r1, region2=r2, sign=sign, terms=terms,
+        model=bundle.model, k=k, params=params, region1=r1, region2=r2, sign=sign, terms=terms,
     )
 
 
 def grid_rows(q: ExpansionQuery, bundle: LayerBundle, ts) -> dict:
     """The four expansion terms of q over the depths ts, one array per
     name: `sample` once, then each LayerSample method."""
-    s = sample(bundle, ts, q.order)
+    s = sample(bundle, ts)
     return {
         "potential": s.potential(q),
         "field": s.field(q),

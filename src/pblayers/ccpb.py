@@ -43,6 +43,7 @@ from .nonlinearity import (
 )
 from .numerics import brent_root
 from .profiles import (
+    DEFAULT_NODES,
     LayerBundle,
     ULayer,
     _denominator,
@@ -63,17 +64,26 @@ class CcpbConstants:
     """Constants and profiles of the conserved-charge expansion."""
 
     phi0_star: float
-    u0_per_boundary: tuple[float, ...]
     q: float
     mhat: tuple[float, ...]
     bulk_conc0: tuple[float, ...]
     profiles: tuple[LayerBundle, ...]  # one per boundary, with theta, w and f1
-    f0: Nonlinearity
     fhat1: Nonlinearity
-    f1: Nonlinearity
     species: tuple[IonSpecies, ...]
     domain: DomainSpec
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def u0_per_boundary(self) -> tuple[float, ...]:
+        return tuple(b.u.u0 for b in self.profiles)
+
+    @property
+    def f0(self) -> Nonlinearity:
+        return self.profiles[0].u.density
+
+    @property
+    def f1(self) -> Nonlinearity:
+        return self.profiles[0].f1
 
     def to_json_dict(self) -> dict:
         return {
@@ -88,7 +98,7 @@ class CcpbConstants:
             "boundaries": [
                 {
                     "k": k,
-                    "u0": self.u0_per_boundary[k],
+                    "u0": b.u.u0,
                     "u0_prime": b.u.u0_prime,
                     "v_prime0": b.v.v_prime0,
                     "theta_prime0": b.theta.theta_prime0,
@@ -202,14 +212,13 @@ def compute_q(
 def ccpb_constants(
     domain: DomainSpec,
     species: Sequence[IonSpecies],
-    n_nodes: int | None = None,
+    n_nodes: int = DEFAULT_NODES,
 ) -> CcpbConstants:
     """Full constants pipeline: bulk potential, profiles, mass corrections,
     drift constant, conservation profiles and diagnostics."""
     phi0 = solve_phi0(domain, species)
     f0 = make_f0(species, domain.volume, phi0)
-    kwargs = {} if n_nodes is None else {"n_nodes": n_nodes}
-    u_list = [solve_u(f0, comp.robin, **kwargs) for comp in domain.components]
+    u_list = [solve_u(f0, comp.robin, n_nodes) for comp in domain.components]
 
     # mhat, q and f1 read only the u-profiles
     mhat = compute_mhat(domain, species, u_list)
@@ -251,14 +260,11 @@ def ccpb_constants(
     bulk0 = [s.amount * math.exp(s.z * phi0) / domain.volume for s in species]
     return CcpbConstants(
         phi0_star=phi0,
-        u0_per_boundary=tuple(u.u0 for u in u_list),
         q=q,
         mhat=tuple(mhat),
         bulk_conc0=tuple(bulk0),
         profiles=tuple(bundles),
-        f0=f0,
         fhat1=fhat1,
-        f1=f1,
         species=tuple(species),
         domain=domain,
         diagnostics=diagnostics,

@@ -27,7 +27,7 @@ from .errors import ConfigError, InconsistentParams, PBLayersError, SolverError
 from .geometry import DomainSpec, RegionParams, make_annulus, make_ball, make_disk
 from .nonlinearity import IonSpecies, Nonlinearity, make_classical_pb
 from .numerics import write_csv
-from .profiles import LayerBundle, RobinData, solve_u, solve_v
+from .profiles import DEFAULT_NODES, LayerBundle, RobinData, solve_u, solve_v
 from .radial_oracle import (
     RadialSolveResult,
     compare_expansion,
@@ -167,9 +167,8 @@ def _domain(cfg) -> DomainSpec:
     raise ConfigError("domain.type must be disk, ball or annulus")
 
 
-def _grid_kwargs(cfg) -> dict:
-    grid = _section(cfg, "grid")
-    return {"n_nodes": _integer(grid, "n_nodes", "grid")} if "n_nodes" in grid else {}
+def _nodes(cfg) -> int:
+    return _integer(_section(cfg, "grid"), "n_nodes", "grid", DEFAULT_NODES)
 
 
 def _region(cfg, need_beta: bool) -> tuple[float, float | None]:
@@ -207,8 +206,8 @@ def _write_json(path: Path, payload: dict):
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _pb_bundles(domain, f, cfg) -> list[LayerBundle]:
-    us = [solve_u(f, comp.robin, **_grid_kwargs(cfg)) for comp in domain.components]
+def _pb_bundles(domain, f, n_nodes: int) -> list[LayerBundle]:
+    us = [solve_u(f, comp.robin, n_nodes) for comp in domain.components]
     return [LayerBundle(u, solve_v(u)) for u in us]
 
 
@@ -223,8 +222,8 @@ class _Model(NamedTuple):
 def _build_model(cfg, species, domain) -> _Model:
     if cfg["model"] == "pb":
         f = make_classical_pb(species)
-        return _Model(f, _pb_bundles(domain, f, cfg), None)
-    constants = ccpb_constants(domain, species, **_grid_kwargs(cfg))
+        return _Model(f, _pb_bundles(domain, f, _nodes(cfg)), None)
+    constants = ccpb_constants(domain, species, _nodes(cfg))
     return _Model(constants.f0, list(constants.profiles), constants)
 
 
@@ -251,7 +250,7 @@ def cmd_profiles(cfg, out: Path) -> int:
 def cmd_constants(cfg, out: Path) -> int:
     if cfg["model"] != "ccpb":
         raise ConfigError("constants requires model 'ccpb'")
-    constants = ccpb_constants(_domain(cfg), _species(cfg), **_grid_kwargs(cfg))
+    constants = ccpb_constants(_domain(cfg), _species(cfg), _nodes(cfg))
     payload = constants.to_json_dict()
     payload["config"] = cfg
     _write_json(out / "ccpb_constants.json", payload)
@@ -373,8 +372,8 @@ def cmd_verify(cfg, out: Path) -> int:
             )
         sweep.append(entry)
 
-    e2 = [max(b.e2 for b in rep.boundaries) for rep in reports]
-    e1 = [max(b.e1 for b in rep.boundaries) for rep in reports]
+    e2 = [max(b.E2 for b in rep.boundaries) for rep in reports]
+    e1 = [max(b.E1 for b in rep.boundaries) for rep in reports]
     fe = [max(b.field_err for b in rep.boundaries) for rep in reports]
     c1 = [v / math.sqrt(eps) for v, eps in zip(e1, eps_list)]
     checks = {
@@ -413,11 +412,11 @@ def cmd_verify(cfg, out: Path) -> int:
 
 def cmd_figures(cfg, out: Path) -> int:
     gamma = _number(_section(cfg, "figures"), "gamma", "figures", 0.1)
-    grid = _grid_kwargs(cfg)
+    n_nodes = _nodes(cfg)
     f = make_classical_pb(_species(cfg))
     meta = {"config": cfg, "curves": [], "verdicts": {}}
     for label, phi_bd in (("plus", 1.0), ("minus", -1.0)):
-        u = solve_u(f, RobinData(gamma, phi_bd), **grid)
+        u = solve_u(f, RobinData(gamma, phi_bd), n_nodes)
         v = solve_v(u)
         for prof in (u, v):
             prof.to_csv(out / f"figure_{prof.kind}_{label}.csv")

@@ -306,7 +306,6 @@ class Nonlinearity:
     F: Callable
     phi_star: float | None
     provenance: str
-    species: tuple[IonSpecies, ...] = ()
     q: float | None = None  # drift constant of an f1 density
 
     @property
@@ -315,7 +314,7 @@ class Nonlinearity:
         return self.provenance in _ZERO_AT_REFERENCE
 
 
-def _exp_terms_nonlinearity(a, b, ref, provenance, species=(), phi_star=None, q=None):
+def _exp_terms_nonlinearity(a, b, ref, provenance, phi_star=None, q=None):
     esum = _ExpSum(a, b, ref)
     desum = esum.derivative()
     if phi_star is None:
@@ -330,7 +329,6 @@ def _exp_terms_nonlinearity(a, b, ref, provenance, species=(), phi_star=None, q=
         F=_Expm1Sum(esum.b, w / esum.b, low, phi_star),
         phi_star=phi_star,
         provenance=provenance,
-        species=tuple(species),
         q=q,
     )
 
@@ -346,7 +344,7 @@ def make_classical_pb(species: Sequence[IonSpecies]) -> Nonlinearity:
         )
     a = np.array([s.z * s.amount for s in species])
     b = np.array([-s.z for s in species])
-    return _exp_terms_nonlinearity(a, b, 0.0, "classical", species)
+    return _exp_terms_nonlinearity(a, b, 0.0, "classical")
 
 
 def make_f0(species: Sequence[IonSpecies], volume: float, phi0_star: float) -> Nonlinearity:
@@ -356,7 +354,7 @@ def make_f0(species: Sequence[IonSpecies], volume: float, phi0_star: float) -> N
     check_neutrality(species)
     a = np.array([s.amount * s.z / volume for s in species])
     b = np.array([-s.z for s in species])
-    return _exp_terms_nonlinearity(a, b, phi0_star, "f0", species, phi_star=float(phi0_star))
+    return _exp_terms_nonlinearity(a, b, phi0_star, "f0", phi_star=float(phi0_star))
 
 
 def make_fhat1(
@@ -372,7 +370,7 @@ def make_fhat1(
         raise ConfigError("mhat must have one entry per species")
     a = np.array([mh * s.z / volume for mh, s in zip(mhat, species)])
     b = np.array([-s.z for s in species])
-    return _exp_terms_nonlinearity(a, b, phi0_star, "fhat1", species, phi_star=float(phi0_star))
+    return _exp_terms_nonlinearity(a, b, phi0_star, "fhat1", phi_star=float(phi0_star))
 
 
 def make_f1(f0: Nonlinearity, fhat1: Nonlinearity, q: float) -> Nonlinearity:
@@ -383,9 +381,7 @@ def make_f1(f0: Nonlinearity, fhat1: Nonlinearity, q: float) -> Nonlinearity:
     if f0.phi_star is None or abs(f0.phi_star - fhat1.phi_star) > 1e-12:
         raise MismatchedReference("f0 and fhat1 must share the reference potential")
     a = -q * f0.df.a + fhat1.f.a
-    return _exp_terms_nonlinearity(
-        a, f0.df.b, f0.df.ref, "f1", f0.species, phi_star=f0.phi_star, q=float(q),
-    )
+    return _exp_terms_nonlinearity(a, f0.df.b, f0.df.ref, "f1", phi_star=f0.phi_star, q=float(q))
 
 
 def make_custom(f, df, F, phi_star=None) -> Nonlinearity:

@@ -312,11 +312,9 @@ def _from_delta(fn, phi_star, delta):
     return np.asarray(fn(phi_star + np.asarray(delta, dtype=float)), dtype=float)
 
 
-def _speed_from_delta(f: Nonlinearity, phi_star: float):
-    def speed(delta):
-        return np.sqrt(np.maximum(-2.0 * _from_delta(f.F, phi_star, delta), 0.0))
-
-    return speed
+def _speed(f: Nonlinearity, phi_star: float, delta):
+    """The layer speed sqrt(-2 F) at the offsets delta = u - phi*."""
+    return np.sqrt(np.maximum(-2.0 * _from_delta(f.F, phi_star, delta), 0.0))
 
 
 def _gauss_speeds(f: Nonlinearity, phi_star: float, delta: np.ndarray):
@@ -327,7 +325,7 @@ def _gauss_speeds(f: Nonlinearity, phi_star: float, delta: np.ndarray):
     dt = |d delta| / speed, a t-integral of g over a panel is the sum of
     wq g / speed."""
     x, wq = gauss_panels(np.append(delta[1:], 0.0), delta)
-    return x, np.abs(wq), _speed_from_delta(f, phi_star)(x.ravel()).reshape(x.shape)
+    return x, np.abs(wq), _speed(f, phi_star, x.ravel()).reshape(x.shape)
 
 
 def _constant_profile(cls, kind, level, t_max, n_nodes, robin, rate, **fields):
@@ -377,7 +375,7 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
     # offset so that the exponentially small tail keeps full relative accuracy
     decades = -math.log10(TAIL_REL_THRESHOLD)
     delta = delta0 * 10.0 ** -boundary_clustered_nodes(n_nodes, decades)
-    node_speed = _speed_from_delta(f, phi_star)(delta)
+    node_speed = _speed(f, phi_star, delta)
     du = sgn_du * node_speed
     # panel j (nodes j and j + 1) puts its integrals of 1/speed and
     # I/speed^3 into entry j + 1 of t and A, which are then summed from

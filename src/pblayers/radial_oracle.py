@@ -42,7 +42,7 @@ import math
 import os
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
 from typing import Sequence
@@ -247,7 +247,8 @@ class _RadialSystem:
     entries gamma sqrt(eps) c2 of the Robin rows (zero at gamma = 0 and at
     the center of a ball).  Only its diagonal depends on phi, through
     f'(phi) on the flux rows, so the bands and the third entries are
-    assembled once.
+    assembled once.  The residual reads the one-sided stencils of the Robin
+    rows computed for them, so residual and Jacobian share one stencil.
     """
 
     def __init__(self, r, d, eps, f: Nonlinearity | None, inner: RobinData | None,
@@ -287,13 +288,13 @@ class _RadialSystem:
             self._df_rows = slice(0, -1)
         else:
             g = inner.gamma * self.sq_eps
-            c0, c1, c2 = _one_sided_coeffs(h[0], h[1])
+            c0, c1, c2 = self._inner_stencil = _one_sided_coeffs(h[0], h[1])
             diag[0] = 1.0 + g * c0
             upper[0] = g * c1
             third_in = g * c2
             self._df_rows = slice(1, -1)
         g = outer.gamma * self.sq_eps
-        c0, c1, c2 = _one_sided_coeffs(h[-1], h[-2])
+        c0, c1, c2 = self._outer_stencil = _one_sided_coeffs(h[-1], h[-2])
         diag[-1] = 1.0 + g * c0
         lower[-1] = g * c1
         self._bands = (lower, diag, upper)
@@ -309,10 +310,10 @@ class _RadialSystem:
         if self.inner is None:
             res[0] = eps * flux[0] / self.vol[0] + fvals[0]
         else:
-            c0, c1, c2 = _one_sided_coeffs(self.h[0], self.h[1])
+            c0, c1, c2 = self._inner_stencil
             dphi = -(c0 * phi[0] + c1 * phi[1] + c2 * phi[2])  # phi'(a), inward stencil
             res[0] = phi[0] + self.inner.gamma * self.sq_eps * (-dphi) - self.inner.phi_bd
-        c0, c1, c2 = _one_sided_coeffs(self.h[-1], self.h[-2])
+        c0, c1, c2 = self._outer_stencil
         dphi = c0 * phi[-1] + c1 * phi[-2] + c2 * phi[-3]
         res[-1] = phi[-1] + self.outer.gamma * self.sq_eps * dphi - self.outer.phi_bd
         return res, fvals
@@ -624,7 +625,7 @@ def solve_radial_robin_pb(
 def _density_from_normalizers(species, normalizers):
     a = np.array([s.amount * s.z / A for s, A in zip(species, normalizers)])
     b = np.array([-s.z for s in species])
-    return _exp_terms_nonlinearity(a, b, 0.0, "custom", species)
+    return _exp_terms_nonlinearity(a, b, 0.0, "custom")
 
 
 def solve_radial_ccpb(
@@ -724,8 +725,8 @@ def solve_radial_ccpb(
 @dataclass(frozen=True)
 class BoundaryErrors:
     k: int
-    e1: float
-    e2: float
+    E1: float
+    E2: float
     field_err: float
     # max |phi - phi_eps_star| over the oracle nodes in Region II of this
     # boundary and in Region III; None when the bands are not ordered
@@ -743,28 +744,11 @@ class ExpansionErrorReport:
     phi_ref: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "eps": self.eps,
-            "T": self.T,
-            "beta": self.beta,
-            "phi_ref": self.phi_ref,
-            "boundaries": [
-                {
-                    "k": b.k,
-                    "E1": b.e1,
-                    "E2": b.e2,
-                    "field_err": b.field_err,
-                    "region2_max_dev": b.region2_max_dev,
-                    "region3_max_dev": b.region3_max_dev,
-                }
-                for b in self.boundaries
-            ],
-        }
+        return asdict(self)
 
 
 def stretched_layers(bundles: Sequence[LayerBundle], T: float) -> list[asymptotics.LayerSample]:
-    """The order-2 sample of each bundle at the STRETCHED_SAMPLES depths on
+    """The sample of each bundle at the STRETCHED_SAMPLES depths on
     [0, T] where compare_expansion compares; one serves every eps."""
     t = np.linspace(0.0, T, STRETCHED_SAMPLES)
     return [asymptotics.sample(bundle, t) for bundle in bundles]
@@ -784,7 +768,7 @@ def compare_expansion(
     bands: RegionParams | None = None,
 ) -> ExpansionErrorReport:
     """Sup errors of the one- and two-term expansions at the depths of
-    layers, one order-2 sample per boundary at the same depths from 0 to T
+    layers, one sample per boundary at the same depths from 0 to T
     (stretched_layers), each read through the query of its boundary at the
     oracle's eps.  Given bands at the oracle's eps and this T, also the
     oracle's largest deviation from phi_eps_star over its nodes in Region II
@@ -806,8 +790,8 @@ def compare_expansion(
     for comp, layer, depth in zip(domain.components, layers, depths):
         phi_or, coef_or = _stretched_samples(oracle, comp, layer.t)
         q = asymptotics.ExpansionQuery(comp.mean_curvature, eps, 2, domain.dimension)
-        e1 = float(np.max(np.abs(phi_or - layer.u)))
-        e2 = float(np.max(np.abs(phi_or - layer.potential(q)))) / sq
+        E1 = float(np.max(np.abs(phi_or - layer.u)))
+        E2 = float(np.max(np.abs(phi_or - layer.potential(q)))) / sq
         field_err = float(np.max(np.abs(coef_or - layer.field(q))))
         r2_max = None
         if bands is not None:
@@ -817,7 +801,7 @@ def compare_expansion(
             r2_max = float(np.max(np.abs(oracle.phi[band] - phi_ref)))
         results.append(
             BoundaryErrors(
-                k=comp.index, e1=e1, e2=e2, field_err=field_err,
+                k=comp.index, E1=E1, E2=E2, field_err=field_err,
                 region2_max_dev=r2_max, region3_max_dev=r3_max,
             )
         )

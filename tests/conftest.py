@@ -9,7 +9,7 @@ from pblayers.profiles import (
     LayerBundle,
     RobinData,
     _from_delta,
-    _speed_from_delta,
+    _speed,
     solve_theta,
     solve_u,
     solve_v,
@@ -63,8 +63,7 @@ def _closure_f1(f0, fhat1, q):
     ) + fhat1.f.from_delta(d)
     F1.from_delta = lambda d: -q * f0.f.from_delta(d) + fhat1.F.from_delta(d)
     return Nonlinearity(
-        f=f1, df=df1, F=F1, phi_star=f0.phi_star, provenance="f1",
-        species=f0.species, q=float(q),
+        f=f1, df=df1, F=F1, phi_star=f0.phi_star, provenance="f1", q=float(q),
     )
 
 
@@ -83,7 +82,7 @@ def panel_quadrature(f, phi_star, delta):
     [delta_{j+1}, delta_j] between consecutive nodes, and the layer speed |u'|
     at x."""
     x, wq = gauss_panels(delta[1:], delta[:-1])
-    speed = _speed_from_delta(f, phi_star)(x.ravel()).reshape(x.shape)
+    speed = _speed(f, phi_star, x.ravel()).reshape(x.shape)
     return x, np.abs(wq), speed
 
 
@@ -102,7 +101,7 @@ def energy(f, phi_star, delta, node_speed, wq, speed):
     speeds and the five Gauss speeds of a panel)."""
     nodes = np.empty(len(delta))
     x, w = gauss_panels([0.0], delta[-1:])
-    nodes[-1] = abs(np.sum(_speed_from_delta(f, phi_star)(x.ravel()).reshape(x.shape) * w))
+    nodes[-1] = abs(np.sum(_speed(f, phi_star, x.ravel()).reshape(x.shape) * w))
     nodes[:-1] = nodes[-1] + np.cumsum(np.sum(speed * wq, axis=1)[::-1])[::-1]
     y = np.column_stack((node_speed[1:], speed, node_speed[:-1]))
     half = 0.5 * np.abs(delta[:-1] - delta[1:])
@@ -114,7 +113,7 @@ def whole_array_u(u):
     """(t, u', I, A) at the offsets u.delta of the nodes of u."""
     f = u.density
     _, wq, speed = panel_quadrature(f, u.phi_star, u.delta)
-    node_speed = _speed_from_delta(f, u.phi_star)(u.delta)
+    node_speed = _speed(f, u.phi_star, u.delta)
     nodes, gauss = energy(f, u.phi_star, u.delta, node_speed, wq, speed)
     sgn_du = 1.0 if u.phi_star > u.u0 else -1.0
     return cumulative(wq, 1.0 / speed), sgn_du * node_speed, nodes, cumulative(wq, gauss / speed**3)
@@ -147,7 +146,7 @@ def quadrature_excess(u, zs, panels=2000):
     delta0 = u.u0 - phi0_star
     x = np.linspace(min(0.0, delta0), max(0.0, delta0), panels + 1)
     xg, wg = gauss_panels(x[:-1], x[1:])
-    speed = _speed_from_delta(u.density, phi0_star)(xg.ravel()).reshape(xg.shape)
+    speed = _speed(u.density, phi0_star, xg.ravel()).reshape(xg.shape)
     return [float(np.sum(-np.expm1(-z * xg) / speed * wg)) for z in zs]
 
 

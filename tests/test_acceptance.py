@@ -164,8 +164,8 @@ def test_criterion_07_pb_convergence(pb_disk_sweep, pb_disk_domain, std_bundle):
         for eps in (1e-2, 1e-3, 1e-4):
             rep = compare_expansion(pb_disk_sweep[eps], pb_disk_domain, layers)
             b = rep.boundaries[0]
-            e1.append(b.e1)
-            e2.append(b.e2)
+            e1.append(b.E1)
+            e2.append(b.E2)
             fe.append(b.field_err)
         assert e2[0] > e2[1] > e2[2]
         assert e2[2] <= 0.5 * e2[0]
@@ -185,7 +185,7 @@ def test_criterion_08_ccpb_convergence(ccpb_sweep, annulus_domain, annulus_const
         layers = stretched_layers(annulus_constants.profiles, 5.0)
         for eps in (1e-2, 1e-3, 1e-4):
             rep = compare_expansion(ccpb_sweep[eps], annulus_domain, layers)
-            e2.append(max(b.e2 for b in rep.boundaries))
+            e2.append(max(b.E2 for b in rep.boundaries))
             drift = (
                 ccpb_sweep[eps].phi_eps_star - annulus_constants.phi0_star
             ) / math.sqrt(eps)
@@ -214,7 +214,7 @@ def test_criterion_09_region_charges(
         oc = ccpb_sweep[eps]
         a = np.array([s.amount * s.z / A for s, A in zip(msalt, oc.normalizers)])
         b = np.array([-s.z for s in msalt])
-        f_eps = _exp_terms_nonlinearity(a, b, 0.0, "custom", msalt)
+        f_eps = _exp_terms_nonlinearity(a, b, 0.0, "custom")
         for k, expected_sign in ((0, -1), (1, 1)):
             rep_k = region_charge(
                 annulus_domain, k, params_cc, annulus_constants.profiles[k]

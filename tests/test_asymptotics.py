@@ -12,7 +12,7 @@ from pblayers.profiles import LayerBundle, RobinData, profile_eval, solve_u, sol
 
 def at(name, bundle, t, eps=1e-4, order=2, h=1.0, d=2):
     """The expansion term `name` of bundle at the one depth t."""
-    return getattr(sample(bundle, [t], order), name)(ExpansionQuery(h, eps, order, d))[0]
+    return getattr(sample(bundle, [t]), name)(ExpansionQuery(h, eps, order, d))[0]
 
 
 class TestPointwiseEvaluators:
@@ -212,12 +212,6 @@ class TestOneSampleEveryQuery:
             for name in rows:
                 assert np.array_equal(getattr(s, name)(q), rows[name]), name
 
-    def test_two_term_query_of_one_term_sample_rejected(self, std_bundle):
-        s = sample(std_bundle, [0.0, 1.0], order=1)
-        assert s.v is None
-        with pytest.raises(ConfigError, match="order 1"):
-            s.potential(ExpansionQuery(1.0, 1e-4, 2))
-
 
 class TestArrayEvaluators:
     """sample and grid_rows over an array of depths against sample at each depth alone.
@@ -244,7 +238,7 @@ class TestArrayEvaluators:
         for name, exact in self.TERMS:
             got = values[name]
             assert isinstance(got, np.ndarray) and got.shape == ts.shape
-            want = np.concatenate([getattr(sample(bundle, [t], q.order), name)(q) for t in ts])
+            want = np.concatenate([getattr(sample(bundle, [t]), name)(q) for t in ts])
             if exact:
                 assert np.array_equal(got, want)
             else:
@@ -254,7 +248,7 @@ class TestArrayEvaluators:
     def test_array_matches_scalar(self, bundle, order):
         ts = self.depths(bundle)
         q = ExpansionQuery(0.5, 1e-4, order, 2)
-        s = sample(bundle, ts, order)
+        s = sample(bundle, ts)
         self.assert_matches_one_depth({name: getattr(s, name)(q) for name, _ in self.TERMS}, q, bundle, ts)
 
     @pytest.mark.parametrize("order", [1, 2])

@@ -171,8 +171,8 @@ class TestComparison:
             eps: compare_expansion(res, pb_disk_domain, layers)
             for eps, res in pb_disk_sweep.items()
         }
-        e1 = [reports[eps].boundaries[0].e1 for eps in (1e-2, 1e-3, 1e-4)]
-        e2 = [reports[eps].boundaries[0].e2 for eps in (1e-2, 1e-3, 1e-4)]
+        e1 = [reports[eps].boundaries[0].E1 for eps in (1e-2, 1e-3, 1e-4)]
+        e2 = [reports[eps].boundaries[0].E2 for eps in (1e-2, 1e-3, 1e-4)]
         fe = [reports[eps].boundaries[0].field_err for eps in (1e-2, 1e-3, 1e-4)]
         assert e1[0] > e1[1] > e1[2]
         assert e2[0] > e2[1] > e2[2]
@@ -210,8 +210,8 @@ class TestComparison:
             phi, coef = res.phi_at(rs), comp.depth_sign * res.dphi_at(rs)
             q = ExpansionQuery(comp.mean_curvature, eps, 2, 2)
             rows = grid_rows(q, bundle, t)
-            assert b.e1 == np.max(np.abs(phi - sample(bundle, t, 1).potential(replace(q, order=1))))
-            assert b.e2 == np.max(np.abs(phi - rows["potential"])) / math.sqrt(eps)
+            assert b.E1 == np.max(np.abs(phi - sample(bundle, t).potential(replace(q, order=1))))
+            assert b.E2 == np.max(np.abs(phi - rows["potential"])) / math.sqrt(eps)
             assert b.field_err == np.max(np.abs(coef - rows["field"]))
 
     def test_trivial_configuration_zero_errors(self, salt):
@@ -222,7 +222,7 @@ class TestComparison:
         u = solve_u(salt, RobinData(0.1, 0.0))
         v = solve_v(u)
         rep = compare_expansion(res, dom, stretched_layers([LayerBundle(u, v)], 5.0))
-        assert rep.boundaries[0].e1 == 0.0 and rep.boundaries[0].e2 == 0.0
+        assert rep.boundaries[0].E1 == 0.0 and rep.boundaries[0].E2 == 0.0
 
     def test_region_empty(self, salt, pb_disk_domain, std_bundle):
         res = solve_radial_robin_pb(pb_disk_domain, salt, 1e-4, points_per_layer=16)
@@ -275,7 +275,7 @@ class TestConservedCharge:
         layers = stretched_layers(annulus_constants.profiles, 5.0)
         for eps in (1e-2, 1e-3, 1e-4):
             rep = compare_expansion(ccpb_sweep[eps], annulus_domain, layers)
-            e2.append(max(b.e2 for b in rep.boundaries))
+            e2.append(max(b.E2 for b in rep.boundaries))
         assert e2[0] > e2[1] > e2[2]
         assert e2[2] <= 0.5 * e2[0]
 
@@ -313,7 +313,7 @@ class TestGenerality:
         for eps in (1e-2, 1e-3, 1e-4):
             res = solve_radial_robin_pb(dom, f, eps)
             rep = compare_expansion(res, dom, layers)
-            e2.append(rep.boundaries[0].e2)
+            e2.append(rep.boundaries[0].E2)
         assert e2[0] > e2[1] > e2[2]
         assert e2[2] <= 0.5 * e2[0]
 
@@ -339,7 +339,7 @@ class TestBandCharges:
         params = RegionParams(eps=1e-4, beta=0.10, T=5.0)
         a = np.array([s.amount * s.z / A for s, A in zip(msalt, oracle.normalizers)])
         b = np.array([-s.z for s in msalt])
-        f_eps = _exp_terms_nonlinearity(a, b, 0.0, "custom", msalt)
+        f_eps = _exp_terms_nonlinearity(a, b, 0.0, "custom")
         for k in (0, 1):
             rep = region_charge(
                 annulus_domain, k, params, annulus_constants.profiles[k]
@@ -398,7 +398,7 @@ class TestNotAKnotCubic:
 
         oracle = ccpb_sweep[1e-4]
         a = np.array([s.amount * s.z / A for s, A in zip(msalt, oracle.normalizers)])
-        f_eps = _exp_terms_nonlinearity(a, np.array([-s.z for s in msalt]), 0.0, "custom", msalt)
+        f_eps = _exp_terms_nonlinearity(a, np.array([-s.z for s in msalt]), 0.0, "custom")
         bands = RegionParams(eps=1e-4, beta=0.25, T=5.0)
         # Region I of the disk's boundary at T sqrt(eps) = 1 is the whole disk
         whole = RegionParams(eps=4.0, beta=0.25, T=0.5)

@@ -5,7 +5,8 @@ loads, and of it only the LAPACK extension: never the scipy.linalg package.
 Profiles travel as LayerBundle attributes, and the model is whether a bundle
 has w, so the package neither keys profiles by string nor branches on a model
 string outside config handling and JSON output.  Every module constant of the
-package is read somewhere in it."""
+package is read somewhere in it, and of the radial oracle only the comparison
+with the expansion names the expansion."""
 
 import ast
 import json
@@ -189,8 +190,9 @@ _MODEL_NAME_SCOPES = {
 }
 
 
-def _model_name_scopes(tree):
-    """The enclosing def or class path of each "pb"/"ccpb" literal in tree."""
+def _scopes(tree, hit):
+    """The enclosing def or class path of each node of tree for which hit is
+    true; a def's annotations, defaults and decorators are in its scope."""
     found = set()
 
     def visit(node, scope):
@@ -198,12 +200,17 @@ def _model_name_scopes(tree):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if isinstance(child, ast.Constant) and child.value in ("pb", "ccpb"):
+            if hit(child):
                 found.add(scope or "<module>")
             visit(child, scope)
 
     visit(tree, "")
     return found
+
+
+def _model_name_scopes(tree):
+    """The enclosing def or class path of each "pb"/"ccpb" literal in tree."""
+    return _scopes(tree, lambda n: isinstance(n, ast.Constant) and n.value in ("pb", "ccpb"))
 
 
 def test_profiles_are_attributes_and_model_strings_stay_in_config_and_json():
@@ -223,6 +230,26 @@ def test_expansion_is_read_through_the_public_asymptotics_interface():
         if path.stem != "asymptotics":
             text = path.read_text(encoding="utf-8")
             assert "asymptotics._" not in text, path.name
+
+
+def test_oracle_solvers_never_name_the_expansion():
+    # the radial oracle is ground truth only if its solvers never consult the
+    # expansion: of its code, annotations included, only the comparison side
+    # names the asymptotics module, LayerBundle or a name imported from
+    # asymptotics
+    tree = ast.parse((ROOT / "src" / "pblayers" / "radial_oracle.py").read_text(encoding="utf-8"))
+    names = {"asymptotics", "LayerBundle"} | {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "asymptotics"
+        for alias in node.names
+    }
+
+    def names_expansion(node):
+        return (isinstance(node, ast.Name) and node.id in names) or (
+            isinstance(node, ast.Attribute) and node.attr in names)
+
+    assert _scopes(tree, names_expansion) == {"stretched_layers", "compare_expansion"}
 
 
 def test_readme_config_keys_table_matches_cli():
