@@ -14,7 +14,10 @@ F' = f).  The built-in provenances are exponential sums over ion species:
 Evaluators accept floats or numpy arrays, are immutable after construction,
 and are safe to share across threads.  A scalar call runs the same formulas
 on Python floats (no one-element arrays); arrays, 0-d arrays and exponents
-past the overflow guard take the array path.
+past the overflow guard take the array path.  f itself, whose terms cancel
+at phi*, has a float path only inside its Taylor window about phi*: the
+same Horner steps, with the bits of its array path; outside the window a
+scalar f goes through a one-element array.
 """
 
 from __future__ import annotations
@@ -80,19 +83,24 @@ def check_neutrality(species: Sequence[IonSpecies]):
 
 
 def _exponents(d, b):
-    """(t, m) with t[..., j] = d * b[j] and m = max over j of t[..., j].
+    """t with t[..., j] = d * b[j].
 
-    Filled one term column at a time and reduced with np.maximum: the same
-    bits as np.multiply.outer(d, b) and t.max(axis=-1), without their fixed
-    per-call cost, which dominates for the two or three terms of a salt.
+    Filled one term column at a time: the same bits as np.multiply.outer(d, b)
+    without its fixed per-call cost, which dominates for the two or three
+    terms of a salt.
     """
     t = np.empty(d.shape + b.shape)
     for j, bj in enumerate(b):
         np.multiply(d, bj, out=t[..., j])
+    return t
+
+
+def _row_max(t):
+    """t.max(axis=-1), reduced column by column with np.maximum: the same bits."""
     m = t[..., 0].copy()
-    for j in range(1, len(b)):
+    for j in range(1, t.shape[-1]):
         np.maximum(m, t[..., j], out=m)
-    return t, m
+    return m
 
 
 class _ExpSum:
@@ -113,9 +121,17 @@ class _ExpSum:
     def __call__(self, phi):
         if is_scalar(phi):
             return self._scalar(float(phi))
-        t, m = _exponents(np.asarray(phi, dtype=float) - self.ref, self.b)
+        return self._array(np.asarray(phi, dtype=float))
+
+    def _array(self, phi):
+        """E at an array of potentials."""
+        t = _exponents(phi - self.ref if self.ref else phi, self.b)
+        # one reduction over all exponents shows that none passes the guard
+        if not t.size or t.max() <= _EXP_GUARD:
+            return np.exp(t, out=t) @ self.a
+        m = _row_max(t)
         big = m > _EXP_GUARD
-        if not big.any():
+        if not big.any():  # a NaN exponent, none past the guard
             return np.exp(t, out=t) @ self.a
         t -= m[..., None]
         out = np.exp(t, out=t) @ self.a
@@ -158,10 +174,11 @@ class _AnchoredExpSum(_ExpSum):
 
     Within a small window around the anchor the plain sum loses relative
     accuracy to cancellation, so a Taylor expansion about the anchor is used
-    there instead.
+    there instead.  A float call inside the window runs the same Horner steps
+    on Python floats; every other call takes the array path.
     """
 
-    __slots__ = ("anchor", "_taylor", "_switch")
+    __slots__ = ("anchor", "_top", "_taylor", "_switch")
 
     def __init__(self, a, b, ref, anchor):
         super().__init__(a, b, ref)
@@ -173,26 +190,42 @@ class _AnchoredExpSum(_ExpSum):
         for n in range(1, _TAYLOR_TERMS + 1):
             fact *= n
             coeffs[n] = float(np.sum(w * self.b**n)) / fact
-        self._taylor = coeffs
+        # the highest order starts the Horner sum; the others follow, highest first
+        self._top = float(coeffs[-1])
+        self._taylor = coeffs[-2::-1].tolist()
         self._switch = 0.05 / max(1.0, float(np.max(np.abs(self.b))))
 
-    __call__ = _call_from_delta
+    def __call__(self, phi):
+        if is_scalar(phi):
+            d = float(phi) - self.anchor
+            if abs(d) <= self._switch:
+                return self._near(d, self._top)
+        return _call_from_delta(self, phi)
+
+    def _near(self, d, acc):
+        """The Taylor sum at offsets d, from acc = the top coefficient (a float,
+        or an array of d's shape that is summed in place)."""
+        for c in self._taylor:
+            acc *= d
+            acc += c
+        return acc
 
     def from_delta(self, delta):
         """Evaluate at anchor + delta with delta supplied exactly; preserves
-        relative accuracy for exponentially small offsets."""
+        relative accuracy for exponentially small offsets.  An offset has the
+        same bits whether its batch is all near, all far or mixed."""
         d = np.atleast_1d(np.asarray(delta, dtype=float))
         near = np.abs(d) <= self._switch
+        n_near = np.count_nonzero(near)
+        if n_near == d.size:
+            return self._near(d, np.full(d.shape, self._top))
+        if n_near == 0:
+            return self._array(self.anchor + d)
         out = np.empty(d.shape)
-        if near.any():
-            dn = d[near]
-            acc = np.full(dn.shape, self._taylor[_TAYLOR_TERMS])
-            for n in range(_TAYLOR_TERMS - 1, -1, -1):
-                acc *= dn
-                acc += self._taylor[n]
-            out[near] = acc
-        if (~near).any():
-            out[~near] = _ExpSum.__call__(self, self.anchor + d[~near])
+        dn = d[near]
+        out[near] = self._near(dn, np.full(dn.shape, self._top))
+        far = ~near
+        out[far] = self._array(self.anchor + d[far])
         return out
 
 
@@ -272,8 +305,8 @@ class _Expm1Sum:
         return d if self.c.ndim == 1 else d[..., None]
 
     def _far(self, d):
-        t, m = _exponents(d, self.b)
-        overflow = m > _EXP_GUARD
+        t = _exponents(d, self.b)
+        overflow = _row_max(t) > _EXP_GUARD
         # the fastest-growing term decides the sign at huge arguments;
         # found before the clipping below can tie the exponents (a zero
         # coefficient leaves the clipped sum)

@@ -19,12 +19,14 @@ Each solve builds its grid and assembled system once.  The nonlocal
 conserved-charge problem is an outer fixed point on the normalizer vector
 (the domain integrals of exp(-z_i phi)) with Anderson mixing as a fallback;
 each sweep reruns Newton on the same system with the sweep's frozen
-normalizers.  A solve may warm-start from an earlier result, which is
-sampled on the new grid by its not-a-knot cubic spline (continuation in eps).
-A local (PB) solve samples it at the same stretched depth |r - r_k|/sqrt(eps)
-from the nearest boundary, and starts cold from phi* plus the linearized
-(Debye-Huckel) Robin layer of each boundary.  The spline's slopes are one
-tridiagonal solve by dgtsv too.  dgtsv and dgbsv come from SciPy's
+normalizers.  A solve may warm-start from an earlier result (continuation
+in eps).  A local (PB) solve interpolates it linearly between its nodes at
+the same stretched depth |r - r_k|/sqrt(eps) from the nearest boundary, and
+starts cold from phi* plus the linearized (Debye-Huckel) Robin layer of each
+boundary.  A conserved-charge solve samples the earlier result's not-a-knot
+cubic spline at equal r: its start fixes the sweeps' trajectory, which the
+benchmark's reference values pin.  The spline's slopes are one tridiagonal
+solve by dgtsv too.  dgtsv and dgbsv come from SciPy's
 LAPACK extension, loaded alone with the first solve (_lapack): the
 scipy.linalg package itself is never imported here.
 
@@ -301,12 +303,18 @@ class _RadialSystem:
         self._thirds = (third_in, g * c2)  # J[0, 2], J[n-1, n-3]
 
     def residual(self, phi):
-        """(residual vector, f(phi) at the nodes)."""
+        """(residual vector, f(phi) at the nodes).  The flux rows are assembled
+        in place, operation for operation eps (flux_R - flux_L) / vol + f."""
         eps = self.eps
-        flux = self.face_coef * np.diff(phi)
+        flux = np.subtract(phi[1:], phi[:-1])
+        flux *= self.face_coef
         fvals = np.asarray(self.f.f(phi), dtype=float)
         res = np.empty(self.n)
-        res[1:-1] = eps * (flux[1:] - flux[:-1]) / self.vol[1:-1] + fvals[1:-1]
+        rows = res[1:-1]
+        np.subtract(flux[1:], flux[:-1], out=rows)
+        rows *= eps
+        rows /= self.vol[1:-1]
+        rows += fvals[1:-1]
         if self.inner is None:
             res[0] = eps * flux[0] / self.vol[0] + fvals[0]
         else:
@@ -331,9 +339,10 @@ class _RadialSystem:
         """
         lower, diag, upper = (band.copy() for band in self._bands)
         rows = self._df_rows
-        diag[rows] += np.asarray(self.f.df(phi), dtype=float)[rows]
+        slopes = np.asarray(self.f.df(phi), dtype=float)[rows]
         rhs = -res
-        _check_finite(diag, rhs)
+        _check_finite(slopes, rhs)
+        diag[rows] += slopes
         third_in, third_out = self._thirds
         if third_in:  # row 0 less (J[0, 2] / J[1, 2]) row 1
             m = third_in / upper[1]
@@ -394,15 +403,19 @@ class _BandedSystem(_RadialSystem):
         lu = self._lu
         lu[...] = self._gb
         rows = self._df_rows
-        lu[4, rows] += np.asarray(self.f.df(phi), dtype=float)[rows]
+        slopes = np.asarray(self.f.df(phi), dtype=float)[rows]
         rhs = -res
-        _check_finite(lu[4], rhs)
+        _check_finite(slopes, rhs)
+        lu[4, rows] += slopes
         _, _, step, info = _lapack().dgbsv(2, 2, lu, rhs, overwrite_ab=1, overwrite_b=1)
         return _solved(step, info, "dgbsv")
 
 
-def _check_finite(diag, rhs):
-    if not (np.isfinite(diag).all() and np.isfinite(rhs).all()):
+def _check_finite(slopes, rhs):
+    """Raise unless f'(phi) on the flux rows and the right-hand side are finite:
+    the assembled diagonal is finite and far below overflow, so the diagonal
+    of J(phi) is finite exactly when the slopes added to it are."""
+    if not (np.isfinite(slopes).all() and np.isfinite(rhs).all()):
         raise ValueError("Newton system must not contain infs or NaNs")
 
 
@@ -500,7 +513,7 @@ def _damped_newton(system: _RadialSystem, phi0):
         step = system.newton_step(phi, res)
         lam = 1.0
         for _ in range(MAX_DAMPING + 1):
-            cand = phi + lam * step
+            cand = phi + step if lam == 1.0 else phi + lam * step
             cres, cfvals = system.residual(cand)
             cnorm = float(np.max(np.abs(cres)))
             if np.isfinite(cnorm) and cnorm < norm:
@@ -565,8 +578,9 @@ def _linearized_layers(system: _RadialSystem, f: Nonlinearity, phi_star: float):
 def _stretched_start(system: _RadialSystem, initial: RadialSolveResult):
     """The earlier solve sampled at the same stretched depth |r - r_k|/sqrt(eps)
     from the nearest boundary r_k, so a layer solved at a larger eps narrows to
-    this one.  Sample points stop at the center of a ball or the midpoint of
-    an annulus; at equal eps they are r itself."""
+    this one, linearly between its nodes.  Sample points stop at the center of
+    a ball or the midpoint of an annulus; at equal eps they are r itself, and
+    the start is the earlier phi."""
     r = system.r
     stretch = math.sqrt(initial.eps / system.eps) - 1.0
 
@@ -574,10 +588,11 @@ def _stretched_start(system: _RadialSystem, initial: RadialSolveResult):
         return r + stretch * (r - r_k)
 
     if system.inner is None:
-        return initial.phi_at(np.maximum(mapped(r[-1]), r[0]))
-    mid = 0.5 * (r[0] + r[-1])
-    return initial.phi_at(np.where(r >= mid, np.maximum(mapped(r[-1]), mid),
-                                   np.minimum(mapped(r[0]), mid)))
+        at = np.maximum(mapped(r[-1]), r[0])
+    else:
+        mid = 0.5 * (r[0] + r[-1])
+        at = np.where(r >= mid, np.maximum(mapped(r[-1]), mid), np.minimum(mapped(r[0]), mid))
+    return np.interp(at, initial.r, initial.phi)
 
 
 def _boundary_data(domain: DomainSpec):
@@ -599,8 +614,8 @@ def solve_radial_robin_pb(
 
     `initial` is None (start from phi* plus the linearized layer of each
     boundary), an array on the solver's grid, or an earlier RadialSolveResult,
-    which is sampled at the same stretched depth from the nearest boundary
-    (continuation in eps).
+    which is interpolated linearly at the same stretched depth from the
+    nearest boundary (continuation in eps).
     """
     if not f.monotone:
         raise ConfigError("the oracle requires a monotone charge density")
@@ -620,6 +635,11 @@ def solve_radial_robin_pb(
         conservation_residual=system.conservation_residual(phi, fvals),
         robin=robin, radii=radii, phi_eps_star=phi_star,
     )
+
+
+def _trapezoid(y, dx):
+    """np.trapezoid(y, x) given dx = np.diff(x), operation for operation."""
+    return float((dx * (y[1:] + y[:-1]) / 2.0).sum())
 
 
 def _density_from_normalizers(species, normalizers):
@@ -649,6 +669,7 @@ def solve_radial_ccpb(
     system = _radial_system(domain, None, eps, grid_opts, _BandedSystem)
     r, d = system.r, system.d
     weight = unit_sphere_area(d) * r ** (d - 1)
+    dr = np.diff(r)
     norms = np.full(len(species), domain.volume)
     # this start pins the sweep trajectory bit for bit (TestOneSolvePath and the
     # benchmark reference) until the reference is regenerated
@@ -665,9 +686,7 @@ def solve_radial_ccpb(
         system.f = _density_from_normalizers(species, norms)
         phi, iters, residual_norm, fvals = _damped_newton(system, phi)
         total_newton += iters
-        new_norms = np.array(
-            [np.trapezoid(np.exp(-s.z * phi) * weight, r) for s in species]
-        )
+        new_norms = np.array([_trapezoid(np.exp(-s.z * phi) * weight, dr) for s in species])
         change = float(np.max(np.abs(new_norms / norms - 1.0)))
         if change <= A_TOL:
             norms = new_norms
@@ -700,9 +719,7 @@ def solve_radial_ccpb(
     conservation = system.conservation_residual(phi, fvals)
     f_eps = _density_from_normalizers(species, norms)
     phi_eps_star = find_reference_potential(f_eps)
-    neutrality = float(
-        np.trapezoid(np.asarray(f_eps.f(phi), dtype=float) * weight, r)
-    )
+    neutrality = _trapezoid(np.asarray(f_eps.f(phi), dtype=float) * weight, dr)
     robin, radii = _boundary_data(domain)
     return RadialSolveResult(
         model="ccpb", d=d, eps=eps, r=r, phi=phi,

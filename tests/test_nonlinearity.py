@@ -157,6 +157,110 @@ class TestExpSumArrayPath:
         assert not np.isnan(anti.from_delta(np.linspace(-1e3, 1e3, 2001))).any()
 
 
+def _mixed_from_delta(f, delta):
+    """_AnchoredExpSum.from_delta as it was before its lean paths: the Taylor
+    sum gathered at the near offsets and the plain sum (the outer reference)
+    at the far ones, whatever the batch holds."""
+    taylor = [*f._taylor[::-1], f._top]  # orders 0..12
+    d = np.atleast_1d(np.asarray(delta, dtype=float))
+    near = np.abs(d) <= f._switch
+    out = np.empty(d.shape)
+    if near.any():
+        dn = d[near]
+        acc = np.full(dn.shape, taylor[12])
+        for n in range(11, -1, -1):
+            acc *= dn
+            acc += taylor[n]
+        out[near] = acc
+    if (~near).any():
+        out[~near] = _outer_exp_sum(f, f.anchor + d[~near])
+    return out
+
+
+# anchored densities: 2 and 3 terms, each with ref = 0 (classical) and ref = phi0* (f0)
+ANCHORED = {
+    "1:1": make_classical_pb(symmetric_salt()).f,
+    "2:1 f0": make_f0([IonSpecies(2.0, 1.0, "mass"), IonSpecies(-1.0, 2.0, "mass")],
+                      3.0, 0.3).f,
+    "3 terms": make_classical_pb([IonSpecies(2.0, 1.0), IonSpecies(1.0, 0.5),
+                                  IonSpecies(-1.0, 2.5)]).f,
+    "3 terms f0": make_f0([IonSpecies(2.0, 1.0, "mass"), IonSpecies(1.0, 0.5, "mass"),
+                           IonSpecies(-1.0, 2.5, "mass")], 2.0, -0.4).f,
+}
+
+
+class TestAnchoredExpSum:
+    """f of a density with a zero at phi*: its float path and its lean array
+    paths keep every bit of the mixed array path."""
+
+    @staticmethod
+    def _offsets(f, rng, shape):
+        sw = f._switch
+        n = int(np.prod(shape))
+        return {
+            "near": rng.uniform(-sw, sw, n).reshape(shape),
+            "far": (np.sign(rng.uniform(-1.0, 1.0, n))
+                    * rng.uniform(1.01 * sw, 30.0, n)).reshape(shape),
+            "mixed": rng.uniform(-3 * sw, 3 * sw, n).reshape(shape),
+            "nan": np.where(rng.uniform(size=n) < 0.1, np.nan,
+                            rng.uniform(-3 * sw, 3 * sw, n)).reshape(shape),
+            "all nan": np.full(shape, np.nan),
+            "past the guard": np.where(rng.uniform(size=n) < 0.1,
+                                       rng.uniform(-1e4, 1e4, n),
+                                       rng.uniform(-3 * sw, 3 * sw, n)).reshape(shape),
+        }
+
+    @pytest.mark.parametrize("shape", [(4001,), (37, 53), (1,)])
+    @pytest.mark.parametrize("name", sorted(ANCHORED))
+    def test_array_paths_bit_equal_to_mixed_path(self, name, shape):
+        f = ANCHORED[name]
+        rng = np.random.default_rng(len(name) + len(shape))
+        for kind, d in self._offsets(f, rng, shape).items():
+            got = f.from_delta(d)
+            want = _mixed_from_delta(f, d)
+            assert got.shape == shape, kind
+            assert got.tobytes() == want.tobytes(), kind
+            phi = f.anchor + d
+            assert f(phi).tobytes() == _mixed_from_delta(f, phi - f.anchor).tobytes(), kind
+
+    def test_overflow_signs(self):
+        f = ANCHORED["1:1"]  # -2 sinh
+        assert np.array_equal(f.from_delta(np.array([800.0, -800.0, 1e4, -1e4])),
+                              [-np.inf, np.inf, -np.inf, np.inf])
+
+    @pytest.mark.parametrize("name", sorted(ANCHORED))
+    def test_float_path_bit_equal_to_array_path(self, name):
+        f = ANCHORED[name]
+        sw = f._switch
+        rng = np.random.default_rng(7 * len(name))
+        # at +-_switch and 4 ulp either side of it: both sides of each edge
+        xs = []
+        for edge in (f.anchor + sw, f.anchor - sw):
+            around = [edge]
+            up = down = edge
+            for _ in range(4):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+                around += [float(up), float(down)]
+            assert {abs(x - f.anchor) <= sw for x in around} == {True, False}
+            xs += around
+        # then inside, beyond, past the guard and NaN
+        xs += (f.anchor + rng.uniform(-sw, sw, 300)).tolist()
+        xs += (f.anchor + rng.uniform(-30.0, 30.0, 300)).tolist()
+        xs += [f.anchor + 800.0, f.anchor - 800.0, math.nan]
+        batch = f(np.array(xs, dtype=float))
+        for x, in_batch in zip(xs, batch.tolist()):
+            # a one-element array is what a scalar call evaluated before; inside
+            # the window the Taylor sum is elementwise, so any batch agrees (the
+            # far sum's matmul rounds a one-row batch differently)
+            want = f(np.array([float(x)]))[0]
+            if abs(float(x) - f.anchor) <= sw:
+                assert np.array(in_batch).tobytes() == want.tobytes()
+            for arg in (float(x), np.float64(x), np.array(float(x))):
+                got = f(arg)
+                assert type(got) is float
+                assert np.array(got).tobytes() == want.tobytes()
+
+
 def _numpy_scalar_loop(esum, phi):
     """_ExpSum._scalar as it ran on the numpy scalars of esum.a and esum.b."""
     d = phi - esum.ref
