@@ -12,12 +12,12 @@ F' = f).  The built-in provenances are exponential sums over ion species:
                 -Q a0_i b_i + ahat_i on the exponents of f0
 
 Evaluators accept floats or numpy arrays, are immutable after construction,
-and are safe to share across threads.  A scalar call runs the same formulas
-on Python floats (no one-element arrays); arrays, 0-d arrays and exponents
-past the overflow guard take the array path.  f itself, whose terms cancel
-at phi*, has a float path only inside its Taylor window about phi*: the
-same Horner steps, with the bits of its array path; outside the window a
-scalar f goes through a one-element array.
+and are safe to share across threads.  A scalar call (a Python or numpy
+float, or a 0-d array) runs the same formulas on Python floats, with no
+one-element arrays, except in two cases that take the array path: F at a 0-d
+array or past the overflow guard, and f outside its Taylor window about
+phi*.  Inside that window f, whose terms cancel at phi*, runs the same Horner
+steps on floats, with the bits of its array path.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ class _AnchoredExpSum(_ExpSum):
     on Python floats; every other call takes the array path.
     """
 
-    __slots__ = ("anchor", "_top", "_taylor", "_switch")
+    __slots__ = ("anchor", "_value", "_taylor", "_switch")
 
     def __init__(self, a, b, ref, anchor):
         super().__init__(a, b, ref)
@@ -190,42 +190,33 @@ class _AnchoredExpSum(_ExpSum):
         for n in range(1, _TAYLOR_TERMS + 1):
             fact *= n
             coeffs[n] = float(np.sum(w * self.b**n)) / fact
-        # the highest order starts the Horner sum; the others follow, highest first
-        self._top = float(coeffs[-1])
-        self._taylor = coeffs[-2::-1].tolist()
+        # the value at the anchor, and the other orders highest first for _horner
+        self._value = float(coeffs[0])
+        self._taylor = coeffs[:0:-1].tolist()
         self._switch = 0.05 / max(1.0, float(np.max(np.abs(self.b))))
 
     def __call__(self, phi):
         if is_scalar(phi):
             d = float(phi) - self.anchor
             if abs(d) <= self._switch:
-                return self._near(d, self._top)
+                return _horner(self._taylor, d, 0.0) + self._value
+            return float(self._array(np.array([self.anchor + d]))[0])
         return _call_from_delta(self, phi)
-
-    def _near(self, d, acc):
-        """The Taylor sum at offsets d, from acc = the top coefficient (a float,
-        or an array of d's shape that is summed in place)."""
-        for c in self._taylor:
-            acc *= d
-            acc += c
-        return acc
 
     def from_delta(self, delta):
         """Evaluate at anchor + delta with delta supplied exactly; preserves
-        relative accuracy for exponentially small offsets.  An offset has the
-        same bits whether its batch is all near, all far or mixed."""
+        relative accuracy for exponentially small offsets."""
         d = np.atleast_1d(np.asarray(delta, dtype=float))
         near = np.abs(d) <= self._switch
-        n_near = np.count_nonzero(near)
-        if n_near == d.size:
-            return self._near(d, np.full(d.shape, self._top))
-        if n_near == 0:
-            return self._array(self.anchor + d)
-        out = np.empty(d.shape)
-        dn = d[near]
-        out[near] = self._near(dn, np.full(dn.shape, self._top))
         far = ~near
-        out[far] = self._array(self.anchor + d[far])
+        out = np.empty(d.shape)
+        if near.any():
+            dn = d[near]
+            acc = _horner(self._taylor, dn, np.zeros(dn.shape))
+            acc += self._value
+            out[near] = acc
+        if far.any():
+            out[far] = self._array(self.anchor + d[far])
         return out
 
 

@@ -513,7 +513,7 @@ def _damped_newton(system: _RadialSystem, phi0):
         step = system.newton_step(phi, res)
         lam = 1.0
         for _ in range(MAX_DAMPING + 1):
-            cand = phi + step if lam == 1.0 else phi + lam * step
+            cand = phi + lam * step
             cres, cfvals = system.residual(cand)
             cnorm = float(np.max(np.abs(cres)))
             if np.isfinite(cnorm) and cnorm < norm:
@@ -637,11 +637,6 @@ def solve_radial_robin_pb(
     )
 
 
-def _trapezoid(y, dx):
-    """np.trapezoid(y, x) given dx = np.diff(x), operation for operation."""
-    return float((dx * (y[1:] + y[:-1]) / 2.0).sum())
-
-
 def _density_from_normalizers(species, normalizers):
     a = np.array([s.amount * s.z / A for s, A in zip(species, normalizers)])
     b = np.array([-s.z for s in species])
@@ -669,7 +664,6 @@ def solve_radial_ccpb(
     system = _radial_system(domain, None, eps, grid_opts, _BandedSystem)
     r, d = system.r, system.d
     weight = unit_sphere_area(d) * r ** (d - 1)
-    dr = np.diff(r)
     norms = np.full(len(species), domain.volume)
     # this start pins the sweep trajectory bit for bit (TestOneSolvePath and the
     # benchmark reference) until the reference is regenerated
@@ -686,7 +680,9 @@ def solve_radial_ccpb(
         system.f = _density_from_normalizers(species, norms)
         phi, iters, residual_norm, fvals = _damped_newton(system, phi)
         total_newton += iters
-        new_norms = np.array([_trapezoid(np.exp(-s.z * phi) * weight, dr) for s in species])
+        new_norms = np.array(
+            [np.trapezoid(np.exp(-s.z * phi) * weight, r) for s in species]
+        )
         change = float(np.max(np.abs(new_norms / norms - 1.0)))
         if change <= A_TOL:
             norms = new_norms
@@ -719,7 +715,9 @@ def solve_radial_ccpb(
     conservation = system.conservation_residual(phi, fvals)
     f_eps = _density_from_normalizers(species, norms)
     phi_eps_star = find_reference_potential(f_eps)
-    neutrality = _trapezoid(np.asarray(f_eps.f(phi), dtype=float) * weight, dr)
+    neutrality = float(
+        np.trapezoid(np.asarray(f_eps.f(phi), dtype=float) * weight, r)
+    )
     robin, radii = _boundary_data(domain)
     return RadialSolveResult(
         model="ccpb", d=d, eps=eps, r=r, phi=phi,

@@ -158,10 +158,10 @@ class TestExpSumArrayPath:
 
 
 def _mixed_from_delta(f, delta):
-    """_AnchoredExpSum.from_delta as it was before its lean paths: the Taylor
-    sum gathered at the near offsets and the plain sum (the outer reference)
-    at the far ones, whatever the batch holds."""
-    taylor = [*f._taylor[::-1], f._top]  # orders 0..12
+    """_AnchoredExpSum.from_delta as it was before its lean array path: the
+    Taylor sum, as acc * d + c_n from the top order down, gathered at the near
+    offsets and the plain sum (the outer reference) at the far ones."""
+    taylor = [f._value, *f._taylor[::-1]]  # orders 0..12
     d = np.atleast_1d(np.asarray(delta, dtype=float))
     near = np.abs(d) <= f._switch
     out = np.empty(d.shape)
@@ -191,7 +191,7 @@ ANCHORED = {
 
 class TestAnchoredExpSum:
     """f of a density with a zero at phi*: its float path and its lean array
-    paths keep every bit of the mixed array path."""
+    path keep every bit of the array path as it was."""
 
     @staticmethod
     def _offsets(f, rng, shape):
@@ -212,7 +212,7 @@ class TestAnchoredExpSum:
 
     @pytest.mark.parametrize("shape", [(4001,), (37, 53), (1,)])
     @pytest.mark.parametrize("name", sorted(ANCHORED))
-    def test_array_paths_bit_equal_to_mixed_path(self, name, shape):
+    def test_array_path_bit_equal_to_mixed_path(self, name, shape):
         f = ANCHORED[name]
         rng = np.random.default_rng(len(name) + len(shape))
         for kind, d in self._offsets(f, rng, shape).items():
