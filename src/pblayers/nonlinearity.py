@@ -13,11 +13,13 @@ F' = f).  The built-in provenances are exponential sums over ion species:
 
 Evaluators accept floats or numpy arrays, are immutable after construction,
 and are safe to share across threads.  A scalar call (a Python or numpy
-float, or a 0-d array) runs the same formulas on Python floats, with no
-one-element arrays, except in two cases that take the array path: F at a 0-d
-array or past the overflow guard, and f outside its Taylor window about
+number, or a 0-d array: `numerics.is_scalar`) runs the same formulas on
+Python floats, with no one-element arrays, except in two cases that take the
+array path: F past the overflow guard, and f outside its Taylor window about
 phi*.  Inside that window f, whose terms cancel at phi*, runs the same Horner
-steps on floats, with the bits of its array path.
+steps on floats, with the bits of its array path.  The F of an exp sum is
+built from f at its first read: a density whose F nobody reads (the radial
+oracle's sweep densities) never builds one.
 """
 
 from __future__ import annotations
@@ -43,8 +45,11 @@ NEUTRALITY_TOL = 8 * 2.0**-53  # times sum |m_i z_i|: the rounding of neutral de
 REFERENCE_RTOL = 1e-13  # bisection width of the reference potential
 DECAY_SAMPLES = 2048  # grid that brackets the maximum of f' in decay_rate
 _EXP_GUARD = 700.0  # exponents beyond this go through the stabilized path
-_TAYLOR_TERMS = 12
 _TAYLOR_ORDER = 18  # highest order of the Taylor sums of _Expm1Sum
+_EXPM1_ORDERS = np.arange(_TAYLOR_ORDER, 0, -1)[:, None]  # its orders, highest first
+_EXPM1_FACTORIALS = np.array([[float(math.factorial(n))] for n in range(_TAYLOR_ORDER, 0, -1)])
+_ANCHOR_ORDERS = np.arange(13.0)[:, None]  # orders 0..12 of _AnchoredExpSum's Taylor sum
+_ANCHOR_FACTORIALS = np.array([float(math.factorial(n)) for n in range(13)])
 # Taylor window of _Expm1Sum, times 1/max|b_i|, by the lowest order kept.  Within
 # 1 order 19 is below 1/19! (8e-18) of a moment; 0.65 is the widest window that
 # keeps the bits of the pinned constants, and F is within 4 ulp just beyond it
@@ -110,13 +115,15 @@ class _ExpSum:
     sign survives even when the magnitude overflows (the value is then +-inf).
     """
 
-    __slots__ = ("a", "b", "ref", "_terms")
+    __slots__ = ("a", "b", "ref", "_terms", "_bmax", "_bmin")
 
     def __init__(self, a, b, ref=0.0):
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self.ref = float(ref)
-        self._terms = tuple(zip(self.a.tolist(), self.b.tolist()))  # (a_i, b_i) floats
+        bs = self.b.tolist()
+        self._terms = tuple(zip(self.a.tolist(), bs))  # (a_i, b_i) floats
+        self._bmax, self._bmin = max(bs), min(bs)
 
     def __call__(self, phi):
         if is_scalar(phi):
@@ -141,7 +148,7 @@ class _ExpSum:
 
     def _scalar(self, phi: float) -> float:
         d = phi - self.ref
-        m = max(bi * d for _, bi in self._terms)
+        m = _largest_exponent(self, d)
         if m <= _EXP_GUARD:
             total = 0.0
             for ai, bi in self._terms:
@@ -161,6 +168,12 @@ class _ExpSum:
         return _AnchoredExpSum(self.a, self.b, self.ref, anchor)
 
 
+def _largest_exponent(esum, d):
+    """max_i b_i * d of the floats, from the largest or smallest b: rounding
+    is monotone, so the same bits."""
+    return (esum._bmax if d >= 0.0 else esum._bmin) * d
+
+
 def _call_from_delta(self, phi):
     """Evaluate at phi through self.from_delta(phi - self.anchor)."""
     scalar = is_scalar(phi)
@@ -178,22 +191,22 @@ class _AnchoredExpSum(_ExpSum):
     on Python floats; every other call takes the array path.
     """
 
-    __slots__ = ("anchor", "_value", "_taylor", "_switch")
+    __slots__ = ("anchor", "_w", "_value", "_taylor", "_switch")
 
     def __init__(self, a, b, ref, anchor):
         super().__init__(a, b, ref)
         self.anchor = float(anchor)
-        w = self.a * np.exp(self.b * (self.anchor - self.ref))
-        coeffs = np.empty(_TAYLOR_TERMS + 1)
-        fact = 1.0
-        coeffs[0] = float(np.sum(w))
-        for n in range(1, _TAYLOR_TERMS + 1):
-            fact *= n
-            coeffs[n] = float(np.sum(w * self.b**n)) / fact
+        self._w = self.a * np.exp(self.b * (self.anchor - self.ref))  # terms at the anchor
+        # sum_i w_i b_i^n / n! from one power table, each row reduced as np.sum
+        # reduces it alone (an axis sum runs the same loop on each row); b**2
+        # is b*b, numpy's square, which pow does not always round alike
+        powers = self.b**_ANCHOR_ORDERS
+        powers[2] = self.b * self.b
+        coeffs = ((self._w * powers).sum(axis=1) / _ANCHOR_FACTORIALS).tolist()
         # the value at the anchor, and the other orders highest first for _horner
-        self._value = float(coeffs[0])
-        self._taylor = coeffs[:0:-1].tolist()
-        self._switch = 0.05 / max(1.0, float(np.max(np.abs(self.b))))
+        self._value = coeffs[0]
+        self._taylor = coeffs[:0:-1]
+        self._switch = 0.05 / max(1.0, self._bmax, -self._bmin)
 
     def __call__(self, phi):
         if is_scalar(phi):
@@ -218,6 +231,11 @@ class _AnchoredExpSum(_ExpSum):
         if far.any():
             out[far] = self._array(self.anchor + d[far])
         return out
+
+    def antiderivative(self, low) -> "_Expm1Sum":
+        """F = sum_i (w_i / b_i) expm1(b_i (phi - anchor)), w_i the terms at
+        the anchor, less its Taylor orders below `low`."""
+        return _Expm1Sum(self.b, self._w / self.b, low, self.anchor)
 
 
 def _horner(coeffs, d, acc):
@@ -247,30 +265,30 @@ class _Expm1Sum:
     with the sign of its fastest-growing term.
     """
 
-    __slots__ = ("b", "c", "anchor", "_terms", "_taylor", "_head", "_window")
+    __slots__ = ("b", "c", "anchor", "_terms", "_bmax", "_bmin", "_taylor", "_head", "_window")
 
     def __init__(self, b, c, low, anchor):
         self.b = np.asarray(b, dtype=float)
         self.c = np.asarray(c, dtype=float)  # (k,), or (k, m) for m columns
         self.anchor = float(anchor)
-        self._terms = tuple(zip(self.c.tolist(), self.b.tolist())) if self.c.ndim == 1 else None
+        bs = self.b.tolist()
+        self._terms = tuple(zip(self.c.tolist(), bs)) if self.c.ndim == 1 else None
+        self._bmax, self._bmin = max(bs), min(bs)
         # Taylor coefficients sum_i c_i b_i^n / n!, highest order first; the
         # head, orders low - 1..1, is 0 in the Taylor sum
-        orders = np.arange(_TAYLOR_ORDER, 0, -1)
-        factorials = np.array([[float(math.factorial(n))] for n in orders])
-        coeffs = (self.b ** orders[:, None]) @ self.c.reshape(len(self.b), -1) / factorials
+        coeffs = (self.b**_EXPM1_ORDERS) @ self.c.reshape(len(bs), -1) / _EXPM1_FACTORIALS
         rows = coeffs[:, 0].tolist() if self.c.ndim == 1 else list(coeffs)
         self._head = rows[_TAYLOR_ORDER - low + 1 :]
         self._taylor = rows[: _TAYLOR_ORDER - low + 1] + [0.0] * len(self._head)
-        self._window = _TAYLOR_WINDOW[low] / float(np.max(np.abs(self.b)))
+        self._window = _TAYLOR_WINDOW[low] / max(self._bmax, -self._bmin)
 
     def __call__(self, phi):
         """S at phi, one column only."""
-        if isinstance(phi, (float, int)):
+        if is_scalar(phi):
             d = float(phi) - self.anchor
             if abs(d) <= self._window:
                 return _horner(self._taylor, d, 0.0)
-            if max(bi * d for _, bi in self._terms) <= _EXP_GUARD:
+            if _largest_exponent(self, d) <= _EXP_GUARD:
                 total = 0.0
                 for ci, bi in self._terms:
                     total += ci * math.expm1(bi * d)
@@ -321,13 +339,30 @@ class _Expm1Sum:
 _ZERO_AT_REFERENCE = ("classical", "f0", "custom")  # strictly decreasing, f(phi*) = 0
 
 
+class _BuiltOnRead:
+    """Nonlinearity.F.  An exp-sum density is made with F=None and builds its
+    antiderivative from its anchored f at the first read: F = O((phi -
+    phi*)^2) for a density with a zero at phi*, O(phi - phi*) otherwise."""
+
+    def __get__(self, nl, owner=None):
+        if nl is None:
+            raise AttributeError("F")  # no class default: F is a required field
+        F = nl.__dict__["_F"]
+        if F is None:
+            F = nl.__dict__["_F"] = nl.f.antiderivative(2 if nl.monotone else 1)
+        return F
+
+    def __set__(self, nl, F):
+        nl.__dict__["_F"] = F
+
+
 @dataclass(frozen=True)
 class Nonlinearity:
     """Charge density f with derivative, antiderivative and reference data."""
 
     f: Callable
     df: Callable
-    F: Callable
+    F: Callable = _BuiltOnRead()
     phi_star: float | None
     provenance: str
     q: float | None = None  # drift constant of an f1 density
@@ -342,15 +377,11 @@ def _exp_terms_nonlinearity(a, b, ref, provenance, phi_star=None, q=None):
     esum = _ExpSum(a, b, ref)
     desum = esum.derivative()
     if phi_star is None:
-        phi_star = _decreasing_zero(esum, desum)
-    # F = sum_i (w_i/b_i) expm1(b_i (phi - phi*)), w_i = a_i exp(b_i (phi* - ref));
-    # a density with a zero at phi* has F = O((phi - phi*)^2) there
-    w = esum.a * np.exp(esum.b * (phi_star - esum.ref))
-    low = 2 if provenance in _ZERO_AT_REFERENCE else 1
+        phi_star = _decreasing_zero(esum._scalar, desum._scalar)
     return Nonlinearity(
         f=esum.with_anchor(phi_star),  # terms cancel at phi*; Taylor there
         df=desum,
-        F=_Expm1Sum(esum.b, w / esum.b, low, phi_star),
+        F=None,  # built from f at its first read
         phi_star=phi_star,
         provenance=provenance,
         q=q,
@@ -449,17 +480,19 @@ def _decreasing_zero(f, df) -> float:
     # this root every sweep, and where its Picard loop stops follows the
     # last bits of the root, so a switch must wait until oracle bits may move
     root = bisect_root(lambda x: f(x) > 0.0, lo, hi, REFERENCE_RTOL)
+    froot = f(root)
     for _ in range(3):
         slope = df(root)
-        if not np.isfinite(slope) or slope == 0.0:
+        if not math.isfinite(slope) or slope == 0.0:
             break
-        step = f(root) / slope
-        if not np.isfinite(step):
+        step = froot / slope
+        if not math.isfinite(step):
             break
         cand = root - step
-        if abs(f(cand)) >= abs(f(root)):
+        fcand = f(cand)
+        if abs(fcand) >= abs(froot):
             break
-        root = cand
+        root, froot = cand, fcand
     return float(root)
 
 

@@ -189,6 +189,26 @@ ANCHORED = {
 }
 
 
+# species sets of the Taylor-coefficient check: the three mass sets of the
+# benchmark, three species, valences off the integers (exact powers) and
+# valences whose squares round (b**2 is numpy's square there, not pow)
+COEFFICIENT_SETS = {
+    "1:1": [IonSpecies(1.0, 1.0), IonSpecies(-1.0, 1.0)],
+    "2:1": [IonSpecies(2.0, 1.0), IonSpecies(-1.0, 2.0)],
+    "1:2": [IonSpecies(1.0, 2.0), IonSpecies(-2.0, 1.0)],
+    "3 terms": [IonSpecies(2.0, 1.0), IonSpecies(1.0, 0.5), IonSpecies(-1.0, 2.5)],
+    "+-0.5, 1.5": [IonSpecies(0.5, 1.0), IonSpecies(1.5, 1.0), IonSpecies(-0.5, 4.0)],
+    "0.8:0.4": [IonSpecies(0.8, 1.0), IonSpecies(-0.4, 2.0)],
+}
+
+
+def _per_order_coefficients(f):
+    """_AnchoredExpSum's Taylor coefficients as they were first computed:
+    float(np.sum(w * b**n)) / n!, one order at a time, orders 0..12."""
+    w = f.a * np.exp(f.b * (f.anchor - f.ref))
+    return [float(np.sum(w * f.b**n)) / math.factorial(n) for n in range(13)]
+
+
 class TestAnchoredExpSum:
     """f of a density with a zero at phi*: its float path and its lean array
     path keep every bit of the array path as it was."""
@@ -254,6 +274,22 @@ class TestAnchoredExpSum:
                 got = f(arg)
                 assert type(got) is float
                 assert np.array(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(COEFFICIENT_SETS))
+    def test_taylor_coefficients_bit_equal_to_per_order_sums(self, name):
+        species = COEFFICIENT_SETS[name]
+        classical = make_classical_pb(species)
+        phi_star = classical.phi_star
+        a = np.array([s.z * s.amount for s in species])
+        b = np.array([-s.z for s in species])
+        for ref in (0.0, phi_star):  # classical, and an f0-like reference
+            for anchor in (0.0, phi_star, 20.0, -20.0, phi_star + 19.5):
+                f = _ExpSum(a, b, ref).with_anchor(anchor)
+                got = [f._value, *f._taylor[::-1]]
+                want = _per_order_coefficients(f)
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (ref, anchor)
+        assert np.array([classical.f._value, *classical.f._taylor[::-1]]).tobytes() == (
+            np.array(_per_order_coefficients(classical.f)).tobytes())
 
 
 def _numpy_scalar_loop(esum, phi):
@@ -487,6 +523,47 @@ SECOND_ORDER_DENSITIES = {
     "2:1 classical": lambda: make_classical_pb([IonSpecies(2.0, 0.3), IonSpecies(-1.0, 1.7)]),
     "3 species f0": lambda: make_f0(MULTI_SPECIES_F0[3], ANNULUS_3D.volume, 0.1),
 }
+
+
+class TestAntiderivativeOnRead:
+    """An exp sum's F is built at its first read, with the bits of the F that
+    _exp_terms_nonlinearity built eagerly before."""
+
+    @pytest.mark.parametrize("name", sorted(COEFFICIENT_SETS))
+    def test_lazy_antiderivative_bit_equal_to_eager(self, name, monkeypatch):
+        import pblayers.nonlinearity as nonlinearity
+
+        species = COEFFICIENT_SETS[name]
+        masses = [IonSpecies(s.z, s.amount, "mass") for s in species]
+        built = []
+        init = nonlinearity._Expm1Sum.__init__
+        monkeypatch.setattr(nonlinearity._Expm1Sum, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        f0 = make_f0(masses, 3.0, 0.3)
+        densities = {
+            "classical": make_classical_pb(species),
+            "f0": f0,
+            "f1": make_f1(f0, make_fhat1(masses, 3.0, 0.3, [0.2 * s.amount for s in masses]), 0.7),
+        }
+        assert built == []
+        rng = np.random.default_rng(len(name))
+        for provenance, nl in densities.items():
+            esum = nl.f
+            w = esum.a * np.exp(esum.b * (nl.phi_star - esum.ref))
+            eager = _Expm1Sum(esum.b, w / esum.b, 2 if nl.monotone else 1, nl.phi_star)
+            lazy = nl.F
+            assert nl.F is lazy and type(lazy) is _Expm1Sum, provenance
+            phi = nl.phi_star + np.concatenate([
+                rng.uniform(-lazy._window, lazy._window, 199),
+                rng.uniform(-40.0, 40.0, 200), [800.0, -800.0, math.nan]])
+            assert lazy(phi).tobytes() == eager(phi).tobytes(), provenance
+            assert lazy(phi.reshape(3, -1)).tobytes() == eager(phi.reshape(3, -1)).tobytes()
+            for x in phi.tolist():
+                for arg in (x, np.float64(x), np.array(x)):
+                    got, want = lazy(arg), eager(arg)
+                    assert type(got) is float
+                    assert np.array(got).tobytes() == np.array(want).tobytes(), (provenance, x)
+        assert len(built) == 2 * len(densities)
 
 
 class TestAntiderivative:

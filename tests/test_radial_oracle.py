@@ -499,6 +499,23 @@ class TestOneSolvePath:
         assert len(built) == 1
         assert res.outer_iters == self.SWEEP[1e-2][2]
 
+    def test_sweeps_build_no_antiderivative(self, monkeypatch, annulus_domain, msalt):
+        # each sweep's density, and the final one, only ever evaluate f and f';
+        # their F is built at its first read, which never comes
+        from pblayers import nonlinearity
+
+        built = []
+        init = nonlinearity._Expm1Sum.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(nonlinearity._Expm1Sum, "__init__", counting)
+        res = solve_radial_ccpb(annulus_domain, msalt, 1e-2)
+        assert res.outer_iters == self.SWEEP[1e-2][2]
+        assert built == []
+
     @pytest.mark.parametrize("model", ["pb", "ccpb"])
     def test_warm_start_from_result(self, model, salt, msalt, pb_disk_sweep, pb_disk_domain,
                                     ccpb_sweep, annulus_domain):

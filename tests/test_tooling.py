@@ -5,8 +5,9 @@ loads, and of it only the LAPACK extension: never the scipy.linalg package.
 Profiles travel as LayerBundle attributes, and the model is whether a bundle
 has w, so the package neither keys profiles by string nor branches on a model
 string outside config handling and JSON output.  Every module constant of the
-package is read somewhere in it, and of the radial oracle only the comparison
-with the expansion names the expansion."""
+package is read somewhere in it, of the radial oracle only the comparison
+with the expansion names the expansion, and every density evaluator tells a
+scalar from an array with numerics.is_scalar."""
 
 import ast
 import json
@@ -293,3 +294,31 @@ def test_module_constants_are_read():
     assert len(assigned) > 10
     unread = sorted((module, name) for name, module in assigned.items() if name not in read)
     assert not unread, unread
+
+
+def _calls_without_is_scalar(source):
+    """The classes of source whose __call__ never calls is_scalar, or tests
+    for a scalar with isinstance."""
+    bad = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__call__":
+                called = {n.func.id for n in ast.walk(fn)
+                          if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+                if "is_scalar" not in called or "isinstance" in called:
+                    bad.append(cls.name)
+    return bad
+
+
+def test_density_evaluators_share_one_scalar_rule():
+    # f, f' and F answer a scalar alike: F(np.array(x)), F(np.float64(x)) and
+    # F(x) take the same path, so every __call__ of nonlinearity decides
+    # float against array with numerics.is_scalar
+    source = (ROOT / "src" / "pblayers" / "nonlinearity.py").read_text(encoding="utf-8")
+    assert _calls_without_is_scalar(source) == []
+    assert _calls_without_is_scalar(
+        "class Old:\n    def __call__(self, phi):\n"
+        "        if isinstance(phi, (float, int)):\n            return 0.0\n"
+    ) == ["Old"]
