@@ -147,33 +147,38 @@ def region_charge(
 ) -> RegionChargeReport:
     """Two-term total charge in the near-boundary bands of component k.
 
-    Region I:  sqrt(eps)|bd|(u'(0) - u'(T))
-               + eps[(d-1)(int H)(T u'(T) + v'(0) - v'(T)) (+ |bd|(w'(0)-w'(T)))]
-    Region II: sqrt(eps)|bd| u'(T)
-               + eps[(d-1)(int H)(-T u'(T) + v'(T)) (+ |bd| w'(T))]
+    A band of stretched depths (a, b) holds
+        sqrt(eps)|bd|(u'(a) - u'(b))
+        + eps[(d-1)(int H)(b u'(b) - a u'(a) + v'(a) - v'(b)) (+ |bd|(w'(a) - w'(b)))]:
+    Region I is (0, T), Region II is (T, t_hi) with t_hi = eps**(beta - 1/2).
     """
     comp = domain.components[k]
     d = domain.dimension
     T = params.T
     eps = params.eps
-    sq = math.sqrt(eps)
-    s = sample(bundle, [0.0, T])
-    du0, duT = s.du.tolist()
-    dv0, dvT = s.dv.tolist()
+    t_hi = eps ** (params.beta - 0.5)
+    s = sample(bundle, [0.0, T, t_hi])
+    du = s.du.tolist()
+    dv = s.dv.tolist()
+    dw = s.dw.tolist() if s.w is not None else None
     area = comp.surface_area
     hint = comp.curvature_integral
-    r1 = sq * area * (du0 - duT) + eps * (d - 1) * hint * (T * duT + dv0 - dvT)
-    r2 = sq * area * duT + eps * ((d - 1) * hint * (-T * duT + dvT))
+
+    def band(i, j, a, b):
+        q = math.sqrt(eps) * area * (du[i] - du[j])
+        q += eps * (d - 1) * hint * (b * du[j] - a * du[i] + dv[i] - dv[j])
+        if dw is not None:
+            q += eps * area * (dw[i] - dw[j])
+        return q
+
+    r1 = band(0, 1, 0.0, T)
+    r2 = band(1, 2, T, t_hi)
     terms = {
-        "du0": du0, "duT": duT, "dv0": dv0, "dvT": dvT,
+        "du0": du[0], "duT": du[1], "du_hi": du[2], "dv0": dv[0], "dvT": dv[1], "dv_hi": dv[2],
         "area": area, "curvature_integral": hint,
     }
-    if s.w is not None:
-        dw0, dwT = s.dw.tolist()
-        r1 += eps * area * (dw0 - dwT)
-        r2 += eps * area * dwT
-        terms["dw0"] = dw0
-        terms["dwT"] = dwT
+    if dw is not None:
+        terms.update(dw0=dw[0], dwT=dw[1], dw_hi=dw[2])
     u = bundle.u
     phi_bd = u.robin.phi_bd
     sign = 0 if phi_bd == u.phi_star else (-1 if phi_bd > u.phi_star else 1)

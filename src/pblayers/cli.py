@@ -44,7 +44,7 @@ _SECTION_KEYS = {
     "robin": {"gamma", "phi_bd"},
     "grid": {"n_nodes"},
     "region": {"T", "beta"},
-    "oracle": {"points_per_layer", "layer_widths"},
+    "oracle": {"points_per_layer"},
     "expand": {"t_max", "n_t", "order"},
     "verify": {"flip_curvature"},
     "figures": {"gamma"},
@@ -302,8 +302,7 @@ def cmd_expand(cfg, out: Path) -> int:
 
 def _solve_oracle(cfg, domain, species, f, eps, initial=None) -> RadialSolveResult:
     opts = _section(cfg, "oracle")
-    read = {"points_per_layer": _integer, "layer_widths": _number}
-    opts = {key: read[key](opts, key, "oracle") for key in opts}
+    opts = {key: _integer(opts, key, "oracle") for key in opts}
     if cfg["model"] == "pb":
         return solve_radial_robin_pb(domain, f, eps, initial=initial, **opts)
     return solve_radial_ccpb(domain, species, eps, initial=initial, **opts)

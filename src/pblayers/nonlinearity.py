@@ -17,9 +17,11 @@ number, or a 0-d array: `numerics.is_scalar`) runs the same formulas on
 Python floats, with no one-element arrays, except in two cases that take the
 array path: F past the overflow guard, and f outside its Taylor window about
 phi*.  Inside that window f, whose terms cancel at phi*, runs the same Horner
-steps on floats, with the bits of its array path.  The F of an exp sum is
-built from f at its first read: a density whose F nobody reads (the radial
-oracle's sweep densities) never builds one.
+steps on floats, with the bits of its array path.  A Nonlinearity is complete
+when built: an exp sum builds F from its anchored f at construction (6-9 us
+a density of two or three species, with the radial oracle's sweep densities
+too, which never read it), and make_custom requires a callable F and finds
+phi* when none is given.
 """
 
 from __future__ import annotations
@@ -339,31 +341,14 @@ class _Expm1Sum:
 _ZERO_AT_REFERENCE = ("classical", "f0", "custom")  # strictly decreasing, f(phi*) = 0
 
 
-class _BuiltOnRead:
-    """Nonlinearity.F.  An exp-sum density is made with F=None and builds its
-    antiderivative from its anchored f at the first read: F = O((phi -
-    phi*)^2) for a density with a zero at phi*, O(phi - phi*) otherwise."""
-
-    def __get__(self, nl, owner=None):
-        if nl is None:
-            raise AttributeError("F")  # no class default: F is a required field
-        F = nl.__dict__["_F"]
-        if F is None:
-            F = nl.__dict__["_F"] = nl.f.antiderivative(2 if nl.monotone else 1)
-        return F
-
-    def __set__(self, nl, F):
-        nl.__dict__["_F"] = F
-
-
 @dataclass(frozen=True)
 class Nonlinearity:
     """Charge density f with derivative, antiderivative and reference data."""
 
     f: Callable
     df: Callable
-    F: Callable = _BuiltOnRead()
-    phi_star: float | None
+    F: Callable
+    phi_star: float
     provenance: str
     q: float | None = None  # drift constant of an f1 density
 
@@ -378,10 +363,12 @@ def _exp_terms_nonlinearity(a, b, ref, provenance, phi_star=None, q=None):
     desum = esum.derivative()
     if phi_star is None:
         phi_star = _decreasing_zero(esum._scalar, desum._scalar)
+    f = esum.with_anchor(phi_star)  # terms cancel at phi*; Taylor there
     return Nonlinearity(
-        f=esum.with_anchor(phi_star),  # terms cancel at phi*; Taylor there
+        f=f,
         df=desum,
-        F=None,  # built from f at its first read
+        # F = O((phi - phi*)^2) for a density with a zero at phi*
+        F=f.antiderivative(2 if provenance in _ZERO_AT_REFERENCE else 1),
         phi_star=phi_star,
         provenance=provenance,
         q=q,
@@ -433,15 +420,21 @@ def make_f1(f0: Nonlinearity, fhat1: Nonlinearity, q: float) -> Nonlinearity:
     the exponents of f0, so f1 is one, with F1 anchored at phi0*."""
     if f0.provenance != "f0" or fhat1.provenance != "fhat1":
         raise UnsupportedProvenance("make_f1 needs an f0 and an fhat1")
-    if f0.phi_star is None or abs(f0.phi_star - fhat1.phi_star) > 1e-12:
+    if abs(f0.phi_star - fhat1.phi_star) > 1e-12:
         raise MismatchedReference("f0 and fhat1 must share the reference potential")
     a = -q * f0.df.a + fhat1.f.a
     return _exp_terms_nonlinearity(a, f0.df.b, f0.df.ref, "f1", phi_star=f0.phi_star, q=float(q))
 
 
 def make_custom(f, df, F, phi_star=None) -> Nonlinearity:
-    """Wrap user-supplied evaluators of a strictly decreasing density."""
-    return Nonlinearity(f=f, df=df, F=F, phi_star=phi_star, provenance="custom")
+    """Wrap user-supplied evaluators of a strictly decreasing density; F is
+    its antiderivative with F(phi*) = 0, and phi*, when not given, is the
+    zero of f that find_reference_potential finds."""
+    if not callable(F):
+        raise ConfigError("make_custom needs a callable antiderivative F")
+    if phi_star is None:
+        phi_star = _decreasing_zero(f, df)
+    return Nonlinearity(f=f, df=df, F=F, phi_star=float(phi_star), provenance="custom")
 
 
 def find_reference_potential(nl: Nonlinearity) -> float:

@@ -54,7 +54,7 @@ from .errors import (
     ModelProfileMismatch,
     NegativeTime,
 )
-from .nonlinearity import _ExpSum, _Expm1Sum, Nonlinearity, decay_rate, find_reference_potential
+from .nonlinearity import _ExpSum, _Expm1Sum, Nonlinearity, decay_rate
 from .numerics import (
     GL5_PARTIAL,
     boundary_clustered_nodes,
@@ -290,7 +290,7 @@ def boundary_potential(f: Nonlinearity, robin: RobinData) -> float:
     Solves phi_bd - U0 + gamma * boundary_slope(U0) = 0 for U0 strictly
     between phi* and phi_bd (U0 = phi_bd in the Dirichlet limit).
     """
-    phi_star = f.phi_star if f.phi_star is not None else find_reference_potential(f)
+    phi_star = f.phi_star
     phi_bd = robin.phi_bd
     if phi_bd == phi_star or robin.gamma == 0.0:
         return float(phi_bd)
@@ -356,7 +356,7 @@ def solve_u(f: Nonlinearity, robin: RobinData, n_nodes: int = DEFAULT_NODES) -> 
         raise GridTooCoarse(f"n_nodes = {n_nodes}: a profile needs at least {MIN_NODES} nodes")
     if not f.monotone:
         raise ConfigError("u-profile requires a monotone charge density")
-    phi_star = f.phi_star if f.phi_star is not None else find_reference_potential(f)
+    phi_star = f.phi_star
     u0 = boundary_potential(f, robin)
     hull = (min(phi_star, robin.phi_bd), max(phi_star, robin.phi_bd))
     mu = math.sqrt(-float(f.df(phi_star)))

@@ -68,7 +68,6 @@ from .nonlinearity import (
     Nonlinearity,
     _exp_terms_nonlinearity,
     check_neutrality,
-    find_reference_potential,
 )
 from .numerics import write_csv
 from .profiles import LayerBundle, RobinData
@@ -79,6 +78,7 @@ MAX_DAMPING = 8
 MAX_OUTER = 200  # normalizer sweeps of a conserved-charge solve
 A_TOL = 1e-12  # relative normalizer change that ends the sweeps
 GRID_GROWTH = 1.08  # ratio of neighbouring spacings beyond the layers
+LAYER_WIDTHS = 10.0  # fine zone of the grid, in layer widths sqrt(eps)
 INTERIOR_CAP = 1.0 / 256.0  # largest spacing, as a fraction of R
 STRETCHED_SAMPLES = 1024  # points on [0, T] where compare_expansion compares
 
@@ -117,18 +117,16 @@ def graded_radial_grid(
     r_inner: float | None,
     eps: float,
     points_per_layer: int = 800,
-    layer_widths: float = 10.0,
 ) -> np.ndarray:
     """Nodes on [0, R] (ball) or [a, R] (annulus), fine near each boundary.
 
-    Spacing is sqrt(eps)/points_per_layer across layer_widths*sqrt(eps) from
+    Spacing is sqrt(eps)/points_per_layer across LAYER_WIDTHS*sqrt(eps) from
     each boundary, then grows by GRID_GROWTH per cell to at most
     R*INTERIOR_CAP.
     """
-    if not (eps > 0 and points_per_layer > 0 and layer_widths > 0):
+    if not (eps > 0 and points_per_layer > 0):
         raise ConfigError(
-            f"eps, points_per_layer and layer_widths must be positive, got {eps!r}, "
-            f"{points_per_layer!r} and {layer_widths!r}"
+            f"eps and points_per_layer must be positive, got {eps!r} and {points_per_layer!r}"
         )
     sq = math.sqrt(eps)
     h_fine = sq / points_per_layer
@@ -137,7 +135,7 @@ def graded_radial_grid(
     half = 0.5 * (r_outer - lo)
 
     def offsets(limit):
-        return _boundary_offsets(min(layer_widths * sq, limit), limit, h_fine, h_max)
+        return _boundary_offsets(min(LAYER_WIDTHS * sq, limit), limit, h_fine, h_max)
 
     if r_inner is None:
         right = offsets(r_outer - 0.45 * h_max)
@@ -620,9 +618,8 @@ def solve_radial_robin_pb(
     if not f.monotone:
         raise ConfigError("the oracle requires a monotone charge density")
     system = _radial_system(domain, f, eps, grid_opts)
-    phi_star = float(f.phi_star if f.phi_star is not None else find_reference_potential(f))
     if initial is None:
-        phi0 = _linearized_layers(system, f, phi_star)
+        phi0 = _linearized_layers(system, f, f.phi_star)
     elif isinstance(initial, RadialSolveResult):
         phi0 = _stretched_start(system, initial)
     else:
@@ -633,7 +630,7 @@ def solve_radial_robin_pb(
         model="pb", d=domain.dimension, eps=eps, r=system.r, phi=phi, newton_iters=iters,
         residual_norm=norm,
         conservation_residual=system.conservation_residual(phi, fvals),
-        robin=robin, radii=radii, phi_eps_star=phi_star,
+        robin=robin, radii=radii, phi_eps_star=f.phi_star,
     )
 
 
@@ -714,7 +711,6 @@ def solve_radial_ccpb(
     # residuals of the last sweep, whose density gave fvals
     conservation = system.conservation_residual(phi, fvals)
     f_eps = _density_from_normalizers(species, norms)
-    phi_eps_star = find_reference_potential(f_eps)
     neutrality = float(
         np.trapezoid(np.asarray(f_eps.f(phi), dtype=float) * weight, r)
     )
@@ -726,7 +722,7 @@ def solve_radial_ccpb(
         conservation_residual=conservation,
         robin=robin, radii=radii,
         normalizers=tuple(float(a) for a in norms),
-        phi_eps_star=phi_eps_star,
+        phi_eps_star=f_eps.phi_star,
         outer_iters=outer_it,
         neutrality=neutrality,
     )

@@ -170,17 +170,26 @@ class TestRegionCharge:
         assert sorted(d) == ["inputs", "k", "model", "region1", "region2", "sign", "terms"]
 
     def test_neutrality_mechanism(self, annulus_constants, annulus_domain):
-        # summed over all boundaries, the two-term band totals cancel:
-        # the sqrt(eps) parts by the flux balance, the eps parts by the
-        # drift-balance identity
+        # summed over all boundaries, the two-term layer charges cancel: the
+        # sqrt(eps) parts by the flux balance, the eps parts by the
+        # drift-balance identity.  Region II ends at t_hi, so the layer's
+        # charge beyond it is added from the slopes the report gives there
         eps = 1e-4
         params = RegionParams(eps=eps, beta=0.25, T=5.0)
+        t_hi = eps ** (params.beta - 0.5)
+        d = annulus_domain.dimension
         total = 0.0
         for k in range(2):
             rep = region_charge(
                 annulus_domain, k, params, annulus_constants.profiles[k]
             )
-            total += rep.region1 + rep.region2
+            t = rep.terms
+            beyond = math.sqrt(eps) * t["area"] * t["du_hi"] + eps * (
+                (d - 1) * t["curvature_integral"] * (t["dv_hi"] - t_hi * t["du_hi"])
+                + t["area"] * t["dw_hi"]
+            )
+            assert abs(beyond) > 1e-6 * eps  # the far edge closes Region II
+            total += rep.region1 + rep.region2 + beyond
         assert abs(total) <= 1e-6 * eps
 
 

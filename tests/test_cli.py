@@ -412,10 +412,9 @@ def test_readme_example_config_runs(tmp_path):
         # a fraction of a node per layer is no grid
         pytest.param("oracle", PB_BASE, "oracle", {"points_per_layer": 100.5},
                      "oracle.points_per_layer", id="oracle-points_per_layer-fraction"),
-        pytest.param("oracle", PB_BASE, "oracle", {"layer_widths": 0}, "layer_widths",
-                     id="oracle-layer_widths-zero"),
-        pytest.param("oracle", PB_BASE, "oracle", {"layer_widths": -1}, "layer_widths",
-                     id="oracle-layer_widths-negative"),
+        # the fine zone is a module constant, LAYER_WIDTHS
+        pytest.param("oracle", PB_BASE, "oracle", {"layer_widths": 10.0},
+                     "unknown keys in oracle: layer_widths", id="oracle-layer_widths"),
         *(
             pytest.param("verify", PB_BASE, "verify", {"flip_curvature": value},
                          "flip_curvature", id=f"verify-flip_curvature-{value}")

@@ -92,13 +92,36 @@ class TestClassical:
         from pblayers.errors import NoSignChange
         from pblayers.nonlinearity import make_custom
 
-        positive = make_custom(
-            f=lambda p: np.exp(-np.asarray(p, dtype=float)),
-            df=lambda p: -np.exp(-np.asarray(p, dtype=float)),
-            F=lambda p: -np.exp(-np.asarray(p, dtype=float)),
-        )
+        # make_custom finds phi* when none is given, so a density with no
+        # zero is refused where it is made
         with pytest.raises(NoSignChange):
-            find_reference_potential(positive)
+            make_custom(
+                f=lambda p: np.exp(-np.asarray(p, dtype=float)),
+                df=lambda p: -np.exp(-np.asarray(p, dtype=float)),
+                F=lambda p: -np.exp(-np.asarray(p, dtype=float)),
+            )
+
+
+class TestCustom:
+    def test_missing_antiderivative_rejected(self):
+        from pblayers.nonlinearity import make_custom
+
+        with pytest.raises(ConfigError, match="antiderivative"):
+            make_custom(lambda x: -2.0 * np.sinh(x), lambda x: -2.0 * np.cosh(x), None)
+
+    def test_reference_potential_found_at_construction(self):
+        from pblayers.nonlinearity import make_custom
+
+        # the 1:1 salt as sinh, shifted so that phi* is no exact float
+        shift = 0.3
+        f = make_custom(
+            lambda x: -2.0 * np.sinh(np.asarray(x) - shift),
+            lambda x: -2.0 * np.cosh(np.asarray(x) - shift),
+            lambda x: -4.0 * np.sinh((np.asarray(x) - shift) / 2.0) ** 2,
+        )
+        assert type(f.phi_star) is float
+        assert f.phi_star == find_reference_potential(f)
+        assert f.phi_star == pytest.approx(shift, abs=1e-15)
 
 
 def _outer_exp_sum(esum, phi):
@@ -525,48 +548,36 @@ SECOND_ORDER_DENSITIES = {
 }
 
 
-class TestAntiderivativeOnRead:
-    """An exp sum's F is built at its first read, with the bits of the F that
-    _exp_terms_nonlinearity built eagerly before."""
-
+class TestAntiderivative:
     @pytest.mark.parametrize("name", sorted(COEFFICIENT_SETS))
-    def test_lazy_antiderivative_bit_equal_to_eager(self, name, monkeypatch):
-        import pblayers.nonlinearity as nonlinearity
-
+    def test_exp_sum_bit_equal_to_anchored_terms(self, name):
+        # an exp sum's F is the expm1 sum of its anchored f, for every provenance
         species = COEFFICIENT_SETS[name]
         masses = [IonSpecies(s.z, s.amount, "mass") for s in species]
-        built = []
-        init = nonlinearity._Expm1Sum.__init__
-        monkeypatch.setattr(nonlinearity._Expm1Sum, "__init__",
-                            lambda self, *args: built.append(args) or init(self, *args))
         f0 = make_f0(masses, 3.0, 0.3)
         densities = {
             "classical": make_classical_pb(species),
             "f0": f0,
             "f1": make_f1(f0, make_fhat1(masses, 3.0, 0.3, [0.2 * s.amount for s in masses]), 0.7),
         }
-        assert built == []
         rng = np.random.default_rng(len(name))
         for provenance, nl in densities.items():
             esum = nl.f
             w = esum.a * np.exp(esum.b * (nl.phi_star - esum.ref))
-            eager = _Expm1Sum(esum.b, w / esum.b, 2 if nl.monotone else 1, nl.phi_star)
-            lazy = nl.F
-            assert nl.F is lazy and type(lazy) is _Expm1Sum, provenance
+            want = _Expm1Sum(esum.b, w / esum.b, 2 if nl.monotone else 1, nl.phi_star)
+            F = nl.F
+            assert type(F) is _Expm1Sum, provenance
             phi = nl.phi_star + np.concatenate([
-                rng.uniform(-lazy._window, lazy._window, 199),
+                rng.uniform(-F._window, F._window, 199),
                 rng.uniform(-40.0, 40.0, 200), [800.0, -800.0, math.nan]])
-            assert lazy(phi).tobytes() == eager(phi).tobytes(), provenance
-            assert lazy(phi.reshape(3, -1)).tobytes() == eager(phi.reshape(3, -1)).tobytes()
+            assert F(phi).tobytes() == want(phi).tobytes(), provenance
+            assert F(phi.reshape(3, -1)).tobytes() == want(phi.reshape(3, -1)).tobytes()
             for x in phi.tolist():
                 for arg in (x, np.float64(x), np.array(x)):
-                    got, want = lazy(arg), eager(arg)
+                    got, expected = F(arg), want(arg)
                     assert type(got) is float
-                    assert np.array(got).tobytes() == np.array(want).tobytes(), (provenance, x)
-        assert len(built) == 2 * len(densities)
+                    assert np.array(got).tobytes() == np.array(expected).tobytes(), (provenance, x)
 
-
-class TestAntiderivative:
     def test_quadrature_agreement(self, salt):
         star = salt.phi_star
         for phi in np.linspace(star - 5, star + 5, 21):

@@ -285,7 +285,7 @@ class TestLayerProfile:
         assert flat.energy is None and flat.energy_integral is None and flat.int_usq == 0.0
 
     @pytest.mark.parametrize("n_nodes", NODE_COUNTS)
-    def test_blocked_sweep_matches_whole_array(self, profile_matrix, salt, n_nodes):
+    def test_sweep_matches_whole_array_reference(self, profile_matrix, salt, n_nodes):
         # the sweep over all panels has every bit of the reference's t, u',
         # I and A
         for gamma, phi_bd in profile_matrix:
@@ -553,7 +553,7 @@ class TestConservationProfile:
                 solve_w(bundle.u, old)
 
     @pytest.mark.parametrize("n_nodes", NODE_COUNTS)
-    def test_blocked_sweep_matches_whole_array(self, annulus_constants, annulus_domain, n_nodes):
+    def test_sweep_matches_whole_array_reference(self, annulus_constants, annulus_domain, n_nodes):
         # on both README-annulus boundaries, the u that w rests on keeps every
         # bit of the reference sweep over all panels.  At every node count,
         # w'(0) has the bits of the reference's w'(0) and w(0) is within 1e-15
