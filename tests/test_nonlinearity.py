@@ -23,6 +23,7 @@ from pblayers.nonlinearity import (
     decay_rate,
     find_reference_potential,
     make_classical_pb,
+    make_custom,
     make_f0,
     make_f1,
     make_fhat1,
@@ -90,7 +91,6 @@ class TestClassical:
 
     def test_reference_potential_no_sign_change(self):
         from pblayers.errors import NoSignChange
-        from pblayers.nonlinearity import make_custom
 
         # make_custom finds phi* when none is given, so a density with no
         # zero is refused where it is made
@@ -104,14 +104,10 @@ class TestClassical:
 
 class TestCustom:
     def test_missing_antiderivative_rejected(self):
-        from pblayers.nonlinearity import make_custom
-
         with pytest.raises(ConfigError, match="antiderivative"):
             make_custom(lambda x: -2.0 * np.sinh(x), lambda x: -2.0 * np.cosh(x), None)
 
     def test_reference_potential_found_at_construction(self):
-        from pblayers.nonlinearity import make_custom
-
         # the 1:1 salt as sinh, shifted so that phi* is no exact float
         shift = 0.3
         f = make_custom(
